@@ -74,7 +74,13 @@ from .control import (
     run_station,
     transport_cycle,
 )
-from .telemetry import TELEMETRY_HEADER, TelemetrySample, TelemetryWriter, read_telemetry
+from .telemetry import (
+    TELEMETRY_HEADER,
+    TelemetryLog,
+    TelemetrySample,
+    TelemetryWriter,
+    read_telemetry,
+)
 from .config import (
     BASELINES_HEADER,
     ConfigError,

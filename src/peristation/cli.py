@@ -19,7 +19,7 @@ from .config import (
     load_config,
     write_baselines,
 )
-from .control import CalibrationError, ControlFaultError, calibrate_baseline, run_station
+from .control import ControlFaultError, calibrate_baseline, run_station
 from .geometry import sweep
 from .hal import SimulatedBackend
 from .plant import COMPRESSION, ObjectState, Plant
@@ -103,7 +103,7 @@ def cmd_calibrate(args) -> int:
         try:
             rates[mod.id] = calibrate_baseline(backend, mod.id, cfg.params, cfg.detection,
                                                cfg.control)
-        except (CalibrationError, ControlFaultError) as e:
+        except (ValueError, ControlFaultError) as e:  # CalibrationError is a ValueError
             print(f"calibration failed: {e}")
             return 1
         print(f"module {mod.id}: {rates[mod.id]:.6f} kPa/s")

@@ -626,14 +626,16 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))
-    ids = [mod.id for mod in layout.modules]
+    ids = {mod.id for mod in layout.modules}
     plant = getattr(backend, "plant", None)
     events_log: list[tuple[float, int, str]] = []
     plant_events: list[tuple[int, str]] = []
     now = 0.0
     for k in range(n_steps + 1):
         now = k * dt
-        sensed = {mid: backend.read_pressure(mid)[0] for mid in ids}
+        sensed = backend.read_all()
+        if not ids <= sensed.keys():
+            raise ValueError(f"no such endpoint: module {min(ids - sensed.keys())}")
         changed = controller.update(now, sensed, plant_events)
         plant_events = []
         if k == n_steps and not controller.done:

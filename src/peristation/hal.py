@@ -1,9 +1,16 @@
 """Hardware abstraction between the controller and any plant.
 
 Two backends implement the same contract: SimulatedBackend drives the
-in-process plant model, ReplayBackend plays a recorded telemetry file back
-and verifies the controller issues the identical commands.  A physical
-backend would slot in behind the same three operations.
+in-process plant model, ReplayBackend plays a recorded telemetry file (the
+TelemetryLog that read_telemetry returns) back and verifies the controller
+issues the identical commands.  A physical backend would slot in behind the
+same four operations:
+
+  - read_all: every module's sensed pressure for the current tick, as one
+    {module_id: kPa} mapping that the backend never mutates afterwards;
+  - read_pressure: one module's sensed pressure and the current time;
+  - set_valve: command one module's valve;
+  - tick: advance one time step.
 
 The controller owns the backend and serializes all calls; sampling is
 pull-based, once per tick.
@@ -18,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .plant import Plant, VALVE_MODES
+from .telemetry import TelemetryLog
 
 READ_PRESSURE = "ReadPressure"
 SET_VALVE = "SetValve"
@@ -65,7 +73,7 @@ class SimulatedBackend:
 
     def _sample(self) -> None:
         if self._sigma > 0.0:
-            noise = self._rng.normal(0.0, self._sigma, len(self._ids))
+            noise = self._rng.normal(0.0, self._sigma, len(self._ids)).tolist()
             self._sensed = {
                 mid: self.plant.pressure(mid) + noise[k] for k, mid in enumerate(self._ids)
             }
@@ -79,6 +87,9 @@ class SimulatedBackend:
     def endpoints(self) -> dict[int, HalEndpoint]:
         caps = frozenset((READ_PRESSURE, SET_VALVE))
         return {mid: HalEndpoint(mid, caps) for mid in self._ids}
+
+    def read_all(self) -> dict[int, float]:
+        return self._sensed
 
     def read_pressure(self, module_id: int) -> tuple[float, float]:
         if module_id not in self._sensed:
@@ -117,10 +128,16 @@ class SimulatedBackend:
 class ReplayBackend:
     """HAL over a recorded telemetry stream.
 
-    read_pressure returns the recorded sensed pressure for the current tick;
-    set_valve verifies the command matches the recording and raises
-    ReplayMismatchError naming both modes if it does not.  tick advances to
-    the next recorded instant and raises EndOfRecordingError past the end.
+    read_all and read_pressure return the recorded sensed pressures for the
+    current tick; set_valve verifies the command matches the recording and
+    raises ReplayMismatchError naming both modes if it does not.  tick
+    advances to the next recorded instant and raises EndOfRecordingError
+    past the end.
+
+    Ticks are found once, from the time and module_id columns: module rows
+    only (module_id 0 rows are station events), and a new tick whenever
+    time exceeds every earlier module row's time.  A tick's pressures are
+    gathered only when it is read.
     """
 
     def __init__(self, samples: Sequence, dt: float):
@@ -129,46 +146,56 @@ class ReplayBackend:
         self.dt = dt
         self.mismatches = 0
         self._last_cmd_t: dict[int, float] = {}
-        # index rows by tick: _ticks[k] = {module_id: (pressure, valve)}
-        self._ticks: list[dict[int, tuple[float, str]]] = []
-        self._times: list[float] = []
+        log = samples if isinstance(samples, TelemetryLog) else TelemetryLog.from_samples(samples)
+        self._log = log
+        # _bounds[k]:_bounds[k + 1] is tick k's row range
+        self._bounds: list[int] = []
         current_t = None
-        for s in samples:
-            if s.module_id == 0:
-                continue  # station-level event rows carry no endpoint data
-            if current_t is None or s.time_s > current_t:
-                current_t = s.time_s
-                self._ticks.append({})
-                self._times.append(s.time_s)
-            self._ticks[-1][s.module_id] = (s.pressure_kPa, s.valve)
-        if not self._ticks:
+        for i, (t, mid) in enumerate(zip(log.time_s, log.module_id)):
+            if mid == 0:
+                continue
+            if current_t is None or t > current_t:
+                current_t = t
+                self._bounds.append(i)
+        if not self._bounds:
             raise ValueError("recording contains no module samples")
-        self._ids = sorted(self._ticks[0].keys())
+        self._bounds.append(len(log))
+        self._n_ticks = len(self._bounds) - 1
         self._k = 0
+        self._sensed_k = -1
+        self._sensed: dict[int, float] = {}
+        self._ids = sorted(self.read_all())
+
+    def read_all(self) -> dict[int, float]:
+        """The current tick's {module_id: sensed kPa}, built on first use."""
+        k = self._k
+        if k >= self._n_ticks:
+            raise EndOfRecordingError("end of recording")
+        if self._sensed_k != k:
+            rows = slice(self._bounds[k], self._bounds[k + 1])
+            self._sensed = dict(zip(self._log.module_id[rows], self._log.pressure_kPa[rows]))
+            self._sensed.pop(0, None)  # station event rows
+            self._sensed_k = k
+        return self._sensed
 
     @property
     def now(self) -> float:
-        if self._k >= len(self._times):
+        if self._k >= self._n_ticks:
             raise EndOfRecordingError("end of recording")
-        return self._times[self._k]
+        return self._log.time_s[self._bounds[self._k]]
 
     def endpoints(self) -> dict[int, HalEndpoint]:
         caps = frozenset((READ_PRESSURE, SET_VALVE))
         return {mid: HalEndpoint(mid, caps) for mid in self._ids}
 
     def read_pressure(self, module_id: int) -> tuple[float, float]:
-        if self._k >= len(self._ticks):
-            raise EndOfRecordingError("end of recording")
-        row = self._ticks[self._k]
-        if module_id not in row:
+        sensed = self.read_all()
+        if module_id not in sensed:
             raise ValueError(f"no such endpoint: module {module_id}")
-        return row[module_id][0], self._times[self._k]
+        return sensed[module_id], self.now
 
     def set_valve(self, cmd: ValveCommand) -> bool:
-        if self._k >= len(self._ticks):
-            raise EndOfRecordingError("end of recording")
-        row = self._ticks[self._k]
-        if cmd.module_id not in row:
+        if cmd.module_id not in self.read_all():
             raise ValueError(f"no such endpoint: module {cmd.module_id}")
         if cmd.mode not in VALVE_MODES:
             raise ValueError(f"unknown valve mode {cmd.mode!r}")
@@ -179,7 +206,9 @@ class ReplayBackend:
                 f"(module {cmd.module_id}: {cmd.timestamp} < {last})"
             )
         self._last_cmd_t[cmd.module_id] = cmd.timestamp
-        recorded = row[cmd.module_id][1]
+        # the tick's last row for the module, as read_all keeps the last pressure
+        mids, rows = self._log.module_id, range(self._bounds[self._k], self._bounds[self._k + 1])
+        recorded = next(self._log.valve[i] for i in reversed(rows) if mids[i] == cmd.module_id)
         if recorded != cmd.mode:
             self.mismatches += 1
             raise ReplayMismatchError(
@@ -191,11 +220,11 @@ class ReplayBackend:
     def tick(self, dt: float) -> float:
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        if self._k + 1 >= len(self._ticks):
-            self._k = len(self._ticks)
+        if self._k + 1 >= self._n_ticks:
+            self._k = self._n_ticks
             raise EndOfRecordingError("end of recording")
         self._k += 1
-        return self._times[self._k]
+        return self.now
 
     def drain_events(self) -> list[tuple[int, str]]:
         return []

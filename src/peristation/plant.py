@@ -83,6 +83,10 @@ class PlantParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("P_max", "k_free", "k_contact_at_0p7", "k_vent", "dt", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.P_max <= 0 or self.k_free <= 0 or self.k_contact_at_0p7 <= 0 or self.k_vent <= 0:
             raise ValueError("P_max and all rates must be > 0")
         if self.dt <= 0:

@@ -8,7 +8,10 @@ commas; multiple events for one module in one tick join with ';'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 
 TELEMETRY_HEADER = "time_s,module_id,kind,pressure_kPa,valve,inflation_mm,object_z_mm,phase,event"
 
@@ -24,6 +27,45 @@ class TelemetrySample:
     object_z_mm: float
     phase: str
     event: str
+
+
+# TelemetrySample field names, in CSV column order
+_COLUMNS = tuple(f.name for f in fields(TelemetrySample))
+_get_columns = attrgetter(*_COLUMNS)
+
+
+class TelemetryLog(Sequence):
+    """A telemetry recording held by column: one list per CSV column.
+
+    Columns are attributes named like the TelemetrySample fields, so replay
+    reads time_s, module_id, pressure_kPa and valve without building rows.
+    As a Sequence, len(), indexing (negative too) and iteration yield
+    TelemetrySample rows built on demand.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(self, *columns: list):
+        if len(columns) != len(_COLUMNS) or len({len(c) for c in columns}) > 1:
+            raise ValueError(f"expected {len(_COLUMNS)} columns of equal length")
+        for name, column in zip(_COLUMNS, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[TelemetrySample]) -> "TelemetryLog":
+        columns = [list(c) for c in zip(*map(_get_columns, samples))]
+        return cls(*(columns or [[] for _ in _COLUMNS]))
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TelemetryLog(*(c[i] for c in _get_columns(self)))
+        return TelemetrySample(*(c[i] for c in _get_columns(self)))
+
+    def __iter__(self):
+        return map(TelemetrySample, *_get_columns(self))
 
 
 class TelemetryWriter:
@@ -72,36 +114,76 @@ class TelemetryWriter:
         return False
 
 
-def read_telemetry(path) -> list[TelemetrySample]:
-    """Parse a telemetry CSV back into samples.
+# Text parsed per batch, in bytes: bounds the per-field strings alive at
+# once while keeping the per-batch overhead negligible.
+_BATCH_BYTES = 1 << 20
+
+
+def _checked_rows(lines: list[str], lineno: int) -> list[list[str]]:
+    """Split a batch of lines into rows one by one, skipping blank lines.
+
+    Raises:
+        ValueError: naming the first line (numbered from lineno) with the
+            wrong column count or an unparseable number.
+    """
+    rows = []
+    for lineno, line in enumerate(lines, lineno):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",", 8)
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
+        try:
+            float(parts[0]), int(parts[1]), float(parts[3]), float(parts[5]), float(parts[6])
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        rows.append(parts)
+    return rows
+
+
+def read_telemetry(path) -> TelemetryLog:
+    """Parse a telemetry CSV into a TelemetryLog.
+
+    Lines are parsed in batches.  When every line of a batch holds exactly
+    the 8 column separators, the batch is split into one flat list of
+    fields and each column is sliced out and converted in one pass.  Any
+    other batch (a blank line, a short row, commas inside the event text)
+    is split line by line, which skips blank lines and names the first
+    malformed line.  The kind, valve and phase columns share one string
+    object per distinct value.
 
     Raises:
         ValueError: wrong header or malformed row.
     """
-    samples = []
+    columns = [[] for _ in _COLUMNS]
+    time_s, module_id, kind, pressure, valve, inflation, object_z, phase, event = columns
+    share = {}.setdefault
+    width = len(_COLUMNS)
     with open(path, "r", newline="") as f:
         header = f.readline().rstrip("\n")
         if header != TELEMETRY_HEADER:
             raise ValueError(f"unrecognized telemetry header: {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",", 8)
-            if len(parts) != 9:
-                raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
+        lineno = 2
+        while lines := f.readlines(_BATCH_BYTES):
+            if set(map(str.count, lines, repeat(","))) == {width - 1}:
+                flat = ",".join(lines).split(",")
+                cols = [flat[j::width] for j in range(width)]
+            else:
+                cols = list(zip(*_checked_rows(lines, lineno))) or [()] * width
+            t, m, k, p, v, d, z, ph, ev = cols
             try:
-                samples.append(TelemetrySample(
-                    time_s=float(parts[0]),
-                    module_id=int(parts[1]),
-                    kind=parts[2],
-                    pressure_kPa=float(parts[3]),
-                    valve=parts[4],
-                    inflation_mm=float(parts[5]),
-                    object_z_mm=float(parts[6]),
-                    phase=parts[7],
-                    event=parts[8],
-                ))
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
-    return samples
+                time_s.extend(map(float, t))
+                module_id.extend(map(int, m))
+                pressure.extend(map(float, p))
+                inflation.extend(map(float, d))
+                object_z.extend(map(float, z))
+            except ValueError:
+                _checked_rows(lines, lineno)  # raises, naming the line
+                raise
+            kind.extend(map(share, k, k))
+            valve.extend(map(share, v, v))
+            phase.extend(map(share, ph, ph))
+            event.extend(map(str.rstrip, ev, repeat("\n")))
+            lineno += len(lines)
+    return TelemetryLog(*columns)

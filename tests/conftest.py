@@ -1,11 +1,20 @@
 import pytest
 
 from peristation import (
+    ControlConfig,
+    DetectionConfig,
+    ObjectSpec,
+    ObjectState,
+    Plant,
     PlantParams,
     RingGeometry,
+    SimulatedBackend,
     SurrogateMaterial,
+    TelemetrySample,
+    TelemetryWriter,
     build_station,
     calibrate_kappa,
+    run_station,
 )
 
 # nominal ring: R=40, r=25, five 28.8 mm chambers spaced 12 mm, 2 mm walls
@@ -44,3 +53,31 @@ def five_module_layout(geometry):
 @pytest.fixture
 def three_module_layout(geometry):
     return build_station(geometry, 3, 20.0, 20.0)
+
+
+@pytest.fixture
+def recording(tmp_path, three_module_layout, material):
+    """Telemetry of a noisy one-cycle run on three modules: module rows, station
+    event rows and valve changes, several megabytes of text."""
+    params = PlantParams(noise_sigma=0.05, rng_seed=1)
+    obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
+    backend = SimulatedBackend(Plant(three_module_layout, obj, params, material))
+    path = tmp_path / "run.csv"
+    with TelemetryWriter(path) as writer:
+        run_station(backend, three_module_layout, obj.spec, 0.0, params, DetectionConfig(),
+                    ControlConfig(max_cycles=1), 40.0, recorder=writer)
+    return path
+
+
+def read_rows(path) -> list:
+    """Reference telemetry parser: one TelemetrySample per non-blank line."""
+    rows = []
+    with open(path, newline="") as f:
+        next(f)
+        for line in f:
+            parts = line.rstrip("\n").split(",", 8)
+            if parts != [""]:
+                t, mid, kind, p, valve, d, z, phase, event = parts
+                rows.append(TelemetrySample(float(t), int(mid), kind, float(p), valve,
+                                            float(d), float(z), phase, event))
+    return rows

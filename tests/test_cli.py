@@ -75,6 +75,11 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 2
         assert "missing required field" in capsys.readouterr().out
 
+    def test_nonfinite_plant_value_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "plant:\n  P_max: .nan\n")
+        assert main(["validate", "--config", cfg]) == 1
+        assert "FAIL plant: P_max must be finite, got nan" in capsys.readouterr().out
+
     def test_rule_violations_exit_1_and_name_each(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "station:\n  module_count: 4\n")
         assert main(["validate", "--config", cfg]) == 1
@@ -102,6 +107,13 @@ class TestCalibrate:
         out = str(tmp_path / "baselines.csv")
         assert main(["calibrate", "--config", cfg, "--out", out]) == 1
         assert "calibration failed:" in capsys.readouterr().out
+        assert not (tmp_path / "baselines.csv").exists()
+
+    def test_window_too_short_for_the_fit_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 3\ndetection:\n  window_len: 0.005\n")
+        out = str(tmp_path / "baselines.csv")
+        assert main(["calibrate", "--config", cfg, "--out", out]) == 1
+        assert "calibration failed: insufficient trace" in capsys.readouterr().out
         assert not (tmp_path / "baselines.csv").exists()
 
     def test_noise_seed_reproducibility(self, tmp_path, capsys):

@@ -115,6 +115,14 @@ class TestSemanticProblems:
         assert any(p.startswith("plant:") for p in cfg.problems)
         assert cfg.params is None
 
+    @pytest.mark.parametrize("field, value", [
+        ("P_max", ".nan"), ("k_free", ".inf"), ("dt", ".inf"), ("noise_sigma", ".nan"),
+    ])
+    def test_nonfinite_plant_value_reported(self, tmp_path, field, value):
+        cfg = load_config(cfg_file(tmp_path, f"plant:\n  {field}: {value}\n"))
+        assert any(p.startswith(f"plant: {field} must be finite") for p in cfg.problems)
+        assert cfg.params is None
+
     def test_station_problem_reported(self, tmp_path):
         cfg = load_config(cfg_file(tmp_path, "station:\n  module_count: 4\n"))
         assert "station: first and last modules must be Compression" in cfg.problems

@@ -1,5 +1,8 @@
 """Controller: contact detection, gated phases, probe lifecycle, full runs."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,18 +20,22 @@ from peristation import (
     Plant,
     PlantParams,
     ReplayBackend,
+    RingGeometry,
     SimulatedBackend,
     StationController,
+    SurrogateMaterial,
     TelemetryWriter,
     ValveCommand,
     build_station,
     calibrate_baseline,
+    calibrate_kappa,
     detect_contact,
     grasp,
     read_telemetry,
     run_station,
     transport_cycle,
 )
+from tests.conftest import NOMINAL
 
 DT = 1e-3
 
@@ -61,6 +68,9 @@ class CommandDropper:
     @property
     def now(self):
         return self.inner.now
+
+    def read_all(self):
+        return self.inner.read_all()
 
     def read_pressure(self, module_id):
         return self.inner.read_pressure(module_id)
@@ -375,3 +385,44 @@ class TestReplayEquivalence:
         assert again.cycles == live.cycles
         # replay has no plant, so final z is the controller's dead reckoning
         assert again.final_z == 30.0
+
+    def test_replay_needs_every_layout_module(self, three_module_layout, five_module_layout,
+                                              material, params, tmp_path):
+        backend = sim_backend(three_module_layout, material, params)
+        spec = backend.plant.object.spec
+        path = tmp_path / "run.csv"
+        with TelemetryWriter(path) as writer:
+            run_station(backend, three_module_layout, spec, 0.0, params, DetectionConfig(),
+                        ControlConfig(max_cycles=1), 20.0, recorder=writer)
+        replay = ReplayBackend(read_telemetry(path), params.dt)
+        with pytest.raises(ValueError, match="no such endpoint: module 4"):
+            run_station(replay, five_module_layout, spec, 0.0, params, DetectionConfig(),
+                        ControlConfig(), 20.0)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.1))
+    def test_noisy_runs_replay_with_the_same_decisions(self, seed, sigma):
+        geometry = RingGeometry(**NOMINAL)
+        material = SurrogateMaterial(100.0, 0.45, calibrate_kappa(geometry, 100.0, 0.69, 15.0))
+        layout = build_station(geometry, 5, 20.0, 20.0)
+        params = PlantParams(noise_sigma=sigma, rng_seed=seed)
+        # raised 10 mm, the object reaches the probe ring during the first grasp
+        spec, z0 = ObjectSpec(17.5, 75.0), 10.0
+        control = ControlConfig(max_cycles=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.csv")
+            plant = Plant(layout, ObjectState(spec, z0), params, material)
+            with TelemetryWriter(path) as writer:
+                live = run_station(SimulatedBackend(plant), layout, spec, z0, params,
+                                   DetectionConfig(), control, 30.0, recorder=writer)
+            replay = ReplayBackend(read_telemetry(path), params.dt)
+            again = run_station(replay, layout, spec, z0, params,
+                                DetectionConfig(), control, 30.0)
+        assert live.detections
+        assert replay.mismatches == 0
+        assert (again.outcome, again.cycles, again.sim_time_s) == (
+            live.outcome, live.cycles, live.sim_time_s)
+        # rates differ below the file's 6 decimals; the decisions must not
+        assert [(d.module_id, d.contact) for d in again.detections] == [
+            (d.module_id, d.contact) for d in live.detections]
+        assert [(t, mid) for t, mid, _ in again.events] == [(t, mid) for t, mid, _ in live.events]

@@ -18,7 +18,9 @@ from peristation import (
     SimulatedBackend,
     TelemetrySample,
     ValveCommand,
+    read_telemetry,
 )
+from tests.conftest import read_rows
 
 
 @pytest.fixture
@@ -116,6 +118,18 @@ class TestSimulatedBackend:
         assert noisy.plant.pressure(1) == clean.plant.pressure(1)
         assert noisy.read_pressure(1) != clean.read_pressure(1)
 
+    def test_read_all_is_a_snapshot_of_every_module(self, three_module_layout, material):
+        backend = noisy_backend(three_module_layout, material, seed=4)
+        backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+        backend.tick(1e-3)
+        snapshot = backend.read_all()
+        assert snapshot == {mid: backend.read_pressure(mid)[0] for mid in (1, 2, 3)}
+        assert all(type(v) is float for v in snapshot.values())
+        before = dict(snapshot)
+        backend.tick(1e-3)
+        assert snapshot == before
+        assert backend.read_all() != before
+
     def test_noise_draws_do_not_depend_on_read_pattern(self, three_module_layout, material):
         reads_all = noisy_backend(three_module_layout, material, seed=11)
         reads_one = noisy_backend(three_module_layout, material, seed=11)
@@ -149,6 +163,59 @@ class TestReplayBackend:
         backend.tick(1e-3)
         assert backend.now == 0.001
         assert backend.read_pressure(1) == (2.0, 0.001)
+
+    def test_read_all_is_a_snapshot_of_the_tick(self):
+        backend = replay_fixture()
+        snapshot = backend.read_all()
+        assert snapshot == {1: 1.0, 2: 2.0}
+        backend.tick(1e-3)
+        assert snapshot == {1: 1.0, 2: 2.0}
+        assert backend.read_all() == {1: 2.0, 2: 3.0}
+        backend.tick(1e-3)
+        with pytest.raises(EndOfRecordingError):
+            backend.tick(1e-3)
+        with pytest.raises(EndOfRecordingError):
+            backend.read_all()
+
+    def test_tick_grouping_and_last_row_wins(self):
+        rows = [
+            sample(0.0, 1, 1.0, INFLATE),
+            sample(0.001, 1, 2.0, HOLD),
+            sample(0.0005, 1, 3.0, DEFLATE),  # not past the latest time: joins that tick
+        ]
+        backend = ReplayBackend(rows, 1e-3)
+        backend.tick(1e-3)
+        assert backend.now == 0.001
+        assert backend.read_all() == {1: 3.0}
+        assert backend.set_valve(ValveCommand(1, DEFLATE, 0.001))
+        with pytest.raises(EndOfRecordingError):
+            backend.tick(1e-3)
+
+    def test_log_and_sample_list_replay_identically(self, recording):
+        backends = [ReplayBackend(read_telemetry(recording), 1e-3),
+                    ReplayBackend(read_rows(recording), 1e-3)]
+        ticks = 0
+        while True:
+            seen = []
+            for backend in backends:
+                now = backend.now
+                reads = [backend.read_pressure(mid) for mid in (1, 2, 3)]
+                verdicts = []
+                for mid in (1, 2, 3):
+                    try:
+                        verdicts.append(backend.set_valve(ValveCommand(mid, INFLATE, now)))
+                    except ReplayMismatchError:
+                        verdicts.append(False)
+                seen.append((now, backend.read_all(), reads, verdicts, backend.mismatches))
+            assert seen[0] == seen[1]
+            ticks += 1
+            try:
+                for backend in backends:
+                    backend.tick(1e-3)
+            except EndOfRecordingError:
+                break
+        assert ticks > 1000
+        assert 0 < backends[0].mismatches < 3 * ticks
 
     def test_matching_command_accepted(self):
         backend = replay_fixture()

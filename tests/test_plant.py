@@ -1,5 +1,7 @@
 """Plant dynamics: stacking rules, rate/inflation laws, motion, drops, conflicts."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +137,11 @@ class TestPlantParams:
             dict(k_vent=0.0),
             dict(dt=0.0),
             dict(noise_sigma=-0.1),
+            dict(P_max=math.nan),
+            dict(k_contact_at_0p7=math.inf),
+            dict(k_vent=math.nan),
+            dict(dt=math.inf),
+            dict(noise_sigma=math.nan),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

@@ -9,9 +9,12 @@ from peristation import (
     ObjectSpec,
     ObjectState,
     Plant,
+    TelemetryLog,
+    TelemetrySample,
     TelemetryWriter,
     read_telemetry,
 )
+from tests.conftest import read_rows
 
 
 @pytest.fixture
@@ -103,3 +106,46 @@ class TestReader:
             TELEMETRY_HEADER + "\n\n0.001000,1,Compression,1.0,Hold,0.0,0.0,L0:Grasp,\n"
         )
         assert len(read_telemetry(ok)) == 1
+
+
+class TestTelemetryLog:
+    def test_every_field_round_trips(self, tmp_path, plant):
+        plant.object.z = 2.5
+        path = record_one(tmp_path / "t.csv", plant,
+                          [(1, "baseline module=1 rate=4.330000"), (0, "grasped level=0")])
+        expected = [
+            TelemetrySample(0.001, 1, "Compression", 1.25, INFLATE, 0.0, 2.5, "L0:Grasp",
+                            "baseline module=1 rate=4.330000"),
+            TelemetrySample(0.001, 2, "Longitudinal", 0.0, HOLD, 0.0, 2.5, "L0:Grasp", ""),
+            TelemetrySample(0.001, 3, "Compression", 0.004331, HOLD, 0.0, 2.5, "L0:Grasp", ""),
+            TelemetrySample(0.001, 0, "-", 0.0, "-", 0.0, 2.5, "L0:Grasp", "grasped level=0"),
+        ]
+        log = read_telemetry(path)
+        assert isinstance(log, TelemetryLog)
+        assert len(log) == 4
+        assert list(log) == expected
+        assert [log[i] for i in range(4)] == expected
+        assert (log[-1], log[-4]) == (expected[-1], expected[0])
+        assert list(log[1:3]) == expected[1:3]
+        with pytest.raises(IndexError):
+            log[4]
+        assert list(TelemetryLog.from_samples(expected)) == expected
+
+    def test_matches_the_per_row_reference(self, recording):
+        assert recording.stat().st_size > 2 << 20  # spans several parse batches
+        log = read_telemetry(recording)
+        assert list(log) == read_rows(recording)
+        # repeated strings are one object per distinct value
+        assert len({id(v) for v in log.phase}) == len(set(log.phase))
+
+    def test_commas_stay_in_the_event_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(TELEMETRY_HEADER + "\n0.001000,0,-,0.0,-,0.0,0.0,L0:Grasp,a,b\n")
+        assert read_telemetry(path)[0].event == "a,b"
+
+    def test_bad_number_in_a_later_batch_names_its_line(self, recording):
+        lines = recording.read_text().count("\n")
+        with open(recording, "a") as f:
+            f.write("0.001000,x,Compression,1.0,Hold,0.0,0.0,L0:Grasp,\n")
+        with pytest.raises(ValueError, match=f"line {lines + 1}: invalid literal for int"):
+            read_telemetry(recording)
