@@ -3,11 +3,15 @@ One transport cycle through the fundamental unit
 ================================================
 
 The smallest working station is a (Compression, Longitudinal, Compression)
-triple.  Grasp the object with both compression rings, then run one
-release-stroke-regrasp cycle and watch the object climb one stroke.
+triple.  The station's phase machine grasps the object with both compression
+rings, then runs one release-stroke-regrasp cycle; watch the object climb
+one stroke.
 """
 
 from peristation import (
+    LONGITUDINAL_STROKE_FRACTION,
+    ControlConfig,
+    DetectionConfig,
     ObjectSpec,
     ObjectState,
     Plant,
@@ -17,8 +21,7 @@ from peristation import (
     SurrogateMaterial,
     build_station,
     calibrate_kappa,
-    grasp,
-    transport_cycle,
+    run_station,
 )
 
 ring = RingGeometry(40.0, 25.0, 1.5, 12.0, 2.0, 28.8, 5)
@@ -30,20 +33,18 @@ obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
 plant = Plant(layout, obj, params, material)
 backend = SimulatedBackend(plant)
 
-stroke = 0.3 * layout.module(2).height_h
+stroke = LONGITUDINAL_STROKE_FRACTION * layout.module(2).height_h
 print(f"station top {layout.station_top} mm, stroke {stroke} mm")
 print(f"object starts at z = {plant.object.z} mm")
 
-log = grasp(backend, layout, 0, params)
-print(f"[{backend.now:.3f} s] grasped, supporters = {sorted(plant.object_state().supporters)}")
-
-transport_cycle(backend, layout, 0, params, log=log)
-print(f"[{backend.now:.3f} s] cycle complete, object at z = {plant.object.z} mm")
+result = run_station(backend, layout, obj.spec, 0.0, params, DetectionConfig(),
+                     ControlConfig(max_cycles=1), duration_s=60.0)
+print(f"[{result.sim_time_s:.3f} s] {result.outcome}, object at z = {result.final_z} mm")
 
 print()
-print("schedule events:")
-for t, _, text in log:
+print("station events:")
+for t, _, text in result.events:
     print(f"  {t:9.3f} s  {text}")
 
-drops = [text for _, text in backend.drain_events() if text.startswith("drop")]
+drops = [text for _, _, text in result.events if text.startswith("drop")]
 print("drops:", len(drops))

@@ -37,18 +37,11 @@ from .plant import (
     PlantParams,
     StationLayout,
     build_station,
-    contact_check,
-    inflation_of,
-    pressure_rate,
     station_violations,
-    step,
     time_to_contact,
 )
 from .hal import (
-    READ_PRESSURE,
-    SET_VALVE,
     EndOfRecordingError,
-    HalEndpoint,
     ReplayBackend,
     ReplayMismatchError,
     SimulatedBackend,
@@ -63,16 +56,13 @@ from .control import (
     CalibrationError,
     ControlConfig,
     ControlFaultError,
-    ControlPhase,
     DetectionConfig,
     DetectionResult,
     RunResult,
     StationController,
     calibrate_baseline,
     detect_contact,
-    grasp,
     run_station,
-    transport_cycle,
 )
 from .telemetry import (
     TELEMETRY_HEADER,

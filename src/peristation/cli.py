@@ -15,6 +15,7 @@ from typing import Optional
 from .config import (
     ConfigError,
     RunConfig,
+    duration_problems,
     load_baselines,
     load_config,
     write_baselines,
@@ -119,8 +120,7 @@ def cmd_run(args) -> int:
         return 2
     if args.duration is not None:
         cfg.duration_s = args.duration
-        if cfg.duration_s <= 0:
-            cfg.problems.append(f"run: duration_s must be > 0, got {cfg.duration_s}")
+        cfg.problems.extend(duration_problems(cfg.duration_s))
     if _report_problems(cfg):
         return 1
     if args.seed is not None:

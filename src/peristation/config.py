@@ -16,7 +16,8 @@ Two failure channels, matching the CLI exit codes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import yaml
@@ -24,13 +25,13 @@ import yaml
 from .control import ControlConfig, DetectionConfig
 from .geometry import RingGeometry, SurrogateMaterial, calibrate_kappa, validate_geometry
 from .plant import (
-    COMPRESSION,
-    LONGITUDINAL,
     MODULE_KINDS,
     ModuleSpec,
     ObjectSpec,
     PlantParams,
     StationLayout,
+    alternating_modules,
+    stack_modules,
     station_violations,
 )
 
@@ -70,32 +71,19 @@ DEFAULT_OBJECT = {
     "initial_z": 0.0,  # mm
 }
 
-DEFAULT_PLANT = {
-    "P_max": 15.0,  # kPa
-    "k_free": 4.33,  # kPa/s
-    "k_contact_at_0p7": 8.48,  # kPa/s
-    "k_vent": 12.0,  # kPa/s
-    "dt": 0.001,  # s
-    "noise_sigma": 0.0,  # kPa
-    "rng_seed": 0,
-}
 
-DEFAULT_DETECTION = {
-    "window_start": 1.5,  # s after inflation onset
-    "window_len": 1.0,  # s
-    "threshold_ratio_theta": 1.5,
-    "consecutive_required": 2,
-    "min_window_samples": 8,
-    "saturation_fraction": 0.98,
-}
+def _dataclass_defaults(cls) -> dict:
+    """A section's keys and defaults, read off the dataclass it builds.
 
-DEFAULT_CONTROL = {
-    "phase_timeout_s": 10.0,
-    "inflated_fraction": 0.95,
-    "deflated_threshold_kPa": 0.5,
-    "max_cycles": 0,  # 0 = unlimited
-    "max_cycles_per_level": 20,
-}
+    A field without a plain default is not a YAML key: the baseline_rates
+    of DetectionConfig come from a calibration file.
+    """
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+DEFAULT_PLANT = _dataclass_defaults(PlantParams)
+DEFAULT_DETECTION = _dataclass_defaults(DetectionConfig)
+DEFAULT_CONTROL = _dataclass_defaults(ControlConfig)
 
 DEFAULT_CALIBRATION = {"object_present": False}
 
@@ -162,13 +150,43 @@ def _bool(section: str, key: str, v) -> bool:
     return v
 
 
+def _typed(section: str, defaults: dict, raw: dict) -> dict:
+    """A merged numeric section, each value checked against its default's type."""
+    return {
+        key: (_int if isinstance(default, int) else _num)(section, key, raw[key])
+        for key, default in defaults.items()
+    }
+
+
+def _build_params(section: str, cls, defaults: dict, raw: dict, problems: list):
+    """Type-check a merged section and build cls from it.
+
+    A rule the values break goes to problems as "<section>: ...", and the
+    result is then None.
+    """
+    kwargs = _typed(section, defaults, raw)
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        problems.append(f"{section}: {e}")
+        return None
+
+
+def duration_problems(duration_s: float) -> list[str]:
+    """The rule a run duration breaks, as a "run: ..." problem (empty = valid)."""
+    if not math.isfinite(duration_s):
+        return [f"run: duration_s must be finite, got {duration_s}"]
+    if duration_s <= 0:
+        return [f"run: duration_s must be > 0, got {duration_s}"]
+    return []
+
+
 def _build_modules(station: dict, geometry: RingGeometry) -> list[ModuleSpec]:
     raw_list = station["modules"]
-    specs = []
-    z = 0.0
     if raw_list is not None:
         if not isinstance(raw_list, list):
             raise ConfigError("station.modules: expected a list")
+        kinds_and_heights = []
         for i, item in enumerate(raw_list, start=1):
             item = _mapping(item, f"station.modules[{i}]")
             extra = sorted(set(item) - {"kind", "height"})
@@ -180,18 +198,12 @@ def _build_modules(station: dict, geometry: RingGeometry) -> list[ModuleSpec]:
                     f"station.modules[{i}].kind: expected one of {MODULE_KINDS}, got {kind!r}"
                 )
             h = _num(f"station.modules[{i}]", "height", item.get("height", 20.0))
-            specs.append(ModuleSpec(i, kind, geometry, h, z))
-            z += h
-        return specs
+            kinds_and_heights.append((kind, h))
+        return stack_modules(geometry, kinds_and_heights)
     count = _int("station", "module_count", station["module_count"])
     hc = _num("station", "compression_height", station["compression_height"])
     hl = _num("station", "longitudinal_height", station["longitudinal_height"])
-    for i in range(1, max(count, 0) + 1):
-        kind = COMPRESSION if i % 2 == 1 else LONGITUDINAL
-        h = hc if kind == COMPRESSION else hl
-        specs.append(ModuleSpec(i, kind, geometry, h, z))
-        z += h
-    return specs
+    return alternating_modules(geometry, max(count, 0), hc, hl)
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:
@@ -229,36 +241,14 @@ def load_config(path: Optional[str] = None) -> RunConfig:
 
     problems: list[str] = []
 
-    geometry = RingGeometry(
-        outer_radius_R=_num("geometry", "outer_radius_R", geo_raw["outer_radius_R"]),
-        inner_radius_r=_num("geometry", "inner_radius_r", geo_raw["inner_radius_r"]),
-        step_height_m=_num("geometry", "step_height_m", geo_raw["step_height_m"]),
-        chamber_spacing_l=_num("geometry", "chamber_spacing_l", geo_raw["chamber_spacing_l"]),
-        wall_thickness_t=_num("geometry", "wall_thickness_t", geo_raw["wall_thickness_t"]),
-        chamber_length_s=_num("geometry", "chamber_length_s", geo_raw["chamber_length_s"]),
-        chamber_count_N=_int("geometry", "chamber_count_N", geo_raw["chamber_count_N"]),
-    )
+    geometry = RingGeometry(**_typed("geometry", DEFAULT_GEOMETRY, geo_raw))
     try:
         report = validate_geometry(geometry)
         problems.extend(f"geometry: {v}" for v in report.violations)
     except ValueError as e:
         problems.append(f"geometry: {e}")
 
-    params = None
-    try:
-        params = PlantParams(
-            P_max=_num("plant", "P_max", plant_raw["P_max"]),
-            k_free=_num("plant", "k_free", plant_raw["k_free"]),
-            k_contact_at_0p7=_num("plant", "k_contact_at_0p7", plant_raw["k_contact_at_0p7"]),
-            k_vent=_num("plant", "k_vent", plant_raw["k_vent"]),
-            dt=_num("plant", "dt", plant_raw["dt"]),
-            noise_sigma=_num("plant", "noise_sigma", plant_raw["noise_sigma"]),
-            rng_seed=_int("plant", "rng_seed", plant_raw["rng_seed"]),
-        )
-    except ConfigError:
-        raise  # type errors are structural, not rule violations
-    except ValueError as e:
-        problems.append(f"plant: {e}")
+    params = _build_params("plant", PlantParams, DEFAULT_PLANT, plant_raw, problems)
 
     material = None
     E = _num("material", "youngs_modulus_E", mat_raw["youngs_modulus_E"])
@@ -290,50 +280,17 @@ def load_config(path: Optional[str] = None) -> RunConfig:
                 f"object: radius_r_o must be in (0, inner_radius_r={geometry.inner_radius_r}), "
                 f"got {r_o}"
             )
-        if L_o <= 0:
-            problems.append(f"object: length_L_o must be > 0, got {L_o}")
-        if initial_z < 0:
-            problems.append(f"object: initial_z must be >= 0, got {initial_z}")
+        if not 0 < L_o < math.inf:
+            problems.append(f"object: length_L_o must be finite and > 0, got {L_o}")
+        if not 0 <= initial_z < math.inf:
+            problems.append(f"object: initial_z must be finite and >= 0, got {initial_z}")
         object_spec = ObjectSpec(r_o, L_o)
 
-    detection = None
-    try:
-        detection = DetectionConfig(
-            window_start=_num("detection", "window_start", det_raw["window_start"]),
-            window_len=_num("detection", "window_len", det_raw["window_len"]),
-            threshold_ratio_theta=_num("detection", "threshold_ratio_theta",
-                                       det_raw["threshold_ratio_theta"]),
-            consecutive_required=_int("detection", "consecutive_required",
-                                      det_raw["consecutive_required"]),
-            min_window_samples=_int("detection", "min_window_samples",
-                                    det_raw["min_window_samples"]),
-            saturation_fraction=_num("detection", "saturation_fraction",
-                                     det_raw["saturation_fraction"]),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        problems.append(f"detection: {e}")
-
-    control = None
-    try:
-        control = ControlConfig(
-            phase_timeout_s=_num("control", "phase_timeout_s", ctl_raw["phase_timeout_s"]),
-            inflated_fraction=_num("control", "inflated_fraction", ctl_raw["inflated_fraction"]),
-            deflated_threshold_kPa=_num("control", "deflated_threshold_kPa",
-                                        ctl_raw["deflated_threshold_kPa"]),
-            max_cycles=_int("control", "max_cycles", ctl_raw["max_cycles"]),
-            max_cycles_per_level=_int("control", "max_cycles_per_level",
-                                      ctl_raw["max_cycles_per_level"]),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        problems.append(f"control: {e}")
+    detection = _build_params("detection", DetectionConfig, DEFAULT_DETECTION, det_raw, problems)
+    control = _build_params("control", ControlConfig, DEFAULT_CONTROL, ctl_raw, problems)
 
     duration_s = _num("run", "duration_s", run_raw["duration_s"])
-    if duration_s <= 0:
-        problems.append(f"run: duration_s must be > 0, got {duration_s}")
+    problems.extend(duration_problems(duration_s))
     output_path = run_raw["output_path"]
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"run.output_path: expected a path string, got {output_path!r}")

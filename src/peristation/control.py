@@ -6,15 +6,16 @@ ratio against a per-module baseline, and object position is dead reckoned
 from completed strokes.  Nothing here reads plant ground truth, so the same
 controller runs identically against the simulated and replay backends.
 
-Two layers:
-  - grasp / transport_cycle / calibrate_baseline: blocking single-purpose
-    schedules that drive a backend to completion.
-  - StationController + run_station: the tick-driven phase machine with
-    probe scheduling, multi-level promotion, and termination handling.
+The phase sequence lives in one place, StationController: a tick-driven
+phase machine with probe scheduling, multi-level promotion and termination
+handling, which run_station drives against a backend.  The one blocking
+helper, calibrate_baseline, measures a single ring's free-inflation rate
+before a run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,7 @@ from .plant import (
     PlantParams,
     StationLayout,
     ObjectSpec,
+    require_finite,
 )
 
 GRASP = "Grasp"
@@ -40,18 +42,11 @@ PHASES = (GRASP, ADVANCE_RELEASE, REGRASP_BOTTOM, RESET_TOP)
 
 
 class ControlFaultError(RuntimeError):
-    """A blocking schedule hit a fault condition (timeout, lost object)."""
+    """calibrate_baseline timed out waiting for a pressure gate."""
 
 
 class CalibrationError(ValueError):
     """Baseline measurement rejected (residual object contact)."""
-
-
-@dataclass(frozen=True)
-class ControlPhase:
-    level: int
-    phase: str
-    phase_elapsed: float
 
 
 @dataclass(frozen=True)
@@ -72,6 +67,7 @@ class DetectionConfig:
     baseline_rates: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        require_finite(self)
         if self.window_start < 0:
             raise ValueError(f"window_start must be >= 0, got {self.window_start}")
         if self.window_len <= 0:
@@ -80,6 +76,12 @@ class DetectionConfig:
             raise ValueError(f"threshold_ratio_theta must be > 1, got {self.threshold_ratio_theta}")
         if self.consecutive_required < 1:
             raise ValueError("consecutive_required must be >= 1")
+        if self.min_window_samples < 2:
+            raise ValueError(f"min_window_samples must be >= 2, got {self.min_window_samples}")
+        if not 0 < self.saturation_fraction <= 1:
+            raise ValueError(
+                f"saturation_fraction must be in (0, 1], got {self.saturation_fraction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,19 @@ class ControlConfig:
     max_cycles_per_level: int = 20  # promotion patience while a probe exists
 
     def __post_init__(self):
+        require_finite(self)
         if self.phase_timeout_s <= 0:
             raise ValueError("phase_timeout_s must be > 0")
         if not 0 < self.inflated_fraction <= 1:
             raise ValueError("inflated_fraction must be in (0, 1]")
         if self.deflated_threshold_kPa < 0:
             raise ValueError("deflated_threshold_kPa must be >= 0")
+        if self.max_cycles < 0:
+            raise ValueError(f"max_cycles must be >= 0 (0 = no budget), got {self.max_cycles}")
+        if self.max_cycles_per_level < 1:
+            raise ValueError(
+                f"max_cycles_per_level must be >= 1, got {self.max_cycles_per_level}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,14 +185,7 @@ def detect_contact(
     return DetectionResult(module_id, rate, baseline, ratio, ratio >= config.threshold_ratio_theta)
 
 
-# -- blocking schedules ------------------------------------------------------
-
-
-def _triple_ids(layout: StationLayout, level: int) -> tuple[int, int, int]:
-    b = 2 * level + 1
-    if b + 2 > len(layout.modules):
-        raise ValueError(f"station has no level-{level} (C, L, C) triple")
-    return b, b + 1, b + 2
+# -- blocking calibration -----------------------------------------------------
 
 
 def _wait_gate(backend, params: PlantParams, module_id: int, ok: Callable[[float], bool],
@@ -198,79 +200,9 @@ def _wait_gate(backend, params: PlantParams, module_id: int, ok: Callable[[float
         backend.tick(params.dt)
 
 
-def grasp(backend, layout: StationLayout, level: int, params: PlantParams,
-          control: Optional[ControlConfig] = None, log: Optional[list] = None) -> list:
-    """Inflate the level's bottom and top compression rings until both grip.
-
-    Completion is pressure-defined: both rings at or above the inflated
-    gate.  Emits a "grasped" event; raises ControlFaultError naming the
-    stalled module on timeout.
-    """
-    ctl = control or ControlConfig()
-    b, _, t = _triple_ids(layout, level)
-    gate = ctl.inflated_fraction * params.P_max
-    events = log if log is not None else []
-    backend.set_valve(ValveCommand(b, INFLATE, backend.now))
-    backend.set_valve(ValveCommand(t, INFLATE, backend.now))
-    deadline = backend.now + ctl.phase_timeout_s
-    while True:
-        pb, _ = backend.read_pressure(b)
-        pt, _ = backend.read_pressure(t)
-        if pb >= gate and pt >= gate:
-            events.append((backend.now, 0, f"grasped level={level}"))
-            return events
-        if backend.now >= deadline:
-            stalled = b if pb < gate else t
-            raise ControlFaultError(
-                f"timeout in grasp: module {stalled} stalled below {gate:.2f} kPa"
-            )
-        backend.tick(params.dt)
-
-
-def transport_cycle(backend, layout: StationLayout, level: int, params: PlantParams,
-                    control: Optional[ControlConfig] = None, log: Optional[list] = None) -> list:
-    """Run one grasped-to-grasped transport cycle at the given level.
-
-    Sub-phases in order, each gated on pressure: release the bottom ring and
-    stroke the longitudinal ring upward; re-grasp at the bottom and release
-    the top; reset the stroke and re-grasp the top.  At least one compression
-    ring is commanded to grip at every instant.
-    """
-    ctl = control or ControlConfig()
-    b, m, t = _triple_ids(layout, level)
-    hi = ctl.inflated_fraction * params.P_max
-    lo = ctl.deflated_threshold_kPa
-    timeout = ctl.phase_timeout_s
-    events = log if log is not None else []
-
-    def cmd(mid: int, mode: str) -> None:
-        backend.set_valve(ValveCommand(mid, mode, backend.now))
-
-    # advance: hand the object to the top ring and stroke upward
-    cmd(b, DEFLATE)
-    _wait_gate(backend, params, b, lambda p: p <= lo, timeout, "deflating for release")
-    cmd(m, INFLATE)
-    _wait_gate(backend, params, m, lambda p: p >= hi, timeout, "inflating the stroke")
-    events.append((backend.now, 0, f"advanced level={level}"))
-
-    # re-grasp below, release above
-    cmd(b, INFLATE)
-    _wait_gate(backend, params, b, lambda p: p >= hi, timeout, "re-grasping at the bottom")
-    cmd(t, DEFLATE)
-    _wait_gate(backend, params, t, lambda p: p <= lo, timeout, "releasing the top")
-
-    # reset the stroke, re-grasp the top
-    cmd(m, DEFLATE)
-    _wait_gate(backend, params, m, lambda p: p <= lo, timeout, "resetting the stroke")
-    cmd(t, INFLATE)
-    _wait_gate(backend, params, t, lambda p: p >= hi, timeout, "re-grasping the top")
-    events.append((backend.now, 0, f"cycle complete level={level}"))
-    return events
-
-
 def calibrate_baseline(backend, module_id: int, params: PlantParams,
-                       detection: DetectionConfig, control: Optional[ControlConfig] = None,
-                       log: Optional[list] = None) -> float:
+                       detection: DetectionConfig,
+                       control: Optional[ControlConfig] = None) -> float:
     """Measure one ring's free-inflation pressure slope (kPa/s).
 
     Vents the ring, inflates it through the detection window, regresses the
@@ -310,8 +242,6 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
             f"calibration contaminated: module {module_id} slope {slope:.3f} kPa/s "
             f"exceeds {detection.threshold_ratio_theta} x free rate {params.k_free} kPa/s"
         )
-    if log is not None:
-        log.append((backend.now, module_id, f"calibrated module={module_id} rate={slope:.6f}"))
     return slope
 
 
@@ -380,7 +310,8 @@ class StationController:
     # -- small helpers -------------------------------------------------------
 
     def _triple(self) -> tuple[int, int, int]:
-        return _triple_ids(self.layout, self.level)
+        b = 2 * self.level + 1
+        return b, b + 1, b + 2
 
     def _probe_for_level(self) -> Optional[int]:
         pid = 2 * self.level + 5
@@ -390,10 +321,6 @@ class StationController:
         mid = 2 * self.level + 2
         return LONGITUDINAL_STROKE_FRACTION * self.layout.module(mid).height_h
 
-    def _rest_span(self, module_id: int) -> tuple[float, float]:
-        mod = self.layout.module(module_id)
-        return mod.z_origin, mod.z_origin + mod.height_h
-
     def _set(self, module_id: int, mode: str) -> None:
         if self.valves[module_id] != mode:
             self.valves[module_id] = mode
@@ -401,9 +328,6 @@ class StationController:
 
     def _emit(self, module_id: int, text: str) -> None:
         self._events.append((module_id, text))
-
-    def phase_state(self) -> ControlPhase:
-        return ControlPhase(self.level, self.phase, self.now - self.phase_start)
 
     def phase_label(self) -> str:
         return f"L{self.level}:{self.phase}"
@@ -575,9 +499,9 @@ class StationController:
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
         """After one more stroke, can the bottom ring still reach the object?"""
-        lo, hi = self._rest_span(bottom_id)
+        mod = self.layout.module(bottom_id)
         nz = self.z_est + self._stroke()
-        return nz < hi and nz + self.obj.length_L_o > lo
+        return nz < mod.z_origin + mod.height_h and nz + self.obj.length_L_o > mod.z_origin
 
     def _cycle_complete(self) -> None:
         self.cycles += 1
@@ -621,8 +545,8 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     Returns the totally ordered event log and final object position (plant
     ground truth when the backend exposes it, dead reckoning otherwise).
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))

@@ -20,21 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .plant import Plant, VALVE_MODES
 from .telemetry import TelemetryLog
-
-READ_PRESSURE = "ReadPressure"
-SET_VALVE = "SetValve"
-
-
-@dataclass(frozen=True)
-class HalEndpoint:
-    module_id: int
-    capabilities: frozenset
 
 
 @dataclass(frozen=True)
@@ -83,10 +74,6 @@ class SimulatedBackend:
     @property
     def now(self) -> float:
         return self.plant.time
-
-    def endpoints(self) -> dict[int, HalEndpoint]:
-        caps = frozenset((READ_PRESSURE, SET_VALVE))
-        return {mid: HalEndpoint(mid, caps) for mid in self._ids}
 
     def read_all(self) -> dict[int, float]:
         return self._sensed
@@ -164,7 +151,6 @@ class ReplayBackend:
         self._k = 0
         self._sensed_k = -1
         self._sensed: dict[int, float] = {}
-        self._ids = sorted(self.read_all())
 
     def read_all(self) -> dict[int, float]:
         """The current tick's {module_id: sensed kPa}, built on first use."""
@@ -183,10 +169,6 @@ class ReplayBackend:
         if self._k >= self._n_ticks:
             raise EndOfRecordingError("end of recording")
         return self._log.time_s[self._bounds[self._k]]
-
-    def endpoints(self) -> dict[int, HalEndpoint]:
-        caps = frozenset((READ_PRESSURE, SET_VALVE))
-        return {mid: HalEndpoint(mid, caps) for mid in self._ids}
 
     def read_pressure(self, module_id: int) -> tuple[float, float]:
         sensed = self.read_all()

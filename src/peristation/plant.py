@@ -20,8 +20,8 @@ Step order, per tick:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, Sequence
 
 from .geometry import RingGeometry, SurrogateMaterial, surrogate_inflation
 
@@ -83,16 +83,15 @@ class PlantParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("P_max", "k_free", "k_contact_at_0p7", "k_vent", "dt", "noise_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self)
         if self.P_max <= 0 or self.k_free <= 0 or self.k_contact_at_0p7 <= 0 or self.k_vent <= 0:
             raise ValueError("P_max and all rates must be > 0")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def contact_rate_slope(self) -> float:
@@ -102,6 +101,35 @@ class PlantParams:
         and k_contact_at_0p7 at r_o/r = 0.7.
         """
         return (self.k_contact_at_0p7 / self.k_free - 1.0) / (0.7 - CONTACT_RATE_KNEE)
+
+    def contact_rate(self, r_o_over_r: float) -> float:
+        """Inflation rate (kPa/s) of a compression ring gripping an object.
+
+        Linear in r_o/r above the knee; at or below the knee the loaded rate
+        equals the free rate.
+        """
+        extra = self.contact_rate_slope * max(0.0, r_o_over_r - CONTACT_RATE_KNEE)
+        return self.k_free * (1.0 + extra)
+
+
+def require_finite(config) -> None:
+    """Reject a NaN or infinite value in any float field of a dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def full_compression_inflation(
+    geometry: RingGeometry, material: SurrogateMaterial, P_max: float
+) -> float:
+    """Radial membrane displacement (mm) of a compression ring at P_max."""
+    return surrogate_inflation(geometry, material, P_max) * geometry.inner_radius_r
+
+
+def alternating_kinds(count: int) -> list[str]:
+    """The kinds of a valid count-module station, bottom up: C, L, C, ..., C."""
+    return [COMPRESSION if i % 2 == 0 else LONGITUDINAL for i in range(count)]
 
 
 def station_violations(modules: Sequence[ModuleSpec]) -> list[str]:
@@ -122,8 +150,7 @@ def station_violations(modules: Sequence[ModuleSpec]) -> list[str]:
         violations.append("z_origins must be strictly increasing with id")
     if modules[0].kind != COMPRESSION or modules[-1].kind != COMPRESSION:
         violations.append("first and last modules must be Compression")
-    for i, m in enumerate(modules):
-        expected = COMPRESSION if i % 2 == 0 else LONGITUDINAL
+    for m, expected in zip(modules, alternating_kinds(len(modules))):
         if m.kind in MODULE_KINDS and m.kind != expected:
             violations.append("module kinds must alternate Compression/Longitudinal")
             break
@@ -148,6 +175,32 @@ class StationLayout:
         return self.modules[module_id - 1]
 
 
+def stack_modules(
+    geometry: RingGeometry, kinds_and_heights: Iterable[tuple[str, float]]
+) -> list[ModuleSpec]:
+    """Modules with ids from 1, stacked contiguously from z = 0, in the given order.
+
+    Unchecked: station_violations names every rule the result breaks.
+    """
+    mods = []
+    z = 0.0
+    for i, (kind, h) in enumerate(kinds_and_heights, start=1):
+        mods.append(ModuleSpec(i, kind, geometry, h, z))
+        z += h
+    return mods
+
+
+def alternating_modules(
+    geometry: RingGeometry,
+    module_count: int,
+    compression_height: float,
+    longitudinal_height: float,
+) -> list[ModuleSpec]:
+    """module_count modules of alternating kinds, stacked from z = 0 (unchecked)."""
+    height = {COMPRESSION: compression_height, LONGITUDINAL: longitudinal_height}
+    return stack_modules(geometry, ((k, height[k]) for k in alternating_kinds(module_count)))
+
+
 def build_station(
     geometry: RingGeometry,
     module_count: int,
@@ -157,81 +210,8 @@ def build_station(
     """Stack module_count alternating modules contiguously from z = 0."""
     if module_count < 1 or module_count % 2 == 0:
         raise ValueError(f"module_count must be odd and >= 1, got {module_count}")
-    mods = []
-    z = 0.0
-    for i in range(1, module_count + 1):
-        kind = COMPRESSION if i % 2 == 1 else LONGITUDINAL
-        h = compression_height if kind == COMPRESSION else longitudinal_height
-        mods.append(ModuleSpec(i, kind, geometry, h, z))
-        z += h
-    return StationLayout(tuple(mods))
-
-
-def pressure_rate(
-    state: ChamberState, kind: str, contact: bool, r_o_over_r: float, params: PlantParams
-) -> float:
-    """Signed pressure rate (kPa/s) for one chamber under its valve mode.
-
-    Contact raises the inflation rate linearly in r_o/r above the knee;
-    at or below the knee the loaded rate equals the free rate.
-    """
-    if state.valve == HOLD:
-        return 0.0
-    if state.valve == DEFLATE:
-        return -params.k_vent
-    if state.valve == INFLATE:
-        if contact and kind == COMPRESSION:
-            extra = params.contact_rate_slope * max(0.0, r_o_over_r - CONTACT_RATE_KNEE)
-            return params.k_free * (1.0 + extra)
-        return params.k_free
-    raise ValueError(f"unknown valve mode {state.valve!r}")
-
-
-def inflation_of(
-    pressure_P: float,
-    kind: str,
-    geometry: RingGeometry,
-    material: SurrogateMaterial,
-    params: PlantParams,
-    height_h: float = 0.0,
-) -> float:
-    """Membrane displacement (mm) at the given pressure.
-
-    Compression rings inflate radially inward up to the model's d_c at
-    P_max; longitudinal rings stroke axially up to a fixed fraction of
-    their height.  Both maps are linear in P.
-    """
-    if not 0.0 <= pressure_P <= params.P_max:
-        raise ValueError(f"pressure {pressure_P} outside [0, {params.P_max}]")
-    frac = pressure_P / params.P_max
-    if kind == COMPRESSION:
-        d_max = surrogate_inflation(geometry, material, params.P_max) * geometry.inner_radius_r
-        return frac * d_max
-    if kind == LONGITUDINAL:
-        return frac * LONGITUDINAL_STROKE_FRACTION * height_h
-    raise ValueError(f"unknown module kind {kind!r}")
-
-
-def contact_check(
-    module: ModuleSpec,
-    state: ChamberState,
-    obj: ObjectState,
-    z_bottom: Optional[float] = None,
-) -> bool:
-    """True iff the module's membrane reaches the object and their spans overlap.
-
-    Reach counts the boundary (inflation exactly closing the gap grips);
-    span overlap must have positive measure (merely touching faces does not).
-    z_bottom overrides the rest z_origin when the module has been lifted.
-    """
-    if module.kind != COMPRESSION:
-        raise ValueError("contact is defined for Compression modules only")
-    lo = module.z_origin if z_bottom is None else z_bottom
-    hi = lo + module.height_h
-    gap = module.geometry.inner_radius_r - obj.spec.radius_r_o
-    reach = state.inflation_d >= gap
-    overlap = obj.z < hi and obj.z + obj.spec.length_L_o > lo
-    return reach and overlap
+    return StationLayout(tuple(alternating_modules(
+        geometry, module_count, compression_height, longitudinal_height)))
 
 
 def time_to_contact(
@@ -245,7 +225,7 @@ def time_to_contact(
     Raises:
         ValueError: if the object is too thin for the membrane to reach.
     """
-    d_max = surrogate_inflation(geometry, material, params.P_max) * geometry.inner_radius_r
+    d_max = full_compression_inflation(geometry, material, params.P_max)
     gap = geometry.inner_radius_r * (1.0 - r_o_over_r)
     if gap > d_max:
         raise ValueError(
@@ -283,17 +263,17 @@ class Plant:
         self._contact = [False] * n
         self._lift = [0.0] * n  # current rise of each module above rest
 
-        # Full-pressure displacement per module, fixed by geometry/material.
-        self._d_full = []
-        for m in self._mods:
-            if m.kind == COMPRESSION:
-                d_max = surrogate_inflation(m.geometry, material, params.P_max) * m.geometry.inner_radius_r
-            else:
-                d_max = LONGITUDINAL_STROKE_FRACTION * m.height_h
-            self._d_full.append(d_max)
+        # Full-pressure displacement per module, fixed by geometry/material;
+        # displacement is linear in pressure below it.
+        self._d_full = [
+            full_compression_inflation(m.geometry, material, params.P_max)
+            if m.kind == COMPRESSION else LONGITUDINAL_STROKE_FRACTION * m.height_h
+            for m in self._mods
+        ]
 
         self._gap = [m.geometry.inner_radius_r - obj.spec.radius_r_o if obj else 0.0 for m in self._mods]
-        self._ror = obj.spec.radius_r_o / self._mods[0].geometry.inner_radius_r if obj else 0.0
+        ror = obj.spec.radius_r_o / self._mods[0].geometry.inner_radius_r if obj else 0.0
+        self._k_contact = params.contact_rate(ror)
         self._supporters: list[int] = []
         self._held = False
 
@@ -344,14 +324,12 @@ class Plant:
         events: list[tuple[int, str]] = []
 
         # 1+2) pressures, then inflations (contact flags are last tick's)
-        slope = params.contact_rate_slope
-        extra = slope * max(0.0, self._ror - CONTACT_RATE_KNEE)
         for i in range(len(self._mods)):
             v = self._valve[i]
             if v == HOLD:
                 pass
             elif v == INFLATE:
-                rate = params.k_free * (1.0 + extra) if self._contact[i] else params.k_free
+                rate = self._k_contact if self._contact[i] else params.k_free
                 p = self._P[i] + rate * dt
                 self._P[i] = params.P_max if p > params.P_max else p
             elif v == DEFLATE:
@@ -417,9 +395,3 @@ class Plant:
         self.time += dt
         return events
 
-
-def step(
-    plant: Plant, commands: Optional[dict[int, str]] = None
-) -> list[tuple[int, str]]:
-    """Functional alias for Plant.step (single logical owner still applies)."""
-    return plant.step(commands)

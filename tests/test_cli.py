@@ -1,9 +1,24 @@
 """CLI subcommands: exit codes, printed summaries, emitted files."""
 
+import contextlib
+import io
+import math
+import os
+import tempfile
+
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peristation import TELEMETRY_HEADER, BASELINES_HEADER, ConfigError
 from peristation.cli import main, parse_range
+from peristation.config import (
+    DEFAULT_CONTROL,
+    DEFAULT_DETECTION,
+    DEFAULT_OBJECT,
+    DEFAULT_PLANT,
+)
 
 SMALL_RUN = (
     "station:\n"
@@ -79,6 +94,26 @@ class TestValidate:
         cfg = write_cfg(tmp_path, "plant:\n  P_max: .nan\n")
         assert main(["validate", "--config", cfg]) == 1
         assert "FAIL plant: P_max must be finite, got nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, problem", [
+        ("detection:\n  window_len: .inf\n", "detection: window_len must be finite, got inf"),
+        ("detection:\n  window_start: .inf\n", "detection: window_start must be finite"),
+        ("detection:\n  min_window_samples: 1\n", "detection: min_window_samples must be >= 2"),
+        ("detection:\n  saturation_fraction: 1.5\n",
+         "detection: saturation_fraction must be in (0, 1]"),
+        ("control:\n  phase_timeout_s: .inf\n", "control: phase_timeout_s must be finite"),
+        ("control:\n  max_cycles: -3\n", "control: max_cycles must be >= 0"),
+        ("control:\n  max_cycles_per_level: 0\n", "control: max_cycles_per_level must be >= 1"),
+        ("plant:\n  rng_seed: -1\n", "plant: rng_seed must be >= 0"),
+        ("object:\n  initial_z: .nan\n", "object: initial_z must be finite and >= 0, got nan"),
+        ("run:\n  duration_s: .inf\n", "run: duration_s must be finite, got inf"),
+    ])
+    def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, problem):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {problem}" in out
+        assert "config: OK" not in out
 
     def test_rule_violations_exit_1_and_name_each(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "station:\n  module_count: 4\n")
@@ -156,6 +191,16 @@ class TestRun:
         assert main(["run", "--config", cfg, "--duration", "0"]) == 1
         assert "FAIL run: duration_s must be > 0" in capsys.readouterr().out
 
+    def test_infinite_duration_exits_1(self, tmp_path, capsys):
+        telemetry = tmp_path / "t.csv"
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("40.0", ".inf"))
+        assert main(["run", "--config", cfg, "--out", str(telemetry)]) == 1
+        assert "FAIL run: duration_s must be finite, got inf" in capsys.readouterr().out
+        cfg = write_cfg(tmp_path, SMALL_RUN, name="finite.yaml")
+        assert main(["run", "--config", cfg, "--duration", "inf", "--out", str(telemetry)]) == 1
+        assert "FAIL run: duration_s must be finite, got inf" in capsys.readouterr().out
+        assert not telemetry.exists()
+
     def test_missing_baselines_file_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         code = main(["run", "--config", cfg, "--baselines", str(tmp_path / "nope.csv"),
@@ -220,3 +265,59 @@ class TestSweep:
         assert main(["sweep", "--param", "t", "--range", "1:3:1"]) == 0
         capsys.readouterr()
         assert (tmp_path / "sweep.csv").exists()
+
+
+def fuzz_values(default):
+    """Non-finite, negative, zero, and half or twice the default, of its type."""
+    return [math.nan, math.inf, -math.inf, -1, 0, type(default)(default * 0.5),
+            type(default)(default * 2)]
+
+
+# Every numeric field of the sections that feed a run.  The set holds no tiny
+# positive dt: with a finite duration that still means unboundedly many ticks.
+FUZZ_FIELDS = {
+    (section, key): fuzz_values(default)
+    for section, defaults in (
+        ("plant", DEFAULT_PLANT),
+        ("detection", DEFAULT_DETECTION),
+        ("control", DEFAULT_CONTROL),
+        ("object", {k: v for k, v in DEFAULT_OBJECT.items() if k != "present"}),
+        ("run", {"duration_s": 120.0}),
+    )
+    for key, default in defaults.items()
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    config = {}
+    for section, key in draw(st.lists(st.sampled_from(sorted(FUZZ_FIELDS)), unique=True,
+                                      min_size=2, max_size=4)):
+        config.setdefault(section, {})[key] = draw(st.sampled_from(FUZZ_FIELDS[section, key]))
+    return config
+
+
+def check_config(config):
+    """validate exits 0, 1 or 2; a config it accepts runs briefly and exits 0 or 1."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w") as f:
+            yaml.safe_dump(config, f)
+        code = main(["validate", "--config", path])
+        assert code in (0, 1, 2), config
+        if code == 0:
+            out = os.path.join(tmp, "t.csv")
+            code = main(["run", "--config", path, "--duration", "0.05", "--out", out])
+            assert code in (0, 1), config
+
+
+class TestConfigFuzz:
+    def test_each_field_value_alone(self):
+        for (section, key), values in FUZZ_FIELDS.items():
+            for value in values:
+                check_config({section: {key: value}})
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=fuzzed_configs())
+    def test_field_values_combined(self, config):
+        check_config(config)

@@ -142,6 +142,21 @@ class TestSemanticProblems:
         assert any(p.startswith("control:") for p in cfg.problems)
         assert cfg.detection is None and cfg.control is None
 
+    def test_nonfinite_and_out_of_range_values_reported(self, tmp_path):
+        cfg = load_config(cfg_file(tmp_path, (
+            "detection:\n  window_len: .inf\n"
+            "control:\n  max_cycles: -3\n"
+            "object:\n  initial_z: .nan\n"
+            "run:\n  duration_s: .inf\n"
+        )))
+        assert cfg.problems == [
+            "object: initial_z must be finite and >= 0, got nan",
+            "detection: window_len must be finite, got inf",
+            "control: max_cycles must be >= 0 (0 = no budget), got -3",
+            "run: duration_s must be finite, got inf",
+        ]
+        assert cfg.detection is None and cfg.control is None
+
     def test_nonpositive_duration_reported(self, tmp_path):
         cfg = load_config(cfg_file(tmp_path, "run:\n  duration_s: 0\n"))
         assert "run: duration_s must be > 0, got 0.0" in cfg.problems

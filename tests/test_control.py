@@ -1,5 +1,6 @@
 """Controller: contact detection, gated phases, probe lifecycle, full runs."""
 
+import math
 import os
 import tempfile
 
@@ -13,7 +14,6 @@ from peristation import (
     INFLATE,
     CalibrationError,
     ControlConfig,
-    ControlFaultError,
     DetectionConfig,
     ObjectSpec,
     ObjectState,
@@ -30,10 +30,8 @@ from peristation import (
     calibrate_baseline,
     calibrate_kappa,
     detect_contact,
-    grasp,
     read_telemetry,
     run_station,
-    transport_cycle,
 )
 from tests.conftest import NOMINAL
 
@@ -87,6 +85,16 @@ class CommandDropper:
         return self.inner.drain_events()
 
 
+class TickRecorder:
+    """Recorder that keeps each tick's time, sensed pressures, valves and event texts."""
+
+    def __init__(self):
+        self.rows = []
+
+    def record(self, now, sensed, valves, phase, plant, events):
+        self.rows.append((now, sensed, dict(valves), [text for _, text in events]))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -95,6 +103,12 @@ class TestConfigValidation:
             dict(window_len=0.0),
             dict(threshold_ratio_theta=1.0),
             dict(consecutive_required=0),
+            dict(window_len=math.inf),
+            dict(window_start=math.inf),
+            dict(window_start=math.nan),
+            dict(min_window_samples=1),
+            dict(saturation_fraction=1.5),
+            dict(saturation_fraction=0.0),
         ],
     )
     def test_detection_config_rejected(self, kwargs):
@@ -108,6 +122,10 @@ class TestConfigValidation:
             dict(inflated_fraction=0.0),
             dict(inflated_fraction=1.2),
             dict(deflated_threshold_kPa=-1.0),
+            dict(phase_timeout_s=math.inf),
+            dict(deflated_threshold_kPa=math.inf),
+            dict(max_cycles=-3),
+            dict(max_cycles_per_level=0),
         ],
     )
     def test_control_config_rejected(self, kwargs):
@@ -167,33 +185,40 @@ class TestDetectContact:
 
 
 class TestBlockingSchedules:
+    """The grasp and transport-cycle schedules, run by the phase machine."""
+
+    def one_cycle(self, backend, layout, params, recorder=None):
+        return run_station(backend, layout, backend.plant.object.spec, 0.0, params,
+                           DetectionConfig(), ControlConfig(max_cycles=1), 40.0,
+                           recorder=recorder)
+
     def test_grasp_inflates_both_rings(self, three_module_layout, material, params):
         backend = sim_backend(three_module_layout, material, params)
-        events = grasp(backend, three_module_layout, 0, params)
-        assert [text for _, _, text in events] == ["grasped level=0"]
+        rec = TickRecorder()
+        self.one_cycle(backend, three_module_layout, params, rec)
+        k = next(k for k, row in enumerate(rec.rows) if "grasped level=0" in row[3])
         gate = 0.95 * params.P_max
-        assert backend.plant.pressure(1) >= gate
-        assert backend.plant.pressure(3) >= gate
-        assert backend.plant.valve(2) == HOLD
+        sensed, valves = rec.rows[k][1], rec.rows[k][2]
+        assert sensed[1] >= gate and sensed[3] >= gate
+        assert min(rec.rows[k - 1][1][1], rec.rows[k - 1][1][3]) < gate  # first tick past it
+        assert valves[2] == HOLD
 
     def test_grasp_timeout_names_the_stalled_module(self, three_module_layout, material, params):
         backend = CommandDropper(sim_backend(three_module_layout, material, params), 1)
-        with pytest.raises(ControlFaultError, match="module 1 stalled"):
-            grasp(backend, three_module_layout, 0, params)
-
-    def test_level_without_triple_rejected(self, three_module_layout, material, params):
-        backend = sim_backend(three_module_layout, material, params)
-        with pytest.raises(ValueError, match="triple"):
-            grasp(backend, three_module_layout, 1, params)
+        res = self.one_cycle(backend, three_module_layout, params)
+        assert res.outcome == "fault"
+        assert res.faults == ("timeout in phase L0:Grasp stage 0: module 1 stalled",)
 
     def test_transport_cycle_moves_one_stroke(self, three_module_layout, material, params):
         backend = sim_backend(three_module_layout, material, params)
-        grasp(backend, three_module_layout, 0, params)
-        backend.drain_events()
-        events = transport_cycle(backend, three_module_layout, 0, params)
-        assert [text for _, _, text in events] == ["advanced level=0", "cycle complete level=0"]
-        assert backend.plant.object.z == 6.0
-        assert all("drop" not in text for _, text in backend.drain_events())
+        res = self.one_cycle(backend, three_module_layout, params)
+        assert [text for _, mid, text in res.events if mid == 0] == [
+            "grasped level=0",
+            "cycle=1 complete level=0 z_est=6.000000",
+            "outcome=object exited",  # 75 mm long, it already overhangs the 60 mm stack
+        ]
+        assert backend.plant.object.z == res.final_z == 6.0
+        assert res.faults == ()
 
 
 class TestCalibrateBaseline:
@@ -365,6 +390,13 @@ class TestRunStation:
         with pytest.raises(ValueError, match="duration"):
             run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
                         params, DetectionConfig(), ControlConfig(), 0.0)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_nonfinite_duration_rejected(self, five_module_layout, material, params, duration):
+        backend = sim_backend(five_module_layout, material, params)
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                        params, DetectionConfig(), ControlConfig(), duration)
 
 
 class TestReplayEquivalence:

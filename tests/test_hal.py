@@ -6,8 +6,6 @@ from peristation import (
     DEFLATE,
     HOLD,
     INFLATE,
-    READ_PRESSURE,
-    SET_VALVE,
     EndOfRecordingError,
     ObjectSpec,
     ObjectState,
@@ -61,9 +59,10 @@ class TestSimulatedBackend:
             backend.set_valve(ValveCommand(9, HOLD, 0.0))
 
     def test_endpoints_expose_both_capabilities(self, backend):
-        eps = backend.endpoints()
-        assert sorted(eps) == [1, 2, 3]
-        assert eps[2].capabilities == frozenset((READ_PRESSURE, SET_VALVE))
+        assert sorted(backend.read_all()) == [1, 2, 3]
+        for mid in (1, 2, 3):
+            assert backend.read_pressure(mid) == (0.0, 0.0)
+            assert backend.set_valve(ValveCommand(mid, INFLATE, 0.0))
 
     def test_set_valve_reaches_plant(self, backend):
         assert backend.set_valve(ValveCommand(1, INFLATE, 0.0))
@@ -279,7 +278,7 @@ class TestReplayBackend:
 
     def test_endpoints_from_first_tick(self):
         backend = replay_fixture()
-        assert sorted(backend.endpoints()) == [1, 2]
+        assert sorted(backend.read_all()) == [1, 2]
 
     def test_replay_of_recorded_simulation(self, three_module_layout, material, tmp_path):
         from peristation import TelemetryWriter, read_telemetry

@@ -12,7 +12,6 @@ from peristation import (
     HOLD,
     INFLATE,
     LONGITUDINAL,
-    ChamberState,
     ModuleSpec,
     ObjectSpec,
     ObjectState,
@@ -23,11 +22,7 @@ from peristation import (
     SurrogateMaterial,
     build_station,
     calibrate_kappa,
-    contact_check,
-    inflation_of,
-    pressure_rate,
     station_violations,
-    step,
     time_to_contact,
 )
 from tests.conftest import NOMINAL
@@ -142,6 +137,7 @@ class TestPlantParams:
             dict(k_vent=math.nan),
             dict(dt=math.inf),
             dict(noise_sigma=math.nan),
+            dict(rng_seed=-1),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -149,89 +145,127 @@ class TestPlantParams:
             PlantParams(**kwargs)
 
 
+def full(plant, *module_ids, ticks=4000):
+    """Inflate the rings to P_max (4 s at the free rate is well past it)."""
+    for mid in module_ids:
+        plant.set_valve(mid, INFLATE)
+    for _ in range(ticks):
+        plant.step()
+
+
 class TestPressureRate:
-    def test_hold_is_zero(self, params):
-        assert pressure_rate(ChamberState(valve=HOLD), COMPRESSION, True, 0.7, params) == 0.0
+    def test_hold_is_zero(self, three_module_layout, material, params):
+        obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
+        plant = make_plant(three_module_layout, material, params, obj)
+        grip(plant, 1)  # in contact, where inflating would take the loaded rate
+        held = plant.pressure(1)
+        plant.step()
+        assert plant.pressure(1) == held
 
-    def test_deflate_is_minus_vent_rate(self, params):
-        assert pressure_rate(ChamberState(valve=DEFLATE), COMPRESSION, False, 0.7, params) == -12.0
+    def test_deflate_is_minus_vent_rate(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
+        full(plant, 1)
+        plant.set_valve(1, DEFLATE)
+        plant.step()
+        assert plant.pressure(1) == 15.0 - 12.0 * params.dt
 
-    def test_free_inflation_rate(self, params):
-        assert pressure_rate(ChamberState(valve=INFLATE), COMPRESSION, False, 0.7, params) == 4.33
+    def test_free_inflation_rate(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
+        plant.set_valve(1, INFLATE)
+        plant.step()
+        assert plant.pressure(1) == 4.33 * params.dt
 
     def test_contact_rate_at_anchor(self, params):
-        rate = pressure_rate(ChamberState(valve=INFLATE), COMPRESSION, True, 0.7, params)
-        assert rate == pytest.approx(8.48, rel=1e-12)
+        assert params.contact_rate(0.7) == pytest.approx(8.48, rel=1e-12)
 
     def test_contact_rate_above_anchor(self, params):
-        rate = pressure_rate(ChamberState(valve=INFLATE), COMPRESSION, True, 0.8, params)
-        assert rate == pytest.approx(9.863333333333335, rel=1e-12)
+        assert params.contact_rate(0.8) == pytest.approx(9.863333333333335, rel=1e-12)
 
     @pytest.mark.parametrize("ror", [0.4, 0.3, 0.1])
     def test_at_or_below_knee_loads_nothing(self, params, ror):
-        rate = pressure_rate(ChamberState(valve=INFLATE), COMPRESSION, True, ror, params)
-        assert rate == 4.33
+        assert params.contact_rate(ror) == 4.33
 
-    def test_longitudinal_contact_does_not_load(self, params):
-        rate = pressure_rate(ChamberState(valve=INFLATE), LONGITUDINAL, True, 0.7, params)
-        assert rate == 4.33
+    def test_longitudinal_contact_does_not_load(self, three_module_layout, material, params):
+        obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)  # spans the stroke ring too
+        loaded = make_plant(three_module_layout, material, params, obj)
+        empty = make_plant(three_module_layout, material, params)
+        for plant in (loaded, empty):
+            full(plant, 2, ticks=3000)
+        assert loaded.pressure(2) == empty.pressure(2)
 
-    def test_unknown_valve_rejected(self, params):
+    def test_unknown_valve_rejected(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
         with pytest.raises(ValueError, match="valve"):
-            pressure_rate(ChamberState(valve="Open"), COMPRESSION, False, 0.7, params)
+            plant.set_valve(1, "Open")
 
 
 class TestInflationOf:
-    def test_compression_full_scale(self, geometry, material, params):
-        assert inflation_of(15.0, COMPRESSION, geometry, material, params) == 17.25
+    def test_compression_full_scale(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
+        full(plant, 1)
+        assert plant.inflation(1) == 17.25
 
-    def test_compression_linear(self, geometry, material, params):
-        assert inflation_of(7.5, COMPRESSION, geometry, material, params) == 8.625
-        assert inflation_of(0.0, COMPRESSION, geometry, material, params) == 0.0
+    def test_compression_linear(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
+        assert plant.inflation(1) == 0.0
+        plant.set_valve(1, INFLATE)
+        for _ in range(1732):
+            plant.step()
+        assert plant.inflation(1) == (plant.pressure(1) / 15.0) * 17.25
+        assert plant.inflation(1) == pytest.approx(17.25 * 1.732 * 4.33 / 15.0, rel=1e-9)
 
-    def test_longitudinal_stroke(self, geometry, material, params):
-        assert inflation_of(15.0, LONGITUDINAL, geometry, material, params, height_h=20.0) == 6.0
-        got = inflation_of(5.0, LONGITUDINAL, geometry, material, params, height_h=20.0)
-        assert got == pytest.approx(2.0, rel=1e-12)
+    def test_longitudinal_stroke(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
+        full(plant, 2)
+        assert plant.inflation(2) == 6.0
+        plant.set_valve(2, DEFLATE)
+        for _ in range(834):
+            plant.step()
+        assert plant.inflation(2) == (plant.pressure(2) / 15.0) * 6.0
+        assert plant.inflation(2) == pytest.approx((15.0 - 0.834 * 12.0) / 15.0 * 6.0, rel=1e-9)
 
-    def test_pressure_out_of_range_rejected(self, geometry, material, params):
-        with pytest.raises(ValueError, match="pressure"):
-            inflation_of(-0.1, COMPRESSION, geometry, material, params)
-        with pytest.raises(ValueError, match="pressure"):
-            inflation_of(15.1, COMPRESSION, geometry, material, params)
-
-    def test_unknown_kind_rejected(self, geometry, material, params):
+    def test_unknown_kind_rejected(self, geometry):
+        # a kind without a displacement law never reaches a plant
         with pytest.raises(ValueError, match="kind"):
-            inflation_of(1.0, "Radial", geometry, material, params)
+            StationLayout((ModuleSpec(1, "Radial", geometry, 20.0, 0.0),))
 
 
 class TestContactCheck:
-    def test_reach_counts_the_boundary(self, geometry):
-        mod = ModuleSpec(1, COMPRESSION, geometry, 20.0, 0.0)
-        obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
-        # gap is exactly 25 - 17.5 = 7.5 mm
-        assert contact_check(mod, ChamberState(inflation_d=7.5), obj)
-        assert not contact_check(mod, ChamberState(inflation_d=7.499999), obj)
+    def test_reach_counts_the_boundary(self, three_module_layout, material, params):
+        # full inflation is 17.25 mm: it exactly closes the gap of a 7.75 mm object,
+        # and falls one ulp short of the gap of the next thinner one
+        thinner = 25.0 - math.nextafter(17.25, math.inf)
+        for r_o, grips in ((7.75, True), (thinner, False)):
+            obj = ObjectState(ObjectSpec(r_o, 10.0), 0.0)
+            plant = make_plant(three_module_layout, material, params, obj)
+            full(plant, 1)
+            assert plant.object_state().supporters == (frozenset({1}) if grips else frozenset())
 
-    def test_span_overlap_must_be_positive(self, geometry):
-        mod = ModuleSpec(1, COMPRESSION, geometry, 20.0, 0.0)
-        state = ChamberState(inflation_d=17.25)
-        assert not contact_check(mod, state, ObjectState(ObjectSpec(17.5, 75.0), 20.0))
-        assert contact_check(mod, state, ObjectState(ObjectSpec(17.5, 75.0), 19.999))
-        # object top exactly at the module bottom: faces touch, no grip
-        assert not contact_check(mod, state, ObjectState(ObjectSpec(17.5, 10.0), -10.0))
+    def test_span_overlap_must_be_positive(self, three_module_layout, material, params):
+        # ring 3 spans [40, 60] mm; an object whose face merely touches it is not gripped
+        for z, length, grips in ((60.0, 75.0, False), (59.999, 75.0, True), (30.0, 10.0, False)):
+            obj = ObjectState(ObjectSpec(17.5, length), z)
+            plant = make_plant(three_module_layout, material, params, obj)
+            full(plant, 3)
+            assert plant.chambers()[3].in_contact is grips
 
-    def test_z_bottom_override_shifts_span(self, geometry):
-        mod = ModuleSpec(3, COMPRESSION, geometry, 20.0, 40.0)
-        state = ChamberState(inflation_d=17.25)
+    def test_z_bottom_override_shifts_span(self, three_module_layout, material, params):
+        # a stroke lifts ring 3 from [40, 60] to [46, 66]: contact follows the lifted span
         obj = ObjectState(ObjectSpec(17.5, 10.0), 62.0)
-        assert not contact_check(mod, state, obj)
-        assert contact_check(mod, state, obj, z_bottom=45.0)
+        plant = make_plant(three_module_layout, material, params, obj)
+        full(plant, 3)
+        assert plant.object_state().supporters == frozenset()
+        full(plant, 2)
+        assert plant.module_span(3) == (46.0, 66.0)
+        assert plant.object_state().supporters == frozenset({3})
 
-    def test_longitudinal_module_rejected(self, geometry):
-        mod = ModuleSpec(2, LONGITUDINAL, geometry, 20.0, 20.0)
-        with pytest.raises(ValueError, match="Compression"):
-            contact_check(mod, ChamberState(), ObjectState(ObjectSpec(17.5, 75.0), 0.0))
+    def test_longitudinal_module_rejected(self, three_module_layout, material, params):
+        # a fully stroked longitudinal ring around the object never grips it
+        obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
+        plant = make_plant(three_module_layout, material, params, obj)
+        full(plant, 2)
+        assert not plant.chambers()[2].in_contact
+        assert plant.object_state().supporters == frozenset()
 
 
 class TestTimeToContact:
@@ -305,7 +339,7 @@ class TestPlantIntegration:
 
     def test_commands_applied_through_step(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
-        step(plant, {1: INFLATE, 2: INFLATE})
+        plant.step({1: INFLATE, 2: INFLATE})
         assert plant.valve(1) == INFLATE
         assert plant.pressure(2) == pytest.approx(0.00433)
 
