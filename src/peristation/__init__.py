@@ -44,6 +44,7 @@ from .hal import (
     EndOfRecordingError,
     ReplayBackend,
     ReplayMismatchError,
+    Rows,
     SimulatedBackend,
     ValveCommand,
 )

@@ -119,6 +119,9 @@ def cmd_run(args) -> int:
     if cfg is None:
         return 2
     if args.duration is not None:
+        # the override replaces the config's duration, and so its problem
+        for problem in duration_problems(cfg.duration_s):
+            cfg.problems.remove(problem)
         cfg.duration_s = args.duration
         cfg.problems.extend(duration_problems(cfg.duration_s))
     if _report_problems(cfg):

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hal import ValveCommand
+from .hal import Rows, ValveCommand
 from .plant import (
     COMPRESSION,
     DEFLATE,
@@ -39,6 +39,26 @@ ADVANCE_RELEASE = "AdvanceRelease"
 REGRASP_BOTTOM = "RegraspBottom"
 RESET_TOP = "ResetTop"
 PHASES = (GRASP, ADVANCE_RELEASE, REGRASP_BOTTOM, RESET_TOP)
+
+# Gate of each (phase, stage): every (triple position, rises) pair must hold
+# for the gate to open, where triple positions 0, 1, 2 are the working
+# unit's bottom, middle and top ring, and a rising ring must read at least
+# the inflated gate and a falling one at most the deflated gate.  On a
+# timeout, the first pair that does not hold names the stalled module (the
+# last pair when all hold).
+GATES = {
+    (GRASP, 0): ((0, True), (2, True)),
+    (ADVANCE_RELEASE, 0): ((0, False),),
+    (ADVANCE_RELEASE, 1): ((1, True),),
+    (REGRASP_BOTTOM, 0): ((0, True),),
+    (REGRASP_BOTTOM, 1): ((2, False),),
+    (RESET_TOP, 0): ((1, False),),
+    (RESET_TOP, 1): ((2, True),),
+}
+
+# Most ticks run_station and calibrate_baseline advance in one block.  It
+# bounds the arrays and the telemetry text that one block holds in memory.
+BLOCK_TICKS = 1024
 
 
 class ControlFaultError(RuntimeError):
@@ -188,16 +208,33 @@ def detect_contact(
 # -- blocking calibration -----------------------------------------------------
 
 
-def _wait_gate(backend, params: PlantParams, module_id: int, ok: Callable[[float], bool],
-               timeout: float, describe: str) -> None:
-    deadline = backend.now + timeout
+def _advance_until(backend, module_id: int, stop: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Advance block by block to the first row where stop(time, kPa) holds.
+
+    stop gets the rows' backend times and the module's sensed pressures and
+    returns a boolean mask.  Returns the times and pressures of the rows
+    passed over, the row it stopped at excluded, and that row's pressure.
+    """
+    times: list[float] = []
+    pressures: list[float] = []
     while True:
-        p, _ = backend.read_pressure(module_id)
-        if ok(p):
-            return
-        if backend.now >= deadline:
-            raise ControlFaultError(f"timeout: module {module_id} stalled {describe}")
-        backend.tick(params.dt)
+        rows = backend.lookahead(BLOCK_TICKS)
+        p = rows.pressure[:, rows.ids.index(module_id)]
+        hits = np.flatnonzero(stop(rows.time, p))
+        j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
+        times += rows.time[:j].tolist()
+        pressures += p[:j].tolist()
+        backend.advance(j)
+        if hits.size:
+            return times, pressures, p[j].item()
+
+
+def _wait_gate(backend, module_id: int, lo: float, timeout: float, describe: str) -> None:
+    """Advance until the module reads at most lo, or fail once timeout has passed."""
+    deadline = backend.now + timeout
+    _, _, p = _advance_until(backend, module_id, lambda t, p: (p <= lo) | (t >= deadline))
+    if not p <= lo:
+        raise ControlFaultError(f"timeout: module {module_id} stalled {describe}")
 
 
 def calibrate_baseline(backend, module_id: int, params: PlantParams,
@@ -208,7 +245,7 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     Vents the ring, inflates it through the detection window, regresses the
     slope, and vents back.  The caller must ensure no object sits in the
     ring's span; a slope above theta times the free rate is rejected as
-    contaminated.
+    contaminated.  Time is the backend's clock, and ticks advance in blocks.
     """
     ctl = control or ControlConfig()
     lo = ctl.deflated_threshold_kPa
@@ -219,22 +256,17 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     p, _ = backend.read_pressure(module_id)
     if p > lo:
         cmd(DEFLATE)
-        _wait_gate(backend, params, module_id, lambda q: q <= lo,
-                   ctl.phase_timeout_s, "venting before calibration")
+        _wait_gate(backend, module_id, lo, ctl.phase_timeout_s, "venting before calibration")
 
     cmd(INFLATE)
     t0 = backend.now
-    w_end = detection.window_start + detection.window_len
-    trace = []
-    while backend.now - t0 <= w_end + params.dt:
-        pr, _ = backend.read_pressure(module_id)
-        trace.append((backend.now - t0, pr))
-        backend.tick(params.dt)
+    w_end = detection.window_start + detection.window_len + params.dt
+    times, pressures, _ = _advance_until(backend, module_id, lambda t, p: t - t0 > w_end)
+    trace = [(t - t0, p) for t, p in zip(times, pressures)]
     slope, _ = _window_slope(trace, detection, params.P_max)
 
     cmd(DEFLATE)
-    _wait_gate(backend, params, module_id, lambda q: q <= lo,
-               ctl.phase_timeout_s, "venting after calibration")
+    _wait_gate(backend, module_id, lo, ctl.phase_timeout_s, "venting after calibration")
     cmd(HOLD)
 
     if slope > detection.threshold_ratio_theta * params.k_free:
@@ -446,56 +478,77 @@ class StationController:
             self._set(t, INFLATE)
             self._probe_begin()
 
-    def _stalled_module(self, sensed: dict[int, float]) -> int:
-        b, m, t = self._triple()
-        if self.phase == GRASP:
-            return b if sensed[b] < self.gate_hi else t
-        if self.phase == ADVANCE_RELEASE:
-            return b if self.stage == 0 else m
-        if self.phase == REGRASP_BOTTOM:
-            return b if self.stage == 0 else t
-        return m if self.stage == 0 else t
+    def _gate(self) -> list[tuple[int, bool]]:
+        """The current gate as (module_id, rises) pairs, read off GATES."""
+        triple = self._triple()
+        return [(triple[pos], rises) for pos, rises in GATES[self.phase, self.stage]]
+
+    def _holds(self, pressure: float, rises: bool) -> bool:
+        return pressure >= self.gate_hi if rises else pressure <= self.gate_lo
 
     def _check_gate(self, sensed: dict[int, float]) -> None:
+        gate = self._gate()
         if self.now - self.phase_start > self.ctl.phase_timeout_s:
-            stalled = self._stalled_module(sensed)
+            stalled = next((mid for mid, rises in gate if not self._holds(sensed[mid], rises)),
+                           gate[-1][0])
             self._fault(
                 f"timeout in phase {self.phase_label()} stage {self.stage}: "
                 f"module {stalled} stalled"
             )
             return
-        b, m, t = self._triple()
+        if not all(self._holds(sensed[mid], rises) for mid, rises in gate):
+            return
         if self.phase == GRASP:
-            if sensed[b] >= self.gate_hi and sensed[t] >= self.gate_hi:
-                self._emit(0, f"grasped level={self.level}")
-                self._initial = False
-                if self.obj is not None and not self._regrasp_feasible(b):
-                    outcome = (
-                        "undetectable object" if self._probe_for_level() is not None
-                        else "transport limit reached"
-                    )
-                    self.finish(outcome)
-                    return
-                self._enter_phase(ADVANCE_RELEASE)
+            b = self._triple()[0]
+            self._emit(0, f"grasped level={self.level}")
+            self._initial = False
+            if self.obj is not None and not self._regrasp_feasible(b):
+                outcome = (
+                    "undetectable object" if self._probe_for_level() is not None
+                    else "transport limit reached"
+                )
+                self.finish(outcome)
+                return
+            self._enter_phase(ADVANCE_RELEASE)
+        elif self.stage == 0:
+            self._advance_stage()
         elif self.phase == ADVANCE_RELEASE:
-            if self.stage == 0:
-                if sensed[b] <= self.gate_lo:
-                    self._advance_stage()
-            elif sensed[m] >= self.gate_hi:
-                self.z_est += self._stroke()
-                self._enter_phase(REGRASP_BOTTOM)
+            self.z_est += self._stroke()
+            self._enter_phase(REGRASP_BOTTOM)
         elif self.phase == REGRASP_BOTTOM:
-            if self.stage == 0:
-                if sensed[b] >= self.gate_hi:
-                    self._advance_stage()
-            elif sensed[t] <= self.gate_lo:
-                self._enter_phase(RESET_TOP)
-        elif self.phase == RESET_TOP:
-            if self.stage == 0:
-                if sensed[m] <= self.gate_lo:
-                    self._advance_stage()
-            elif sensed[t] >= self.gate_hi:
-                self._cycle_complete()
+            self._enter_phase(RESET_TOP)
+        else:
+            self._cycle_complete()
+
+    def quiet_rows(self, now: np.ndarray, sensed: np.ndarray) -> int:
+        """How many rows update() can skip: the index of the first that needs it.
+
+        Row 0 is the tick update() last ran on; now holds each row's time and
+        sensed each row's pressures, one column per module in layout order,
+        with valves unchanged since row 0.  A later row needs update() when
+        its phase times out, its probe window ends or its gate opens.  The
+        rows before it change nothing but the probe trace, which gets their
+        (tau, kPa) samples here.  Returns len(now) - 1 when no row needs
+        update() (the last row then goes through it), and 1 for a single row.
+        """
+        if len(now) < 2:
+            return 1
+        t = now[1:]
+        stop = t - self.phase_start > self.ctl.phase_timeout_s
+        probing = not self._probe_done
+        if probing:
+            tau = t - self._probe_t0
+            stop |= tau >= self.det.window_start + self.det.window_len
+        gate = np.ones(len(t), dtype=bool)
+        for mid, rises in self._gate():
+            p = sensed[1:, mid - 1]
+            gate &= p >= self.gate_hi if rises else p <= self.gate_lo
+        hits = np.flatnonzero(stop | gate)
+        j = int(hits[0]) + 1 if hits.size else len(now) - 1
+        if probing:
+            self._probe_trace.extend(zip(tau[:j - 1].tolist(),
+                                         sensed[1:j, self._probe_id - 1].tolist()))
+        return j
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
         """After one more stroke, can the bottom ring still reach the object?"""
@@ -544,24 +597,32 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     can no longer re-grasp, a cycle budget runs out, or a fault occurs.
     Returns the totally ordered event log and final object position (plant
     ground truth when the backend exposes it, dead reckoning otherwise).
+
+    Tick k is at k * dt.  After each update() the backend looks up to
+    BLOCK_TICKS ticks ahead, never past the duration limit; the controller
+    skips the rows that cannot change its state, the recorder gets them in
+    one call with the update tick's row, and the backend advances to the
+    first row that goes through update().
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))
-    ids = {mod.id for mod in layout.modules}
+    ids = tuple(mod.id for mod in layout.modules)
+    id_set = set(ids)
     plant = getattr(backend, "plant", None)
+    if plant is not None and abs(plant.params.dt - dt) > 1e-12:
+        raise ValueError(f"simulated backend steps at fixed dt={plant.params.dt}, got {dt}")
     events_log: list[tuple[float, int, str]] = []
     plant_events: list[tuple[int, str]] = []
-    now = 0.0
-    for k in range(n_steps + 1):
+    k = 0
+    while True:
         now = k * dt
         sensed = backend.read_all()
-        if not ids <= sensed.keys():
-            raise ValueError(f"no such endpoint: module {min(ids - sensed.keys())}")
+        if not id_set <= sensed.keys():
+            raise ValueError(f"no such endpoint: module {min(id_set - sensed.keys())}")
         changed = controller.update(now, sensed, plant_events)
-        plant_events = []
         if k == n_steps and not controller.done:
             controller.finish("duration limit reached")
         for mid in sorted(changed):
@@ -569,13 +630,19 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         tick_events = controller.take_events()
         for mid, text in tick_events:
             events_log.append((now, mid, text))
+        rows = backend.lookahead(1 if controller.done else min(BLOCK_TICKS, n_steps - k + 1))
+        if rows.ids != ids:
+            rows = _in_layout_order(rows, ids)
+        times = np.arange(k, k + len(rows)) * dt
+        j = 1 if controller.done else controller.quiet_rows(times, rows.pressure)
         if recorder is not None:
-            recorder.record(now, sensed, controller.valves, controller.phase_label(),
-                            plant, tick_events)
+            recorder.record(times[:j].tolist(), rows.head(j), controller.valves,
+                            controller.phase_label(), layout, tick_events)
         if controller.done:
             break
-        backend.tick(dt)
+        backend.advance(j)
         plant_events = backend.drain_events()
+        k += j
 
     if plant is not None and plant.object is not None:
         final_z = plant.object.z
@@ -590,3 +657,10 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         sim_time_s=now,
         events=tuple(events_log),
     )
+
+
+def _in_layout_order(rows: Rows, ids: tuple[int, ...]) -> Rows:
+    """rows with one column per layout module, in layout order."""
+    cols = [rows.ids.index(mid) for mid in ids]
+    inflation = rows.inflation[:, cols] if rows.inflation is not None else None
+    return replace(rows, ids=ids, pressure=rows.pressure[:, cols], inflation=inflation)

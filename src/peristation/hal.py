@@ -3,24 +3,32 @@
 Two backends implement the same contract: SimulatedBackend drives the
 in-process plant model, ReplayBackend plays a recorded telemetry file (the
 TelemetryLog that read_telemetry returns) back and verifies the controller
-issues the identical commands.  A physical backend would slot in behind the
-same four operations:
+issues the identical commands.  Time advances in blocks: one pair of
+operations reads and commits a run of ticks,
 
-  - read_all: every module's sensed pressure for the current tick, as one
-    {module_id: kPa} mapping that the backend never mutates afterwards;
+  - lookahead(n): the sensed rows of the current tick and of up to n - 1
+    following ticks, as they will be if the valves stay as they are
+    (fewer at the end of a recording, and none past a tick that plant
+    events arrive with; a physical backend may return the current tick
+    alone);
+  - advance(j): commit j ticks, making tick j of the lookahead current;
+
+and three operations act on the current tick:
+
+  - read_all: every module's sensed pressure, as one {module_id: kPa}
+    mapping that the backend never mutates afterwards;
   - read_pressure: one module's sensed pressure and the current time;
-  - set_valve: command one module's valve;
-  - tick: advance one time step.
+  - set_valve: command one module's valve, which voids a lookahead.
 
-The controller owns the backend and serializes all calls; sampling is
-pull-based, once per tick.
+read_all and tick (advance by one) are thin forms of the pair.  The
+controller owns the backend and serializes all calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +41,32 @@ class ValveCommand:
     module_id: int
     mode: str
     timestamp: float
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Sensed rows of consecutive ticks, the first being the current one.
+
+    pressure has one column per module id in ids.  inflation and object_z
+    are plant ground truth (object_z is 0.0 without an object), None when
+    the backend has none.
+    """
+
+    ids: tuple[int, ...]
+    pressure: np.ndarray  # (rows, len(ids)) sensed kPa
+    time: np.ndarray  # (rows,) backend clock, s
+    inflation: Optional[np.ndarray] = None  # (rows, len(ids)) mm
+    object_z: Optional[np.ndarray] = None  # (rows,) mm
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def head(self, n: int) -> "Rows":
+        """The first n rows."""
+        truth = self.inflation is not None
+        return Rows(self.ids, self.pressure[:n], self.time[:n],
+                    self.inflation[:n] if truth else None,
+                    self.object_z[:n] if truth else None)
 
 
 class ReplayMismatchError(ValueError):
@@ -49,27 +83,35 @@ class SimulatedBackend:
     Sensor readings are the plant pressures plus optional zero-mean Gaussian
     noise, drawn once per module per tick in module order from a seeded
     generator, so a fixed seed reproduces the byte-identical sensed stream
-    regardless of who reads what.
+    regardless of who reads what and in what blocks.  A lookahead draws the
+    noise of its ticks ahead; what advance does not use stays buffered for
+    the ticks it belongs to.
     """
 
     def __init__(self, plant: Plant):
         self.plant = plant
-        self._ids = [m.id for m in plant.layout.modules]
+        self._ids = tuple(m.id for m in plant.layout.modules)
         self._sigma = plant.params.noise_sigma
         self._rng = np.random.default_rng(plant.params.rng_seed)
+        self._noise = np.empty((0, len(self._ids)))  # drawn noise; row 0 is the current tick's
+        self._traj = None  # the last lookahead's trajectory, while it stays valid
         self._last_cmd_t = {i: -math.inf for i in self._ids}
         self._pending_events: list[tuple[int, str]] = []
-        self._sensed = {}
-        self._sample()
+        self._sensed = dict(zip(self._ids, self._sense(plant.trajectory(0).pressure)[0].tolist()))
 
-    def _sample(self) -> None:
-        if self._sigma > 0.0:
-            noise = self._rng.normal(0.0, self._sigma, len(self._ids)).tolist()
-            self._sensed = {
-                mid: self.plant.pressure(mid) + noise[k] for k, mid in enumerate(self._ids)
-            }
-        else:
-            self._sensed = {mid: self.plant.pressure(mid) for mid in self._ids}
+    def _noise_rows(self, n: int) -> np.ndarray:
+        """The noise of the current tick and the n - 1 after it, drawn as needed."""
+        short = n - len(self._noise)
+        if short > 0:
+            draw = self._rng.normal(0.0, self._sigma, (short, len(self._ids)))
+            self._noise = np.concatenate((self._noise, draw))
+        return self._noise[:n]
+
+    def _sense(self, pressure: np.ndarray) -> np.ndarray:
+        """Sensed values of plant pressure rows starting at the current tick."""
+        if self._sigma == 0.0:
+            return pressure
+        return pressure + self._noise_rows(len(pressure))
 
     @property
     def now(self) -> float:
@@ -93,7 +135,32 @@ class SimulatedBackend:
             )
         self._last_cmd_t[cmd.module_id] = cmd.timestamp
         self.plant.set_valve(cmd.module_id, cmd.mode)
+        self._traj = None
         return True
+
+    def lookahead(self, n: int) -> Rows:
+        if n < 1:
+            raise ValueError(f"lookahead needs n >= 1, got {n}")
+        traj = self._traj = self.plant.trajectory(n - 1)
+        z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
+        return Rows(self._ids, self._sense(traj.pressure), traj.time, traj.inflation, z)
+
+    def advance(self, j: int) -> None:
+        if j < 0:
+            raise ValueError(f"advance needs j >= 0, got {j}")
+        while j > 0:
+            traj = self._traj
+            if traj is None or len(traj) < 2:
+                traj = self.plant.trajectory(j)
+            i = min(j, len(traj) - 1)
+            self._pending_events.extend(self.plant.commit(traj, i))
+            self._traj = None
+            sensed = traj.pressure[i]
+            if self._sigma > 0.0:
+                sensed = sensed + self._noise_rows(i + 1)[i]
+                self._noise = self._noise[i:]
+            self._sensed = dict(zip(self._ids, sensed.tolist()))
+            j -= i
 
     def tick(self, dt: float) -> float:
         if dt <= 0:
@@ -102,8 +169,7 @@ class SimulatedBackend:
             raise ValueError(
                 f"simulated backend steps at fixed dt={self.plant.params.dt}, got {dt}"
             )
-        self._pending_events.extend(self.plant.step())
-        self._sample()
+        self.advance(1)
         return self.plant.time
 
     def drain_events(self) -> list[tuple[int, str]]:
@@ -115,16 +181,18 @@ class SimulatedBackend:
 class ReplayBackend:
     """HAL over a recorded telemetry stream.
 
-    read_all and read_pressure return the recorded sensed pressures for the
-    current tick; set_valve verifies the command matches the recording and
-    raises ReplayMismatchError naming both modes if it does not.  tick
-    advances to the next recorded instant and raises EndOfRecordingError
+    read_all, read_pressure and lookahead return the recorded sensed
+    pressures; set_valve verifies the command matches the recording and
+    raises ReplayMismatchError naming both modes if it does not.  advance
+    and tick move to later recorded instants and raise EndOfRecordingError
     past the end.
 
     Ticks are found once, from the time and module_id columns: module rows
     only (module_id 0 rows are station events), and a new tick whenever
     time exceeds every earlier module row's time.  A tick's pressures are
-    gathered only when it is read.
+    gathered only when it is read.  A lookahead runs on while the
+    following ticks hold exactly one row per module of the current tick,
+    in the same order.
     """
 
     def __init__(self, samples: Sequence, dt: float):
@@ -199,13 +267,41 @@ class ReplayBackend:
             )
         return True
 
+    def lookahead(self, n: int) -> Rows:
+        if n < 1:
+            raise ValueError(f"lookahead needs n >= 1, got {n}")
+        sensed = self.read_all()
+        ids = tuple(sensed)
+        m = len(ids)
+        k = self._k
+        # following ticks of exactly m rows whose module ids repeat the current tick's
+        after = self._bounds[k + 1:min(k + n, self._n_ticks) + 1]
+        uneven = np.flatnonzero(np.diff(after) != m)
+        good = int(uneven[0]) if uneven.size else len(after) - 1
+        a = after[0]
+        if good:
+            mids = np.array(self._log.module_id[a:a + good * m]).reshape(good, m)
+            differs = np.flatnonzero((mids != ids).any(axis=1))
+            if differs.size:
+                good = int(differs[0])
+        b = a + good * m
+        pressure = np.empty((1 + good, m))
+        pressure[0] = list(sensed.values())
+        pressure[1:] = np.array(self._log.pressure_kPa[a:b]).reshape(good, m)
+        return Rows(ids, pressure, np.array([self.now] + self._log.time_s[a:b:m]))
+
+    def advance(self, j: int) -> None:
+        if j < 0:
+            raise ValueError(f"advance needs j >= 0, got {j}")
+        if self._k + j >= self._n_ticks:
+            self._k = self._n_ticks
+            raise EndOfRecordingError("end of recording")
+        self._k += j
+
     def tick(self, dt: float) -> float:
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        if self._k + 1 >= self._n_ticks:
-            self._k = self._n_ticks
-            raise EndOfRecordingError("end of recording")
-        self._k += 1
+        self.advance(1)
         return self.now
 
     def drain_events(self) -> list[tuple[int, str]]:

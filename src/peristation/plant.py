@@ -15,6 +15,10 @@ Step order, per tick:
   5. contacts and supporters are recomputed; losing all supporters while
      held emits a "drop" event and the object falls to the highest module
      still able to carry it.
+
+Plant.trajectory runs this order over a whole block of ticks at once, one
+stretch of constant rates after another, and gives the same bits as
+stepping one tick at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .geometry import RingGeometry, SurrogateMaterial, surrogate_inflation
 
@@ -143,7 +149,9 @@ def station_violations(modules: Sequence[ModuleSpec]) -> list[str]:
     for m in modules:
         if m.kind not in MODULE_KINDS:
             violations.append(f"module {m.id}: unknown kind {m.kind!r}")
-        if m.height_h <= 0:
+        if not math.isfinite(m.height_h):
+            violations.append(f"module {m.id}: height_h must be finite, got {m.height_h}")
+        elif m.height_h <= 0:
             violations.append(f"module {m.id}: height_h must be > 0")
     z = [m.z_origin for m in modules]
     if any(b <= a for a, b in zip(z, z[1:])):
@@ -234,11 +242,36 @@ def time_to_contact(
     return gap / d_max * params.P_max / params.k_free
 
 
-class Plant:
-    """Owns the mutable station state; step() advances exactly one dt.
+@dataclass(frozen=True)
+class Trajectory:
+    """States a plant would pass through under its current valves, not yet committed.
 
-    A single logical owner must serialize step() calls.  Snapshots returned
-    by chambers() and object_state() are plain values safe to share.
+    Row 0 is the state the trajectory starts from and row i the state after
+    i steps; the arrays have one column per module, in layout order.
+    Plant.trajectory builds one and Plant.commit moves the plant to a row.
+    """
+
+    start: int  # the plant's state count when the trajectory was computed
+    pressure: np.ndarray  # (rows, modules) kPa
+    inflation: np.ndarray  # (rows, modules) mm
+    lift: np.ndarray  # (rows, modules) mm, rise of each module above rest
+    contact: np.ndarray  # (rows, modules) bool
+    object_z: Optional[np.ndarray]  # (rows,) mm; None without an object
+    time: np.ndarray  # (rows,) s
+    events: tuple  # (module_id, text) events of the step into the last row
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+
+class Plant:
+    """Owns the mutable station state; trajectory() is the one physics kernel.
+
+    trajectory(n) integrates up to n steps under the current valves without
+    changing the plant, and commit() moves the plant to one of its rows;
+    step() is the two with n = 1.  A single logical owner must serialize
+    these calls.  Snapshots returned by chambers() and object_state() are
+    plain values safe to share.
     """
 
     def __init__(
@@ -262,20 +295,24 @@ class Plant:
         self._d = [0.0] * n
         self._contact = [False] * n
         self._lift = [0.0] * n  # current rise of each module above rest
+        self._supporters: list[int] = []
+        self._state = 0  # counts commits and valve changes; a trajectory is valid for one
 
         # Full-pressure displacement per module, fixed by geometry/material;
         # displacement is linear in pressure below it.
-        self._d_full = [
+        self._d_full = np.array([
             full_compression_inflation(m.geometry, material, params.P_max)
             if m.kind == COMPRESSION else LONGITUDINAL_STROKE_FRACTION * m.height_h
             for m in self._mods
-        ]
-
+        ])
+        self._comp = [i for i, k in enumerate(self._kind) if k == COMPRESSION]
         self._gap = [m.geometry.inner_radius_r - obj.spec.radius_r_o if obj else 0.0 for m in self._mods]
         ror = obj.spec.radius_r_o / self._mods[0].geometry.inner_radius_r if obj else 0.0
-        self._k_contact = params.contact_rate(ror)
-        self._supporters: list[int] = []
-        self._held = False
+        # pressure change per step by valve mode; -0.0 leaves every pressure bit-exact
+        dt = params.dt
+        self._inc_free = params.k_free * dt
+        self._inc_contact = params.contact_rate(ror) * dt
+        self._inc_other = {HOLD: -0.0, DEFLATE: -(params.k_vent * dt)}
 
     # -- queries ------------------------------------------------------------
 
@@ -310,6 +347,7 @@ class Plant:
         if not 1 <= module_id <= len(self._mods):
             raise ValueError(f"no such module: {module_id}")
         self._valve[module_id - 1] = mode
+        self._state += 1
 
     # -- integration --------------------------------------------------------
 
@@ -318,80 +356,157 @@ class Plant:
         if commands:
             for mid, mode in commands.items():
                 self.set_valve(mid, mode)
+        return self.commit(self.trajectory(1), 1)
 
-        params = self.params
-        dt = params.dt
-        events: list[tuple[int, str]] = []
+    def commit(self, traj: Trajectory, row: int) -> list[tuple[int, str]]:
+        """Move the plant to row `row` of a trajectory computed from its current state.
 
-        # 1+2) pressures, then inflations (contact flags are last tick's)
-        for i in range(len(self._mods)):
-            v = self._valve[i]
-            if v == HOLD:
-                pass
-            elif v == INFLATE:
-                rate = self._k_contact if self._contact[i] else params.k_free
-                p = self._P[i] + rate * dt
-                self._P[i] = params.P_max if p > params.P_max else p
-            elif v == DEFLATE:
-                p = self._P[i] - params.k_vent * dt
-                self._P[i] = 0.0 if p < 0.0 else p
+        Returns the trajectory's events when row is its last row, else none.
+
+        Raises:
+            ValueError: the plant changed since the trajectory was computed,
+                or row is not one of its rows.
+        """
+        if traj.start != self._state:
+            raise ValueError("trajectory is stale: the plant changed since it was computed")
+        if not 0 <= row < len(traj):
+            raise ValueError(f"row {row} outside a trajectory of {len(traj)} rows")
+        if row == 0:
+            return []
+        self._P = traj.pressure[row].tolist()
+        self._d = traj.inflation[row].tolist()
+        self._lift = traj.lift[row].tolist()
+        self._contact = traj.contact[row].tolist()
+        self.time = traj.time[row].item()
+        obj = self.object
+        if obj is not None:
+            obj.z = traj.object_z[row].item()
+            self._supporters = [self._mods[i].id for i in self._comp if self._contact[i]]
+            obj.supporters = frozenset(self._supporters)
+        self._state += 1
+        return list(traj.events) if row == len(traj) - 1 else []
+
+    def _increments(self, contact: Sequence[bool]) -> list[float]:
+        """Each module's pressure change over one step at the current valves."""
+        out = []
+        for i, v in enumerate(self._valve):
+            if v == INFLATE:
+                out.append(self._inc_contact if contact[i] else self._inc_free)
+            elif v in self._inc_other:
+                out.append(self._inc_other[v])
             else:
                 raise ValueError(f"unknown valve mode {v!r}")
-            self._d[i] = (self._P[i] / params.P_max) * self._d_full[i]
+        return out
 
-        # 3) longitudinal strokes lift everything stacked above them
-        old_lift = self._lift
-        lift = 0.0
-        new_lift = [0.0] * len(self._mods)
-        for i in range(len(self._mods)):
-            new_lift[i] = lift
-            if self._kind[i] == LONGITUDINAL:
-                lift += self._d[i]
-        self._lift = new_lift
+    def trajectory(self, n: int) -> Trajectory:
+        """The states of the next n steps (fewer after an event), plant unchanged.
 
-        # 4) object rides its supporters from the previous tick
+        Between contact changes every rate is constant, so each stretch is
+        integrated by cumulative sums that repeat the per-step float
+        operations in the same order, and results are bit-identical to
+        stepping one dt at a time.  A contact change ends a stretch and the
+        next one starts from its row.  The trajectory ends after the first
+        step that emits a "conflict" or "drop" event.
+        """
+        if n < 0:
+            raise ValueError(f"steps must be >= 0, got {n}")
+        params = self.params
+        P_max = params.P_max
+        mods = self._mods
+        m = len(mods)
         obj = self.object
-        if obj is not None and self._supporters:
-            deltas = [new_lift[s - 1] - old_lift[s - 1] for s in self._supporters]
-            delta = deltas[0]  # supporters are kept sorted; [0] is the lowest
-            if max(deltas) - min(deltas) > 1e-12:
-                ids = "+".join(str(s) for s in self._supporters)
-                events.append((0, f"conflict supporters={ids} following={self._supporters[0]}"))
-            if delta != 0.0:
-                obj.z += delta
+        comp = self._comp
+        rows = n + 1
+        P = np.empty((rows, m))
+        d = np.empty((rows, m))
+        lift = np.empty((rows, m))
+        contact = np.zeros((rows, m), dtype=bool)
+        z = np.empty(rows) if obj is not None else None
+        P[0] = self._P
+        d[0] = self._d
+        lift[0] = self._lift
+        contact[0] = self._contact
+        if z is not None:
+            z[0] = obj.z
+        events: list[tuple[int, str]] = []
+        last = 0  # last row computed
+        while last < n and not events:
+            seg = slice(last + 1, rows)
+            hit0 = contact[last].tolist()
+            # 1+2) pressures under the valves and last tick's contacts, then inflations
+            acc = np.empty((rows - last, m))
+            acc[0] = P[last]
+            acc[1:] = self._increments(hit0)
+            np.add.accumulate(acc, axis=0, out=acc)
+            Ps = np.clip(acc[1:], 0.0, P_max, out=P[seg])
+            ds = np.divide(Ps, P_max, out=d[seg])
+            ds *= self._d_full
+            # 3) longitudinal strokes lift everything stacked above them
+            ls = lift[seg]
+            run = 0.0
+            for i in range(m):
+                ls[:, i] = run
+                if self._kind[i] == LONGITUDINAL:
+                    run = run + ds[:, i]
+            end = n  # last row this stretch keeps
+            conflict = flip = None
+            if obj is not None:
+                # 4) the object rides its supporters from the previous tick
+                sup = [i for i in comp if hit0[i]]
+                zs = z[seg]
+                if sup:
+                    deltas = lift[last + 1:, sup] - lift[last:-1, sup]
+                    if len(sup) > 1:
+                        spread = deltas.max(axis=1) - deltas.min(axis=1) > 1e-12
+                        conflicts = np.flatnonzero(spread)
+                        if conflicts.size:
+                            end = conflict = last + 1 + int(conflicts[0])
+                    acc = np.empty(rows - last)
+                    acc[0] = z[last]
+                    # -0.0 where the lowest supporter stays put, so z is left bit-exact
+                    acc[1:] = np.where(deltas[:, 0] == 0.0, -0.0, deltas[:, 0])
+                    np.add.accumulate(acc, out=acc)
+                    zs[:] = acc[1:]
+                else:
+                    zs[:] = z[last]
+                # 5) contacts at the new configuration
+                cs = contact[seg]
+                top = zs + obj.spec.length_L_o
+                for i in comp:
+                    mod = mods[i]
+                    lo = mod.z_origin + ls[:, i]
+                    cs[:, i] = (ds[:, i] >= self._gap[i]) & (zs < lo + mod.height_h) & (top > lo)
+                flips = np.flatnonzero((cs[:, comp] != [hit0[i] for i in comp]).any(axis=1))
+                if flips.size and last + 1 + int(flips[0]) <= end:
+                    end = flip = last + 1 + int(flips[0])
+                if end == conflict:
+                    events.append(self._conflict_event(sup))
+                if end == flip and sup and not contact[end].any():
+                    # 6) drop on held -> unsupported
+                    events.append((0, self._drop(z, d, lift, end)))
+            last = end
+        time = np.empty(last + 1)
+        time[0] = self.time
+        time[1:] = params.dt
+        np.add.accumulate(time, out=time)
+        k = last + 1
+        return Trajectory(self._state, P[:k], d[:k], lift[:k], contact[:k],
+                          z[:k] if z is not None else None, time, tuple(events))
 
-        # 5) recompute contacts and supporters at the new configuration
-        if obj is not None:
-            oz, otop = obj.z, obj.z + obj.spec.length_L_o
-            supporters = []
-            for i, m in enumerate(self._mods):
-                if self._kind[i] != COMPRESSION:
-                    continue
-                lo = m.z_origin + new_lift[i]
-                hit = (
-                    self._d[i] >= self._gap[i]
-                    and oz < lo + m.height_h
-                    and otop > lo
-                )
-                self._contact[i] = hit
-                if hit:
-                    supporters.append(m.id)
+    def _conflict_event(self, sup: list[int]) -> tuple[int, str]:
+        ids = [self._mods[i].id for i in sup]
+        return (0, f"conflict supporters={'+'.join(map(str, ids))} following={ids[0]}")
 
-            # 6) drop on held -> unsupported
-            if self._held and not supporters:
-                land = 0.0
-                for i, m in enumerate(self._mods):
-                    if self._kind[i] != COMPRESSION or self._d[i] < self._gap[i]:
-                        continue
-                    top = m.z_origin + new_lift[i] + m.height_h
-                    if top <= obj.z and top > land:
-                        land = top
-                events.append((0, f"drop to_z={land:.6f}"))
-                obj.z = land
-            self._supporters = supporters
-            self._held = bool(supporters)
-            obj.supporters = frozenset(supporters)
-
-        self.time += dt
-        return events
-
+    def _drop(self, z: np.ndarray, d: np.ndarray, lift: np.ndarray, row: int) -> str:
+        """Land the object of a trajectory row on the highest ring still able to carry it."""
+        oz = z[row].item()
+        land = 0.0
+        for i in self._comp:
+            mod = self._mods[i]
+            if d[row, i].item() < self._gap[i]:
+                continue
+            top = mod.z_origin + lift[row, i].item() + mod.height_h
+            if top <= oz and top > land:
+                land = top
+        z[row] = land
+        return f"drop to_z={land:.6f}"

@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter
 
+import numpy as np
+
 TELEMETRY_HEADER = "time_s,module_id,kind,pressure_kPa,valve,inflation_mm,object_z_mm,phase,event"
 
 
@@ -68,6 +70,16 @@ class TelemetryLog(Sequence):
         return map(TelemetrySample, *_get_columns(self))
 
 
+# Ticks formatted per write: bounds the text held in memory at once.
+_WRITE_TICKS = 256
+
+
+def _one_value(values: np.ndarray) -> bool:
+    """Whether every float has the bits of the first (so 0.0 and -0.0 differ)."""
+    bits = values.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
 class TelemetryWriter:
     """Streams rows to a CSV file in timestamp order.
 
@@ -81,11 +93,17 @@ class TelemetryWriter:
         self._f = open(path, "w", buffering=1 << 20, newline="")
         self._f.write(TELEMETRY_HEADER + "\n")
 
-    def record(self, now, sensed, valves, phase, plant, events):
-        if plant is None:
+    def record(self, now, rows, valves, phase, layout, events):
+        """Write a run of ticks that share valves and phase.
+
+        now holds each tick's time and rows (hal.Rows) its sensed pressures
+        and plant truth, one column per layout module in layout order;
+        events are the first tick's (module_id, text) events.  Module rows
+        come in layout order, then one module_id 0 row per station event.
+        """
+        if rows.inflation is None:
             raise ValueError("recording requires plant ground truth")
-        obj = plant.object
-        oz = obj.z if obj is not None else 0.0
+        write = self._f.write
         by_module = {}
         station = []
         for mid, text in events:
@@ -93,15 +111,55 @@ class TelemetryWriter:
                 station.append(text)
             else:
                 by_module.setdefault(mid, []).append(text)
-        write = self._f.write
-        for mod in plant.layout.modules:
+        oz = rows.object_z[0].item()
+        sensed = rows.pressure[0].tolist()
+        inflation = rows.inflation[0].tolist()
+        for i, mod in enumerate(layout.modules):
             ev = ";".join(by_module.get(mod.id, ()))
             write(
-                f"{now:.6f},{mod.id},{mod.kind},{sensed[mod.id]:.6f},{valves[mod.id]},"
-                f"{plant.inflation(mod.id):.6f},{oz:.6f},{phase},{ev}\n"
+                f"{now[0]:.6f},{mod.id},{mod.kind},{sensed[i]:.6f},{valves[mod.id]},"
+                f"{inflation[i]:.6f},{oz:.6f},{phase},{ev}\n"
             )
         for text in station:
-            write(f"{now:.6f},0,-,0.000000,-,0.000000,{oz:.6f},{phase},{text}\n")
+            write(f"{now[0]:.6f},0,-,0.000000,-,0.000000,{oz:.6f},{phase},{text}\n")
+        if len(now) < 2:
+            return
+        # The later ticks carry no events.  They are written with one
+        # %-template per tick: time and object z are formatted once per
+        # tick, and a column that holds one value over the run (a held
+        # valve, a saturated ring, an object at rest) once per call.
+        tick = []
+        fields = []  # per template field: "time", "z", or a float column
+
+        def floats(column) -> str:
+            """A column's template text: its value when it holds one, else a field."""
+            if _one_value(column[1:]):
+                return "%.6f" % column[1].item()
+            fields.append(column)
+            return "%.6f"
+
+        z_varies = not _one_value(rows.object_z[1:])
+        z_text = "%s" if z_varies else "%.6f" % rows.object_z[1].item()
+        for i, mod in enumerate(layout.modules):
+            fields.append("time")
+            tick.append("%s" + f",{mod.id},{mod.kind},".replace("%", "%%"))
+            tick.append(floats(rows.pressure[:, i]))
+            tick.append(f",{valves[mod.id]},".replace("%", "%%"))
+            tick.append(floats(rows.inflation[:, i]))
+            if z_varies:
+                fields.append("z")
+            tick.append("," + z_text + f",{phase},\n".replace("%", "%%"))
+        template = "".join(tick)
+        width = len(fields)
+        for a in range(1, len(now), _WRITE_TICKS):
+            b = min(a + _WRITE_TICKS, len(now))
+            text = {"time": ["%.6f" % t for t in now[a:b]]}
+            if z_varies:
+                text["z"] = ["%.6f" % z for z in rows.object_z[a:b].tolist()]
+            args = [None] * (width * (b - a))
+            for k, field in enumerate(fields):
+                args[k::width] = text[field] if isinstance(field, str) else field[a:b].tolist()
+            write(template * (b - a) % tuple(args))
 
     def close(self):
         self._f.close()

@@ -68,16 +68,17 @@ class MemoryRecorder:
         self.first_positive = None
         self.first_l4_command = None
 
-    def record(self, now, sensed, valves, phase, plant, events):
-        self.z.append(plant.object.z)
+    def record(self, now, rows, valves, phase, layout, events):
+        # one call per run of ticks sharing valves; events belong to its first tick
+        self.z.extend(rows.object_z.tolist())
         if self.first_l4_command is None and valves[4] != HOLD:
-            self.first_l4_command = now
+            self.first_l4_command = now[0]
         for _, text in events:
             if text.startswith("drop"):
                 self.drops += 1
             if (self.first_positive is None and text.startswith("detection")
                     and "contact=1" in text):
-                self.first_positive = now
+                self.first_positive = now[0]
 
 
 def test_ac1_geometry_constraint_accuracy_and_speed():

@@ -18,6 +18,7 @@ from peristation.config import (
     DEFAULT_DETECTION,
     DEFAULT_OBJECT,
     DEFAULT_PLANT,
+    DEFAULT_STATION,
 )
 
 SMALL_RUN = (
@@ -107,6 +108,11 @@ class TestValidate:
         ("plant:\n  rng_seed: -1\n", "plant: rng_seed must be >= 0"),
         ("object:\n  initial_z: .nan\n", "object: initial_z must be finite and >= 0, got nan"),
         ("run:\n  duration_s: .inf\n", "run: duration_s must be finite, got inf"),
+        ("station:\n  modules:\n    - {kind: Compression, height: .nan}\n"
+         "    - {kind: Longitudinal}\n    - {kind: Compression}\n",
+         "station: module 1: height_h must be finite, got nan"),
+        ("station:\n  compression_height: .inf\n",
+         "station: module 1: height_h must be finite, got inf"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, problem):
         cfg = write_cfg(tmp_path, text)
@@ -190,6 +196,19 @@ class TestRun:
         cfg = write_cfg(tmp_path, SMALL_RUN)
         assert main(["run", "--config", cfg, "--duration", "0"]) == 1
         assert "FAIL run: duration_s must be > 0" in capsys.readouterr().out
+
+    def test_duration_override_replaces_a_bad_config_duration(self, tmp_path, capsys):
+        telemetry = tmp_path / "t.csv"
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("40.0", "0"))
+        assert main(["run", "--config", cfg, "--duration", "5", "--out", str(telemetry)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert telemetry.exists()
+
+    def test_bad_duration_override_reports_only_itself(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("40.0", "0"))
+        assert main(["run", "--config", cfg, "--duration", "nan"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL run: duration_s must be finite, got nan"]
 
     def test_infinite_duration_exits_1(self, tmp_path, capsys):
         telemetry = tmp_path / "t.csv"
@@ -282,6 +301,7 @@ FUZZ_FIELDS = {
         ("detection", DEFAULT_DETECTION),
         ("control", DEFAULT_CONTROL),
         ("object", {k: v for k, v in DEFAULT_OBJECT.items() if k != "present"}),
+        ("station", {k: v for k, v in DEFAULT_STATION.items() if k != "modules"}),
         ("run", {"duration_s": 120.0}),
     )
     for key, default in defaults.items()

@@ -1,11 +1,13 @@
 """Controller: contact detection, gated phases, probe lifecycle, full runs."""
 
+import copy
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peristation import (
@@ -33,6 +35,7 @@ from peristation import (
     read_telemetry,
     run_station,
 )
+from peristation.control import ADVANCE_RELEASE, GATES, REGRASP_BOTTOM
 from tests.conftest import NOMINAL
 
 DT = 1e-3
@@ -78,6 +81,12 @@ class CommandDropper:
             return True
         return self.inner.set_valve(cmd)
 
+    def lookahead(self, n):
+        return self.inner.lookahead(n)
+
+    def advance(self, j):
+        return self.inner.advance(j)
+
     def tick(self, dt):
         return self.inner.tick(dt)
 
@@ -91,8 +100,25 @@ class TickRecorder:
     def __init__(self):
         self.rows = []
 
-    def record(self, now, sensed, valves, phase, plant, events):
-        self.rows.append((now, sensed, dict(valves), [text for _, text in events]))
+    def record(self, now, rows, valves, phase, layout, events):
+        texts = [text for _, text in events]
+        for i, t in enumerate(now):
+            sensed = dict(zip(rows.ids, rows.pressure[i].tolist()))
+            self.rows.append((t, sensed, dict(valves), texts if i == 0 else []))
+
+
+class OneRowBackend:
+    """Reference backend: a lookahead of the current tick alone, so that
+    run_station sends every tick through update() and the recorder."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def lookahead(self, n):
+        return self.inner.lookahead(1)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class TestConfigValidation:
@@ -313,6 +339,55 @@ class TestStationController:
             texts += [text for _, text in c.take_events()]
         assert "detection aborted module=5 reason=insufficient-trace" in texts
 
+    @settings(max_examples=100, deadline=None)
+    @given(gate=st.sampled_from(sorted(GATES)), timeout_back=st.sampled_from([0, 9990, 10000]),
+           probe_back=st.sampled_from([None, 0, 2490, 2500]),
+           spikes=st.lists(st.tuples(st.integers(1, 29), st.integers(1, 5), st.integers(0, 6)),
+                           max_size=4))
+    # a gate reading exactly its threshold, rising and falling
+    @example(gate=(REGRASP_BOTTOM, 0), timeout_back=0, probe_back=None, spikes=[(7, 1, 5)])
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 1)])
+    def test_quiet_rows_stop_where_update_acts(self, gate, timeout_back, probe_back, spikes):
+        """quiet_rows skips exactly the rows on which update() would change
+        nothing but the probe trace, gates read exactly at their thresholds
+        included."""
+        layout = build_station(RingGeometry(**NOMINAL), 5, 20.0, 20.0)
+        c = self.controller(layout)
+        c.update(0.0, self.zeros(layout))
+        c.take_events()
+        k0 = 20000
+        c.phase, c.stage = gate
+        c.phase_start = (k0 - timeout_back) * DT
+        if probe_back is None:
+            c._probe_done = True
+        else:
+            c._probe_t0 = (k0 - probe_back) * DT
+        levels = [0.0, c.gate_lo, math.nextafter(c.gate_lo, 1.0), 5.0,
+                  math.nextafter(c.gate_hi, 0.0), c.gate_hi, 15.0]
+        sensed = np.full((30, 5), 5.0)
+        for row, mid, level in spikes:
+            sensed[row, mid - 1] = levels[level]
+        times = np.arange(k0, k0 + 30) * DT
+        ref = copy.deepcopy(c)
+
+        def acts(i):
+            state = (ref.phase, ref.stage, ref.level, ref.done, dict(ref.valves))
+            changed = ref.update(times[i].item(), dict(zip(range(1, 6), sensed[i].tolist())))
+            return bool(changed or ref.take_events()) or state != (
+                ref.phase, ref.stage, ref.level, ref.done, dict(ref.valves))
+
+        j = c.quiet_rows(times, sensed)
+        assert 1 <= j <= 29
+        assert not any(acts(i) for i in range(1, j))
+        assert c._probe_trace == ref._probe_trace
+        if j < 29:
+            assert acts(j)
+
+    def test_quiet_rows_of_one_row(self, five_module_layout):
+        c = self.controller(five_module_layout)
+        c.update(0.0, self.zeros(five_module_layout))
+        assert c.quiet_rows(np.zeros(1), np.zeros((1, 5))) == 1
+
     def test_station_without_triple_rejected(self, geometry, material):
         layout = build_station(geometry, 1, 20.0, 20.0)
         with pytest.raises(ValueError, match="triple"):
@@ -391,12 +466,53 @@ class TestRunStation:
             run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
                         params, DetectionConfig(), ControlConfig(), 0.0)
 
+    def test_plant_stepping_at_another_dt_rejected(self, five_module_layout, material, params):
+        backend = sim_backend(five_module_layout, material, params)
+        with pytest.raises(ValueError, match="fixed dt=0.001, got 0.002"):
+            run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                        PlantParams(dt=2e-3), DetectionConfig(), ControlConfig(), 1.0)
+
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_nonfinite_duration_rejected(self, five_module_layout, material, params, duration):
         backend = sim_backend(five_module_layout, material, params)
         with pytest.raises(ValueError, match="duration_s must be finite"):
             run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
                         params, DetectionConfig(), ControlConfig(), duration)
+
+
+class TestBlockStepping:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.0, 0.05, 0.3]),
+           radius=st.sampled_from([10.0, 17.5]), modules=st.sampled_from([3, 5, 7]),
+           duration=st.floats(2.0, 40.0), timeout=st.sampled_from([10.0, 2.5]))
+    @example(seed=0, sigma=0.05, radius=17.5, modules=5, duration=2.0, timeout=10.0)
+    @example(seed=1, sigma=0.0, radius=17.5, modules=3, duration=20.0, timeout=2.5)
+    def test_blocks_match_the_tick_by_tick_run(self, seed, sigma, radius, modules, duration,
+                                               timeout):
+        """Whole blocks and one tick at a time give the same result and the
+        same telemetry bytes.  dt = 10 ms keeps the tick-by-tick reference
+        short.  The examples end a run mid-inflation, and time out the first
+        grasp (it needs about 3.3 s)."""
+        geometry = RingGeometry(**NOMINAL)
+        material = SurrogateMaterial(100.0, 0.45, calibrate_kappa(geometry, 100.0, 0.69, 15.0))
+        layout = build_station(geometry, modules, 20.0, 20.0)
+        params = PlantParams(dt=0.01, noise_sigma=sigma, rng_seed=seed)
+        spec = ObjectSpec(radius, 75.0)
+        results, files = [], []
+        with tempfile.TemporaryDirectory() as tmp:
+            for wrap in (lambda b: b, OneRowBackend):
+                path = os.path.join(tmp, f"{len(files)}.csv")
+                backend = wrap(SimulatedBackend(Plant(layout, ObjectState(spec, 0.0), params,
+                                                      material)))
+                with TelemetryWriter(path) as writer:
+                    results.append(run_station(backend, layout, spec, 0.0, params,
+                                               DetectionConfig(),
+                                               ControlConfig(phase_timeout_s=timeout),
+                                               duration, recorder=writer))
+                with open(path, "rb") as f:
+                    files.append(f.read())
+        assert results[0] == results[1]
+        assert files[0] == files[1]
 
 
 class TestReplayEquivalence:

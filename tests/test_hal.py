@@ -139,6 +139,32 @@ class TestSimulatedBackend:
             reads_all.tick(1e-3)
             reads_one.tick(1e-3)
 
+    def test_lookahead_and_advance_repeat_the_tick_reads(self, three_module_layout, material):
+        """Rows, partial commits, a valve change and an advance past the
+        lookahead all give the reads of a backend ticked one step at a time."""
+        ticked, blocks = (noisy_backend(three_module_layout, material, seed=9) for _ in range(2))
+        for backend in (ticked, blocks):
+            backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+        reads = []
+        for k in range(101):
+            reads.append((ticked.now, ticked.read_all()))
+            if k == 40:
+                ticked.set_valve(ValveCommand(2, INFLATE, ticked.now))
+            ticked.tick(1e-3)
+
+        def rows_match(look, k):
+            return [(t, dict(zip(look.ids, p))) for t, p in
+                    zip(look.time.tolist(), look.pressure.tolist())] == reads[k:k + len(look)]
+
+        assert rows_match(blocks.lookahead(30), 0)
+        blocks.advance(20)  # the noise of ticks 20 to 29 stays drawn
+        assert rows_match(blocks.lookahead(20), 20)
+        blocks.advance(20)
+        blocks.set_valve(ValveCommand(2, INFLATE, blocks.now))
+        assert rows_match(blocks.lookahead(10), 40)
+        blocks.advance(60)  # past the lookahead
+        assert (blocks.now, blocks.read_all()) == reads[100]
+
     def test_drain_events_collects_then_clears(self, three_module_layout, material, params):
         obj = ObjectState(ObjectSpec(17.5, 30.0), 45.0)
         backend = SimulatedBackend(Plant(three_module_layout, obj, params, material))
@@ -189,6 +215,30 @@ class TestReplayBackend:
         assert backend.set_valve(ValveCommand(1, DEFLATE, 0.001))
         with pytest.raises(EndOfRecordingError):
             backend.tick(1e-3)
+
+    def test_lookahead_repeats_the_tick_reads(self):
+        """A lookahead holds the next ticks' reads and stops before a tick
+        whose rows are not one per module of the current tick, in order."""
+        layouts = [(1, 2), (1, 2), (1, 2), (2, 1), (1, 2), (1, 3), (1, 2, 0), (1, 2)]
+        rows = [sample(k * 1e-3, mid, 10.0 * k + mid, HOLD)
+                for k, ids in enumerate(layouts) for mid in ids]
+        backend = ReplayBackend(rows, 1e-3)
+        lengths = []
+        for k in range(len(layouts)):
+            look = backend.lookahead(8)
+            lengths.append(len(look))
+            reads = ReplayBackend(rows, 1e-3)
+            reads.advance(k)
+            for i in range(len(look)):
+                if i:
+                    reads.advance(1)
+                assert dict(zip(look.ids, look.pressure[i].tolist())) == reads.read_all()
+                assert look.time[i] == reads.now
+            if k + 1 < len(layouts):
+                backend.advance(1)
+        assert lengths == [3, 2, 1, 1, 1, 1, 2, 1]
+        with pytest.raises(EndOfRecordingError):
+            backend.advance(1)
 
     def test_log_and_sample_list_replay_identically(self, recording):
         backends = [ReplayBackend(read_telemetry(recording), 1e-3),
@@ -293,7 +343,8 @@ class TestReplayBackend:
                 sensed = {mid: live.read_pressure(mid)[0] for mid in (1, 2, 3)}
                 seen.append(sensed[1])
                 live.set_valve(ValveCommand(1, INFLATE, now))
-                writer.record(now, sensed, {1: INFLATE, 2: HOLD, 3: HOLD}, "L0:Grasp", live.plant, [])
+                writer.record([now], live.lookahead(1), {1: INFLATE, 2: HOLD, 3: HOLD}, "L0:Grasp",
+                              live.plant.layout, [])
                 live.tick(1e-3)
 
         replay = ReplayBackend(read_telemetry(path), 1e-3)

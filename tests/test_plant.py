@@ -102,6 +102,15 @@ class TestStationRules:
         assert "module 1: unknown kind 'Radial'" in bad
         assert "module 1: height_h must be > 0" in bad
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf])
+    def test_non_finite_height_named(self, geometry, height):
+        mods = [
+            ModuleSpec(1, COMPRESSION, geometry, height, 0.0),
+            ModuleSpec(2, LONGITUDINAL, geometry, 20.0, 20.0),
+            ModuleSpec(3, COMPRESSION, geometry, 20.0, 40.0),
+        ]
+        assert f"module 1: height_h must be finite, got {height}" in station_violations(mods)
+
     def test_overlapping_origins_named(self, geometry):
         mods = [
             ModuleSpec(1, COMPRESSION, geometry, 20.0, 0.0),
@@ -416,6 +425,43 @@ class TestPlantIntegration:
         assert {text for _, text in events} == {"conflict supporters=1+3 following=1"}
         assert len(events) == 100  # flagged every moving tick
         assert plant.object.z == 0.0  # module 1 sits on the base and never moves
+
+    def test_block_equals_single_steps(self, five_module_layout, material, params):
+        """trajectory(n) and commit match n step() calls across a contact flip,
+        a conflict and a drop, bit for bit, tick by tick."""
+        single, block = (make_plant(five_module_layout, material, params,
+                                    ObjectState(ObjectSpec(17.5, 75.0), 0.0)) for _ in range(2))
+        schedule = [({1: INFLATE, 3: INFLATE}, 2000),  # both rings grip
+                    ({2: INFLATE}, 100),  # the stroke lifts 3 but not 1: conflict
+                    ({1: DEFLATE, 3: DEFLATE}, 2000)]  # both let go: drop
+        ids = range(1, 6)
+        stepped, blocked = [], []  # (events, time, P, d, z, supporters) per tick
+        for commands, ticks in schedule:
+            for mid, mode in commands.items():
+                single.set_valve(mid, mode)
+                block.set_valve(mid, mode)
+            for _ in range(ticks):
+                events = single.step()
+                stepped.append((events, single.time, [single.pressure(i) for i in ids],
+                                [single.inflation(i) for i in ids], single.object.z,
+                                single.object_state().supporters))
+            left = ticks
+            while left:
+                traj = block.trajectory(left)
+                n = len(traj) - 1
+                for i in range(1, n + 1):
+                    blocked.append(([], traj.time[i].item(), traj.pressure[i].tolist(),
+                                    traj.inflation[i].tolist(), traj.object_z[i].item(),
+                                    frozenset(k + 1 for k in range(5) if traj.contact[i, k])))
+                blocked[-1][0].extend(block.commit(traj, n))
+                left -= n
+        texts = [text for events, *_ in stepped for _, text in events]
+        assert "conflict supporters=1+3 following=1" in texts
+        assert any(text.startswith("drop") for text in texts)
+        assert {frozenset(), frozenset({1, 3})} <= {row[5] for row in stepped}
+        assert blocked == stepped
+        assert block.chambers() == single.chambers()
+        assert block.object_state() == single.object_state()
 
     def test_set_valve_rejects_bad_input(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)

@@ -1,5 +1,6 @@
 """Telemetry round-trip and format guarantees."""
 
+import numpy as np
 import pytest
 
 from peristation import (
@@ -9,6 +10,7 @@ from peristation import (
     ObjectSpec,
     ObjectState,
     Plant,
+    Rows,
     TelemetryLog,
     TelemetrySample,
     TelemetryWriter,
@@ -24,10 +26,13 @@ def plant(three_module_layout, material, params):
 
 
 def record_one(path, plant, events=()):
-    sensed = {1: 1.25, 2: 0.0, 3: 0.004330999999}
+    ids = (1, 2, 3)
+    sensed = [1.25, 0.0, 0.004330999999]
+    rows = Rows(ids, np.array([sensed]), np.array([plant.time]),
+                np.array([[plant.inflation(mid) for mid in ids]]), np.array([plant.object.z]))
     valves = {1: INFLATE, 2: HOLD, 3: HOLD}
     with TelemetryWriter(path) as writer:
-        writer.record(0.001, sensed, valves, "L0:Grasp", plant, list(events))
+        writer.record([0.001], rows, valves, "L0:Grasp", plant.layout, list(events))
     return path
 
 
@@ -63,7 +68,8 @@ class TestWriter:
     def test_recording_needs_a_plant(self, tmp_path):
         with TelemetryWriter(tmp_path / "t.csv") as writer:
             with pytest.raises(ValueError, match="ground truth"):
-                writer.record(0.0, {}, {}, "L0:Grasp", None, [])
+                writer.record([0.0], Rows((), np.empty((1, 0)), np.zeros(1)), {}, "L0:Grasp",
+                              None, [])
 
 
 class TestReader:
