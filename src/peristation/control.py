@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hal import Rows, ValveCommand
+from .geometry import require_finite
+from .hal import ValveCommand
 from .plant import (
     COMPRESSION,
     DEFLATE,
@@ -31,7 +32,6 @@ from .plant import (
     PlantParams,
     StationLayout,
     ObjectSpec,
-    require_finite,
 )
 
 GRASP = "Grasp"
@@ -371,9 +371,12 @@ class StationController:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def update(self, now: float, sensed: dict[int, float],
+    def update(self, now: float, sensed: Sequence[float],
                plant_events: Sequence[tuple[int, str]] = ()) -> dict[int, str]:
-        """One controller tick: ingest events and pressures, emit changed valves."""
+        """One controller tick: ingest events and pressures, emit changed valves.
+
+        sensed is the tick's row of kPa in layout order: module mid reads sensed[mid - 1].
+        """
         self._changed = {}
         if self.done:
             return {}
@@ -417,11 +420,11 @@ class StationController:
         self._probe_done = False
         self._set(pid, INFLATE)
 
-    def _probe_step(self, sensed: dict[int, float]) -> None:
+    def _probe_step(self, sensed: Sequence[float]) -> None:
         if self._probe_done:
             return
         tau = self.now - self._probe_t0
-        self._probe_trace.append((tau, sensed[self._probe_id]))
+        self._probe_trace.append((tau, sensed[self._probe_id - 1]))
         if tau < self.det.window_start + self.det.window_len:
             return
         self._probe_done = True
@@ -486,17 +489,17 @@ class StationController:
     def _holds(self, pressure: float, rises: bool) -> bool:
         return pressure >= self.gate_hi if rises else pressure <= self.gate_lo
 
-    def _check_gate(self, sensed: dict[int, float]) -> None:
+    def _check_gate(self, sensed: Sequence[float]) -> None:
         gate = self._gate()
         if self.now - self.phase_start > self.ctl.phase_timeout_s:
-            stalled = next((mid for mid, rises in gate if not self._holds(sensed[mid], rises)),
+            stalled = next((mid for mid, rises in gate if not self._holds(sensed[mid - 1], rises)),
                            gate[-1][0])
             self._fault(
                 f"timeout in phase {self.phase_label()} stage {self.stage}: "
                 f"module {stalled} stalled"
             )
             return
-        if not all(self._holds(sensed[mid], rises) for mid, rises in gate):
+        if not all(self._holds(sensed[mid - 1], rises) for mid, rises in gate):
             return
         if self.phase == GRASP:
             b = self._triple()[0]
@@ -524,8 +527,8 @@ class StationController:
         """How many rows update() can skip: the index of the first that needs it.
 
         Row 0 is the tick update() last ran on; now holds each row's time and
-        sensed each row's pressures, one column per module in layout order,
-        with valves unchanged since row 0.  A later row needs update() when
+        sensed each row's pressures (rows as update() reads them), with
+        valves unchanged since row 0.  A later row needs update() when
         its phase times out, its probe window ends or its gate opens.  The
         rows before it change nothing but the probe trace, which gets their
         (tau, kPa) samples here.  Returns len(now) - 1 when no row needs
@@ -602,27 +605,29 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     BLOCK_TICKS ticks ahead, never past the duration limit; the controller
     skips the rows that cannot change its state, the recorder gets them in
     one call with the update tick's row, and the backend advances to the
-    first row that goes through update().
+    first row that goes through update(), which gets that row of the
+    lookahead.  The backend's rows must hold the layout's modules in order.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))
-    ids = tuple(mod.id for mod in layout.modules)
-    id_set = set(ids)
     plant = getattr(backend, "plant", None)
     if plant is not None and abs(plant.params.dt - dt) > 1e-12:
         raise ValueError(f"simulated backend steps at fixed dt={plant.params.dt}, got {dt}")
+    rows = backend.lookahead(1)
+    ids = tuple(mod.id for mod in layout.modules)
+    if rows.ids != ids:
+        missing = sorted(set(ids) - set(rows.ids))
+        raise ValueError(f"no such endpoint: module {missing[0]}" if missing else
+                         f"backend modules {rows.ids} are not the layout's {ids}")
     events_log: list[tuple[float, int, str]] = []
     plant_events: list[tuple[int, str]] = []
-    k = 0
+    k = j = 0
     while True:
         now = k * dt
-        sensed = backend.read_all()
-        if not id_set <= sensed.keys():
-            raise ValueError(f"no such endpoint: module {min(id_set - sensed.keys())}")
-        changed = controller.update(now, sensed, plant_events)
+        changed = controller.update(now, rows.pressure[j].tolist(), plant_events)
         if k == n_steps and not controller.done:
             controller.finish("duration limit reached")
         for mid in sorted(changed):
@@ -631,8 +636,6 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         for mid, text in tick_events:
             events_log.append((now, mid, text))
         rows = backend.lookahead(1 if controller.done else min(BLOCK_TICKS, n_steps - k + 1))
-        if rows.ids != ids:
-            rows = _in_layout_order(rows, ids)
         times = np.arange(k, k + len(rows)) * dt
         j = 1 if controller.done else controller.quiet_rows(times, rows.pressure)
         if recorder is not None:
@@ -643,6 +646,8 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         backend.advance(j)
         plant_events = backend.drain_events()
         k += j
+        if j == len(rows):  # a one-row lookahead: the new tick is not in it
+            rows, j = backend.lookahead(1), 0
 
     if plant is not None and plant.object is not None:
         final_z = plant.object.z
@@ -657,10 +662,3 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         sim_time_s=now,
         events=tuple(events_log),
     )
-
-
-def _in_layout_order(rows: Rows, ids: tuple[int, ...]) -> Rows:
-    """rows with one column per layout module, in layout order."""
-    cols = [rows.ids.index(mid) for mid in ids]
-    inflation = rows.inflation[:, cols] if rows.inflation is not None else None
-    return replace(rows, ids=ids, pressure=rows.pressure[:, cols], inflation=inflation)

@@ -9,7 +9,7 @@ design sweep maximizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 # Relative slack on the packing constraint.  Nominal parameter sets satisfy
@@ -22,6 +22,14 @@ SWEEP_PARAMETERS = ("N", "l", "t")
 
 class InfeasibleGeometryError(ValueError):
     """Requested chamber layout cannot satisfy the packing constraint."""
+
+
+def require_finite(config) -> None:
+    """Reject a NaN or infinite value in any float field of a dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,11 @@ class SurrogateMaterial:
     youngs_modulus_E: float  # kPa
     poisson_ratio_nu: float
     calibration_kappa: float
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.youngs_modulus_E <= 0:
+            raise ValueError(f"youngs_modulus_E must be > 0, got {self.youngs_modulus_E}")
 
 
 @dataclass(frozen=True)
@@ -183,23 +196,18 @@ def calibrate_kappa(
     """Closed-form kappa such that surrogate_inflation hits target_ratio at P.
 
     Raises:
-        ValueError: target_ratio <= 0, invalid geometry, P <= 0, or an
+        ValueError: a target_ratio that is not finite and > 0, an E that
+            SurrogateMaterial rejects, invalid geometry, P <= 0, or an
             uncalibratable geometry (N = 1 has zero uniformity factor).
     """
-    if target_ratio <= 0:
-        raise ValueError(f"target_ratio must be > 0, got {target_ratio}")
-    report = validate_geometry(g)
-    if not report.passed:
-        raise ValueError("invalid geometry: " + "; ".join(report.violations))
-    u = uniformity_factor(g.chamber_count_N)
-    if u == 0.0:
-        raise ValueError("uncalibratable geometry: N=1 has zero uniformity factor")
+    if not 0 < target_ratio < math.inf:
+        raise ValueError(f"target_ratio must be finite and > 0, got {target_ratio}")
     if pressure_P <= 0:
         raise ValueError("uncalibratable at zero pressure")
-    scale = (pressure_P * g.chamber_length_s) / (
-        youngs_modulus_E * g.wall_thickness_t * g.inner_radius_r
-    )
-    return target_ratio / (scale * u)
+    unit = surrogate_inflation(g, SurrogateMaterial(youngs_modulus_E, 0.0, 1.0), pressure_P)
+    if unit == 0.0:
+        raise ValueError("uncalibratable geometry: N=1 has zero uniformity factor")
+    return target_ratio / unit
 
 
 def _vary(base: RingGeometry, parameter: str, value: float) -> RingGeometry:

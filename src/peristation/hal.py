@@ -3,25 +3,31 @@
 Two backends implement the same contract: SimulatedBackend drives the
 in-process plant model, ReplayBackend plays a recorded telemetry file (the
 TelemetryLog that read_telemetry returns) back and verifies the controller
-issues the identical commands.  Time advances in blocks: one pair of
-operations reads and commits a run of ticks,
+issues the identical commands.  A tick's sensed values have one layout, a
+row of Rows: one kPa per module, in module id order.  Time advances in
+blocks: one pair of operations reads and commits a run of ticks,
 
   - lookahead(n): the sensed rows of the current tick and of up to n - 1
     following ticks, as they will be if the valves stay as they are
     (fewer at the end of a recording, and none past a tick that plant
     events arrive with; a physical backend may return the current tick
     alone);
-  - advance(j): commit j ticks, making tick j of the lookahead current;
+  - advance(j): commit j ticks, making tick j of the lookahead current, so
+    that row j is what a lookahead now returns as row 0;
 
-and three operations act on the current tick:
+and two operations act on the current tick:
 
-  - read_all: every module's sensed pressure, as one {module_id: kPa}
-    mapping that the backend never mutates afterwards;
   - read_pressure: one module's sensed pressure and the current time;
   - set_valve: command one module's valve, which voids a lookahead.
 
-read_all and tick (advance by one) are thin forms of the pair.  The
-controller owns the backend and serializes all calls.
+tick (advance by one) is a thin form of advance.  The controller owns the
+backend and serializes all calls.
+
+A recording replays only as a grid of ticks x modules: every tick holds one
+row per module, in the first tick's order and at one time, and tick k is at
+k * dt within the file's 6-decimal rounding.  ReplayBackend rejects any
+other recording when it is built, naming the first bad tick, so a replay
+takes its decisions on the ticks the live run took them on.
 """
 
 from __future__ import annotations
@@ -97,7 +103,6 @@ class SimulatedBackend:
         self._traj = None  # the last lookahead's trajectory, while it stays valid
         self._last_cmd_t = {i: -math.inf for i in self._ids}
         self._pending_events: list[tuple[int, str]] = []
-        self._sensed = dict(zip(self._ids, self._sense(plant.trajectory(0).pressure)[0].tolist()))
 
     def _noise_rows(self, n: int) -> np.ndarray:
         """The noise of the current tick and the n - 1 after it, drawn as needed."""
@@ -107,26 +112,17 @@ class SimulatedBackend:
             self._noise = np.concatenate((self._noise, draw))
         return self._noise[:n]
 
-    def _sense(self, pressure: np.ndarray) -> np.ndarray:
-        """Sensed values of plant pressure rows starting at the current tick."""
-        if self._sigma == 0.0:
-            return pressure
-        return pressure + self._noise_rows(len(pressure))
-
     @property
     def now(self) -> float:
         return self.plant.time
 
-    def read_all(self) -> dict[int, float]:
-        return self._sensed
-
     def read_pressure(self, module_id: int) -> tuple[float, float]:
-        if module_id not in self._sensed:
+        if module_id not in self._ids:
             raise ValueError(f"no such endpoint: module {module_id}")
-        return self._sensed[module_id], self.plant.time
+        return self.lookahead(1).pressure[0, self._ids.index(module_id)].item(), self.plant.time
 
     def set_valve(self, cmd: ValveCommand) -> bool:
-        if cmd.module_id not in self._sensed:
+        if cmd.module_id not in self._ids:
             raise ValueError(f"no such endpoint: module {cmd.module_id}")
         if cmd.timestamp < self._last_cmd_t[cmd.module_id]:
             raise ValueError(
@@ -142,8 +138,9 @@ class SimulatedBackend:
         if n < 1:
             raise ValueError(f"lookahead needs n >= 1, got {n}")
         traj = self._traj = self.plant.trajectory(n - 1)
+        sensed = traj.pressure + self._noise_rows(len(traj)) if self._sigma > 0.0 else traj.pressure
         z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
-        return Rows(self._ids, self._sense(traj.pressure), traj.time, traj.inflation, z)
+        return Rows(self._ids, sensed, traj.time, traj.inflation, z)
 
     def advance(self, j: int) -> None:
         if j < 0:
@@ -155,11 +152,9 @@ class SimulatedBackend:
             i = min(j, len(traj) - 1)
             self._pending_events.extend(self.plant.commit(traj, i))
             self._traj = None
-            sensed = traj.pressure[i]
             if self._sigma > 0.0:
-                sensed = sensed + self._noise_rows(i + 1)[i]
+                self._noise_rows(i)  # the committed ticks' noise stays drawn in order
                 self._noise = self._noise[i:]
-            self._sensed = dict(zip(self._ids, sensed.tolist()))
             j -= i
 
     def tick(self, dt: float) -> float:
@@ -179,74 +174,60 @@ class SimulatedBackend:
 
 
 class ReplayBackend:
-    """HAL over a recorded telemetry stream.
+    """HAL over a recorded telemetry stream, held as a (ticks x modules) grid.
 
-    read_all, read_pressure and lookahead return the recorded sensed
-    pressures; set_valve verifies the command matches the recording and
-    raises ReplayMismatchError naming both modes if it does not.  advance
-    and tick move to later recorded instants and raise EndOfRecordingError
-    past the end.
-
-    Ticks are found once, from the time and module_id columns: module rows
-    only (module_id 0 rows are station events), and a new tick whenever
-    time exceeds every earlier module row's time.  A tick's pressures are
-    gathered only when it is read.  A lookahead runs on while the
-    following ticks hold exactly one row per module of the current tick,
-    in the same order.
+    read_pressure and lookahead return the recorded sensed pressures;
+    set_valve verifies the command matches the recording and raises
+    ReplayMismatchError naming both modes if it does not.  advance and tick
+    move to later recorded instants and raise EndOfRecordingError past the
+    end.  The module rows (module_id 0 rows are station events) become the
+    grid once, here; the first tick ends where its first module id comes
+    round again.
     """
 
     def __init__(self, samples: Sequence, dt: float):
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.dt = dt
         self.mismatches = 0
         self._last_cmd_t: dict[int, float] = {}
         log = samples if isinstance(samples, TelemetryLog) else TelemetryLog.from_samples(samples)
-        self._log = log
-        # _bounds[k]:_bounds[k + 1] is tick k's row range
-        self._bounds: list[int] = []
-        current_t = None
-        for i, (t, mid) in enumerate(zip(log.time_s, log.module_id)):
-            if mid == 0:
-                continue
-            if current_t is None or t > current_t:
-                current_t = t
-                self._bounds.append(i)
-        if not self._bounds:
+        mids = np.fromiter(log.module_id, np.int64, len(log))
+        rows = np.flatnonzero(mids)
+        if not rows.size:
             raise ValueError("recording contains no module samples")
-        self._bounds.append(len(log))
-        self._n_ticks = len(self._bounds) - 1
+        mids = mids[rows]
+        again = np.flatnonzero(mids[1:] == mids[0])
+        m = int(again[0]) + 1 if again.size else len(mids)
+        self._time = _tick_times(mids, np.fromiter(log.time_s, float, len(log))[rows], m, dt)
+        self._ids = tuple(mids[:m].tolist())
+        self._cols = {mid: i for i, mid in enumerate(self._ids)}
+        self._pressure = np.fromiter(log.pressure_kPa, float, len(log))[rows].reshape(-1, m)
+        self._rows = rows.reshape(-1, m)  # log row of each grid cell, for its valve
+        self._valve = log.valve
+        self._pressure.flags.writeable = self._time.flags.writeable = False  # lookahead shares them
         self._k = 0
-        self._sensed_k = -1
-        self._sensed: dict[int, float] = {}
 
-    def read_all(self) -> dict[int, float]:
-        """The current tick's {module_id: sensed kPa}, built on first use."""
-        k = self._k
-        if k >= self._n_ticks:
+    def _current(self) -> int:
+        if self._k >= len(self._time):
             raise EndOfRecordingError("end of recording")
-        if self._sensed_k != k:
-            rows = slice(self._bounds[k], self._bounds[k + 1])
-            self._sensed = dict(zip(self._log.module_id[rows], self._log.pressure_kPa[rows]))
-            self._sensed.pop(0, None)  # station event rows
-            self._sensed_k = k
-        return self._sensed
+        return self._k
+
+    def _col(self, module_id: int) -> int:
+        if module_id not in self._cols:
+            raise ValueError(f"no such endpoint: module {module_id}")
+        return self._cols[module_id]
 
     @property
     def now(self) -> float:
-        if self._k >= self._n_ticks:
-            raise EndOfRecordingError("end of recording")
-        return self._log.time_s[self._bounds[self._k]]
+        return self._time[self._current()].item()
 
     def read_pressure(self, module_id: int) -> tuple[float, float]:
-        sensed = self.read_all()
-        if module_id not in sensed:
-            raise ValueError(f"no such endpoint: module {module_id}")
-        return sensed[module_id], self.now
+        k = self._current()
+        return self._pressure[k, self._col(module_id)].item(), self._time[k].item()
 
     def set_valve(self, cmd: ValveCommand) -> bool:
-        if cmd.module_id not in self.read_all():
-            raise ValueError(f"no such endpoint: module {cmd.module_id}")
+        k, col = self._current(), self._col(cmd.module_id)
         if cmd.mode not in VALVE_MODES:
             raise ValueError(f"unknown valve mode {cmd.mode!r}")
         last = self._last_cmd_t.get(cmd.module_id, -math.inf)
@@ -256,9 +237,7 @@ class ReplayBackend:
                 f"(module {cmd.module_id}: {cmd.timestamp} < {last})"
             )
         self._last_cmd_t[cmd.module_id] = cmd.timestamp
-        # the tick's last row for the module, as read_all keeps the last pressure
-        mids, rows = self._log.module_id, range(self._bounds[self._k], self._bounds[self._k + 1])
-        recorded = next(self._log.valve[i] for i in reversed(rows) if mids[i] == cmd.module_id)
+        recorded = self._valve[self._rows[k, col]]
         if recorded != cmd.mode:
             self.mismatches += 1
             raise ReplayMismatchError(
@@ -270,31 +249,15 @@ class ReplayBackend:
     def lookahead(self, n: int) -> Rows:
         if n < 1:
             raise ValueError(f"lookahead needs n >= 1, got {n}")
-        sensed = self.read_all()
-        ids = tuple(sensed)
-        m = len(ids)
-        k = self._k
-        # following ticks of exactly m rows whose module ids repeat the current tick's
-        after = self._bounds[k + 1:min(k + n, self._n_ticks) + 1]
-        uneven = np.flatnonzero(np.diff(after) != m)
-        good = int(uneven[0]) if uneven.size else len(after) - 1
-        a = after[0]
-        if good:
-            mids = np.array(self._log.module_id[a:a + good * m]).reshape(good, m)
-            differs = np.flatnonzero((mids != ids).any(axis=1))
-            if differs.size:
-                good = int(differs[0])
-        b = a + good * m
-        pressure = np.empty((1 + good, m))
-        pressure[0] = list(sensed.values())
-        pressure[1:] = np.array(self._log.pressure_kPa[a:b]).reshape(good, m)
-        return Rows(ids, pressure, np.array([self.now] + self._log.time_s[a:b:m]))
+        k = self._current()
+        ticks = slice(k, k + n)
+        return Rows(self._ids, self._pressure[ticks], self._time[ticks])
 
     def advance(self, j: int) -> None:
         if j < 0:
             raise ValueError(f"advance needs j >= 0, got {j}")
-        if self._k + j >= self._n_ticks:
-            self._k = self._n_ticks
+        if self._k + j >= len(self._time):
+            self._k = len(self._time)
             raise EndOfRecordingError("end of recording")
         self._k += j
 
@@ -306,3 +269,39 @@ class ReplayBackend:
 
     def drain_events(self) -> list[tuple[int, str]]:
         return []
+
+
+# The recorded time of tick k is k * dt rounded to the file's 6 decimals; the
+# slack covers the rounding of k * dt itself.
+_TIME_TOLERANCE = 5e-7 + 1e-9
+
+
+def _tick_times(mids: np.ndarray, times: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """The time of each tick of a recording's module rows, m rows a tick.
+
+    Raises:
+        ValueError: naming the first tick whose module ids repeat one or are
+            not the first tick's, in order, whose rows are not at one time,
+            or whose time is not k * dt.
+    """
+    ids = mids[:m].tolist()
+    if len(set(ids)) < m:
+        raise ValueError(f"recording is not a tick grid: tick 0: module ids {ids} repeat a module")
+    n = len(mids) // m
+    bad = np.flatnonzero((mids[:n * m].reshape(n, m) != mids[:m]).any(axis=1))
+    if bad.size or n * m < len(mids):  # a bad tick, or a short last one
+        k = int(bad[0]) if bad.size else n
+        raise ValueError(f"recording is not a tick grid: tick {k}: module ids "
+                         f"{mids[k * m:(k + 1) * m].tolist()} are not the first tick's {ids}")
+    grid = times.reshape(n, m)
+    split = np.flatnonzero((grid != grid[:, :1]).any(axis=1))
+    if split.size:
+        k = int(split[0])
+        raise ValueError(f"recording is not a tick grid: tick {k}: rows at {grid[k].tolist()} s")
+    t = grid[:, 0].copy()
+    off = np.flatnonzero(~(np.abs(t - np.arange(n) * dt) <= _TIME_TOLERANCE))
+    if off.size:
+        k = int(off[0])
+        raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "
+                         f"not at {k * dt} s")
+    return t

@@ -24,12 +24,12 @@ stepping one tick at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import RingGeometry, SurrogateMaterial, surrogate_inflation
+from .geometry import RingGeometry, SurrogateMaterial, require_finite, surrogate_inflation
 
 COMPRESSION = "Compression"
 LONGITUDINAL = "Longitudinal"
@@ -116,14 +116,6 @@ class PlantParams:
         """
         extra = self.contact_rate_slope * max(0.0, r_o_over_r - CONTACT_RATE_KNEE)
         return self.k_free * (1.0 + extra)
-
-
-def require_finite(config) -> None:
-    """Reject a NaN or infinite value in any float field of a dataclass."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def full_compression_inflation(

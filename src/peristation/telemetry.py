@@ -77,7 +77,7 @@ _WRITE_TICKS = 256
 def _one_value(values: np.ndarray) -> bool:
     """Whether every float has the bits of the first (so 0.0 and -0.0 differ)."""
     bits = values.view(np.int64)
-    return bool((bits == bits[0]).all())
+    return len(bits) < 2 or bool((bits == bits[0]).all())
 
 
 class TelemetryWriter:
@@ -103,63 +103,64 @@ class TelemetryWriter:
         """
         if rows.inflation is None:
             raise ValueError("recording requires plant ground truth")
-        write = self._f.write
-        by_module = {}
-        station = []
+        texts = {}
         for mid, text in events:
-            if mid == 0:
-                station.append(text)
-            else:
-                by_module.setdefault(mid, []).append(text)
-        oz = rows.object_z[0].item()
-        sensed = rows.pressure[0].tolist()
-        inflation = rows.inflation[0].tolist()
-        for i, mod in enumerate(layout.modules):
-            ev = ";".join(by_module.get(mod.id, ()))
-            write(
-                f"{now[0]:.6f},{mod.id},{mod.kind},{sensed[i]:.6f},{valves[mod.id]},"
-                f"{inflation[i]:.6f},{oz:.6f},{phase},{ev}\n"
-            )
-        for text in station:
-            write(f"{now[0]:.6f},0,-,0.000000,-,0.000000,{oz:.6f},{phase},{text}\n")
-        if len(now) < 2:
+            texts.setdefault(mid, []).append(text)
+        self._write(now, rows, 0, 1, valves, phase, layout, texts)
+        self._write(now, rows, 1, len(now), valves, phase, layout, {})
+
+    def _write(self, now, rows, a, b, valves, phase, layout, texts):
+        """Write ticks a to b - 1 of a record() call, each with the events in texts.
+
+        Each tick is one %-template: time and object z are formatted once
+        per tick, and a column that holds one value over the ticks (a held
+        valve, a saturated ring, an object at rest) once per call.
+        """
+        if a >= b:
             return
-        # The later ticks carry no events.  They are written with one
-        # %-template per tick: time and object z are formatted once per
-        # tick, and a column that holds one value over the run (a held
-        # valve, a saturated ring, an object at rest) once per call.
         tick = []
         fields = []  # per template field: "time", "z", or a float column
 
         def floats(column) -> str:
             """A column's template text: its value when it holds one, else a field."""
-            if _one_value(column[1:]):
-                return "%.6f" % column[1].item()
+            if _one_value(column[a:b]):
+                return "%.6f" % column[a].item()
             fields.append(column)
             return "%.6f"
 
-        z_varies = not _one_value(rows.object_z[1:])
-        z_text = "%s" if z_varies else "%.6f" % rows.object_z[1].item()
-        for i, mod in enumerate(layout.modules):
+        def begin(head):
+            """A row's time and its text up to the first float column."""
             fields.append("time")
-            tick.append("%s" + f",{mod.id},{mod.kind},".replace("%", "%%"))
+            tick.append("%s," + head.replace("%", "%%"))
+
+        def end(event):
+            """A row's object z, phase and event text."""
+            if z_varies:
+                fields.append("z")
+            tick.append("," + z_text + f",{phase},{event}\n".replace("%", "%%"))
+
+        z_varies = not _one_value(rows.object_z[a:b])
+        z_text = "%s" if z_varies else "%.6f" % rows.object_z[a].item()
+        for i, mod in enumerate(layout.modules):
+            begin(f"{mod.id},{mod.kind},")
             tick.append(floats(rows.pressure[:, i]))
             tick.append(f",{valves[mod.id]},".replace("%", "%%"))
             tick.append(floats(rows.inflation[:, i]))
-            if z_varies:
-                fields.append("z")
-            tick.append("," + z_text + f",{phase},\n".replace("%", "%%"))
+            end(";".join(texts.get(mod.id, ())))
+        for text in texts.get(0, ()):
+            begin("0,-,0.000000,-,0.000000")
+            end(text)
         template = "".join(tick)
         width = len(fields)
-        for a in range(1, len(now), _WRITE_TICKS):
-            b = min(a + _WRITE_TICKS, len(now))
-            text = {"time": ["%.6f" % t for t in now[a:b]]}
+        for c in range(a, b, _WRITE_TICKS):
+            d = min(c + _WRITE_TICKS, b)
+            text = {"time": ["%.6f" % t for t in now[c:d]]}
             if z_varies:
-                text["z"] = ["%.6f" % z for z in rows.object_z[a:b].tolist()]
-            args = [None] * (width * (b - a))
+                text["z"] = ["%.6f" % z for z in rows.object_z[c:d].tolist()]
+            args = [None] * (width * (d - c))
             for k, field in enumerate(fields):
-                args[k::width] = text[field] if isinstance(field, str) else field[a:b].tolist()
-            write(template * (b - a) % tuple(args))
+                args[k::width] = text[field] if isinstance(field, str) else field[c:d].tolist()
+            self._f.write(template * (d - c) % tuple(args))
 
     def close(self):
         self._f.close()

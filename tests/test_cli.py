@@ -16,6 +16,8 @@ from peristation.cli import main, parse_range
 from peristation.config import (
     DEFAULT_CONTROL,
     DEFAULT_DETECTION,
+    DEFAULT_GEOMETRY,
+    DEFAULT_MATERIAL,
     DEFAULT_OBJECT,
     DEFAULT_PLANT,
     DEFAULT_STATION,
@@ -113,6 +115,26 @@ class TestValidate:
          "station: module 1: height_h must be finite, got nan"),
         ("station:\n  compression_height: .inf\n",
          "station: module 1: height_h must be finite, got inf"),
+        ("material:\n  youngs_modulus_E: 0\n",
+         "material: youngs_modulus_E must be > 0, got 0"),
+        ("material:\n  youngs_modulus_E: .inf\n",
+         "material: youngs_modulus_E must be finite, got inf"),
+        ("material:\n  youngs_modulus_E: -.inf\n",
+         "material: youngs_modulus_E must be finite, got -inf"),
+        ("material:\n  youngs_modulus_E: .nan\n",
+         "material: youngs_modulus_E must be finite, got nan"),
+        ("material:\n  youngs_modulus_E: -1\n",
+         "material: youngs_modulus_E must be > 0, got -1"),
+        ("material:\n  poisson_ratio_nu: .nan\n",
+         "material: poisson_ratio_nu must be finite, got nan"),
+        ("material:\n  poisson_ratio_nu: .inf\n",
+         "material: poisson_ratio_nu must be finite, got inf"),
+        ("material:\n  poisson_ratio_nu: -.inf\n",
+         "material: poisson_ratio_nu must be finite, got -inf"),
+        ("material:\n  calibration_target: .nan\n",
+         "material: target_ratio must be finite and > 0, got nan"),
+        ("material:\n  calibration_target: .inf\n",
+         "material: target_ratio must be finite and > 0, got inf"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, problem):
         cfg = write_cfg(tmp_path, text)
@@ -297,6 +319,8 @@ def fuzz_values(default):
 FUZZ_FIELDS = {
     (section, key): fuzz_values(default)
     for section, defaults in (
+        ("geometry", DEFAULT_GEOMETRY),
+        ("material", DEFAULT_MATERIAL),
         ("plant", DEFAULT_PLANT),
         ("detection", DEFAULT_DETECTION),
         ("control", DEFAULT_CONTROL),
@@ -307,14 +331,24 @@ FUZZ_FIELDS = {
     for key, default in defaults.items()
 }
 
+# A section given only as a whole: a fuzzed field replaces one of its defaults.
+WHOLE_SECTIONS = {"geometry": DEFAULT_GEOMETRY}
+
+
+def fuzzed_config(fields):
+    """A config of (section, key, value) triples."""
+    config = {}
+    for section, key, value in fields:
+        config.setdefault(section, dict(WHOLE_SECTIONS.get(section, {})))[key] = value
+    return config
+
 
 @st.composite
 def fuzzed_configs(draw):
-    config = {}
-    for section, key in draw(st.lists(st.sampled_from(sorted(FUZZ_FIELDS)), unique=True,
-                                      min_size=2, max_size=4)):
-        config.setdefault(section, {})[key] = draw(st.sampled_from(FUZZ_FIELDS[section, key]))
-    return config
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_FIELDS)), unique=True,
+                         min_size=2, max_size=4))
+    return fuzzed_config((section, key, draw(st.sampled_from(FUZZ_FIELDS[section, key])))
+                         for section, key in keys)
 
 
 def check_config(config):
@@ -335,7 +369,7 @@ class TestConfigFuzz:
     def test_each_field_value_alone(self):
         for (section, key), values in FUZZ_FIELDS.items():
             for value in values:
-                check_config({section: {key: value}})
+                check_config(fuzzed_config([(section, key, value)]))
 
     @settings(max_examples=200, deadline=None)
     @given(config=fuzzed_configs())

@@ -26,6 +26,7 @@ from peristation import (
     SimulatedBackend,
     StationController,
     SurrogateMaterial,
+    TelemetrySample,
     TelemetryWriter,
     ValveCommand,
     build_station,
@@ -69,9 +70,6 @@ class CommandDropper:
     @property
     def now(self):
         return self.inner.now
-
-    def read_all(self):
-        return self.inner.read_all()
 
     def read_pressure(self, module_id):
         return self.inner.read_pressure(module_id)
@@ -281,7 +279,7 @@ class TestStationController:
         )
 
     def zeros(self, layout):
-        return {mod.id: 0.0 for mod in layout.modules}
+        return [0.0] * len(layout.modules)
 
     def test_baselines_default_to_free_rate(self, five_module_layout):
         c = self.controller(five_module_layout)
@@ -331,7 +329,7 @@ class TestStationController:
     def test_saturated_probe_trace_aborts_detection(self, five_module_layout):
         c = self.controller(five_module_layout)
         texts = []
-        sensed = {mod.id: 15.0 for mod in five_module_layout.modules}
+        sensed = [15.0] * len(five_module_layout.modules)
         for k in range(2502):
             if c.done:
                 break
@@ -372,7 +370,7 @@ class TestStationController:
 
         def acts(i):
             state = (ref.phase, ref.stage, ref.level, ref.done, dict(ref.valves))
-            changed = ref.update(times[i].item(), dict(zip(range(1, 6), sensed[i].tolist())))
+            changed = ref.update(times[i].item(), sensed[i].tolist())
             return bool(changed or ref.take_events()) or state != (
                 ref.phase, ref.stage, ref.level, ref.done, dict(ref.valves))
 
@@ -546,6 +544,31 @@ class TestReplayEquivalence:
         with pytest.raises(ValueError, match="no such endpoint: module 4"):
             run_station(replay, five_module_layout, spec, 0.0, params, DetectionConfig(),
                         ControlConfig(), 20.0)
+
+    def test_replay_at_another_dt_rejected(self, five_module_layout, material, tmp_path):
+        """A 1 ms recording replayed at 0.5 ms would take other decisions
+        ("undetectable object" after 3 cycles, not "object exited" after 5);
+        the backend refuses it instead."""
+        params = PlantParams(noise_sigma=0.05, rng_seed=0)
+        backend = sim_backend(five_module_layout, material, params)
+        path = tmp_path / "run.csv"
+        with TelemetryWriter(path) as writer:
+            live = run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                               params, DetectionConfig(), ControlConfig(), 120.0,
+                               recorder=writer)
+        assert live.outcome == "object exited"
+        log = read_telemetry(path)
+        for dt in (5e-4, 2e-3):
+            with pytest.raises(ValueError,
+                               match=rf"does not tick at dt={dt}: tick 1 is at 0.001 s, not at {dt} s"):
+                ReplayBackend(log, dt)
+
+    def test_backend_modules_out_of_layout_order_rejected(self, three_module_layout, params):
+        rows = [TelemetrySample(k * DT, mid, "Compression", 0.0, HOLD, 0.0, 0.0, "L0:Grasp", "")
+                for k in range(3) for mid in (3, 2, 1)]
+        with pytest.raises(ValueError, match=r"backend modules \(3, 2, 1\) are not the layout's"):
+            run_station(ReplayBackend(rows, DT), three_module_layout, None, 0.0, params,
+                        DetectionConfig(), ControlConfig(), 1.0)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 0.1))

@@ -159,9 +159,34 @@ class TestCalibrateKappa:
         with pytest.raises(ValueError, match="target_ratio"):
             calibrate_kappa(geometry, 100.0, 0.0, 15.0)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_nonfinite_target_rejected(self, geometry, target):
+        with pytest.raises(ValueError, match="target_ratio must be finite and > 0"):
+            calibrate_kappa(geometry, 100.0, target, 15.0)
+
+    @pytest.mark.parametrize("E", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_bad_modulus_rejected(self, geometry, E):
+        with pytest.raises(ValueError, match="youngs_modulus_E must be"):
+            calibrate_kappa(geometry, E, 0.69, 15.0)
+
     def test_zero_pressure_rejected(self, geometry):
         with pytest.raises(ValueError):
             calibrate_kappa(geometry, 100.0, 0.69, 0.0)
+
+
+class TestSurrogateMaterial:
+    @pytest.mark.parametrize("fields, problem", [
+        ((0.0, 0.45, 8.0), "youngs_modulus_E must be > 0"),
+        ((-1.0, 0.45, 8.0), "youngs_modulus_E must be > 0"),
+        ((math.inf, 0.45, 8.0), "youngs_modulus_E must be finite"),
+        ((math.nan, 0.45, 8.0), "youngs_modulus_E must be finite"),
+        ((100.0, math.nan, 8.0), "poisson_ratio_nu must be finite"),
+        ((100.0, -math.inf, 8.0), "poisson_ratio_nu must be finite"),
+        ((100.0, 0.45, math.inf), "calibration_kappa must be finite"),
+    ])
+    def test_rejected(self, fields, problem):
+        with pytest.raises(ValueError, match=problem):
+            SurrogateMaterial(*fields)
 
 
 class TestSweep:

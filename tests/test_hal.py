@@ -1,5 +1,7 @@
 """Backend contract: simulated sensing/actuation and recorded-stream replay."""
 
+import re
+
 import pytest
 
 from peristation import (
@@ -59,7 +61,7 @@ class TestSimulatedBackend:
             backend.set_valve(ValveCommand(9, HOLD, 0.0))
 
     def test_endpoints_expose_both_capabilities(self, backend):
-        assert sorted(backend.read_all()) == [1, 2, 3]
+        assert backend.lookahead(1).ids == (1, 2, 3)
         for mid in (1, 2, 3):
             assert backend.read_pressure(mid) == (0.0, 0.0)
             assert backend.set_valve(ValveCommand(mid, INFLATE, 0.0))
@@ -117,17 +119,15 @@ class TestSimulatedBackend:
         assert noisy.plant.pressure(1) == clean.plant.pressure(1)
         assert noisy.read_pressure(1) != clean.read_pressure(1)
 
-    def test_read_all_is_a_snapshot_of_every_module(self, three_module_layout, material):
+    def test_read_pressure_is_the_current_row(self, three_module_layout, material):
         backend = noisy_backend(three_module_layout, material, seed=4)
         backend.set_valve(ValveCommand(1, INFLATE, 0.0))
         backend.tick(1e-3)
-        snapshot = backend.read_all()
-        assert snapshot == {mid: backend.read_pressure(mid)[0] for mid in (1, 2, 3)}
-        assert all(type(v) is float for v in snapshot.values())
-        before = dict(snapshot)
+        reads = [backend.read_pressure(mid)[0] for mid in (1, 2, 3)]
+        assert reads == backend.lookahead(1).pressure[0].tolist()
+        assert all(type(v) is float for v in reads)
         backend.tick(1e-3)
-        assert snapshot == before
-        assert backend.read_all() != before
+        assert [backend.read_pressure(mid)[0] for mid in (1, 2, 3)] != reads
 
     def test_noise_draws_do_not_depend_on_read_pattern(self, three_module_layout, material):
         reads_all = noisy_backend(three_module_layout, material, seed=11)
@@ -147,14 +147,13 @@ class TestSimulatedBackend:
             backend.set_valve(ValveCommand(1, INFLATE, 0.0))
         reads = []
         for k in range(101):
-            reads.append((ticked.now, ticked.read_all()))
+            reads.append((ticked.now, [ticked.read_pressure(mid)[0] for mid in (1, 2, 3)]))
             if k == 40:
                 ticked.set_valve(ValveCommand(2, INFLATE, ticked.now))
             ticked.tick(1e-3)
 
         def rows_match(look, k):
-            return [(t, dict(zip(look.ids, p))) for t, p in
-                    zip(look.time.tolist(), look.pressure.tolist())] == reads[k:k + len(look)]
+            return list(zip(look.time.tolist(), look.pressure.tolist())) == reads[k:k + len(look)]
 
         assert rows_match(blocks.lookahead(30), 0)
         blocks.advance(20)  # the noise of ticks 20 to 29 stays drawn
@@ -163,7 +162,7 @@ class TestSimulatedBackend:
         blocks.set_valve(ValveCommand(2, INFLATE, blocks.now))
         assert rows_match(blocks.lookahead(10), 40)
         blocks.advance(60)  # past the lookahead
-        assert (blocks.now, blocks.read_all()) == reads[100]
+        assert (blocks.now, [blocks.read_pressure(mid)[0] for mid in (1, 2, 3)]) == reads[100]
 
     def test_drain_events_collects_then_clears(self, three_module_layout, material, params):
         obj = ObjectState(ObjectSpec(17.5, 30.0), 45.0)
@@ -189,56 +188,72 @@ class TestReplayBackend:
         assert backend.now == 0.001
         assert backend.read_pressure(1) == (2.0, 0.001)
 
-    def test_read_all_is_a_snapshot_of_the_tick(self):
+    def test_read_pressure_follows_the_ticks(self):
         backend = replay_fixture()
-        snapshot = backend.read_all()
-        assert snapshot == {1: 1.0, 2: 2.0}
+        assert [backend.read_pressure(mid) for mid in (1, 2)] == [(1.0, 0.0), (2.0, 0.0)]
         backend.tick(1e-3)
-        assert snapshot == {1: 1.0, 2: 2.0}
-        assert backend.read_all() == {1: 2.0, 2: 3.0}
+        reads = [backend.read_pressure(mid) for mid in (1, 2)]
+        assert reads == [(2.0, 0.001), (3.0, 0.001)]
+        assert all(type(v) is float for read in reads for v in read)
         backend.tick(1e-3)
         with pytest.raises(EndOfRecordingError):
             backend.tick(1e-3)
         with pytest.raises(EndOfRecordingError):
-            backend.read_all()
+            backend.lookahead(1)
 
-    def test_tick_grouping_and_last_row_wins(self):
-        rows = [
-            sample(0.0, 1, 1.0, INFLATE),
-            sample(0.001, 1, 2.0, HOLD),
-            sample(0.0005, 1, 3.0, DEFLATE),  # not past the latest time: joins that tick
-        ]
-        backend = ReplayBackend(rows, 1e-3)
-        backend.tick(1e-3)
-        assert backend.now == 0.001
-        assert backend.read_all() == {1: 3.0}
-        assert backend.set_valve(ValveCommand(1, DEFLATE, 0.001))
-        with pytest.raises(EndOfRecordingError):
-            backend.tick(1e-3)
+    @pytest.mark.parametrize("ticks, bad", [
+        ([(0, (1, 2)), (1, (1, 2)), (2, (2, 1))],
+         "not a tick grid: tick 2: module ids [2, 1] are not the first tick's [1, 2]"),
+        ([(0, (1, 2)), (1, (1,)), (2, (1, 2))], "not a tick grid: tick 1: module ids [1, 1]"),
+        ([(0, (1, 2)), (1, (1, 2)), (2, (1,))], "not a tick grid: tick 2: module ids [1]"),
+        ([(0, (1, 2)), (1, (1, 2, 3)), (2, (1, 2))], "not a tick grid: tick 2: module ids [3, 1]"),
+        ([(0, (1, 2, 2)), (1, (1, 2, 2))], "not a tick grid: tick 0: module ids [1, 2, 2] repeat"),
+        ([(0, (1, 2)), (1, (1, 2)), (1, (1, 2))],
+         "does not tick at dt=0.001: tick 2 is at 0.001 s, not at 0.002 s"),
+        ([(0, (1, 2)), (2, (1, 2)), (1, (1, 2))],
+         "does not tick at dt=0.001: tick 1 is at 0.002 s, not at 0.001 s"),
+        ([(0, (1, 2)), (1, (1,)), (1.5, (2,))],
+         "not a tick grid: tick 1: rows at [0.001, 0.0015] s"),
+    ], ids=["swapped order", "missing module", "short last tick", "extra module",
+            "repeated module", "repeated time", "decreasing time", "rows at two times"])
+    def test_recording_that_is_not_a_grid_rejected(self, ticks, bad):
+        rows = [sample(k * 1e-3, mid, 1.0, HOLD) for k, ids in ticks for mid in ids]
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            ReplayBackend(rows, 1e-3)
 
-    def test_lookahead_repeats_the_tick_reads(self):
-        """A lookahead holds the next ticks' reads and stops before a tick
-        whose rows are not one per module of the current tick, in order."""
-        layouts = [(1, 2), (1, 2), (1, 2), (2, 1), (1, 2), (1, 3), (1, 2, 0), (1, 2)]
-        rows = [sample(k * 1e-3, mid, 10.0 * k + mid, HOLD)
-                for k, ids in enumerate(layouts) for mid in ids]
-        backend = ReplayBackend(rows, 1e-3)
-        lengths = []
-        for k in range(len(layouts)):
-            look = backend.lookahead(8)
-            lengths.append(len(look))
-            reads = ReplayBackend(rows, 1e-3)
-            reads.advance(k)
+    @pytest.mark.parametrize("dt, bad", [(5e-4, "tick 1 is at 0.001 s, not at 0.0005 s"),
+                                         (2e-3, "tick 1 is at 0.001 s, not at 0.002 s")])
+    def test_recording_at_another_dt_rejected(self, dt, bad):
+        rows = [sample(k * 1e-3, mid, 1.0, HOLD) for k in range(3) for mid in (1, 2)]
+        with pytest.raises(ValueError, match=f"does not tick at dt={dt}: {re.escape(bad)}"):
+            ReplayBackend(rows, dt)
+
+    def test_lookahead_repeats_the_tick_reads(self, recording):
+        """On a recording, a lookahead's rows are the reads of the ticks it
+        covers, up to the end of the recording."""
+        backend = ReplayBackend(read_telemetry(recording), 1e-3)
+        ticked = ReplayBackend(read_telemetry(recording), 1e-3)
+        looked = 0
+        while True:
+            look = backend.lookahead(700)
+            assert not look.pressure.flags.writeable  # a view of the grid
             for i in range(len(look)):
-                if i:
-                    reads.advance(1)
-                assert dict(zip(look.ids, look.pressure[i].tolist())) == reads.read_all()
-                assert look.time[i] == reads.now
-            if k + 1 < len(layouts):
-                backend.advance(1)
-        assert lengths == [3, 2, 1, 1, 1, 1, 2, 1]
+                assert look.time[i] == ticked.now
+                assert look.pressure[i].tolist() == [ticked.read_pressure(mid)[0]
+                                                     for mid in look.ids]
+                try:
+                    ticked.tick(1e-3)
+                except EndOfRecordingError:
+                    assert i == len(look) - 1 < 699
+                    break
+            looked += len(look)
+            try:
+                backend.advance(len(look))
+            except EndOfRecordingError:
+                break
+        assert looked > 1000
         with pytest.raises(EndOfRecordingError):
-            backend.advance(1)
+            backend.lookahead(1)
 
     def test_log_and_sample_list_replay_identically(self, recording):
         backends = [ReplayBackend(read_telemetry(recording), 1e-3),
@@ -255,7 +270,8 @@ class TestReplayBackend:
                         verdicts.append(backend.set_valve(ValveCommand(mid, INFLATE, now)))
                     except ReplayMismatchError:
                         verdicts.append(False)
-                seen.append((now, backend.read_all(), reads, verdicts, backend.mismatches))
+                seen.append((now, backend.lookahead(1).pressure[0].tolist(), reads, verdicts,
+                             backend.mismatches))
             assert seen[0] == seen[1]
             ticks += 1
             try:
@@ -328,7 +344,7 @@ class TestReplayBackend:
 
     def test_endpoints_from_first_tick(self):
         backend = replay_fixture()
-        assert sorted(backend.read_all()) == [1, 2]
+        assert backend.lookahead(1).ids == (1, 2)
 
     def test_replay_of_recorded_simulation(self, three_module_layout, material, tmp_path):
         from peristation import TelemetryWriter, read_telemetry
