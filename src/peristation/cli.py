@@ -8,6 +8,7 @@ files (baselines CSV, telemetry CSV, sweep CSV).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -27,35 +28,41 @@ from .plant import COMPRESSION, ObjectState, Plant
 from .telemetry import TelemetryWriter
 
 
+# The most values a range spec may give; a sweep evaluates each one.
+MAX_RANGE_VALUES = 10_000
+
+
 def parse_range(spec: str) -> list[float]:
-    """Parse "start:stop:step" (stop inclusive) or a comma list of values."""
+    """Parse "start:stop:step" (stop inclusive) or a comma list of values.
+
+    Every part must be finite, and the spec may give at most
+    MAX_RANGE_VALUES values; the count is known before any is built.
+    """
     spec = spec.strip()
     if not spec:
         raise ConfigError("empty range spec")
+    parts = spec.split(":") if ":" in spec else spec.split(",")
+    if ":" in spec and len(parts) != 3:
+        raise ConfigError(f"range spec must be start:stop:step, got {spec!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"malformed range spec {spec!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"range spec values must be finite, got {spec!r}")
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range spec must be start:stop:step, got {spec!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"malformed range spec {spec!r}") from None
+        start, stop, step = values
         if step <= 0:
             raise ConfigError(f"range step must be > 0, got {step}")
         if stop < start:
             raise ConfigError(f"range stop must be >= start, got {spec!r}")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9:
-                return values
-            values.append(v)
-            k += 1
-    try:
-        return [float(p) for p in spec.split(",")]
-    except ValueError:
-        raise ConfigError(f"malformed range spec {spec!r}") from None
+        last = (stop + 1e-9 - start) / step  # index of the last value, give or take rounding
+        if not last < MAX_RANGE_VALUES:
+            raise ConfigError(f"range spec {spec!r} gives more than {MAX_RANGE_VALUES} values")
+        values = [v for v in (start + k * step for k in range(int(last) + 2)) if v <= stop + 1e-9]
+    if len(values) > MAX_RANGE_VALUES:
+        raise ConfigError(f"range spec {spec!r} gives more than {MAX_RANGE_VALUES} values")
+    return values
 
 
 def _load(path: Optional[str]) -> Optional[RunConfig]:
@@ -64,6 +71,16 @@ def _load(path: Optional[str]) -> Optional[RunConfig]:
     except (ConfigError, OSError) as e:
         print(f"config error: {e}")
         return None
+
+
+def _override_seed(cfg: RunConfig, seed: Optional[int]) -> None:
+    """--seed replaces the plant's rng_seed, checked as the config field is."""
+    if seed is None or cfg.params is None:
+        return
+    try:
+        cfg.params = replace(cfg.params, rng_seed=seed)
+    except ValueError as e:
+        cfg.problems.append(f"--seed: {e}")
 
 
 def _report_problems(cfg: RunConfig) -> bool:
@@ -88,10 +105,9 @@ def cmd_calibrate(args) -> int:
     cfg = _load(args.config)
     if cfg is None:
         return 2
+    _override_seed(cfg, args.seed)
     if _report_problems(cfg):
         return 1
-    if args.seed is not None:
-        cfg.params = replace(cfg.params, rng_seed=args.seed)
     obj = None
     if cfg.calibration_with_object and cfg.object_spec is not None:
         obj = ObjectState(cfg.object_spec, cfg.initial_z)
@@ -124,17 +140,23 @@ def cmd_run(args) -> int:
             cfg.problems.remove(problem)
         cfg.duration_s = args.duration
         cfg.problems.extend(duration_problems(cfg.duration_s))
+    _override_seed(cfg, args.seed)
     if _report_problems(cfg):
         return 1
-    if args.seed is not None:
-        cfg.params = replace(cfg.params, rng_seed=args.seed)
     detection = cfg.detection
     if args.baselines:
         try:
-            detection = replace(detection, baseline_rates=load_baselines(args.baselines))
+            rates = load_baselines(args.baselines)
         except (ConfigError, OSError) as e:
             print(f"config error: {e}")
             return 2
+        rings = {mod.id for mod in cfg.layout.modules if mod.kind == COMPRESSION}
+        strays = sorted(set(rates) - rings)
+        if strays:
+            print(f"config error: {args.baselines}: module {strays[0]} is not a "
+                  f"Compression ring of the station (rings: {sorted(rings)})")
+            return 2
+        detection = replace(detection, baseline_rates=rates)
     obj = ObjectState(cfg.object_spec, cfg.initial_z) if cfg.object_spec else None
     plant = Plant(cfg.layout, obj, cfg.params, cfg.material)
     backend = SimulatedBackend(plant)

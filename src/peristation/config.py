@@ -316,7 +316,12 @@ BASELINES_HEADER = "module_id,rate_kPa_per_s"
 
 
 def load_baselines(path: str) -> dict[int, float]:
-    """Read a calibration CSV into {module_id: rate}."""
+    """Read a calibration CSV into {module_id: rate}.
+
+    Raises:
+        ConfigError: wrong header, malformed row, or a rate that is not
+            finite and > 0.
+    """
     out: dict[int, float] = {}
     with open(path, "r") as f:
         header = f.readline().strip()
@@ -330,9 +335,13 @@ def load_baselines(path: str) -> dict[int, float]:
             if len(parts) != 2:
                 raise ConfigError(f"baselines line {lineno}: expected 2 columns")
             try:
-                out[int(parts[0])] = float(parts[1])
+                mid, rate = int(parts[0]), float(parts[1])
             except ValueError:
                 raise ConfigError(f"baselines line {lineno}: malformed row {line!r}") from None
+            if not 0 < rate < math.inf:
+                raise ConfigError(f"baselines line {lineno}: rate must be finite and > 0, "
+                                  f"got {rate}")
+            out[mid] = rate
     return out
 
 

@@ -606,16 +606,17 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     skips the rows that cannot change its state, the recorder gets them in
     one call with the update tick's row, and the backend advances to the
     first row that goes through update(), which gets that row of the
-    lookahead.  The backend's rows must hold the layout's modules in order.
+    lookahead.  The backend must step at dt = params.dt, and its rows must
+    hold the layout's modules in order.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))
+    if abs(backend.dt - dt) > 1e-12:
+        raise ValueError(f"backend steps at fixed dt={backend.dt}, got {dt}")
     plant = getattr(backend, "plant", None)
-    if plant is not None and abs(plant.params.dt - dt) > 1e-12:
-        raise ValueError(f"simulated backend steps at fixed dt={plant.params.dt}, got {dt}")
     rows = backend.lookahead(1)
     ids = tuple(mod.id for mod in layout.modules)
     if rows.ids != ids:

@@ -20,14 +20,16 @@ and two operations act on the current tick:
   - read_pressure: one module's sensed pressure and the current time;
   - set_valve: command one module's valve, which voids a lookahead.
 
-tick (advance by one) is a thin form of advance.  The controller owns the
-backend and serializes all calls.
+tick (advance by one) is a thin form of advance, and dt is the fixed time
+between ticks.  The controller owns the backend and serializes all calls.
 
 A recording replays only as a grid of ticks x modules: every tick holds one
 row per module, in the first tick's order and at one time, and tick k is at
 k * dt within the file's 6-decimal rounding.  ReplayBackend rejects any
 other recording when it is built, naming the first bad tick, so a replay
-takes its decisions on the ticks the live run took them on.
+takes its decisions on the ticks the live run took them on.  On the ticks
+it commits, each module's recorded valve must be the mode last commanded,
+so a command sent on another tick than the live one is a mismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .plant import Plant, VALVE_MODES
+from .plant import HOLD, Plant, VALVE_MODES
 from .telemetry import TelemetryLog
 
 
@@ -113,6 +115,10 @@ class SimulatedBackend:
         return self._noise[:n]
 
     @property
+    def dt(self) -> float:
+        return self.plant.params.dt
+
+    @property
     def now(self) -> float:
         return self.plant.time
 
@@ -160,10 +166,8 @@ class SimulatedBackend:
     def tick(self, dt: float) -> float:
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        if abs(dt - self.plant.params.dt) > 1e-12:
-            raise ValueError(
-                f"simulated backend steps at fixed dt={self.plant.params.dt}, got {dt}"
-            )
+        if abs(dt - self.dt) > 1e-12:
+            raise ValueError(f"simulated backend steps at fixed dt={self.dt}, got {dt}")
         self.advance(1)
         return self.plant.time
 
@@ -176,13 +180,15 @@ class SimulatedBackend:
 class ReplayBackend:
     """HAL over a recorded telemetry stream, held as a (ticks x modules) grid.
 
-    read_pressure and lookahead return the recorded sensed pressures;
-    set_valve verifies the command matches the recording and raises
-    ReplayMismatchError naming both modes if it does not.  advance and tick
-    move to later recorded instants and raise EndOfRecordingError past the
-    end.  The module rows (module_id 0 rows are station events) become the
-    grid once, here; the first tick ends where its first module id comes
-    round again.
+    read_pressure and lookahead return the recorded sensed pressures.
+    set_valve verifies the command matches the recording, and advance
+    verifies that on each tick it commits every module's recorded valve is
+    its last commanded mode (HOLD, the plant's initial mode, before any
+    command); either raises ReplayMismatchError on a late, early, missing or
+    wrong command.  advance and tick move to later recorded instants and
+    raise EndOfRecordingError past the end.  The module rows (module_id 0
+    rows are station events) become the grid once, here; the first tick
+    ends where its first module id comes round again.
     """
 
     def __init__(self, samples: Sequence, dt: float):
@@ -192,21 +198,28 @@ class ReplayBackend:
         self.mismatches = 0
         self._last_cmd_t: dict[int, float] = {}
         log = samples if isinstance(samples, TelemetryLog) else TelemetryLog.from_samples(samples)
-        mids = np.fromiter(log.module_id, np.int64, len(log))
+        mids = log.module_id
         rows = np.flatnonzero(mids)
         if not rows.size:
             raise ValueError("recording contains no module samples")
         mids = mids[rows]
         again = np.flatnonzero(mids[1:] == mids[0])
         m = int(again[0]) + 1 if again.size else len(mids)
-        self._time = _tick_times(mids, np.fromiter(log.time_s, float, len(log))[rows], m, dt)
+        self._time = _tick_times(mids, log.time_s[rows], m, dt)
         self._ids = tuple(mids[:m].tolist())
         self._cols = {mid: i for i, mid in enumerate(self._ids)}
-        self._pressure = np.fromiter(log.pressure_kPa, float, len(log))[rows].reshape(-1, m)
-        self._rows = rows.reshape(-1, m)  # log row of each grid cell, for its valve
-        self._valve = log.valve
+        self._pressure = log.pressure_kPa[rows].reshape(-1, m)
+        codes, table = log.codes("valve")
+        self._valve = codes[rows].reshape(-1, m)  # recorded valve of each grid cell, as a code
+        self._modes = list(table)  # valve modes by code; commanded modes join the recorded ones
+        self._mode = np.full(m, self._code(HOLD))  # each module's last commanded mode
         self._pressure.flags.writeable = self._time.flags.writeable = False  # lookahead shares them
         self._k = 0
+
+    def _code(self, mode: str) -> int:
+        if mode not in self._modes:
+            self._modes.append(mode)
+        return self._modes.index(mode)
 
     def _current(self) -> int:
         if self._k >= len(self._time):
@@ -237,13 +250,14 @@ class ReplayBackend:
                 f"(module {cmd.module_id}: {cmd.timestamp} < {last})"
             )
         self._last_cmd_t[cmd.module_id] = cmd.timestamp
-        recorded = self._valve[self._rows[k, col]]
-        if recorded != cmd.mode:
+        code, recorded = self._code(cmd.mode), self._valve[k, col]
+        if recorded != code:
             self.mismatches += 1
             raise ReplayMismatchError(
                 f"command diverges from recording: module {cmd.module_id} "
-                f"sent {cmd.mode}, recorded {recorded}"
+                f"sent {cmd.mode}, recorded {self._modes[recorded]}"
             )
+        self._mode[col] = code
         return True
 
     def lookahead(self, n: int) -> Rows:
@@ -256,7 +270,17 @@ class ReplayBackend:
     def advance(self, j: int) -> None:
         if j < 0:
             raise ValueError(f"advance needs j >= 0, got {j}")
-        if self._k + j >= len(self._time):
+        k = self._k
+        bad = np.argwhere(self._valve[k:k + j] != self._mode)
+        if bad.size:
+            tick, col = (k + bad[0, 0]).item(), bad[0, 1].item()
+            self.mismatches += 1
+            raise ReplayMismatchError(
+                f"recording diverges from the commands: tick {tick} module {self._ids[col]} "
+                f"recorded {self._modes[self._valve[tick, col]]}, "
+                f"last commanded {self._modes[self._mode[col]]}"
+            )
+        if k + j >= len(self._time):
             self._k = len(self._time)
             raise EndOfRecordingError("end of recording")
         self._k += j

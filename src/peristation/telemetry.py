@@ -8,9 +8,9 @@ commas; multiple events for one module in one tick join with ';'.
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -34,40 +34,101 @@ class TelemetrySample:
 # TelemetrySample field names, in CSV column order
 _COLUMNS = tuple(f.name for f in fields(TelemetrySample))
 _get_columns = attrgetter(*_COLUMNS)
+# the string columns held as codes into a table of their distinct values
+_CODED = ("kind", "valve", "phase")
+# each column's dtype as read, in CSV order; a coded column holds its codes
+_DTYPES = (np.float64, np.int64, np.uint32, np.float64, np.uint32, np.float64, np.float64,
+           np.uint32, object)
+# rows converted to Python values at a time while iterating a log
+_ITER_ROWS = 4096
+
+
+def _coded_column(name: str):
+    """A coded column read as an object array of its shared strings."""
+    def strings(self) -> np.ndarray:
+        return _expand(self._coded[name])
+    return property(strings, doc=f"The {name} column as an object array (table[codes]).")
+
+
+def _code_strings(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Code strings by first appearance: (codes, table), table[codes] == strings."""
+    table = {}
+    codes = [table.setdefault(s, len(table)) for s in strings]
+    return _small(np.array(codes, np.uint32), len(table)), np.array(list(table), object)
+
+
+def _small(codes: np.ndarray, n: int) -> np.ndarray:
+    """Codes into a table of n strings, in the smallest unsigned dtype that holds them."""
+    return codes.astype(np.min_scalar_type(max(n - 1, 0)), copy=False)
 
 
 class TelemetryLog(Sequence):
-    """A telemetry recording held by column: one list per CSV column.
+    """A telemetry recording held by column.
 
-    Columns are attributes named like the TelemetrySample fields, so replay
-    reads time_s, module_id, pressure_kPa and valve without building rows.
-    As a Sequence, len(), indexing (negative too) and iteration yield
-    TelemetrySample rows built on demand.
+    time_s, pressure_kPa, inflation_mm and object_z_mm are float64 arrays and
+    module_id is an int64 array.  kind, valve and phase are codes into a
+    small table of shared strings; codes(name) gives both, and the attribute
+    reads as the object array table[codes].  event is an object array.  As a
+    Sequence, len(), indexing (negative too), slicing and iteration yield
+    TelemetrySample rows of Python ints, floats and strs.
     """
 
-    __slots__ = _COLUMNS
+    __slots__ = ("time_s", "module_id", "pressure_kPa", "inflation_mm", "object_z_mm",
+                 "event", "_coded")
 
-    def __init__(self, *columns: list):
-        if len(columns) != len(_COLUMNS) or len({len(c) for c in columns}) > 1:
+    kind = _coded_column("kind")
+    valve = _coded_column("valve")
+    phase = _coded_column("phase")
+
+    def __init__(self, time_s, module_id, kind, pressure_kPa, valve, inflation_mm,
+                 object_z_mm, phase, event):
+        """Columns in CSV order; kind, valve and phase as (codes, table) pairs."""
+        self.time_s = np.asarray(time_s, np.float64)
+        self.module_id = np.asarray(module_id, np.int64)
+        self.pressure_kPa = np.asarray(pressure_kPa, np.float64)
+        self.inflation_mm = np.asarray(inflation_mm, np.float64)
+        self.object_z_mm = np.asarray(object_z_mm, np.float64)
+        self.event = np.asarray(event, object)
+        self._coded = dict(zip(_CODED, (kind, valve, phase)))
+        lengths = {len(c) for c in (self.time_s, self.module_id, self.pressure_kPa,
+                                    self.inflation_mm, self.object_z_mm, self.event)}
+        lengths.update(len(codes) for codes, _ in self._coded.values())
+        if len(lengths) > 1:
             raise ValueError(f"expected {len(_COLUMNS)} columns of equal length")
-        for name, column in zip(_COLUMNS, columns):
-            setattr(self, name, column)
 
     @classmethod
     def from_samples(cls, samples: Iterable[TelemetrySample]) -> "TelemetryLog":
-        columns = [list(c) for c in zip(*map(_get_columns, samples))]
-        return cls(*(columns or [[] for _ in _COLUMNS]))
+        columns = [list(c) for c in zip(*map(_get_columns, samples))] or [[] for _ in _COLUMNS]
+        return cls(*(_code_strings(c) if name in _CODED else c
+                     for name, c in zip(_COLUMNS, columns)))
+
+    def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A string column ("kind", "valve" or "phase") as (codes, table)."""
+        return self._coded[name]
+
+    def _parts(self, i) -> list:
+        """Each column indexed by i, in CSV order; a coded column as (codes[i], table)."""
+        return [(self._coded[name][0][i], self._coded[name][1]) if name in _CODED
+                else getattr(self, name)[i] for name in _COLUMNS]
 
     def __len__(self) -> int:
         return len(self.time_s)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return TelemetryLog(*(c[i] for c in _get_columns(self)))
-        return TelemetrySample(*(c[i] for c in _get_columns(self)))
+            return TelemetryLog(*self._parts(i))
+        values = map(_expand, self._parts(range(len(self))[i]))  # IndexError past either end
+        return TelemetrySample(*(v.item() if isinstance(v, np.generic) else v for v in values))
 
     def __iter__(self):
-        return map(TelemetrySample, *_get_columns(self))
+        for a in range(0, len(self), _ITER_ROWS):
+            columns = map(_expand, self._parts(slice(a, a + _ITER_ROWS)))
+            yield from map(TelemetrySample, *(c.tolist() for c in columns))
+
+
+def _expand(part):
+    """A column part, with a coded (codes, table) pair read as table[codes]."""
+    return part[1][part[0]] if isinstance(part, tuple) else part
 
 
 # Ticks formatted per write: bounds the text held in memory at once.
@@ -173,13 +234,34 @@ class TelemetryWriter:
         return False
 
 
-# Text parsed per batch, in bytes: bounds the per-field strings alive at
-# once while keeping the per-batch overhead negligible.
+# Bytes read per block: a block of whole lines is decoded at once, so this
+# bounds the temporaries alive at a time while keeping the per-block
+# overhead negligible.
 _BATCH_BYTES = 1 << 20
 
+_NL, _CR, _COMMA, _MINUS, _DOT = b"\n\r,-."
+# Around each block, so that every field's byte windows lie inside it: a
+# number reads the 16 bytes before its end, a string the 24 from its
+# start.  '0' is no separator.
+_PAD = b"0" * 24
+_ZEROS = 0x3030303030303030  # eight ASCII '0', one per byte of a word
+# _TOP[k] keeps the last k characters (the top k bytes) of a word
+_TOP = np.array([((1 << 8 * k) - 1) << 8 * (8 - k) for k in range(9)], np.uint64)
+# A string field's key is its length and its first 24 bytes, as three
+# words; _KEY_BYTES[i][n] keeps the bytes of word i that lie in n bytes.
+_KEY_BYTES = [np.array([(1 << 8 * min(max(n - 8 * i, 0), 8)) - 1 for n in range(25)], np.uint64)
+              for i in range(3)]
+_KEY_MIX = [np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)]
+# every line's separators: 8 commas, then the newline
+_SEPARATORS = np.array([_COMMA] * 8 + [_NL], np.uint8)
 
-def _checked_rows(lines: list[str], lineno: int) -> list[list[str]]:
-    """Split a batch of lines into rows one by one, skipping blank lines.
+
+def _checked_rows(lines: list[str], lineno: int) -> list[tuple]:
+    """Parse a block's lines one by one, skipping blank lines.
+
+    Returns:
+        One tuple of column values per row, numbers converted by float()
+        and int().
 
     Raises:
         ValueError: naming the first line (numbered from lineno) with the
@@ -193,56 +275,195 @@ def _checked_rows(lines: list[str], lineno: int) -> list[list[str]]:
         parts = line.split(",", 8)
         if len(parts) != len(_COLUMNS):
             raise ValueError(f"line {lineno}: expected 9 columns, got {len(parts)}")
+        t, mid, kind, p, valve, d, z, phase, event = parts
         try:
-            float(parts[0]), int(parts[1]), float(parts[3]), float(parts[5]), float(parts[6])
+            rows.append((float(t), int(mid), kind, float(p), valve, float(d), float(z),
+                         phase, event))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
-        rows.append(parts)
     return rows
+
+
+def _digits(words: np.ndarray) -> np.ndarray:
+    """Whether each word's eight bytes are all ASCII digits."""
+    # a byte below '0' sets its top bit in the difference, one above '9' in the sum
+    return ((words + 0x4646464646464646) | (words - _ZEROS)) & 0x8080808080808080 == 0
+
+
+def _number(words: np.ndarray) -> np.ndarray:
+    """The value of each word's eight ASCII digits, the first in the low byte."""
+    v = words - _ZEROS
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF  # pairs of digits
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF  # fours
+    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+
+
+def _windows(buf: bytes, width: int) -> np.ndarray:
+    """The width-byte window at each byte offset of buf, as a void array."""
+    return np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
+
+
+def _fixed6(a: np.ndarray, buf: bytes, s: np.ndarray, e: np.ndarray):
+    r"""Decode the fields at bytes [s, e), or None unless all match -?\d{1,8}\.\d{6}.
+
+    A field is read as two words: the 8 bytes up to its '.', and the 8 from
+    it, which hold '.', the six decimals and ','.  Its value is its digits
+    as an integer over 1e6 (here ten times both), negated after the
+    division so that -0.000000 is -0.0.  That integer is below 2**53 and
+    the division is correctly rounded, as float() is, so the bits are
+    float()'s.
+    """
+    neg = a[s] == _MINUS
+    k = e - s - 7 - neg  # integer digits
+    if not ((k >= 1) & (k <= 8)).all():
+        return None
+    whole, point = _windows(buf, 16)[e - 15].view("<u8").reshape(-1, 2).T.copy()
+    if not ((point & 0xFF) == _DOT).all():
+        return None
+    keep = _TOP[k]
+    whole = (whole & keep) | (_ZEROS & ~keep)  # '0' before the integer digits
+    point = (point & 0x00FFFFFFFFFFFF00) | 0x3000000000000030  # '0', the decimals, '0'
+    if not (_digits(whole) & _digits(point)).all():
+        return None
+    x = (_number(whole) * 10_000_000 + _number(point)).astype(np.float64) / 1e7
+    return np.negative(x, out=x, where=neg)
+
+
+def _int4(buf: bytes, s: np.ndarray, e: np.ndarray):
+    r"""Decode the fields at bytes [s, e), or None unless all match \d{1,4}."""
+    n = e - s
+    if not ((n >= 1) & (n <= 4)).all():
+        return None
+    keep = _TOP[n]
+    digits = (_windows(buf, 8)[e - 8].view("<u8") & keep) | (_ZEROS & ~keep)
+    if not _digits(digits).all():
+        return None
+    return _number(digits).astype(np.int64)
+
+
+def _code_fields(buf: bytes, s: np.ndarray, e: np.ndarray, table: dict):
+    """Code the string fields at bytes [s, e) into table, or None if one is too long.
+
+    Keys (see _KEY_BYTES) are spread over 256 buckets, and one row of each
+    bucket names its string, which table (string -> code) codes.  Every
+    row's key is then compared with that row's, and a row whose bucket
+    holds another string is coded on its own, so a shared bucket costs
+    time, not correctness.
+    """
+    n = e - s
+    if n.max() >= len(_KEY_BYTES[0]):
+        return None
+    keys = _windows(buf, 24)[s].view("<u8").reshape(-1, 3).T.copy()
+    bucket = n.astype(np.uint64)
+    for key, kept, mix in zip(keys, _KEY_BYTES, _KEY_MIX):
+        key &= kept[n]
+        bucket += key * mix
+    bucket = bucket * _KEY_MIX[0] >> 56
+    first = np.full(256, -1)  # a row of each bucket
+    first[bucket] = np.arange(len(s))
+    lut = np.zeros(256, np.uint32)
+    for b in np.flatnonzero(first >= 0).tolist():
+        r = first[b]
+        lut[b] = table.setdefault(buf[s[r]:e[r]].decode(), len(table))
+    codes = lut[bucket]
+    named = first[bucket]  # the row that named each row's code
+    ok = n == n[named]
+    for key in keys:
+        ok &= key == key[named]
+    for r in np.flatnonzero(~ok).tolist():
+        codes[r] = table.setdefault(buf[s[r]:e[r]].decode(), len(table))
+    return codes
+
+
+_FLOATS = [_COLUMNS.index(name) for name in
+           ("time_s", "pressure_kPa", "inflation_mm", "object_z_mm")]
+_STRINGS = [_COLUMNS.index(name) for name in _CODED]
+
+
+def _decode_block(lines: bytes, table: dict):
+    r"""Decode a block of whole lines by byte position, or None to parse it by line.
+
+    The fast path takes a block whose every line holds exactly 8 commas,
+    no carriage return, and numbers of the form the writer writes
+    (time_s, pressure_kPa, inflation_mm and object_z_mm -?\d{1,8}\.\d{6},
+    module_id \d{1,4}).
+
+    Returns:
+        The block's nine columns, the string columns coded into table.
+    """
+    if b"\r" in lines:
+        return None
+    buf = b"".join((_PAD, lines, b"" if lines.endswith(b"\n") else b"\n", _PAD))
+    a = np.frombuffer(buf, np.uint8)
+    low = np.flatnonzero((a == _COMMA) | (a == _NL))
+    n = len(low) // 9
+    if len(low) != 9 * n or not (a[low].reshape(n, 9) == _SEPARATORS).all():
+        return None
+    ends = low.reshape(n, 9).T.copy()  # the separator after each field
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:8] + 1
+    starts[0, 0] = len(_PAD)
+    starts[0, 1:] = ends[8, :-1] + 1
+    floats = _fixed6(a, buf, starts[_FLOATS].ravel(), ends[_FLOATS].ravel())
+    module_id = _int4(buf, starts[1], ends[1])
+    strings = _code_fields(buf, starts[_STRINGS].ravel(), ends[_STRINGS].ravel(), table)
+    if floats is None or module_id is None or strings is None:
+        return None
+    event = np.full(n, "", object)
+    for r in np.flatnonzero(ends[8] > starts[8]).tolist():
+        event[r] = buf[starts[8, r]:ends[8, r]].decode()
+    columns = [None] * len(_COLUMNS)
+    columns[1], columns[8] = module_id, event
+    for j, column in zip(_FLOATS, floats.reshape(len(_FLOATS), n)):
+        columns[j] = column
+    for j, column in zip(_STRINGS, strings.reshape(len(_STRINGS), n)):
+        columns[j] = column
+    return columns
 
 
 def read_telemetry(path) -> TelemetryLog:
     """Parse a telemetry CSV into a TelemetryLog.
 
-    Lines are parsed in batches.  When every line of a batch holds exactly
-    the 8 column separators, the batch is split into one flat list of
-    fields and each column is sliced out and converted in one pass.  Any
-    other batch (a blank line, a short row, commas inside the event text)
-    is split line by line, which skips blank lines and names the first
-    malformed line.  The kind, valve and phase columns share one string
-    object per distinct value.
+    The file is read in blocks of whole lines.  A block of lines as the
+    writer writes them is decoded by byte position into typed columns
+    (_decode_block); the numbers get the bits float() and int() would
+    give.  Any other block (a blank line, commas inside the event text, a
+    number such as 1e3, +1.0 or 1_0.5) is parsed line by line, which skips
+    blank lines and names the first malformed line.  The kind, valve and
+    phase columns are codes into one table of shared strings.
 
     Raises:
         ValueError: wrong header or malformed row.
     """
-    columns = [[] for _ in _COLUMNS]
-    time_s, module_id, kind, pressure, valve, inflation, object_z, phase, event = columns
-    share = {}.setdefault
-    width = len(_COLUMNS)
-    with open(path, "r", newline="") as f:
-        header = f.readline().rstrip("\n")
+    table = {}  # the distinct kind, valve and phase strings -> their codes
+    blocks = []
+    with open(path, "rb") as f:
+        header = f.readline().decode().rstrip("\n")
         if header != TELEMETRY_HEADER:
             raise ValueError(f"unrecognized telemetry header: {header!r}")
         lineno = 2
-        while lines := f.readlines(_BATCH_BYTES):
-            if set(map(str.count, lines, repeat(","))) == {width - 1}:
-                flat = ",".join(lines).split(",")
-                cols = [flat[j::width] for j in range(width)]
-            else:
-                cols = list(zip(*_checked_rows(lines, lineno))) or [()] * width
-            t, m, k, p, v, d, z, ph, ev = cols
-            try:
-                time_s.extend(map(float, t))
-                module_id.extend(map(int, m))
-                pressure.extend(map(float, p))
-                inflation.extend(map(float, d))
-                object_z.extend(map(float, z))
-            except ValueError:
-                _checked_rows(lines, lineno)  # raises, naming the line
-                raise
-            kind.extend(map(share, k, k))
-            valve.extend(map(share, v, v))
-            phase.extend(map(share, ph, ph))
-            event.extend(map(str.rstrip, ev, repeat("\n")))
-            lineno += len(lines)
+        rest = b""
+        while True:
+            chunk = f.read(_BATCH_BYTES)
+            lines = rest + chunk
+            cut = lines.rfind(b"\n") + 1 if chunk else len(lines)
+            lines, rest = lines[:cut], lines[cut:]
+            if lines:
+                columns = _decode_block(lines, table)
+                if columns is not None:
+                    lineno += len(columns[0])
+                else:
+                    text = io.StringIO(lines.decode(), newline="").readlines()
+                    columns = list(zip(*_checked_rows(text, lineno))) or [()] * len(_COLUMNS)
+                    for j in _STRINGS:
+                        columns[j] = [table.setdefault(v, len(table)) for v in columns[j]]
+                    lineno += len(text)
+                blocks.append(columns)
+            if not chunk:
+                break
+    columns = [np.concatenate([np.asarray(b[j], dtype) for b in blocks] or [np.empty(0, dtype)])
+               for j, dtype in enumerate(_DTYPES)]
+    strings = np.array(list(table), object)
+    for j in _STRINGS:
+        columns[j] = (_small(columns[j], len(strings)), strings)
     return TelemetryLog(*columns)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from peristation import (
@@ -55,17 +56,28 @@ def three_module_layout(geometry):
     return build_station(geometry, 3, 20.0, 20.0)
 
 
-@pytest.fixture
-def recording(tmp_path, three_module_layout, material):
+@pytest.fixture(scope="session")
+def recorded_run(tmp_path_factory) -> bytes:
     """Telemetry of a noisy one-cycle run on three modules: module rows, station
-    event rows and valve changes, several megabytes of text."""
+    event rows and valve changes, several megabytes of text.  Recorded once."""
+    geometry = RingGeometry(**NOMINAL)
+    material = SurrogateMaterial(100.0, 0.45, calibrate_kappa(geometry, 100.0, 0.69, 15.0))
+    layout = build_station(geometry, 3, 20.0, 20.0)
     params = PlantParams(noise_sigma=0.05, rng_seed=1)
     obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
-    backend = SimulatedBackend(Plant(three_module_layout, obj, params, material))
-    path = tmp_path / "run.csv"
+    backend = SimulatedBackend(Plant(layout, obj, params, material))
+    path = tmp_path_factory.mktemp("recording") / "run.csv"
     with TelemetryWriter(path) as writer:
-        run_station(backend, three_module_layout, obj.spec, 0.0, params, DetectionConfig(),
+        run_station(backend, layout, obj.spec, 0.0, params, DetectionConfig(),
                     ControlConfig(max_cycles=1), 40.0, recorder=writer)
+    return path.read_bytes()
+
+
+@pytest.fixture
+def recording(tmp_path, recorded_run):
+    """A copy of recorded_run that the test may change."""
+    path = tmp_path / "run.csv"
+    path.write_bytes(recorded_run)
     return path
 
 
@@ -81,3 +93,12 @@ def read_rows(path) -> list:
                 rows.append(TelemetrySample(float(t), int(mid), kind, float(p), valve,
                                             float(d), float(z), phase, event))
     return rows
+
+
+def assert_reads_as(log, rows):
+    """A TelemetryLog holds the reference rows, each float's bits included
+    (so -0.0 is not 0.0)."""
+    assert list(log) == rows
+    for name in ("time_s", "pressure_kPa", "inflation_mm", "object_z_mm"):
+        expected = np.array([getattr(r, name) for r in rows], np.float64).view(np.int64)
+        assert np.array_equal(getattr(log, name).view(np.int64), expected), name

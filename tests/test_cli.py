@@ -60,6 +60,19 @@ class TestParseRange:
         with pytest.raises(ConfigError):
             parse_range(spec)
 
+    @pytest.mark.parametrize("spec", ["nan:1:1", "0:inf:1", "0:1:nan", "-inf:0:1", "1,nan"])
+    def test_nonfinite_parts_rejected(self, spec):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_range(spec)
+
+    @pytest.mark.parametrize("spec", ["0:1:1e-12", "-1e308:1e308:1", "0:1e300:1e-300"])
+    def test_too_many_values_rejected(self, spec):
+        with pytest.raises(ConfigError, match="more than 10000 values"):
+            parse_range(spec)
+
+    def test_the_cap_itself_is_accepted(self):
+        assert len(parse_range("1:10000:1")) == 10000
+
 
 class TestUsage:
     def test_no_command_is_a_usage_error(self, capsys):
@@ -248,6 +261,32 @@ class TestRun:
                      "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert "config error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rows, error", [
+        ("1,4.33\n3,0\n", "baselines line 3: rate must be finite and > 0, got 0.0"),
+        ("1,4.33\n3,nan\n", "baselines line 3: rate must be finite and > 0, got nan"),
+        ("1,4.33\n3,inf\n", "baselines line 3: rate must be finite and > 0, got inf"),
+        ("1,4.33\n3,-4.33\n", "baselines line 3: rate must be finite and > 0, got -4.33"),
+        ("1,4.33\n9,4.33\n", "module 9 is not a Compression ring of the station"),
+        ("1,4.33\n2,4.33\n", "module 2 is not a Compression ring of the station"),
+    ], ids=["zero", "nan", "inf", "negative", "not in the station", "longitudinal"])
+    def test_bad_baselines_exit_2(self, tmp_path, capsys, rows, error):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text(f"{BASELINES_HEADER}\n{rows}")
+        code = main(["run", "--config", cfg, "--baselines", str(baselines),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert error in capsys.readouterr().out
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--seed", "-1", "--out", str(out)]) == 1
+        assert "FAIL --seed: rng_seed must be >= 0, got -1" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_calibrated_baselines_feed_the_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 import os
 import tempfile
 
@@ -22,6 +23,7 @@ from peristation import (
     Plant,
     PlantParams,
     ReplayBackend,
+    ReplayMismatchError,
     RingGeometry,
     SimulatedBackend,
     StationController,
@@ -66,6 +68,10 @@ class CommandDropper:
         self.inner = inner
         self.victim = victim
         self.plant = inner.plant
+
+    @property
+    def dt(self):
+        return self.inner.dt
 
     @property
     def now(self):
@@ -562,6 +568,42 @@ class TestReplayEquivalence:
             with pytest.raises(ValueError,
                                match=rf"does not tick at dt={dt}: tick 1 is at 0.001 s, not at {dt} s"):
                 ReplayBackend(log, dt)
+            # nor does a run at another dt than the backend's
+            with pytest.raises(ValueError, match=rf"backend steps at fixed dt=0.001, got {dt}"):
+                run_station(ReplayBackend(log, params.dt), five_module_layout,
+                            backend.plant.object.spec, 0.0, replace(params, dt=dt),
+                            DetectionConfig(), ControlConfig(), 120.0)
+
+    def test_valve_change_a_tick_early_rejected(self, three_module_layout, material, params,
+                                                tmp_path):
+        """A recording whose valve changes a tick before the command was sent
+        diverges from the controller on that tick."""
+        backend = sim_backend(three_module_layout, material, params)
+        spec = backend.plant.object.spec
+        path = tmp_path / "run.csv"
+        with TelemetryWriter(path) as writer:
+            run_station(backend, three_module_layout, spec, 0.0, params, DetectionConfig(),
+                        ControlConfig(max_cycles=1), 20.0, recorder=writer)
+        last = {}  # each module's valve on the tick before
+        for change in read_telemetry(path):
+            if change.module_id and last.setdefault(change.module_id, change.valve) != change.valve:
+                break  # the first valve change after tick 0
+            last[change.module_id] = change.valve
+        early = round(change.time_s - params.dt, 6)
+        lines = path.read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines[1:], 1):
+            parts = line.split(",")
+            if float(parts[0]) == early and int(parts[1]) == change.module_id:
+                parts[4] = change.valve
+                lines[i] = ",".join(parts)
+        path.write_text("".join(lines))
+        replay = ReplayBackend(read_telemetry(path), params.dt)
+        with pytest.raises(ReplayMismatchError,
+                           match=f"tick {round(early / params.dt)} module {change.module_id} "
+                                 f"recorded {change.valve}"):
+            run_station(replay, three_module_layout, spec, 0.0, params, DetectionConfig(),
+                        ControlConfig(max_cycles=1), 20.0)
+        assert replay.mismatches == 1
 
     def test_backend_modules_out_of_layout_order_rejected(self, three_module_layout, params):
         rows = [TelemetrySample(k * DT, mid, "Compression", 0.0, HOLD, 0.0, 0.0, "L0:Grasp", "")

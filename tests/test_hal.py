@@ -39,11 +39,45 @@ def sample(t, mid, pressure, valve, module_id_kind="Compression"):
 
 
 def replay_fixture():
+    """Three ticks of two modules, module 1 inflating from tick 0, replayed
+    by a controller that has sent that command."""
     rows = []
     for k, t in enumerate([0.0, 0.001, 0.002]):
         rows.append(sample(t, 1, 1.0 + k, INFLATE))
         rows.append(sample(t, 2, 2.0 + k, HOLD, "Longitudinal"))
-    return ReplayBackend(rows, 1e-3)
+    backend = ReplayBackend(rows, 1e-3)
+    backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+    return backend
+
+
+def recorded_valves(path) -> list[dict]:
+    """Each tick's recorded valve mode per module id, by the reference parser."""
+    ticks = {}
+    for row in read_rows(path):
+        if row.module_id:
+            ticks.setdefault(row.time_s, {})[row.module_id] = row.valve
+    return list(ticks.values())
+
+
+def command_recorded(backend, valves, k):
+    """Send the valve changes recorded at tick k (from HOLD at tick 0), as
+    the live controller sent them."""
+    before = valves[k - 1] if k else dict.fromkeys(valves[k], HOLD)
+    for mid, mode in valves[k].items():
+        if mode != before[mid]:
+            backend.set_valve(ValveCommand(mid, mode, backend.now))
+
+
+def advance_recorded(backend, valves, k, j):
+    """advance(j) from tick k, in steps that stop on each tick with recorded
+    valve changes to send them."""
+    end = k + j
+    while k < end:
+        step = next((c for c in range(k + 1, end) if valves[c] != valves[c - 1]), end) - k
+        backend.advance(step)
+        k += step
+        if k < len(valves):
+            command_recorded(backend, valves, k)
 
 
 class TestSimulatedBackend:
@@ -231,8 +265,11 @@ class TestReplayBackend:
     def test_lookahead_repeats_the_tick_reads(self, recording):
         """On a recording, a lookahead's rows are the reads of the ticks it
         covers, up to the end of the recording."""
+        valves = recorded_valves(recording)
         backend = ReplayBackend(read_telemetry(recording), 1e-3)
         ticked = ReplayBackend(read_telemetry(recording), 1e-3)
+        command_recorded(backend, valves, 0)
+        command_recorded(ticked, valves, 0)
         looked = 0
         while True:
             look = backend.lookahead(700)
@@ -246,30 +283,38 @@ class TestReplayBackend:
                 except EndOfRecordingError:
                     assert i == len(look) - 1 < 699
                     break
-            looked += len(look)
+                command_recorded(ticked, valves, looked + i + 1)
             try:
-                backend.advance(len(look))
+                advance_recorded(backend, valves, looked, len(look))
             except EndOfRecordingError:
                 break
+            looked += len(look)
         assert looked > 1000
         with pytest.raises(EndOfRecordingError):
             backend.lookahead(1)
 
     def test_log_and_sample_list_replay_identically(self, recording):
+        valves = recorded_valves(recording)
         backends = [ReplayBackend(read_telemetry(recording), 1e-3),
                     ReplayBackend(read_rows(recording), 1e-3)]
+        sent = [dict.fromkeys(valves[0], HOLD) for _ in backends]
         ticks = 0
         while True:
             seen = []
-            for backend in backends:
+            for backend, modes in zip(backends, sent):
                 now = backend.now
                 reads = [backend.read_pressure(mid) for mid in (1, 2, 3)]
                 verdicts = []
                 for mid in (1, 2, 3):
                     try:
                         verdicts.append(backend.set_valve(ValveCommand(mid, INFLATE, now)))
+                        modes[mid] = INFLATE
                     except ReplayMismatchError:
                         verdicts.append(False)
+                for mid, mode in valves[ticks].items():  # then follow the recording
+                    if modes[mid] != mode:
+                        backend.set_valve(ValveCommand(mid, mode, now))
+                        modes[mid] = mode
                 seen.append((now, backend.lookahead(1).pressure[0].tolist(), reads, verdicts,
                              backend.mismatches))
             assert seen[0] == seen[1]
@@ -328,6 +373,7 @@ class TestReplayBackend:
             sample(0.001, 1, 1.1, INFLATE),
         ]
         backend = ReplayBackend(rows, 1e-3)
+        backend.set_valve(ValveCommand(1, INFLATE, 0.0))
         backend.tick(1e-3)
         assert backend.read_pressure(1) == (1.1, 0.001)
 

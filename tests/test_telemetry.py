@@ -1,7 +1,19 @@
 """Telemetry round-trip and format guarantees."""
 
+import contextlib
+import math
+import os
+import re
+import struct
+import tempfile
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import peristation.telemetry as telemetry
 
 from peristation import (
     HOLD,
@@ -16,7 +28,7 @@ from peristation import (
     TelemetryWriter,
     read_telemetry,
 )
-from tests.conftest import read_rows
+from tests.conftest import assert_reads_as, read_rows
 
 
 @pytest.fixture
@@ -140,7 +152,7 @@ class TestTelemetryLog:
     def test_matches_the_per_row_reference(self, recording):
         assert recording.stat().st_size > 2 << 20  # spans several parse batches
         log = read_telemetry(recording)
-        assert list(log) == read_rows(recording)
+        assert_reads_as(log, read_rows(recording))
         # repeated strings are one object per distinct value
         assert len({id(v) for v in log.phase}) == len(set(log.phase))
 
@@ -155,3 +167,135 @@ class TestTelemetryLog:
             f.write("0.001000,x,Compression,1.0,Hold,0.0,0.0,L0:Grasp,\n")
         with pytest.raises(ValueError, match=f"line {lines + 1}: invalid literal for int"):
             read_telemetry(recording)
+
+
+@contextlib.contextmanager
+def counting_blocks():
+    """Counts the blocks that read_telemetry decodes by byte position and by line."""
+    counts = {"fast": 0, "by line": 0}
+    decode = telemetry._decode_block
+
+    def counted(lines, table):
+        columns = decode(lines, table)
+        counts["fast" if columns is not None else "by line"] += 1
+        return columns
+
+    telemetry._decode_block = counted
+    try:
+        yield counts
+    finally:
+        telemetry._decode_block = decode
+
+
+@pytest.fixture
+def fast_blocks():
+    with counting_blocks() as counts:
+        yield counts
+
+
+def near_tie(k: int, side: int) -> float:
+    """A double next to the midpoint between two 6-decimal values."""
+    x = (k + 0.5) / 1e6
+    return x if side == 0 else math.nextafter(x, side * math.inf)
+
+
+doubles = st.one_of(
+    st.floats(-1e9, 1e9),
+    st.builds(near_tie, st.integers(-10**13, 10**13), st.sampled_from([-1, 0, 1])),
+    st.floats(-5e-7, 5e-7),  # rounds to 0.000000 or -0.000000
+    st.sampled_from([0.0, -0.0, 1e8, -1e8, 99999999.9999995, 123456789.0, 5e-7, -5e-7]),
+)
+
+
+class TestDecoder:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(doubles, min_size=1, max_size=40))
+    def test_numbers_have_the_bits_of_float(self, values):
+        """Each %.6f text decodes to float()'s double; a block takes the fast
+        path exactly when every number has at most 8 integer digits."""
+        texts = ["%.6f" % v for v in values]
+        n = len(texts)
+        lines = [f"{texts[i]},{i},Compression,{texts[(i + 1) % n]},Hold,{texts[(i + 2) % n]},"
+                 f"{texts[(i + 3) % n]},L0:Grasp,\n" for i in range(n)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w", newline="") as f:
+                f.write(TELEMETRY_HEADER + "\n" + "".join(lines))
+            with counting_blocks() as counts:
+                log = read_telemetry(path)
+            assert_reads_as(log, read_rows(path))
+        assert [struct.pack("<d", v) for v in log.time_s] == [
+            struct.pack("<d", float(t)) for t in texts]
+        fast = all(re.fullmatch(r"-?\d{1,8}\.\d{6}", t) for t in texts)
+        assert counts == ({"fast": 1, "by line": 0} if fast else {"fast": 0, "by line": 1})
+
+    @pytest.mark.parametrize("line, by_line", [
+        ("\n", True),
+        ("0.001000,0,-,0.000000,-,0.000000,0.000000,L0:Grasp,a,b\n", True),
+        ("0.001000,1,Compression,1e3,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,+1.0,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,1_0.5,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,+1.000000,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,1_0.500000,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,+1,Compression,1.000000,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("123456789.000000,1,Compression,1.000000,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,12345678,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,1.0000001,Hold,0.000000,0.000000,L0:Grasp,\n", True),
+        ("0.001000,1,Compression,1.000000,Hold,0.000000,0.000000,L0:Grasp,crlf\r\n", True),
+        ("0.001000,1,Compression,1.000000,Hold,0.000000,0.000000," + "L0:" + "x" * 30 + ",\n",
+         True),
+        ("0.001000,0,-,0.000000,-,0.000000,0.000000,L0:Grasp,d\u00e9tection \u2713\n", False),
+        ("0.001000,1,Compression,1.000000,Hold,0.000000,0.000000,L0: Grasp and more,\n", False),
+    ], ids=["blank", "comma in event", "1e3", "+1.0", "1_0.5", "+1.000000", "1_0.500000",
+            "+1 module", "9 digits",
+            "no point", "7 decimals", "CRLF", "long phase", "non-ASCII event", "new phase"])
+    def test_odd_line_in_a_later_block_reads_as_the_reference(self, recording, fast_blocks,
+                                                               line, by_line):
+        insert_line(recording, line)
+        log = read_telemetry(recording)
+        assert_reads_as(log, read_rows(recording))
+        assert fast_blocks["fast"] > 0 and fast_blocks["by line"] == by_line
+
+    def test_strings_that_share_a_bucket_keep_their_own_codes(self, tmp_path, fast_blocks):
+        """600 distinct phases in one block fill the 256 buckets twice over,
+        so rows whose bucket another string named are coded on their own."""
+        path = tmp_path / "t.csv"
+        path.write_text(TELEMETRY_HEADER + "\n" + "".join(
+            f"0.001000,1,Compression,1.000000,Hold,0.000000,0.000000,L0:phase{i},\n"
+            for i in range(600)))
+        log = read_telemetry(path)
+        assert_reads_as(log, read_rows(path))
+        assert fast_blocks == {"fast": 1, "by line": 0}
+        codes, table = log.codes("phase")
+        assert len(set(codes.tolist())) == 600
+
+    @pytest.mark.parametrize("line, error", [
+        ("0.001000,1,Compression,0x10,Hold,0.000000,0.000000,L0:Grasp,\n",
+         "could not convert string to float: '0x10'"),
+        ("0.001000,1.5,Compression,1.000000,Hold,0.000000,0.000000,L0:Grasp,\n",
+         "invalid literal for int"),
+        ("0.001000,1,Compression,1.000000\n", "expected 9 columns, got 4"),
+    ], ids=["hex float", "fractional module", "short row"])
+    def test_bad_line_in_a_later_block_names_its_line(self, recording, line, error):
+        lineno = insert_line(recording, line)
+        with pytest.raises(ValueError, match=f"line {lineno}: {re.escape(error)}"):
+            read_telemetry(recording)
+
+    def test_rows_hold_python_scalars(self, recording):
+        log = read_telemetry(recording)
+        for row in (log[0], log[-1], next(iter(log)), next(iter(log[5:]))):
+            assert [type(v) for v in astuple(row)] == [float, int, str, float, str, float,
+                                                       float, str, str]
+        assert log.time_s.dtype == np.float64 and log.module_id.dtype == np.int64
+        codes, table = log.codes("valve")
+        assert list(table[codes]) == list(log.valve)
+        assert log.event.dtype == object
+
+
+def insert_line(path, line: str) -> int:
+    """Insert a line at the first line start past 1.5 MiB (a later parse
+    block); returns its line number."""
+    data = path.read_bytes()
+    at = data.index(b"\n", 3 << 19) + 1
+    path.write_bytes(data[:at] + line.encode() + data[at:])
+    return data.count(b"\n", 0, at) + 1
