@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation failures or run faults, 2 parse and
-usage errors.  Summaries go to stdout; machine-readable results go to
-files (baselines CSV, telemetry CSV, sweep CSV).
+usage errors and an output file that cannot be written.  Summaries go to
+stdout; machine-readable results go to files (baselines CSV, telemetry
+CSV, sweep CSV).
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def _override_seed(cfg: RunConfig, seed: Optional[int]) -> None:
         cfg.problems.append(f"--seed: {e}")
 
 
+def _output_error(path: str, e: OSError) -> int:
+    """Report an output file that cannot be written: exit code 2."""
+    print(f"output error: {path}: {e.strerror or e}")
+    return 2
+
+
 def _report_problems(cfg: RunConfig) -> bool:
     for p in cfg.problems:
         print(f"FAIL {p}")
@@ -125,7 +132,10 @@ def cmd_calibrate(args) -> int:
             return 1
         print(f"module {mod.id}: {rates[mod.id]:.6f} kPa/s")
     out = args.out or "baselines.csv"
-    write_baselines(out, rates)
+    try:
+        write_baselines(out, rates)
+    except OSError as e:
+        return _output_error(out, e)
     print(f"baselines written to {out}")
     return 0
 
@@ -161,7 +171,11 @@ def cmd_run(args) -> int:
     plant = Plant(cfg.layout, obj, cfg.params, cfg.material)
     backend = SimulatedBackend(plant)
     out = args.out or cfg.output_path or "telemetry.csv"
-    with TelemetryWriter(out) as recorder:
+    try:
+        recorder = TelemetryWriter(out)
+    except OSError as e:
+        return _output_error(out, e)
+    with recorder:
         result = run_station(backend, cfg.layout, cfg.object_spec, cfg.initial_z,
                              cfg.params, detection, cfg.control, cfg.duration_s,
                              recorder=recorder)
@@ -201,10 +215,13 @@ def cmd_sweep(args) -> int:
         return str(v) if args.param == "N" else f"{v:.6f}"
 
     out = args.out or "sweep.csv"
-    with open(out, "w", newline="") as f:
-        f.write(f"{args.param},d_c_over_r\n")
-        for v, d in result.samples:
-            f.write(f"{fmt(v)},{'infeasible' if d is None else format(d, '.6f')}\n")
+    try:
+        with open(out, "w", newline="") as f:
+            f.write(f"{args.param},d_c_over_r\n")
+            for v, d in result.samples:
+                f.write(f"{fmt(v)},{'infeasible' if d is None else format(d, '.6f')}\n")
+    except OSError as e:
+        return _output_error(out, e)
     best = result.argmax()
     if best is None:
         print("no feasible samples")

@@ -640,7 +640,7 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         times = np.arange(k, k + len(rows)) * dt
         j = 1 if controller.done else controller.quiet_rows(times, rows.pressure)
         if recorder is not None:
-            recorder.record(times[:j].tolist(), rows.head(j), controller.valves,
+            recorder.record(times[:j], rows.head(j), controller.valves,
                             controller.phase_label(), layout, tick_events)
         if controller.done:
             break

@@ -2,7 +2,7 @@
 
 One CSV row per module per controller tick, plus module_id=0 rows for
 station-scoped events, all at fixed 6-decimal precision so identical runs
-produce byte-identical files on any platform.  Event text never contains
+produce byte-identical UTF-8 files on any platform.  Event text never contains
 commas; multiple events for one module in one tick join with ';'.
 """
 
@@ -131,8 +131,59 @@ def _expand(part):
     return part[1][part[0]] if isinstance(part, tuple) else part
 
 
-# Ticks formatted per write: bounds the text held in memory at once.
+_NL, _CR, _COMMA, _MINUS, _DOT = b"\n\r,-."
+
+# Ticks filled per write: bounds the text held in memory at once.
 _WRITE_TICKS = 256
+
+# The fixed-6 encoder's tables.  A value's text and its ',' take two
+# little-endian words: the sign and integer digits right-aligned in the
+# first, NUL-padded, then '.', six decimals and ','.  _HEAD[2 * i] is i's
+# first word and _HEAD[2 * i + 1] is -i's; _DEC[i] holds i's three digits
+# in bytes 1 to 3.
+_INT_LIMIT = 1000
+_HEAD = np.array([int.from_bytes(f"{sign}{i}".encode().rjust(8, b"\0"), "little")
+                  for i in range(_INT_LIMIT) for sign in ("", "-")], np.uint64)
+_DEC = np.array([int.from_bytes(f"\0{i:03d}".encode(), "little") for i in range(1000)],
+                np.uint64)
+_POINT_COMMA = np.uint64(_DOT | _COMMA << 56)
+
+
+def _encode6(x: np.ndarray) -> np.ndarray:
+    """Each float's '%.6f' text and a ',' as one row of bytes, right-aligned
+    and NUL-padded: a (len(x), w) uint8 array, w 16 unless a text is longer.
+
+    The digits are rint(p) for p = |x| * 1e6 as rounded, unless p is a
+    half-integer: rounding is monotone and below 2**52 every half-integer
+    is a double, so p lies on the same side of each as the exact product.
+    Those values with an integer part below _INT_LIMIT come from the tables,
+    the sign from signbit (so -1e-9 gives -0.000000); the rest (p a
+    half-integer, nan, inf, a larger integer part) go through '%.6f'.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # nan and inf are not fast
+        p = np.abs(x) * 1e6
+        n = np.rint(p)
+        p -= n
+        fast = (np.abs(p, out=p) < 0.5) & (n < _INT_LIMIT * 1e6)
+        digits = n.astype(np.int32)
+    del p, n  # each temporary is as large as x: keep few alive at once
+    digits *= fast
+    slow = np.flatnonzero(~fast)
+    texts = [("%.6f," % v).encode() for v in x[slow].tolist()]
+    w = max([16, *map(len, texts)])
+    out = np.zeros((len(x), w), np.uint8)
+    words = out[:, w - 16:].view("<u8")
+    head = digits // 1_000_000
+    digits -= head * 1_000_000  # the six decimals
+    hi = digits // 1000
+    digits -= hi * 1000  # the last three
+    # every index is in its table, and "clip" takes them without a check
+    np.take(_HEAD, 2 * head + np.signbit(x), out=words[:, 0], mode="clip")
+    np.take(_DEC, hi, out=words[:, 1], mode="clip")
+    words[:, 1] |= np.take(_DEC, digits, mode="clip") << np.uint64(24) | _POINT_COMMA
+    out[slow] = np.frombuffer(b"".join(t.rjust(w, b"\0") for t in texts),
+                              np.uint8).reshape(len(slow), w)
+    return out
 
 
 def _one_value(values: np.ndarray) -> bool:
@@ -142,7 +193,7 @@ def _one_value(values: np.ndarray) -> bool:
 
 
 class TelemetryWriter:
-    """Streams rows to a CSV file in timestamp order.
+    """Streams rows to a CSV file in timestamp order, encoded as UTF-8.
 
     Pressure is the sensed value the controller acted on; inflation and
     object z are plant ground truth, which is why recording requires the
@@ -151,8 +202,9 @@ class TelemetryWriter:
 
     def __init__(self, path):
         self.path = path
-        self._f = open(path, "w", buffering=1 << 20, newline="")
-        self._f.write(TELEMETRY_HEADER + "\n")
+        self._f = open(path, "wb", buffering=1 << 20)
+        self._f.write(TELEMETRY_HEADER.encode() + b"\n")
+        self._buf = np.empty(0, np.uint8)  # reused by _write
 
     def record(self, now, rows, valves, phase, layout, events):
         """Write a run of ticks that share valves and phase.
@@ -161,67 +213,70 @@ class TelemetryWriter:
         and plant truth, one column per layout module in layout order;
         events are the first tick's (module_id, text) events.  Module rows
         come in layout order, then one module_id 0 row per station event.
+        A float column that holds one value over the ticks (a held valve, a
+        saturated ring, an object at rest) is written as text once; the
+        others are encoded in one _encode6 call.
         """
         if rows.inflation is None:
             raise ValueError("recording requires plant ground truth")
         texts = {}
         for mid, text in events:
             texts.setdefault(mid, []).append(text)
-        self._write(now, rows, 0, 1, valves, phase, layout, texts)
-        self._write(now, rows, 1, len(now), valves, phase, layout, {})
+        columns = [np.asarray(now, np.float64), rows.object_z]
+        for i in range(len(layout.modules)):
+            columns += [rows.pressure[:, i], rows.inflation[:, i]]
+        fields, varying = [], []  # per column: its text, or its index in varying
+        for column in columns:
+            if _one_value(column):
+                fields.append("%.6f," % column[0].item())
+            else:
+                fields.append(len(varying))
+                varying.append(column)
+        n = len(columns[0])
+        encoded = _encode6(np.array(varying, np.float64).ravel())
+        encoded = encoded.reshape(len(varying), n, encoded.shape[1])
+        self._write(fields, encoded, 0, 1, valves, phase, layout, texts)
+        self._write(fields, encoded, 1, n, valves, phase, layout, {})
 
-    def _write(self, now, rows, a, b, valves, phase, layout, texts):
+    def _write(self, fields, encoded, a, b, valves, phase, layout, texts):
         """Write ticks a to b - 1 of a record() call, each with the events in texts.
 
-        Each tick is one %-template: time and object z are formatted once
-        per tick, and a column that holds one value over the ticks (a held
-        valve, a saturated ring, an object at rest) once per call.
+        fields holds the text of the time, object z and each module's
+        pressure and inflation, or the index of its encoded column.  A
+        tick's rows become one template with a NUL slot per encoded column,
+        put into each row of a reused buffer once; each chunk of ticks then
+        fills the slots and is written without the NULs.  A NUL in the text
+        would be dropped with them, so it raises ValueError.
         """
         if a >= b:
             return
-        tick = []
-        fields = []  # per template field: "time", "z", or a float column
-
-        def floats(column) -> str:
-            """A column's template text: its value when it holds one, else a field."""
-            if _one_value(column[a:b]):
-                return "%.6f" % column[a].item()
-            fields.append(column)
-            return "%.6f"
-
-        def begin(head):
-            """A row's time and its text up to the first float column."""
-            fields.append("time")
-            tick.append("%s," + head.replace("%", "%%"))
-
-        def end(event):
-            """A row's object z, phase and event text."""
-            if z_varies:
-                fields.append("z")
-            tick.append("," + z_text + f",{phase},{event}\n".replace("%", "%%"))
-
-        z_varies = not _one_value(rows.object_z[a:b])
-        z_text = "%s" if z_varies else "%.6f" % rows.object_z[a].item()
-        for i, mod in enumerate(layout.modules):
-            begin(f"{mod.id},{mod.kind},")
-            tick.append(floats(rows.pressure[:, i]))
-            tick.append(f",{valves[mod.id]},".replace("%", "%%"))
-            tick.append(floats(rows.inflation[:, i]))
-            end(";".join(texts.get(mod.id, ())))
+        w = encoded.shape[2]
+        time, z, *floats = fields
+        pieces = []
+        for mod, pressure, inflation in zip(layout.modules, floats[::2], floats[1::2]):
+            pieces += [time, f"{mod.id},{mod.kind},", pressure, f"{valves[mod.id]},", inflation,
+                       z, f"{phase},{';'.join(texts.get(mod.id, ()))}\n"]
         for text in texts.get(0, ()):
-            begin("0,-,0.000000,-,0.000000")
-            end(text)
-        template = "".join(tick)
-        width = len(fields)
+            pieces += [time, "0,-,0.000000,-,0.000000,", z, f"{phase},{text}\n"]
+        template, slots = bytearray(), []  # slots: (byte offset, encoded column)
+        for piece in pieces:
+            if isinstance(piece, int):
+                slots.append((len(template), piece))
+                piece = "\0" * w
+            elif "\0" in piece:
+                raise ValueError(f"telemetry text holds a NUL byte: {piece!r}")
+            template += piece.encode()
+        size = min(b - a, _WRITE_TICKS) * len(template)
+        if len(self._buf) < size:
+            self._buf = np.empty(size, np.uint8)
+        buf = self._buf[:size].reshape(-1, len(template))
+        buf[:] = np.frombuffer(template, np.uint8)
         for c in range(a, b, _WRITE_TICKS):
             d = min(c + _WRITE_TICKS, b)
-            text = {"time": ["%.6f" % t for t in now[c:d]]}
-            if z_varies:
-                text["z"] = ["%.6f" % z for z in rows.object_z[c:d].tolist()]
-            args = [None] * (width * (d - c))
-            for k, field in enumerate(fields):
-                args[k::width] = text[field] if isinstance(field, str) else field[c:d].tolist()
-            self._f.write(template * (d - c) % tuple(args))
+            for at, j in slots:
+                buf[:d - c, at:at + w] = encoded[j, c:d]
+            text = buf[:d - c].ravel()
+            self._f.write(text[text != 0])
 
     def close(self):
         self._f.close()
@@ -239,7 +294,6 @@ class TelemetryWriter:
 # overhead negligible.
 _BATCH_BYTES = 1 << 20
 
-_NL, _CR, _COMMA, _MINUS, _DOT = b"\n\r,-."
 # Around each block, so that every field's byte windows lie inside it: a
 # number reads the 16 bytes before its end, a string the 24 from its
 # start.  '0' is no separator.

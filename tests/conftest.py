@@ -1,5 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
+
+import peristation.telemetry as telemetry_module
 
 from peristation import (
     ControlConfig,
@@ -102,3 +106,21 @@ def assert_reads_as(log, rows):
     for name in ("time_s", "pressure_kPa", "inflation_mm", "object_z_mm"):
         expected = np.array([getattr(r, name) for r in rows], np.float64).view(np.int64)
         assert np.array_equal(getattr(log, name).view(np.int64), expected), name
+
+
+@contextlib.contextmanager
+def counting_blocks():
+    """Counts the blocks that read_telemetry decodes by byte position and by line."""
+    counts = {"fast": 0, "by line": 0}
+    decode = telemetry_module._decode_block
+
+    def counted(lines, table):
+        columns = decode(lines, table)
+        counts["fast" if columns is not None else "by line"] += 1
+        return columns
+
+    telemetry_module._decode_block = counted
+    try:
+        yield counts
+    finally:
+        telemetry_module._decode_block = decode

@@ -347,6 +347,26 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").exists()
 
 
+class TestUnwritableOutput:
+    """An --out that cannot be written is reported, exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["calibrate"], ["sweep", "--param", "N", "--range", "1:3:1"],
+    ], ids=["run", "calibrate", "sweep"])
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/out.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing directory", "a directory"])
+    def test_exits_2(self, tmp_path, capsys, command, where, reason):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        out = tmp_path / where
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.splitlines()[-1] == f"output error: {out}: {reason}"
+        assert "outcome:" not in printed  # run opens its output before simulating
+        assert not (tmp_path / "missing").exists()
+
+
 def fuzz_values(default):
     """Non-finite, negative, zero, and half or twice the default, of its type."""
     return [math.nan, math.inf, -math.inf, -1, 0, type(default)(default * 0.5),

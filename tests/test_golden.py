@@ -9,9 +9,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from peristation import read_telemetry
 from peristation.cli import main
-from tests.conftest import assert_reads_as, read_rows
+from tests.conftest import assert_reads_as, counting_blocks, read_rows
 
 GOLDEN = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
 
@@ -26,7 +28,10 @@ def test_nominal_noiseless_run(tmp_path, capsys):
     assert sha256(telemetry) == GOLDEN["telemetry_sha256"]["noiseless"]
 
 
-def test_noisy_seed0_calibrate_and_run(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def noisy_seed0(tmp_path_factory):
+    """The quick start's noisy seed-0 calibrate + run telemetry, recorded once."""
+    tmp_path = tmp_path_factory.mktemp("noisy")
     config = tmp_path / "noisy.yaml"
     config.write_text("plant:\n  noise_sigma: 0.05\n")
     baselines, telemetry = tmp_path / "b.csv", tmp_path / "t.csv"
@@ -34,18 +39,23 @@ def test_noisy_seed0_calibrate_and_run(tmp_path, capsys):
                  "--out", str(baselines)]) == 0
     assert main(["run", "--config", str(config), "--baselines", str(baselines), "--seed", "0",
                  "--out", str(telemetry)]) == 0
-    assert sha256(telemetry) == GOLDEN["telemetry_sha256"]["noisy_seed0"]
+    return telemetry
 
 
-def test_noisy_seed0_recording_decodes_as_the_reference(tmp_path, capsys):
+def test_noisy_seed0_calibrate_and_run(noisy_seed0):
+    assert sha256(noisy_seed0) == GOLDEN["telemetry_sha256"]["noisy_seed0"]
+
+
+def test_noisy_seed0_recording_decodes_as_the_reference(noisy_seed0):
     """The golden noisy recording decodes to the per-line reference's rows,
     float bits included."""
-    config = tmp_path / "noisy.yaml"
-    config.write_text("plant:\n  noise_sigma: 0.05\n")
-    baselines, telemetry = tmp_path / "b.csv", tmp_path / "t.csv"
-    assert main(["calibrate", "--config", str(config), "--seed", "0",
-                 "--out", str(baselines)]) == 0
-    assert main(["run", "--config", str(config), "--baselines", str(baselines), "--seed", "0",
-                 "--out", str(telemetry)]) == 0
-    assert sha256(telemetry) == GOLDEN["telemetry_sha256"]["noisy_seed0"]
-    assert_reads_as(read_telemetry(telemetry), read_rows(telemetry))
+    assert sha256(noisy_seed0) == GOLDEN["telemetry_sha256"]["noisy_seed0"]
+    assert_reads_as(read_telemetry(noisy_seed0), read_rows(noisy_seed0))
+
+
+def test_noisy_seed0_recording_decodes_by_byte_position(noisy_seed0):
+    """Every block the writer wrote takes the decoder's fast path: the two
+    halves of the codec agree on one fixed-6 form."""
+    with counting_blocks() as counts:
+        read_telemetry(noisy_seed0)
+    assert counts["fast"] > 1 and counts["by line"] == 0

@@ -1,12 +1,12 @@
 """Telemetry round-trip and format guarantees."""
 
-import contextlib
 import math
 import os
 import re
 import struct
 import tempfile
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from peristation import (
     TelemetryWriter,
     read_telemetry,
 )
-from tests.conftest import assert_reads_as, read_rows
+from tests.conftest import assert_reads_as, counting_blocks, read_rows
 
 
 @pytest.fixture
@@ -169,24 +169,6 @@ class TestTelemetryLog:
             read_telemetry(recording)
 
 
-@contextlib.contextmanager
-def counting_blocks():
-    """Counts the blocks that read_telemetry decodes by byte position and by line."""
-    counts = {"fast": 0, "by line": 0}
-    decode = telemetry._decode_block
-
-    def counted(lines, table):
-        columns = decode(lines, table)
-        counts["fast" if columns is not None else "by line"] += 1
-        return columns
-
-    telemetry._decode_block = counted
-    try:
-        yield counts
-    finally:
-        telemetry._decode_block = decode
-
-
 @pytest.fixture
 def fast_blocks():
     with counting_blocks() as counts:
@@ -299,3 +281,121 @@ def insert_line(path, line: str) -> int:
     at = data.index(b"\n", 3 << 19) + 1
     path.write_bytes(data[:at] + line.encode() + data[at:])
     return data.count(b"\n", 0, at) + 1
+
+
+def ulps_from(x: float, steps: int) -> float:
+    """The double steps ulps above x (below for negative steps)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# integer parts at the edges of the encoder's tables and of the decoder's form
+EDGES = [999.0, 999.999999, 999.9999995, 1000.0, 1e6, 1e8 - 1e-6, 1e8, 1e9, 1e15, 2.0**53,
+         1e300, 5e-324]
+
+encoder_doubles = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2000.0, 2000.0),
+    st.builds(lambda k, steps: ulps_from((k + 0.5) / 1e6, steps),
+              st.integers(-10**10, 10**10), st.integers(-3, 3)),
+    st.floats(-5e-7, 5e-7),  # rounds to 0.000000 or -0.000000
+    st.builds(lambda x, sign, steps: sign * ulps_from(x, steps),
+              st.sampled_from(EDGES), st.sampled_from([1.0, -1.0]), st.integers(-3, 3)),
+    st.sampled_from([0.0, -0.0, -1e-9, math.nan, math.inf, -math.inf]),
+)
+
+
+class TestEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(encoder_doubles, min_size=1, max_size=60))
+    def test_matches_percent_format(self, values):
+        """Each row is '%.6f' % v and ',' right-aligned, NUL-padded, in a
+        16-byte slot unless some text is longer."""
+        encoded = telemetry._encode6(np.array(values))
+        texts = [("%.6f," % v).encode() for v in values]
+        width = max(16, *map(len, texts))
+        assert encoded.shape == (len(values), width)
+        assert [bytes(row) for row in encoded] == [t.rjust(width, b"\0") for t in texts]
+
+
+def reference_text(calls, layout) -> bytes:
+    """Reference writer: each record() call's rows, one f-string per row."""
+    lines = [TELEMETRY_HEADER + "\n"]
+    for now, rows, valves, phase, events in calls:
+        for k, t in enumerate(now):
+            texts = {}
+            for mid, text in events if k == 0 else ():
+                texts.setdefault(mid, []).append(text)
+            z = rows.object_z[k]
+            for i, mod in enumerate(layout.modules):
+                lines.append(f"{t:.6f},{mod.id},{mod.kind},{rows.pressure[k, i]:.6f},"
+                             f"{valves[mod.id]},{rows.inflation[k, i]:.6f},{z:.6f},{phase},"
+                             f"{';'.join(texts.get(mod.id, ()))}\n")
+            for text in texts.get(0, ()):
+                lines.append(f"{t:.6f},0,-,0.000000,-,0.000000,{z:.6f},{phase},{text}\n")
+    return "".join(lines).encode()
+
+
+def random_values(rng, shape) -> np.ndarray:
+    """Floats of every kind the encoder tells apart: plain, near-ties, values
+    printing -0.000000, beyond the tables, and nan and inf."""
+    kinds = [
+        rng.normal(0.0, 20.0, shape),
+        (rng.integers(-10**9, 10**9, shape) + 0.5) / 1e6,
+        rng.uniform(-5e-7, 0.0, shape),
+        rng.uniform(-1e10, 1e10, shape),
+        rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], shape),
+    ]
+    pick = rng.choice(len(kinds), shape, p=[0.8, 0.08, 0.05, 0.05, 0.02])
+    return np.choose(pick, kinds)
+
+
+@st.composite
+def record_calls(draw):
+    """A layout and a run of record() calls: (now, rows, valves, phase, events)."""
+    m = draw(st.integers(1, 5))
+    layout = SimpleNamespace(modules=[
+        SimpleNamespace(id=i, kind="Compression" if i % 2 else "Longitudinal")
+        for i in range(1, m + 1)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    calls, start = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.one_of(st.just(1), st.integers(2, 600)))
+        now = (start + np.arange(n)) * 1e-3
+        pressure, inflation = random_values(rng, (n, m)), random_values(rng, (n, m))
+        for column in draw(st.sets(st.integers(0, 2 * m - 1))):  # columns holding one value
+            (pressure if column < m else inflation)[:, column % m] = random_values(rng, 1)
+        for column in draw(st.sets(st.integers(0, 2 * m - 1))):  # held, then varying
+            values = (pressure if column < m else inflation)[:, column % m]
+            values[:draw(st.integers(0, n - 1))] = values[0]
+        z = draw(st.sampled_from(["varies", "one value", "-0.0"]))
+        object_z = {"varies": random_values(rng, n), "one value": np.full(n, 12.5),
+                    "-0.0": np.full(n, -0.0)}[z]
+        events = draw(st.lists(st.tuples(
+            st.integers(0, m),
+            st.sampled_from(["grasped level=0", "drop 5% over", "probe %s %d %%", "détection ✓"]),
+        ), max_size=4))
+        valves = {i: draw(st.sampled_from([HOLD, INFLATE])) for i in range(1, m + 1)}
+        calls.append((now, Rows(tuple(range(1, m + 1)), pressure, now, inflation, object_z),
+                      valves, draw(st.sampled_from(["L0:Grasp", "L1:Advance%"])), events))
+        start += n
+    return layout, calls
+
+
+class TestWriterReference:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=record_calls())
+    def test_matches_the_reference_writer(self, drawn):
+        layout, calls = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with TelemetryWriter(path) as writer:
+                for now, rows, valves, phase, events in calls:
+                    writer.record(now, rows, valves, phase, layout, events)
+            with open(path, "rb") as f:
+                assert f.read() == reference_text(calls, layout)
+
+    def test_nul_in_the_text_rejected(self, tmp_path, plant):
+        with pytest.raises(ValueError, match="NUL"):
+            record_one(tmp_path / "t.csv", plant, [(0, "a\0b")])
