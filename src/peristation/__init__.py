@@ -29,7 +29,6 @@ from .plant import (
     INFLATE,
     LONGITUDINAL,
     LONGITUDINAL_STROKE_FRACTION,
-    ChamberState,
     ModuleSpec,
     ObjectSpec,
     ObjectState,
@@ -68,7 +67,6 @@ from .control import (
 from .telemetry import (
     TELEMETRY_HEADER,
     TelemetryLog,
-    TelemetrySample,
     TelemetryWriter,
     read_telemetry,
 )

@@ -115,11 +115,9 @@ def cmd_calibrate(args) -> int:
     _override_seed(cfg, args.seed)
     if _report_problems(cfg):
         return 1
-    obj = None
-    if cfg.calibration_with_object and cfg.object_spec is not None:
-        obj = ObjectState(cfg.object_spec, cfg.initial_z)
-    plant = Plant(cfg.layout, obj, cfg.params, cfg.material)
-    backend = SimulatedBackend(plant)
+    with_object = cfg.calibration_with_object and cfg.object_spec is not None
+    obj = ObjectState(cfg.object_spec, cfg.initial_z) if with_object else None
+    backend = SimulatedBackend(Plant(cfg.layout, obj, cfg.params, cfg.material))
     rates = {}
     for mod in cfg.layout.modules:
         if mod.kind != COMPRESSION:
@@ -168,8 +166,7 @@ def cmd_run(args) -> int:
             return 2
         detection = replace(detection, baseline_rates=rates)
     obj = ObjectState(cfg.object_spec, cfg.initial_z) if cfg.object_spec else None
-    plant = Plant(cfg.layout, obj, cfg.params, cfg.material)
-    backend = SimulatedBackend(plant)
+    backend = SimulatedBackend(Plant(cfg.layout, obj, cfg.params, cfg.material))
     out = args.out or cfg.output_path or "telemetry.csv"
     try:
         recorder = TelemetryWriter(out)

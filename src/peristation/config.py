@@ -89,10 +89,12 @@ DEFAULT_CALIBRATION = {"object_present": False}
 
 DEFAULT_RUN = {"duration_s": 120.0, "output_path": None}
 
-_SECTIONS = (
-    "geometry", "material", "station", "object",
-    "plant", "detection", "control", "calibration", "run",
-)
+# each section's defaults, in the order the sections are checked
+_SECTIONS = {
+    "geometry": DEFAULT_GEOMETRY, "material": DEFAULT_MATERIAL, "station": DEFAULT_STATION,
+    "object": DEFAULT_OBJECT, "plant": DEFAULT_PLANT, "detection": DEFAULT_DETECTION,
+    "control": DEFAULT_CONTROL, "calibration": DEFAULT_CALIBRATION, "run": DEFAULT_RUN,
+}
 
 
 @dataclass
@@ -150,21 +152,21 @@ def _bool(section: str, key: str, v) -> bool:
     return v
 
 
-def _typed(section: str, defaults: dict, raw: dict) -> dict:
-    """A merged numeric section, each value checked against its default's type."""
+def _typed(section: str, raw: dict) -> dict:
+    """A merged numeric section of raw, each value checked against its default's type."""
     return {
-        key: (_int if isinstance(default, int) else _num)(section, key, raw[key])
-        for key, default in defaults.items()
+        key: (_int if isinstance(default, int) else _num)(section, key, raw[section][key])
+        for key, default in _SECTIONS[section].items()
     }
 
 
-def _build_params(section: str, cls, defaults: dict, raw: dict, problems: list):
-    """Type-check a merged section and build cls from it.
+def _build_params(section: str, cls, raw: dict, problems: list):
+    """Type-check a merged section of raw and build cls from it.
 
     A rule the values break goes to problems as "<section>: ...", and the
     result is then None.
     """
-    kwargs = _typed(section, defaults, raw)
+    kwargs = _typed(section, raw)
     try:
         return cls(**kwargs)
     except ValueError as e:
@@ -215,11 +217,13 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     """
     data = {}
     if path is not None:
-        with open(path, "r") as f:
+        with open(path, "r", encoding="utf-8") as f:
             try:
                 data = yaml.safe_load(f)
             except yaml.YAMLError as e:
                 raise ConfigError(f"not valid YAML: {e}") from None
+            except UnicodeDecodeError as e:
+                raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
         if data is None:
             data = {}
     data = _mapping(data, "config root")
@@ -227,33 +231,25 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
 
-    geo_raw = _merge("geometry", _mapping(data.get("geometry"), "geometry"),
-                     DEFAULT_GEOMETRY, require_all=True)
-    mat_raw = _merge("material", _mapping(data.get("material"), "material"), DEFAULT_MATERIAL)
-    sta_raw = _merge("station", _mapping(data.get("station"), "station"), DEFAULT_STATION)
-    obj_raw = _merge("object", _mapping(data.get("object"), "object"), DEFAULT_OBJECT)
-    plant_raw = _merge("plant", _mapping(data.get("plant"), "plant"), DEFAULT_PLANT)
-    det_raw = _merge("detection", _mapping(data.get("detection"), "detection"), DEFAULT_DETECTION)
-    ctl_raw = _merge("control", _mapping(data.get("control"), "control"), DEFAULT_CONTROL)
-    cal_raw = _merge("calibration", _mapping(data.get("calibration"), "calibration"),
-                     DEFAULT_CALIBRATION)
-    run_raw = _merge("run", _mapping(data.get("run"), "run"), DEFAULT_RUN)
+    raw = {name: _merge(name, _mapping(data.get(name), name), defaults,
+                        require_all=name == "geometry")
+           for name, defaults in _SECTIONS.items()}
 
     problems: list[str] = []
 
-    geometry = RingGeometry(**_typed("geometry", DEFAULT_GEOMETRY, geo_raw))
+    geometry = RingGeometry(**_typed("geometry", raw))
     try:
         report = validate_geometry(geometry)
         problems.extend(f"geometry: {v}" for v in report.violations)
     except ValueError as e:
         problems.append(f"geometry: {e}")
 
-    params = _build_params("plant", PlantParams, DEFAULT_PLANT, plant_raw, problems)
+    params = _build_params("plant", PlantParams, raw, problems)
 
     material = None
-    E = _num("material", "youngs_modulus_E", mat_raw["youngs_modulus_E"])
-    nu = _num("material", "poisson_ratio_nu", mat_raw["poisson_ratio_nu"])
-    target = _num("material", "calibration_target", mat_raw["calibration_target"])
+    E = _num("material", "youngs_modulus_E", raw["material"]["youngs_modulus_E"])
+    nu = _num("material", "poisson_ratio_nu", raw["material"]["poisson_ratio_nu"])
+    target = _num("material", "calibration_target", raw["material"]["calibration_target"])
     geometry_ok = not any(p.startswith("geometry:") for p in problems)
     if geometry_ok and params is not None:
         try:
@@ -263,7 +259,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             problems.append(f"material: {e}")
 
     layout = None
-    specs = _build_modules(sta_raw, geometry)
+    specs = _build_modules(raw["station"], geometry)
     violations = station_violations(specs)
     if violations:
         problems.extend(f"station: {v}" for v in violations)
@@ -271,10 +267,10 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         layout = StationLayout(tuple(specs))
 
     object_spec = None
-    initial_z = _num("object", "initial_z", obj_raw["initial_z"])
-    if _bool("object", "present", obj_raw["present"]):
-        r_o = _num("object", "radius_r_o", obj_raw["radius_r_o"])
-        L_o = _num("object", "length_L_o", obj_raw["length_L_o"])
+    initial_z = _num("object", "initial_z", raw["object"]["initial_z"])
+    if _bool("object", "present", raw["object"]["present"]):
+        r_o = _num("object", "radius_r_o", raw["object"]["radius_r_o"])
+        L_o = _num("object", "length_L_o", raw["object"]["length_L_o"])
         if not 0 < r_o < geometry.inner_radius_r:
             problems.append(
                 f"object: radius_r_o must be in (0, inner_radius_r={geometry.inner_radius_r}), "
@@ -286,12 +282,12 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             problems.append(f"object: initial_z must be finite and >= 0, got {initial_z}")
         object_spec = ObjectSpec(r_o, L_o)
 
-    detection = _build_params("detection", DetectionConfig, DEFAULT_DETECTION, det_raw, problems)
-    control = _build_params("control", ControlConfig, DEFAULT_CONTROL, ctl_raw, problems)
+    detection = _build_params("detection", DetectionConfig, raw, problems)
+    control = _build_params("control", ControlConfig, raw, problems)
 
-    duration_s = _num("run", "duration_s", run_raw["duration_s"])
+    duration_s = _num("run", "duration_s", raw["run"]["duration_s"])
     problems.extend(duration_problems(duration_s))
-    output_path = run_raw["output_path"]
+    output_path = raw["run"]["output_path"]
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"run.output_path: expected a path string, got {output_path!r}")
 
@@ -305,7 +301,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         detection=detection,
         control=control,
         calibration_with_object=_bool("calibration", "object_present",
-                                      cal_raw["object_present"]),
+                                      raw["calibration"]["object_present"]),
         duration_s=duration_s,
         output_path=output_path,
         problems=problems,
@@ -319,29 +315,32 @@ def load_baselines(path: str) -> dict[int, float]:
     """Read a calibration CSV into {module_id: rate}.
 
     Raises:
-        ConfigError: wrong header, malformed row, or a rate that is not
-            finite and > 0.
+        ConfigError: text that is not UTF-8, wrong header, malformed row, or
+            a rate that is not finite and > 0.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            header, *lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+    if header.strip() != BASELINES_HEADER:
+        raise ConfigError(f"unrecognized baselines header: {header.strip()!r}")
     out: dict[int, float] = {}
-    with open(path, "r") as f:
-        header = f.readline().strip()
-        if header != BASELINES_HEADER:
-            raise ConfigError(f"unrecognized baselines header: {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"baselines line {lineno}: expected 2 columns")
-            try:
-                mid, rate = int(parts[0]), float(parts[1])
-            except ValueError:
-                raise ConfigError(f"baselines line {lineno}: malformed row {line!r}") from None
-            if not 0 < rate < math.inf:
-                raise ConfigError(f"baselines line {lineno}: rate must be finite and > 0, "
-                                  f"got {rate}")
-            out[mid] = rate
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"baselines line {lineno}: expected 2 columns")
+        try:
+            mid, rate = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise ConfigError(f"baselines line {lineno}: malformed row {line!r}") from None
+        if not 0 < rate < math.inf:
+            raise ConfigError(f"baselines line {lineno}: rate must be finite and > 0, "
+                              f"got {rate}")
+        out[mid] = rate
     return out
 
 

@@ -33,6 +33,7 @@ from .plant import (
     StationLayout,
     ObjectSpec,
 )
+from .telemetry import as_recorded, recorded_threshold
 
 GRASP = "Grasp"
 ADVANCE_RELEASE = "AdvanceRelease"
@@ -309,6 +310,8 @@ class StationController:
         self.z_est = initial_z
         self.gate_hi = control.inflated_fraction * params.P_max
         self.gate_lo = control.deflated_threshold_kPa
+        self._pass_hi = recorded_threshold(self.gate_hi, rises=True)
+        self._pass_lo = recorded_threshold(self.gate_lo, rises=False)
 
         baselines = dict(detection.baseline_rates)
         for mod in layout.modules:
@@ -376,6 +379,7 @@ class StationController:
         """One controller tick: ingest events and pressures, emit changed valves.
 
         sensed is the tick's row of kPa in layout order: module mid reads sensed[mid - 1].
+        Each kPa is read as recorded (see run_station).
         """
         self._changed = {}
         if self.done:
@@ -424,7 +428,7 @@ class StationController:
         if self._probe_done:
             return
         tau = self.now - self._probe_t0
-        self._probe_trace.append((tau, sensed[self._probe_id - 1]))
+        self._probe_trace.append((tau, as_recorded([sensed[self._probe_id - 1]]).item()))
         if tau < self.det.window_start + self.det.window_len:
             return
         self._probe_done = True
@@ -486,8 +490,9 @@ class StationController:
         triple = self._triple()
         return [(triple[pos], rises) for pos, rises in GATES[self.phase, self.stage]]
 
-    def _holds(self, pressure: float, rises: bool) -> bool:
-        return pressure >= self.gate_hi if rises else pressure <= self.gate_lo
+    def _holds(self, pressure, rises: bool):
+        """Whether a kPa, or each of an array, read as recorded passes a gate."""
+        return pressure >= self._pass_hi if rises else pressure <= self._pass_lo
 
     def _check_gate(self, sensed: Sequence[float]) -> None:
         gate = self._gate()
@@ -531,8 +536,9 @@ class StationController:
         valves unchanged since row 0.  A later row needs update() when
         its phase times out, its probe window ends or its gate opens.  The
         rows before it change nothing but the probe trace, which gets their
-        (tau, kPa) samples here.  Returns len(now) - 1 when no row needs
-        update() (the last row then goes through it), and 1 for a single row.
+        (tau, kPa) samples here, as recorded.  Returns len(now) - 1 when no
+        row needs update() (the last row then goes through it), and 1 for a
+        single row.
         """
         if len(now) < 2:
             return 1
@@ -544,13 +550,12 @@ class StationController:
             stop |= tau >= self.det.window_start + self.det.window_len
         gate = np.ones(len(t), dtype=bool)
         for mid, rises in self._gate():
-            p = sensed[1:, mid - 1]
-            gate &= p >= self.gate_hi if rises else p <= self.gate_lo
+            gate &= self._holds(sensed[1:, mid - 1], rises)
         hits = np.flatnonzero(stop | gate)
         j = int(hits[0]) + 1 if hits.size else len(now) - 1
         if probing:
-            self._probe_trace.extend(zip(tau[:j - 1].tolist(),
-                                         sensed[1:j, self._probe_id - 1].tolist()))
+            p = as_recorded(sensed[1:j, self._probe_id - 1])
+            self._probe_trace.extend(zip(tau[:j - 1].tolist(), p.tolist()))
         return j
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
@@ -608,6 +613,11 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     first row that goes through update(), which gets that row of the
     lookahead.  The backend must step at dt = params.dt, and its rows must
     hold the layout's modules in order.
+
+    The controller decides on each sensed kPa as recorded, the double its
+    6-decimal text reads back as: gates through recorded_threshold, the
+    probe trace through as_recorded.  A replay reads those doubles from the
+    file, so it takes the live run's decisions by construction.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")

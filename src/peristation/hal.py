@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -85,6 +85,15 @@ class EndOfRecordingError(ValueError):
     """Replay queried past the last recorded sample."""
 
 
+def _check_order(last: dict[int, float], cmd: ValveCommand) -> None:
+    """Keep cmd's timestamp as its module's last; it must not precede the one kept before."""
+    before = last.get(cmd.module_id, -math.inf)
+    if cmd.timestamp < before:
+        raise ValueError(f"command timestamps must be non-decreasing per module "
+                         f"(module {cmd.module_id}: {cmd.timestamp} < {before})")
+    last[cmd.module_id] = cmd.timestamp
+
+
 class SimulatedBackend:
     """HAL over the in-process plant.
 
@@ -103,7 +112,7 @@ class SimulatedBackend:
         self._rng = np.random.default_rng(plant.params.rng_seed)
         self._noise = np.empty((0, len(self._ids)))  # drawn noise; row 0 is the current tick's
         self._traj = None  # the last lookahead's trajectory, while it stays valid
-        self._last_cmd_t = {i: -math.inf for i in self._ids}
+        self._last_cmd_t: dict[int, float] = {}
         self._pending_events: list[tuple[int, str]] = []
 
     def _noise_rows(self, n: int) -> np.ndarray:
@@ -130,12 +139,7 @@ class SimulatedBackend:
     def set_valve(self, cmd: ValveCommand) -> bool:
         if cmd.module_id not in self._ids:
             raise ValueError(f"no such endpoint: module {cmd.module_id}")
-        if cmd.timestamp < self._last_cmd_t[cmd.module_id]:
-            raise ValueError(
-                f"command timestamps must be non-decreasing per module "
-                f"(module {cmd.module_id}: {cmd.timestamp} < {self._last_cmd_t[cmd.module_id]})"
-            )
-        self._last_cmd_t[cmd.module_id] = cmd.timestamp
+        _check_order(self._last_cmd_t, cmd)
         self.plant.set_valve(cmd.module_id, cmd.mode)
         self._traj = None
         return True
@@ -191,13 +195,12 @@ class ReplayBackend:
     ends where its first module id comes round again.
     """
 
-    def __init__(self, samples: Sequence, dt: float):
+    def __init__(self, log: TelemetryLog, dt: float):
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.dt = dt
         self.mismatches = 0
         self._last_cmd_t: dict[int, float] = {}
-        log = samples if isinstance(samples, TelemetryLog) else TelemetryLog.from_samples(samples)
         mids = log.module_id
         rows = np.flatnonzero(mids)
         if not rows.size:
@@ -243,13 +246,7 @@ class ReplayBackend:
         k, col = self._current(), self._col(cmd.module_id)
         if cmd.mode not in VALVE_MODES:
             raise ValueError(f"unknown valve mode {cmd.mode!r}")
-        last = self._last_cmd_t.get(cmd.module_id, -math.inf)
-        if cmd.timestamp < last:
-            raise ValueError(
-                f"command timestamps must be non-decreasing per module "
-                f"(module {cmd.module_id}: {cmd.timestamp} < {last})"
-            )
-        self._last_cmd_t[cmd.module_id] = cmd.timestamp
+        _check_order(self._last_cmd_t, cmd)
         code, recorded = self._code(cmd.mode), self._valve[k, col]
         if recorded != code:
             self.mismatches += 1

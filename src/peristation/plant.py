@@ -57,14 +57,6 @@ class ModuleSpec:
     z_origin: float  # mm, bottom face at rest
 
 
-@dataclass
-class ChamberState:
-    pressure_P: float = 0.0
-    valve: str = HOLD
-    inflation_d: float = 0.0
-    in_contact: bool = False
-
-
 @dataclass(frozen=True)
 class ObjectSpec:
     radius_r_o: float  # mm
@@ -75,7 +67,6 @@ class ObjectSpec:
 class ObjectState:
     spec: ObjectSpec
     z: float  # mm, bottom face
-    supporters: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -261,9 +252,8 @@ class Plant:
 
     trajectory(n) integrates up to n steps under the current valves without
     changing the plant, and commit() moves the plant to one of its rows;
-    step() is the two with n = 1.  A single logical owner must serialize
-    these calls.  Snapshots returned by chambers() and object_state() are
-    plain values safe to share.
+    step() is the two with n = 1.  The current state is row 0 of any
+    trajectory.  A single logical owner must serialize these calls.
     """
 
     def __init__(
@@ -275,7 +265,6 @@ class Plant:
     ):
         self.layout = layout
         self.params = params
-        self.material = material
         self.object = obj
         self.time = 0.0
 
@@ -287,7 +276,6 @@ class Plant:
         self._d = [0.0] * n
         self._contact = [False] * n
         self._lift = [0.0] * n  # current rise of each module above rest
-        self._supporters: list[int] = []
         self._state = 0  # counts commits and valve changes; a trajectory is valid for one
 
         # Full-pressure displacement per module, fixed by geometry/material;
@@ -306,33 +294,6 @@ class Plant:
         self._inc_contact = params.contact_rate(ror) * dt
         self._inc_other = {HOLD: -0.0, DEFLATE: -(params.k_vent * dt)}
 
-    # -- queries ------------------------------------------------------------
-
-    def pressure(self, module_id: int) -> float:
-        return self._P[module_id - 1]
-
-    def valve(self, module_id: int) -> str:
-        return self._valve[module_id - 1]
-
-    def inflation(self, module_id: int) -> float:
-        return self._d[module_id - 1]
-
-    def chambers(self) -> dict[int, ChamberState]:
-        return {
-            m.id: ChamberState(self._P[i], self._valve[i], self._d[i], self._contact[i])
-            for i, m in enumerate(self._mods)
-        }
-
-    def object_state(self) -> Optional[ObjectState]:
-        if self.object is None:
-            return None
-        return ObjectState(self.object.spec, self.object.z, frozenset(self._supporters))
-
-    def module_span(self, module_id: int) -> tuple[float, float]:
-        m = self._mods[module_id - 1]
-        lo = m.z_origin + self._lift[module_id - 1]
-        return lo, lo + m.height_h
-
     def set_valve(self, module_id: int, mode: str) -> None:
         if mode not in VALVE_MODES:
             raise ValueError(f"unknown valve mode {mode!r}")
@@ -343,11 +304,8 @@ class Plant:
 
     # -- integration --------------------------------------------------------
 
-    def step(self, commands: Optional[dict[int, str]] = None) -> list[tuple[int, str]]:
+    def step(self) -> list[tuple[int, str]]:
         """Advance one dt; returns (module_id, text) events (0 = station-level)."""
-        if commands:
-            for mid, mode in commands.items():
-                self.set_valve(mid, mode)
         return self.commit(self.trajectory(1), 1)
 
     def commit(self, traj: Trajectory, row: int) -> list[tuple[int, str]]:
@@ -370,25 +328,15 @@ class Plant:
         self._lift = traj.lift[row].tolist()
         self._contact = traj.contact[row].tolist()
         self.time = traj.time[row].item()
-        obj = self.object
-        if obj is not None:
-            obj.z = traj.object_z[row].item()
-            self._supporters = [self._mods[i].id for i in self._comp if self._contact[i]]
-            obj.supporters = frozenset(self._supporters)
+        if self.object is not None:
+            self.object.z = traj.object_z[row].item()
         self._state += 1
         return list(traj.events) if row == len(traj) - 1 else []
 
     def _increments(self, contact: Sequence[bool]) -> list[float]:
         """Each module's pressure change over one step at the current valves."""
-        out = []
-        for i, v in enumerate(self._valve):
-            if v == INFLATE:
-                out.append(self._inc_contact if contact[i] else self._inc_free)
-            elif v in self._inc_other:
-                out.append(self._inc_other[v])
-            else:
-                raise ValueError(f"unknown valve mode {v!r}")
-        return out
+        return [(self._inc_contact if contact[i] else self._inc_free) if v == INFLATE
+                else self._inc_other[v] for i, v in enumerate(self._valve)]
 
     def trajectory(self, n: int) -> Trajectory:
         """The states of the next n steps (fewer after an event), plant unchanged.

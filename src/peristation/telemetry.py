@@ -3,82 +3,41 @@
 One CSV row per module per controller tick, plus module_id=0 rows for
 station-scoped events, all at fixed 6-decimal precision so identical runs
 produce byte-identical UTF-8 files on any platform.  Event text never contains
-commas; multiple events for one module in one tick join with ';'.
+commas; multiple events for one module in one tick join with ';'.  A value's
+text reads back as its recorded value (as_recorded), which the controller
+decides on.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
-from operator import attrgetter
+import math
 
 import numpy as np
 
 TELEMETRY_HEADER = "time_s,module_id,kind,pressure_kPa,valve,inflation_mm,object_z_mm,phase,event"
 
-
-@dataclass(frozen=True)
-class TelemetrySample:
-    time_s: float
-    module_id: int
-    kind: str
-    pressure_kPa: float
-    valve: str
-    inflation_mm: float
-    object_z_mm: float
-    phase: str
-    event: str
-
-
-# TelemetrySample field names, in CSV column order
-_COLUMNS = tuple(f.name for f in fields(TelemetrySample))
-_get_columns = attrgetter(*_COLUMNS)
+# column names, in CSV order
+_COLUMNS = tuple(TELEMETRY_HEADER.split(","))
 # the string columns held as codes into a table of their distinct values
 _CODED = ("kind", "valve", "phase")
 # each column's dtype as read, in CSV order; a coded column holds its codes
 _DTYPES = (np.float64, np.int64, np.uint32, np.float64, np.uint32, np.float64, np.float64,
            np.uint32, object)
-# rows converted to Python values at a time while iterating a log
-_ITER_ROWS = 4096
 
 
-def _coded_column(name: str):
-    """A coded column read as an object array of its shared strings."""
-    def strings(self) -> np.ndarray:
-        return _expand(self._coded[name])
-    return property(strings, doc=f"The {name} column as an object array (table[codes]).")
-
-
-def _code_strings(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Code strings by first appearance: (codes, table), table[codes] == strings."""
-    table = {}
-    codes = [table.setdefault(s, len(table)) for s in strings]
-    return _small(np.array(codes, np.uint32), len(table)), np.array(list(table), object)
-
-
-def _small(codes: np.ndarray, n: int) -> np.ndarray:
-    """Codes into a table of n strings, in the smallest unsigned dtype that holds them."""
-    return codes.astype(np.min_scalar_type(max(n - 1, 0)), copy=False)
-
-
-class TelemetryLog(Sequence):
+class TelemetryLog:
     """A telemetry recording held by column.
 
     time_s, pressure_kPa, inflation_mm and object_z_mm are float64 arrays and
     module_id is an int64 array.  kind, valve and phase are codes into a
-    small table of shared strings; codes(name) gives both, and the attribute
-    reads as the object array table[codes].  event is an object array.  As a
-    Sequence, len(), indexing (negative too), slicing and iteration yield
-    TelemetrySample rows of Python ints, floats and strs.
+    small table of shared strings, which codes(name) gives.  event is an
+    object array.  len() is the number of rows.
     """
 
     __slots__ = ("time_s", "module_id", "pressure_kPa", "inflation_mm", "object_z_mm",
                  "event", "_coded")
-
-    kind = _coded_column("kind")
-    valve = _coded_column("valve")
-    phase = _coded_column("phase")
 
     def __init__(self, time_s, module_id, kind, pressure_kPa, valve, inflation_mm,
                  object_z_mm, phase, event):
@@ -92,43 +51,15 @@ class TelemetryLog(Sequence):
         self._coded = dict(zip(_CODED, (kind, valve, phase)))
         lengths = {len(c) for c in (self.time_s, self.module_id, self.pressure_kPa,
                                     self.inflation_mm, self.object_z_mm, self.event)}
-        lengths.update(len(codes) for codes, _ in self._coded.values())
-        if len(lengths) > 1:
+        if len(lengths | {len(codes) for codes, _ in self._coded.values()}) > 1:
             raise ValueError(f"expected {len(_COLUMNS)} columns of equal length")
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[TelemetrySample]) -> "TelemetryLog":
-        columns = [list(c) for c in zip(*map(_get_columns, samples))] or [[] for _ in _COLUMNS]
-        return cls(*(_code_strings(c) if name in _CODED else c
-                     for name, c in zip(_COLUMNS, columns)))
 
     def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """A string column ("kind", "valve" or "phase") as (codes, table)."""
         return self._coded[name]
 
-    def _parts(self, i) -> list:
-        """Each column indexed by i, in CSV order; a coded column as (codes[i], table)."""
-        return [(self._coded[name][0][i], self._coded[name][1]) if name in _CODED
-                else getattr(self, name)[i] for name in _COLUMNS]
-
     def __len__(self) -> int:
         return len(self.time_s)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return TelemetryLog(*self._parts(i))
-        values = map(_expand, self._parts(range(len(self))[i]))  # IndexError past either end
-        return TelemetrySample(*(v.item() if isinstance(v, np.generic) else v for v in values))
-
-    def __iter__(self):
-        for a in range(0, len(self), _ITER_ROWS):
-            columns = map(_expand, self._parts(slice(a, a + _ITER_ROWS)))
-            yield from map(TelemetrySample, *(c.tolist() for c in columns))
-
-
-def _expand(part):
-    """A column part, with a coded (codes, table) pair read as table[codes]."""
-    return part[1][part[0]] if isinstance(part, tuple) else part
 
 
 _NL, _CR, _COMMA, _MINUS, _DOT = b"\n\r,-."
@@ -149,24 +80,61 @@ _DEC = np.array([int.from_bytes(f"\0{i:03d}".encode(), "little") for i in range(
 _POINT_COMMA = np.uint64(_DOT | _COMMA << 56)
 
 
-def _encode6(x: np.ndarray) -> np.ndarray:
-    """Each float's '%.6f' text and a ',' as one row of bytes, right-aligned
-    and NUL-padded: a (len(x), w) uint8 array, w 16 unless a text is longer.
+def _digits6(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float's '%.6f' digits where they follow without text: (n, fast).
 
-    The digits are rint(p) for p = |x| * 1e6 as rounded, unless p is a
-    half-integer: rounding is monotone and below 2**52 every half-integer
-    is a double, so p lies on the same side of each as the exact product.
-    Those values with an integer part below _INT_LIMIT come from the tables,
-    the sign from signbit (so -1e-9 gives -0.000000); the rest (p a
-    half-integer, nan, inf, a larger integer part) go through '%.6f'.
+    n is rint(p) as int32 for p = |x| * 1e6 as rounded, and fast marks where
+    n is the digits: p is no half-integer (rounding is monotone and below
+    2**52 every half-integer is a double, so p lies on the same side of each
+    as the exact product) and n / 1e6 is below _INT_LIMIT.  The rest need '%.6f'.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # nan and inf are not fast
         p = np.abs(x) * 1e6
         n = np.rint(p)
         p -= n
         fast = (np.abs(p, out=p) < 0.5) & (n < _INT_LIMIT * 1e6)
-        digits = n.astype(np.int32)
-    del p, n  # each temporary is as large as x: keep few alive at once
+        return n.astype(np.int32), fast
+
+
+def as_recorded(x) -> np.ndarray:
+    """Each float of a sequence as the double its '%.6f' text reads back as
+    (idempotent, so a replay, which reads these doubles, gets them again)."""
+    x = np.asarray(x, np.float64)
+    n, fast = _digits6(x)
+    out = np.copysign(n / 1e6, x)  # n and 1e6 are exact: the quotient rounds as float() does
+    slow = np.flatnonzero(~fast)
+    out[slow] = [float("%.6f" % v) for v in x[slow].tolist()]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def recorded_threshold(g: float, rises: bool) -> float:
+    """The raw threshold that decides as g does on recorded values.
+
+    as_recorded is monotone, so as_recorded(x) >= g exactly when x >= the
+    result (rises), and as_recorded(x) <= g exactly when x <= it (falls).
+    """
+    if not math.isfinite(g):
+        return g  # as_recorded keeps each non-finite value, and each finite one finite
+    # it moves a value by at most 5e-7 plus rounding: bisect down to two neighbours
+    lo, hi = g - 1e-6 - 4 * math.ulp(g), g + 1e-6 + 4 * math.ulp(g)
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        r = as_recorded([mid])[0]
+        if r >= g if rises else r > g:
+            hi = mid
+        else:
+            lo = mid
+    return hi if rises else lo
+
+
+def _encode6(x: np.ndarray) -> np.ndarray:
+    """Each float's '%.6f' text and a ',' as one row of bytes, right-aligned
+    and NUL-padded: a (len(x), w) uint8 array, w 16 unless a text is longer.
+
+    The fast values of _digits6 come from the tables, the sign from
+    signbit (so -1e-9 gives -0.000000); the rest go through '%.6f'.
+    """
+    digits, fast = _digits6(x)
     digits *= fast
     slow = np.flatnonzero(~fast)
     texts = [("%.6f," % v).encode() for v in x[slow].tolist()]
@@ -518,6 +486,7 @@ def read_telemetry(path) -> TelemetryLog:
     columns = [np.concatenate([np.asarray(b[j], dtype) for b in blocks] or [np.empty(0, dtype)])
                for j, dtype in enumerate(_DTYPES)]
     strings = np.array(list(table), object)
+    small = np.min_scalar_type(max(len(strings) - 1, 0))  # the least dtype to hold every code
     for j in _STRINGS:
-        columns[j] = (_small(columns[j], len(strings)), strings)
+        columns[j] = (columns[j].astype(small, copy=False), strings)
     return TelemetryLog(*columns)

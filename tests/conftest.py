@@ -1,4 +1,5 @@
 import contextlib
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from peristation import (
     RingGeometry,
     SimulatedBackend,
     SurrogateMaterial,
-    TelemetrySample,
+    TelemetryLog,
     TelemetryWriter,
     build_station,
     calibrate_kappa,
@@ -85,8 +86,14 @@ def recording(tmp_path, recorded_run):
     return path
 
 
+# one telemetry row, in CSV column order
+Row = namedtuple("Row", "time_s module_id kind pressure_kPa valve inflation_mm object_z_mm "
+                        "phase event")
+CODED = ("kind", "valve", "phase")
+
+
 def read_rows(path) -> list:
-    """Reference telemetry parser: one TelemetrySample per non-blank line."""
+    """Reference telemetry parser: one Row per non-blank line."""
     rows = []
     with open(path, newline="") as f:
         next(f)
@@ -94,18 +101,40 @@ def read_rows(path) -> list:
             parts = line.rstrip("\n").split(",", 8)
             if parts != [""]:
                 t, mid, kind, p, valve, d, z, phase, event = parts
-                rows.append(TelemetrySample(float(t), int(mid), kind, float(p), valve,
-                                            float(d), float(z), phase, event))
+                rows.append(Row(float(t), int(mid), kind, float(p), valve,
+                                float(d), float(z), phase, event))
     return rows
 
 
+def log_of(rows) -> TelemetryLog:
+    """A TelemetryLog holding rows (Row-like tuples in CSV column order)."""
+    columns = dict(zip(Row._fields, zip(*rows))) if rows else dict.fromkeys(Row._fields, ())
+    for name in CODED:
+        table = list(dict.fromkeys(columns[name]))
+        columns[name] = (np.array([table.index(v) for v in columns[name]], np.uint32),
+                         np.array(table, object))
+    return TelemetryLog(**columns)
+
+
+def column(log, name) -> list:
+    """One column of a TelemetryLog as a list; a coded one as its strings."""
+    if name in CODED:
+        codes, table = log.codes(name)
+        return table[codes].tolist()
+    return getattr(log, name).tolist()
+
+
 def assert_reads_as(log, rows):
-    """A TelemetryLog holds the reference rows, each float's bits included
-    (so -0.0 is not 0.0)."""
-    assert list(log) == rows
-    for name in ("time_s", "pressure_kPa", "inflation_mm", "object_z_mm"):
-        expected = np.array([getattr(r, name) for r in rows], np.float64).view(np.int64)
-        assert np.array_equal(getattr(log, name).view(np.int64), expected), name
+    """A TelemetryLog holds the reference rows, column by column, each
+    float's bits included (so -0.0 is not 0.0)."""
+    assert len(log) == len(rows)
+    for j, name in enumerate(Row._fields):
+        expected = [r[j] for r in rows]
+        if name in ("time_s", "pressure_kPa", "inflation_mm", "object_z_mm"):
+            bits = np.array(expected, np.float64).view(np.int64)
+            assert np.array_equal(getattr(log, name).view(np.int64), bits), name
+        else:
+            assert column(log, name) == expected, name
 
 
 @contextlib.contextmanager

@@ -5,10 +5,11 @@ import io
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peristation import TELEMETRY_HEADER, BASELINES_HEADER, ConfigError
@@ -367,6 +368,30 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["calibrate", "--out"], ["run", "--out"],
+        ["sweep", "--param", "N", "--range", "3:5:1", "--out"],
+    ], ids=["validate", "calibrate", "run", "sweep"])
+    def test_config_exits_2(self, tmp_path, capsys, command):
+        config = tmp_path / "cfg.yaml"
+        config.write_bytes(b"run:\n  duration_s: 1.0  # \xff\n")
+        out = tmp_path / "out.csv"
+        argv = [*command, str(out)] if command[-1] == "--out" else command
+        assert main([*argv, "--config", str(config)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("config error: ") and "utf-8" in printed
+        assert not out.exists()
+
+    def test_baselines_exit_2(self, tmp_path, capsys):
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_bytes(f"{BASELINES_HEADER}\n1,4.33\n".encode() + b"3,4.\xff\n")
+        out = tmp_path / "t.csv"
+        assert main(["run", "--baselines", str(baselines), "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"config error: {baselines}: ") and "utf-8" in printed
+        assert not out.exists()
+
 def fuzz_values(default):
     """Non-finite, negative, zero, and half or twice the default, of its type."""
     return [math.nan, math.inf, -math.inf, -1, 0, type(default)(default * 0.5),
@@ -434,3 +459,88 @@ class TestConfigFuzz:
     @given(config=fuzzed_configs())
     def test_field_values_combined(self, config):
         check_config(config)
+
+
+# argv parts: each may be malformed text, non-finite, zero, negative or out of range
+SEEDS = st.one_of(st.integers(-3, 2**64), st.integers(0, 9),
+                  st.sampled_from(["x", "1.5", "", "nan"]))
+DURATIONS = st.one_of(st.floats(1e-3, 1.0), st.sampled_from(
+    ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "x", ""]))
+RANGE_PARTS = ["0", "1", "2", "5", "12", "-1", "0.5", "1e-12", "nan", "inf", "-inf", "x", ""]
+
+
+@st.composite
+def ranges(draw):
+    parts = st.sampled_from(RANGE_PARTS)
+    if draw(st.booleans()):  # mostly start:stop:step
+        size = draw(st.sampled_from([3, 3, 3, 2, 4]))
+        return ":".join(draw(st.lists(parts, min_size=size, max_size=size)))
+    return ",".join(draw(st.lists(parts, min_size=1, max_size=4)))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["run", "calibrate", "sweep"]))
+    argv = [command, "--config", None]
+    if command == "sweep":
+        argv += ["--param", draw(st.sampled_from(["N", "l", "t", "x"])), "--range", draw(ranges())]
+    else:
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(SEEDS))]
+        if command == "run":  # a run of at most 1 s, or a duration it must refuse
+            argv += ["--duration", str(draw(DURATIONS))]
+    return argv
+
+
+def check_argv(argv, baselines: bytes = None):
+    """main exits 0, 1 or 2 and raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        argv = list(argv)
+        if "--config" in argv:
+            argv[argv.index("--config") + 1] = write_cfg(Path(tmp), SMALL_RUN)
+        if baselines is not None:
+            path = os.path.join(tmp, "baselines.csv")
+            with open(path, "wb") as f:
+                f.write(baselines)
+            argv += ["--baselines", path]
+        code = main([*argv, "--out", os.path.join(tmp, "out.csv")])
+    assert code in (0, 1, 2), argv
+
+
+# the header right three times in four
+BASELINE_HEADERS = [BASELINES_HEADER] * 12 + ["module_id,rate", "", "module_id,rate_kPa_per_s,x",
+                                             "\ufeff" + BASELINES_HEADER]
+BASELINE_IDS = ["0", "1", "3", "5", "9", "-1", "1.5", "x", ""]
+BASELINE_RATES = ["4.33", "0", "-4.33", "nan", "inf", "1e-300", "1e300", "x", ""]
+
+
+@st.composite
+def baselines_files(draw):
+    """Bytes of a baselines file: a header variant, then rows of drawn ids and
+    rates, some with an extra column, blank or not UTF-8."""
+    lines = [draw(st.sampled_from(BASELINE_HEADERS)).encode()]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["extra", "blank", "bytes"]))
+        row = f"{draw(st.sampled_from(BASELINE_IDS))},{draw(st.sampled_from(BASELINE_RATES))}"
+        lines.append({"row": row.encode(), "extra": f"{row},1".encode(), "blank": b"",
+                      "bytes": row.encode() + b"\xff\xfe"}[kind])
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+class TestArgvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["run", "--config", None, "--seed", "-1", "--duration", "0.1"])
+    @example(argv=["calibrate", "--config", None, "--seed", "-1"])
+    @example(argv=["sweep", "--config", None, "--param", "l", "--range", "nan:1:1"])
+    @example(argv=["sweep", "--config", None, "--param", "t", "--range", "0:1:1e-12"])
+    def test_argv(self, argv):
+        check_argv(argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contents=baselines_files(), duration=st.sampled_from(["0.2", "0.5", "1.0", "nan", "0"]))
+    @example(contents=f"{BASELINES_HEADER}\n1,4.33\n5,0\n".encode(), duration="0.2")
+    @example(contents=f"{BASELINES_HEADER}\n1,4.33\n9,4.33\n".encode(), duration="0.2")
+    def test_baselines_file(self, contents, duration):
+        # the default station: modules 1, 3 and 5 are its rings
+        check_argv(["run", "--duration", duration], baselines=contents)

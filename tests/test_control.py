@@ -28,7 +28,6 @@ from peristation import (
     SimulatedBackend,
     StationController,
     SurrogateMaterial,
-    TelemetrySample,
     TelemetryWriter,
     ValveCommand,
     build_station,
@@ -38,8 +37,9 @@ from peristation import (
     read_telemetry,
     run_station,
 )
+from peristation.config import load_config
 from peristation.control import ADVANCE_RELEASE, GATES, REGRASP_BOTTOM
-from tests.conftest import NOMINAL
+from tests.conftest import NOMINAL, Row, log_of, read_rows
 
 DT = 1e-3
 
@@ -260,8 +260,9 @@ class TestCalibrateBaseline:
     def test_vents_back_and_holds(self, three_module_layout, material, params):
         backend = sim_backend(three_module_layout, material, params, with_object=False)
         calibrate_baseline(backend, 1, params, DetectionConfig())
-        assert backend.plant.pressure(1) <= 0.5
-        assert backend.plant.valve(1) == HOLD
+        traj = backend.plant.trajectory(1)
+        assert 0.0 < traj.pressure[0, 0] <= 0.5
+        assert traj.pressure[1, 0] == traj.pressure[0, 0]  # held
 
     def test_pre_inflated_ring_vents_first(self, three_module_layout, material, params):
         backend = sim_backend(three_module_layout, material, params, with_object=False)
@@ -346,11 +347,13 @@ class TestStationController:
     @settings(max_examples=100, deadline=None)
     @given(gate=st.sampled_from(sorted(GATES)), timeout_back=st.sampled_from([0, 9990, 10000]),
            probe_back=st.sampled_from([None, 0, 2490, 2500]),
-           spikes=st.lists(st.tuples(st.integers(1, 29), st.integers(1, 5), st.integers(0, 6)),
+           spikes=st.lists(st.tuples(st.integers(1, 29), st.integers(1, 5), st.integers(0, 10)),
                            max_size=4))
-    # a gate reading exactly its threshold, rising and falling
+    # a gate reading exactly its threshold, rising and falling, then its recorded edge
     @example(gate=(REGRASP_BOTTOM, 0), timeout_back=0, probe_back=None, spikes=[(7, 1, 5)])
     @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 1)])
+    @example(gate=(REGRASP_BOTTOM, 0), timeout_back=0, probe_back=None, spikes=[(7, 1, 10)])
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 7)])
     def test_quiet_rows_stop_where_update_acts(self, gate, timeout_back, probe_back, spikes):
         """quiet_rows skips exactly the rows on which update() would change
         nothing but the probe trace, gates read exactly at their thresholds
@@ -366,8 +369,11 @@ class TestStationController:
             c._probe_done = True
         else:
             c._probe_t0 = (k0 - probe_back) * DT
+        # the gates, then the raw values at which a recorded value passes them
         levels = [0.0, c.gate_lo, math.nextafter(c.gate_lo, 1.0), 5.0,
-                  math.nextafter(c.gate_hi, 0.0), c.gate_hi, 15.0]
+                  math.nextafter(c.gate_hi, 0.0), c.gate_hi, 15.0,
+                  c._pass_lo, math.nextafter(c._pass_lo, 1.0),
+                  math.nextafter(c._pass_hi, 0.0), c._pass_hi]
         sensed = np.full((30, 5), 5.0)
         for row, mid, level in spikes:
             sensed[row, mid - 1] = levels[level]
@@ -585,7 +591,7 @@ class TestReplayEquivalence:
             run_station(backend, three_module_layout, spec, 0.0, params, DetectionConfig(),
                         ControlConfig(max_cycles=1), 20.0, recorder=writer)
         last = {}  # each module's valve on the tick before
-        for change in read_telemetry(path):
+        for change in read_rows(path):
             if change.module_id and last.setdefault(change.module_id, change.valve) != change.valve:
                 break  # the first valve change after tick 0
             last[change.module_id] = change.valve
@@ -606,10 +612,10 @@ class TestReplayEquivalence:
         assert replay.mismatches == 1
 
     def test_backend_modules_out_of_layout_order_rejected(self, three_module_layout, params):
-        rows = [TelemetrySample(k * DT, mid, "Compression", 0.0, HOLD, 0.0, 0.0, "L0:Grasp", "")
+        rows = [Row(k * DT, mid, "Compression", 0.0, HOLD, 0.0, 0.0, "L0:Grasp", "")
                 for k in range(3) for mid in (3, 2, 1)]
         with pytest.raises(ValueError, match=r"backend modules \(3, 2, 1\) are not the layout's"):
-            run_station(ReplayBackend(rows, DT), three_module_layout, None, 0.0, params,
+            run_station(ReplayBackend(log_of(rows), DT), three_module_layout, None, 0.0, params,
                         DetectionConfig(), ControlConfig(), 1.0)
 
     @settings(max_examples=5, deadline=None)
@@ -635,7 +641,31 @@ class TestReplayEquivalence:
         assert replay.mismatches == 0
         assert (again.outcome, again.cycles, again.sim_time_s) == (
             live.outcome, live.cycles, live.sim_time_s)
-        # rates differ below the file's 6 decimals; the decisions must not
-        assert [(d.module_id, d.contact) for d in again.detections] == [
-            (d.module_id, d.contact) for d in live.detections]
-        assert [(t, mid) for t, mid, _ in again.events] == [(t, mid) for t, mid, _ in live.events]
+        # both decide on the recorded values: the same events, texts and times included
+        assert again.events == live.events
+        assert again.detections == live.detections
+
+    def test_gate_between_a_value_and_its_recorded_text(self, tmp_path):
+        """The noisy seed-0 nominal run with the inflated gate placed between
+        a sensed value and its 6-decimal text.  Deciding on the unrounded
+        value, the live run opened the first grasp gate at tick 2280, where
+        its recording reads below the gate, and its replay failed there."""
+        config = tmp_path / "gate.yaml"
+        config.write_text("plant:\n  noise_sigma: 0.05\n"
+                          "control:\n  inflated_fraction: 0.8722464077669384\n")
+        cfg = load_config(str(config))
+        plant = Plant(cfg.layout, ObjectState(cfg.object_spec, cfg.initial_z), cfg.params,
+                      cfg.material)
+        path = tmp_path / "run.csv"
+        with TelemetryWriter(path) as writer:
+            live = run_station(SimulatedBackend(plant), cfg.layout, cfg.object_spec,
+                               cfg.initial_z, cfg.params, cfg.detection, cfg.control,
+                               cfg.duration_s, recorder=writer)
+        replay = ReplayBackend(read_telemetry(path), cfg.params.dt)
+        again = run_station(replay, cfg.layout, cfg.object_spec, cfg.initial_z, cfg.params,
+                            cfg.detection, cfg.control, cfg.duration_s)
+        assert replay.mismatches == 0
+        first_grasp = next(t for t, _, text in live.events if text == "grasped level=0")
+        assert first_grasp == 2282 * cfg.params.dt
+        assert again.events == live.events
+        assert again.detections == live.detections

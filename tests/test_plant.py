@@ -32,11 +32,42 @@ def make_plant(layout, material, params, obj=None):
     return Plant(layout, obj, params, material)
 
 
+def advance(plant, ticks):
+    """Move the plant ticks steps on, one trajectory at a time; returns the events."""
+    events = []
+    while ticks:
+        traj = plant.trajectory(ticks)
+        events += plant.commit(traj, len(traj) - 1)
+        ticks -= len(traj) - 1
+    return events
+
+
+def pressure(plant, module_id):
+    """The module's current pressure: row 0 of a zero-step trajectory."""
+    return plant.trajectory(0).pressure[0, module_id - 1].item()
+
+
+def inflation(plant, module_id):
+    return plant.trajectory(0).inflation[0, module_id - 1].item()
+
+
+def span(plant, module_id):
+    """The module's current (bottom, top) z: its rest span raised by its lift."""
+    mod = plant.layout.module(module_id)
+    lo = mod.z_origin + plant.trajectory(0).lift[0, module_id - 1].item()
+    return lo, lo + mod.height_h
+
+
+def supporters(plant):
+    """The ids of the rings gripping the object now."""
+    contact = plant.trajectory(0).contact[0]
+    return frozenset(m.id for m in plant.layout.modules if contact[m.id - 1])
+
+
 def grip(plant, module_id, ticks=1700):
     """Inflate one ring past first contact, then hold it."""
     plant.set_valve(module_id, INFLATE)
-    for _ in range(ticks):
-        plant.step()
+    advance(plant, ticks)
     plant.set_valve(module_id, HOLD)
 
 
@@ -158,8 +189,7 @@ def full(plant, *module_ids, ticks=4000):
     """Inflate the rings to P_max (4 s at the free rate is well past it)."""
     for mid in module_ids:
         plant.set_valve(mid, INFLATE)
-    for _ in range(ticks):
-        plant.step()
+    advance(plant, ticks)
 
 
 class TestPressureRate:
@@ -167,22 +197,22 @@ class TestPressureRate:
         obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
         plant = make_plant(three_module_layout, material, params, obj)
         grip(plant, 1)  # in contact, where inflating would take the loaded rate
-        held = plant.pressure(1)
-        plant.step()
-        assert plant.pressure(1) == held
+        held = pressure(plant, 1)
+        advance(plant, 1)
+        assert pressure(plant, 1) == held
 
     def test_deflate_is_minus_vent_rate(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         full(plant, 1)
         plant.set_valve(1, DEFLATE)
-        plant.step()
-        assert plant.pressure(1) == 15.0 - 12.0 * params.dt
+        advance(plant, 1)
+        assert pressure(plant, 1) == 15.0 - 12.0 * params.dt
 
     def test_free_inflation_rate(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         plant.set_valve(1, INFLATE)
-        plant.step()
-        assert plant.pressure(1) == 4.33 * params.dt
+        advance(plant, 1)
+        assert pressure(plant, 1) == 4.33 * params.dt
 
     def test_contact_rate_at_anchor(self, params):
         assert params.contact_rate(0.7) == pytest.approx(8.48, rel=1e-12)
@@ -200,7 +230,7 @@ class TestPressureRate:
         empty = make_plant(three_module_layout, material, params)
         for plant in (loaded, empty):
             full(plant, 2, ticks=3000)
-        assert loaded.pressure(2) == empty.pressure(2)
+        assert pressure(loaded, 2) == pressure(empty, 2)
 
     def test_unknown_valve_rejected(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
@@ -212,26 +242,24 @@ class TestInflationOf:
     def test_compression_full_scale(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         full(plant, 1)
-        assert plant.inflation(1) == 17.25
+        assert inflation(plant, 1) == 17.25
 
     def test_compression_linear(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
-        assert plant.inflation(1) == 0.0
+        assert inflation(plant, 1) == 0.0
         plant.set_valve(1, INFLATE)
-        for _ in range(1732):
-            plant.step()
-        assert plant.inflation(1) == (plant.pressure(1) / 15.0) * 17.25
-        assert plant.inflation(1) == pytest.approx(17.25 * 1.732 * 4.33 / 15.0, rel=1e-9)
+        advance(plant, 1732)
+        assert inflation(plant, 1) == (pressure(plant, 1) / 15.0) * 17.25
+        assert inflation(plant, 1) == pytest.approx(17.25 * 1.732 * 4.33 / 15.0, rel=1e-9)
 
     def test_longitudinal_stroke(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         full(plant, 2)
-        assert plant.inflation(2) == 6.0
+        assert inflation(plant, 2) == 6.0
         plant.set_valve(2, DEFLATE)
-        for _ in range(834):
-            plant.step()
-        assert plant.inflation(2) == (plant.pressure(2) / 15.0) * 6.0
-        assert plant.inflation(2) == pytest.approx((15.0 - 0.834 * 12.0) / 15.0 * 6.0, rel=1e-9)
+        advance(plant, 834)
+        assert inflation(plant, 2) == (pressure(plant, 2) / 15.0) * 6.0
+        assert inflation(plant, 2) == pytest.approx((15.0 - 0.834 * 12.0) / 15.0 * 6.0, rel=1e-9)
 
     def test_unknown_kind_rejected(self, geometry):
         # a kind without a displacement law never reaches a plant
@@ -248,7 +276,7 @@ class TestContactCheck:
             obj = ObjectState(ObjectSpec(r_o, 10.0), 0.0)
             plant = make_plant(three_module_layout, material, params, obj)
             full(plant, 1)
-            assert plant.object_state().supporters == (frozenset({1}) if grips else frozenset())
+            assert supporters(plant) == (frozenset({1}) if grips else frozenset())
 
     def test_span_overlap_must_be_positive(self, three_module_layout, material, params):
         # ring 3 spans [40, 60] mm; an object whose face merely touches it is not gripped
@@ -256,25 +284,25 @@ class TestContactCheck:
             obj = ObjectState(ObjectSpec(17.5, length), z)
             plant = make_plant(three_module_layout, material, params, obj)
             full(plant, 3)
-            assert plant.chambers()[3].in_contact is grips
+            assert (3 in supporters(plant)) is grips
 
     def test_z_bottom_override_shifts_span(self, three_module_layout, material, params):
         # a stroke lifts ring 3 from [40, 60] to [46, 66]: contact follows the lifted span
         obj = ObjectState(ObjectSpec(17.5, 10.0), 62.0)
         plant = make_plant(three_module_layout, material, params, obj)
         full(plant, 3)
-        assert plant.object_state().supporters == frozenset()
+        assert supporters(plant) == frozenset()
         full(plant, 2)
-        assert plant.module_span(3) == (46.0, 66.0)
-        assert plant.object_state().supporters == frozenset({3})
+        assert span(plant, 3) == (46.0, 66.0)
+        assert supporters(plant) == frozenset({3})
 
     def test_longitudinal_module_rejected(self, three_module_layout, material, params):
         # a fully stroked longitudinal ring around the object never grips it
         obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
         plant = make_plant(three_module_layout, material, params, obj)
         full(plant, 2)
-        assert not plant.chambers()[2].in_contact
-        assert plant.object_state().supporters == frozenset()
+        assert not plant.trajectory(0).contact[0].any()
+        assert supporters(plant) == frozenset()
 
 
 class TestTimeToContact:
@@ -301,103 +329,83 @@ class TestPlantIntegration:
     def test_free_inflation_trajectory(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         plant.set_valve(1, INFLATE)
-        for _ in range(1500):
-            plant.step()
-        assert plant.pressure(1) == 6.49500000000018
-        assert plant.inflation(1) == (6.49500000000018 / 15.0) * 17.25
+        advance(plant, 1500)
+        assert pressure(plant, 1) == 6.49500000000018
+        assert inflation(plant, 1) == (6.49500000000018 / 15.0) * 17.25
         assert plant.time == pytest.approx(1.5)
 
     def test_hold_freezes_pressure_exactly(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         plant.set_valve(1, INFLATE)
-        for _ in range(500):
-            plant.step()
-        frozen = plant.pressure(1)
+        advance(plant, 500)
+        frozen = pressure(plant, 1)
         plant.set_valve(1, HOLD)
-        for _ in range(100):
-            plant.step()
-        assert plant.pressure(1) == frozen
+        advance(plant, 100)
+        assert pressure(plant, 1) == frozen
 
     def test_pressure_clamps_at_limits(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         plant.set_valve(1, INFLATE)
-        for _ in range(4000):  # 4 s * 4.33 kPa/s well past P_max
-            plant.step()
-        assert plant.pressure(1) == 15.0
-        assert plant.inflation(1) == 17.25
+        advance(plant, 4000)  # 4 s * 4.33 kPa/s well past P_max
+        assert pressure(plant, 1) == 15.0
+        assert inflation(plant, 1) == 17.25
         plant.set_valve(1, DEFLATE)
-        for _ in range(2000):
-            plant.step()
-        assert plant.pressure(1) == 0.0
-        assert plant.inflation(1) == 0.0
+        advance(plant, 2000)
+        assert pressure(plant, 1) == 0.0
+        assert inflation(plant, 1) == 0.0
 
     def test_contact_switches_rate_next_tick(self, three_module_layout, material, params):
         obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
         plant = make_plant(three_module_layout, material, params, obj)
         plant.set_valve(1, INFLATE)
-        for _ in range(2000):
-            plant.step()
+        advance(plant, 2000)
         # reference: loaded rate first applies the tick after reach crosses the gap
         P, contact = 0.0, False
         for _ in range(2000):
             rate = 8.48 if contact else 4.33
             P = min(P + rate * 1e-3, 15.0)
             contact = P / 15.0 * 17.25 >= 7.5
-        assert plant.pressure(1) == P
-        assert plant.object_state().supporters == frozenset({1})
-
-    def test_commands_applied_through_step(self, three_module_layout, material, params):
-        plant = make_plant(three_module_layout, material, params)
-        plant.step({1: INFLATE, 2: INFLATE})
-        assert plant.valve(1) == INFLATE
-        assert plant.pressure(2) == pytest.approx(0.00433)
+        assert pressure(plant, 1) == P
+        assert supporters(plant) == frozenset({1})
 
     def test_stroke_lifts_modules_above_only(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         plant.set_valve(2, INFLATE)
-        for _ in range(4000):
-            plant.step()
-        assert plant.inflation(2) == 6.0
-        assert plant.module_span(1) == (0.0, 20.0)
-        assert plant.module_span(2) == (20.0, 40.0)  # the stroking ring itself stays put
-        assert plant.module_span(3) == (46.0, 66.0)
+        advance(plant, 4000)
+        assert inflation(plant, 2) == 6.0
+        assert span(plant, 1) == (0.0, 20.0)
+        assert span(plant, 2) == (20.0, 40.0)  # the stroking ring itself stays put
+        assert span(plant, 3) == (46.0, 66.0)
 
     def test_vented_stroke_returns_to_rest_exactly(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
         plant.set_valve(2, INFLATE)
-        for _ in range(1000):
-            plant.step()
+        advance(plant, 1000)
         plant.set_valve(2, DEFLATE)
-        for _ in range(500):
-            plant.step()
-        assert plant.pressure(2) == 0.0
-        assert plant.module_span(3) == (40.0, 60.0)
+        advance(plant, 500)
+        assert pressure(plant, 2) == 0.0
+        assert span(plant, 3) == (40.0, 60.0)
 
     def test_object_rides_its_supporter(self, three_module_layout, material, params):
         obj = ObjectState(ObjectSpec(17.5, 30.0), 45.0)
         plant = make_plant(three_module_layout, material, params, obj)
         grip(plant, 3)
-        assert plant.object_state().supporters == frozenset({3})
+        assert supporters(plant) == frozenset({3})
         plant.set_valve(2, INFLATE)
-        events = []
-        for _ in range(1000):
-            events += plant.step()
-        assert plant.object.z == pytest.approx(45.0 + plant.inflation(2), abs=1e-9)
+        events = advance(plant, 1000)
+        assert plant.object.z == pytest.approx(45.0 + inflation(plant, 2), abs=1e-9)
         assert events == []  # grip is carried, never re-broken
-        assert plant.object_state().supporters == frozenset({3})
+        assert supporters(plant) == frozenset({3})
 
     def test_release_drops_onto_inflated_ring_below(self, three_module_layout, material, params):
         obj = ObjectState(ObjectSpec(17.5, 50.0), 25.0)
         plant = make_plant(three_module_layout, material, params, obj)
         plant.set_valve(1, INFLATE)  # reaches full d but never overlaps the object
         plant.set_valve(3, INFLATE)
-        for _ in range(4000):
-            plant.step()
-        assert plant.object_state().supporters == frozenset({3})
+        advance(plant, 4000)
+        assert supporters(plant) == frozenset({3})
         plant.set_valve(3, DEFLATE)
-        drops = []
-        for _ in range(2000):
-            drops += [text for _, text in plant.step() if text.startswith("drop")]
+        drops = [text for _, text in advance(plant, 2000) if text.startswith("drop")]
         assert drops == ["drop to_z=20.000000"]
         assert plant.object.z == 20.0
 
@@ -406,9 +414,7 @@ class TestPlantIntegration:
         plant = make_plant(three_module_layout, material, params, obj)
         grip(plant, 3)
         plant.set_valve(3, DEFLATE)
-        drops = []
-        for _ in range(2000):
-            drops += [text for _, text in plant.step() if text.startswith("drop")]
+        drops = [text for _, text in advance(plant, 2000) if text.startswith("drop")]
         assert drops == ["drop to_z=0.000000"]
         assert plant.object.z == 0.0
 
@@ -417,11 +423,9 @@ class TestPlantIntegration:
         plant = make_plant(five_module_layout, material, params, obj)
         grip(plant, 1)
         grip(plant, 3)
-        assert sorted(plant.object_state().supporters) == [1, 3]
+        assert sorted(supporters(plant)) == [1, 3]
         plant.set_valve(2, INFLATE)
-        events = []
-        for _ in range(100):
-            events += plant.step()
+        events = advance(plant, 100)
         assert {text for _, text in events} == {"conflict supporters=1+3 following=1"}
         assert len(events) == 100  # flagged every moving tick
         assert plant.object.z == 0.0  # module 1 sits on the base and never moves
@@ -442,9 +446,9 @@ class TestPlantIntegration:
                 block.set_valve(mid, mode)
             for _ in range(ticks):
                 events = single.step()
-                stepped.append((events, single.time, [single.pressure(i) for i in ids],
-                                [single.inflation(i) for i in ids], single.object.z,
-                                single.object_state().supporters))
+                stepped.append((events, single.time, [pressure(single, i) for i in ids],
+                                [inflation(single, i) for i in ids], single.object.z,
+                                supporters(single)))
             left = ticks
             while left:
                 traj = block.trajectory(left)
@@ -460,8 +464,9 @@ class TestPlantIntegration:
         assert any(text.startswith("drop") for text in texts)
         assert {frozenset(), frozenset({1, 3})} <= {row[5] for row in stepped}
         assert blocked == stepped
-        assert block.chambers() == single.chambers()
-        assert block.object_state() == single.object_state()
+        now, then = block.trajectory(0), single.trajectory(0)
+        for name in ("pressure", "inflation", "lift", "contact", "object_z", "time"):
+            assert getattr(now, name).tolist() == getattr(then, name).tolist(), name
 
     def test_set_valve_rejects_bad_input(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
@@ -472,11 +477,6 @@ class TestPlantIntegration:
         with pytest.raises(ValueError, match="module"):
             plant.set_valve(99, HOLD)
 
-    def test_chambers_snapshot_is_detached(self, three_module_layout, material, params):
-        plant = make_plant(three_module_layout, material, params)
-        snap = plant.chambers()
-        snap[1].pressure_P = 99.0
-        assert plant.pressure(1) == 0.0
 
 
 class TestPlantProperties:
@@ -497,18 +497,21 @@ class TestPlantProperties:
 
         for mid, mode in commands:
             plant.set_valve(mid, mode)
-            for _ in range(25):
-                plant.step()
-                state = plant.object_state()
-                for m in layout.modules:
-                    P = plant.pressure(m.id)
-                    assert 0.0 <= P <= params.P_max
-                    full = 17.25 if m.kind == COMPRESSION else 6.0
-                    assert plant.inflation(m.id) == (P / params.P_max) * full
-                for sid in state.supporters:
-                    mod = layout.module(sid)
-                    assert mod.kind == COMPRESSION
-                    lo, hi = plant.module_span(sid)
-                    assert plant.inflation(sid) >= 25.0 - 17.5
-                    assert state.z < hi and state.z + 75.0 > lo
-                assert state.z >= -1e-9
+            left = 25
+            while left:
+                traj = plant.trajectory(left)
+                for k in range(1, len(traj)):  # every state the steps pass through
+                    for i, m in enumerate(layout.modules):
+                        P = traj.pressure[k, i]
+                        assert 0.0 <= P <= params.P_max
+                        full = 17.25 if m.kind == COMPRESSION else 6.0
+                        assert traj.inflation[k, i] == (P / params.P_max) * full
+                        if traj.contact[k, i]:  # a supporter
+                            assert m.kind == COMPRESSION
+                            assert traj.inflation[k, i] >= 25.0 - 17.5
+                            lo = m.z_origin + traj.lift[k, i]
+                            z = traj.object_z[k]
+                            assert z < lo + m.height_h and z + 75.0 > lo
+                    assert traj.object_z[k] >= -1e-9
+                plant.commit(traj, len(traj) - 1)
+                left -= len(traj) - 1

@@ -5,7 +5,6 @@ import os
 import re
 import struct
 import tempfile
-from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,11 +23,10 @@ from peristation import (
     Plant,
     Rows,
     TelemetryLog,
-    TelemetrySample,
     TelemetryWriter,
     read_telemetry,
 )
-from tests.conftest import assert_reads_as, counting_blocks, read_rows
+from tests.conftest import Row, assert_reads_as, column, counting_blocks, read_rows
 
 
 @pytest.fixture
@@ -41,7 +39,7 @@ def record_one(path, plant, events=()):
     ids = (1, 2, 3)
     sensed = [1.25, 0.0, 0.004330999999]
     rows = Rows(ids, np.array([sensed]), np.array([plant.time]),
-                np.array([[plant.inflation(mid) for mid in ids]]), np.array([plant.object.z]))
+                plant.trajectory(0).inflation, np.array([plant.object.z]))
     valves = {1: INFLATE, 2: HOLD, 3: HOLD}
     with TelemetryWriter(path) as writer:
         writer.record([0.001], rows, valves, "L0:Grasp", plant.layout, list(events))
@@ -87,14 +85,14 @@ class TestWriter:
 class TestReader:
     def test_round_trip(self, tmp_path, plant):
         path = record_one(tmp_path / "t.csv", plant, [(0, "grasped level=0")])
-        samples = read_telemetry(path)
-        assert len(samples) == 4
-        first, last = samples[0], samples[-1]
-        assert (first.time_s, first.module_id, first.kind) == (0.001, 1, "Compression")
-        assert first.pressure_kPa == 1.25
-        assert first.valve == INFLATE
-        assert last.module_id == 0
-        assert last.event == "grasped level=0"
+        log = read_telemetry(path)
+        assert len(log) == 4
+        assert log.time_s.tolist() == [0.001] * 4
+        assert log.module_id.tolist() == [1, 2, 3, 0]
+        assert column(log, "kind")[0] == "Compression"
+        assert log.pressure_kPa[0] == 1.25
+        assert column(log, "valve")[0] == INFLATE
+        assert log.event[-1] == "grasped level=0"
 
     def test_wrong_header_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -132,34 +130,28 @@ class TestTelemetryLog:
         path = record_one(tmp_path / "t.csv", plant,
                           [(1, "baseline module=1 rate=4.330000"), (0, "grasped level=0")])
         expected = [
-            TelemetrySample(0.001, 1, "Compression", 1.25, INFLATE, 0.0, 2.5, "L0:Grasp",
-                            "baseline module=1 rate=4.330000"),
-            TelemetrySample(0.001, 2, "Longitudinal", 0.0, HOLD, 0.0, 2.5, "L0:Grasp", ""),
-            TelemetrySample(0.001, 3, "Compression", 0.004331, HOLD, 0.0, 2.5, "L0:Grasp", ""),
-            TelemetrySample(0.001, 0, "-", 0.0, "-", 0.0, 2.5, "L0:Grasp", "grasped level=0"),
+            Row(0.001, 1, "Compression", 1.25, INFLATE, 0.0, 2.5, "L0:Grasp",
+                "baseline module=1 rate=4.330000"),
+            Row(0.001, 2, "Longitudinal", 0.0, HOLD, 0.0, 2.5, "L0:Grasp", ""),
+            Row(0.001, 3, "Compression", 0.004331, HOLD, 0.0, 2.5, "L0:Grasp", ""),
+            Row(0.001, 0, "-", 0.0, "-", 0.0, 2.5, "L0:Grasp", "grasped level=0"),
         ]
         log = read_telemetry(path)
         assert isinstance(log, TelemetryLog)
-        assert len(log) == 4
-        assert list(log) == expected
-        assert [log[i] for i in range(4)] == expected
-        assert (log[-1], log[-4]) == (expected[-1], expected[0])
-        assert list(log[1:3]) == expected[1:3]
-        with pytest.raises(IndexError):
-            log[4]
-        assert list(TelemetryLog.from_samples(expected)) == expected
+        assert_reads_as(log, expected)
 
     def test_matches_the_per_row_reference(self, recording):
         assert recording.stat().st_size > 2 << 20  # spans several parse batches
         log = read_telemetry(recording)
         assert_reads_as(log, read_rows(recording))
-        # repeated strings are one object per distinct value
-        assert len({id(v) for v in log.phase}) == len(set(log.phase))
+        # repeated strings are codes into one table of distinct values
+        codes, table = log.codes("phase")
+        assert len(set(table.tolist())) == len(table) < len(codes)
 
     def test_commas_stay_in_the_event_text(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(TELEMETRY_HEADER + "\n0.001000,0,-,0.0,-,0.0,0.0,L0:Grasp,a,b\n")
-        assert read_telemetry(path)[0].event == "a,b"
+        assert read_telemetry(path).event.tolist() == ["a,b"]
 
     def test_bad_number_in_a_later_batch_names_its_line(self, recording):
         lines = recording.read_text().count("\n")
@@ -263,14 +255,15 @@ class TestDecoder:
         with pytest.raises(ValueError, match=f"line {lineno}: {re.escape(error)}"):
             read_telemetry(recording)
 
-    def test_rows_hold_python_scalars(self, recording):
+    def test_columns_have_their_dtypes(self, recording):
         log = read_telemetry(recording)
-        for row in (log[0], log[-1], next(iter(log)), next(iter(log[5:]))):
-            assert [type(v) for v in astuple(row)] == [float, int, str, float, str, float,
-                                                       float, str, str]
-        assert log.time_s.dtype == np.float64 and log.module_id.dtype == np.int64
-        codes, table = log.codes("valve")
-        assert list(table[codes]) == list(log.valve)
+        for name in ("time_s", "pressure_kPa", "inflation_mm", "object_z_mm"):
+            assert getattr(log, name).dtype == np.float64
+        assert log.module_id.dtype == np.int64
+        for name in ("kind", "valve", "phase"):
+            codes, table = log.codes(name)
+            assert codes.dtype == np.uint8 and table.dtype == object
+            assert {type(v) for v in table.tolist()} == {str}
         assert log.event.dtype == object
 
 
@@ -317,6 +310,37 @@ class TestEncoder:
         width = max(16, *map(len, texts))
         assert encoded.shape == (len(values), width)
         assert [bytes(row) for row in encoded] == [t.rjust(width, b"\0") for t in texts]
+
+
+class TestAsRecorded:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(encoder_doubles, min_size=1, max_size=60))
+    def test_reads_back_as_the_text(self, values):
+        """Each value becomes float('%.6f' % v), sign of zero included, and
+        stays there."""
+        once = telemetry.as_recorded(values)
+        expected = [float("%.6f" % v) for v in values]
+        assert [struct.pack("<d", v) for v in once.tolist()] == [
+            struct.pack("<d", v) for v in expected]
+        assert np.array_equal(telemetry.as_recorded(once), once, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, 0.5, 13.5, 15.0]),
+                       st.builds(lambda k, steps: ulps_from((k + 0.5) / 1e6, steps),
+                                 st.integers(-2 * 10**7, 2 * 10**7), st.integers(-3, 3))),
+           rises=st.booleans(), offsets=st.lists(st.floats(-3e-6, 3e-6), max_size=20))
+    def test_threshold_decides_as_the_recorded_value(self, g, rises, offsets):
+        """A raw value passes the threshold exactly when its recorded value
+        passes g: at the threshold, at its neighbours and around g."""
+        edge = telemetry.recorded_threshold(g, rises)
+        xs = [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
+              *(g + d for d in offsets)]
+        recorded = telemetry.as_recorded(xs).tolist()
+        for x, r in zip(xs, recorded):
+            if rises:
+                assert (x >= edge) == (r >= g), (x, r)
+            else:
+                assert (x <= edge) == (r <= g), (x, r)
 
 
 def reference_text(calls, layout) -> bytes:
