@@ -144,10 +144,11 @@ def cmd_run(args) -> int:
         return 2
     if args.duration is not None:
         # the override replaces the config's duration, and so its problem
-        for problem in duration_problems(cfg.duration_s):
+        dt = cfg.params and cfg.params.dt
+        for problem in duration_problems(cfg.duration_s, dt):
             cfg.problems.remove(problem)
         cfg.duration_s = args.duration
-        cfg.problems.extend(duration_problems(cfg.duration_s))
+        cfg.problems.extend(duration_problems(cfg.duration_s, dt))
     _override_seed(cfg, args.seed)
     if _report_problems(cfg):
         return 1

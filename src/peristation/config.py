@@ -174,12 +174,19 @@ def _build_params(section: str, cls, raw: dict, problems: list):
         return None
 
 
-def duration_problems(duration_s: float) -> list[str]:
-    """The rule a run duration breaks, as a "run: ..." problem (empty = valid)."""
+def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
+    """The rule a run duration breaks, as a "run: ..." problem (empty = valid).
+
+    A run of duration_s takes round(duration_s / dt) ticks, which must not
+    be 0.  dt is None where the plant section is invalid (a problem of its
+    own), and then the tick count is not checked.
+    """
     if not math.isfinite(duration_s):
         return [f"run: duration_s must be finite, got {duration_s}"]
     if duration_s <= 0:
         return [f"run: duration_s must be > 0, got {duration_s}"]
+    if dt is not None and not duration_s / dt > 0.5:  # round(0.5) is 0
+        return [f"run: duration_s must be over half a tick (dt = {dt} s), got {duration_s}"]
     return []
 
 
@@ -286,7 +293,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     control = _build_params("control", ControlConfig, raw, problems)
 
     duration_s = _num("run", "duration_s", raw["run"]["duration_s"])
-    problems.extend(duration_problems(duration_s))
+    problems.extend(duration_problems(duration_s, params and params.dt))
     output_path = raw["run"]["output_path"]
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError(f"run.output_path: expected a path string, got {output_path!r}")
@@ -315,8 +322,8 @@ def load_baselines(path: str) -> dict[int, float]:
     """Read a calibration CSV into {module_id: rate}.
 
     Raises:
-        ConfigError: text that is not UTF-8, wrong header, malformed row, or
-            a rate that is not finite and > 0.
+        ConfigError: text that is not UTF-8, wrong header, malformed row, a
+            rate that is not finite and > 0, or a module named twice.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -326,6 +333,7 @@ def load_baselines(path: str) -> dict[int, float]:
     if header.strip() != BASELINES_HEADER:
         raise ConfigError(f"unrecognized baselines header: {header.strip()!r}")
     out: dict[int, float] = {}
+    seen: dict[int, int] = {}  # module id -> the line that named it
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
@@ -340,6 +348,10 @@ def load_baselines(path: str) -> dict[int, float]:
         if not 0 < rate < math.inf:
             raise ConfigError(f"baselines line {lineno}: rate must be finite and > 0, "
                               f"got {rate}")
+        if mid in seen:
+            raise ConfigError(f"baselines line {lineno}: module {mid} already has a rate "
+                              f"(line {seen[mid]})")
+        seen[mid] = lineno
         out[mid] = rate
     return out
 

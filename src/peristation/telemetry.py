@@ -10,9 +10,10 @@ decides on.
 
 from __future__ import annotations
 
+import collections
 import functools
-import io
 import math
+import os
 
 import numpy as np
 
@@ -259,8 +260,19 @@ class TelemetryWriter:
 
 # Bytes read per block: a block of whole lines is decoded at once, so this
 # bounds the temporaries alive at a time while keeping the per-block
-# overhead negligible.
+# overhead negligible.  A block's new strings join the shared table in
+# the order of their buckets (_code_fields), so it also fixes that order.
 _BATCH_BYTES = 1 << 20
+
+# About the fewest bytes in a line the writer writes: a recording's size
+# over it is the first guess at its row count (a low guess costs a resize).
+_LINE_BYTES = 64
+
+# The threads that decode blocks: two, or one where one CPU is usable.
+try:
+    _WORKERS = min(2, len(os.sched_getaffinity(0)))
+except AttributeError:  # no sched_getaffinity on this platform
+    _WORKERS = min(2, os.cpu_count() or 1)
 
 # Around each block, so that every field's byte windows lie inside it: a
 # number reads the 16 bytes before its end, a string the 24 from its
@@ -274,11 +286,9 @@ _TOP = np.array([((1 << 8 * k) - 1) << 8 * (8 - k) for k in range(9)], np.uint64
 _KEY_BYTES = [np.array([(1 << 8 * min(max(n - 8 * i, 0), 8)) - 1 for n in range(25)], np.uint64)
               for i in range(3)]
 _KEY_MIX = [np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)]
-# every line's separators: 8 commas, then the newline
-_SEPARATORS = np.array([_COMMA] * 8 + [_NL], np.uint8)
 
 
-def _checked_rows(lines: list[str], lineno: int) -> list[tuple]:
+def _checked_rows(lines: list[bytes], lineno: int) -> list[tuple]:
     """Parse a block's lines one by one, skipping blank lines.
 
     Returns:
@@ -286,12 +296,15 @@ def _checked_rows(lines: list[str], lineno: int) -> list[tuple]:
         and int().
 
     Raises:
-        ValueError: naming the first line (numbered from lineno) with the
-            wrong column count or an unparseable number.
+        ValueError: naming the first line (numbered from lineno) that is
+            not UTF-8, has the wrong column count or an unparseable number.
     """
     rows = []
     for lineno, line in enumerate(lines, lineno):
-        line = line.rstrip("\n")
+        try:
+            line = line.decode().rstrip("\n")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"line {lineno}: not UTF-8 text: {e}") from None
         if not line:
             continue
         parts = line.split(",", 8)
@@ -306,18 +319,32 @@ def _checked_rows(lines: list[str], lineno: int) -> list[tuple]:
     return rows
 
 
-def _digits(words: np.ndarray) -> np.ndarray:
-    """Whether each word's eight bytes are all ASCII digits."""
+def _digit_bytes(words: np.ndarray):
+    """Each word less eight ASCII '0', or None unless every byte is a digit."""
     # a byte below '0' sets its top bit in the difference, one above '9' in the sum
-    return ((words + 0x4646464646464646) | (words - _ZEROS)) & 0x8080808080808080 == 0
-
-
-def _number(words: np.ndarray) -> np.ndarray:
-    """The value of each word's eight ASCII digits, the first in the low byte."""
     v = words - _ZEROS
-    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF  # pairs of digits
-    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF  # fours
-    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+    t = words + 0x4646464646464646
+    t |= v
+    t &= 0x8080808080808080
+    return None if t.any() else v
+
+
+def _number(v: np.ndarray) -> np.ndarray:
+    """The value of each word's eight digits, from _digit_bytes, the first
+    in the low byte; computed in v, which it overwrites."""
+    t = v >> 8
+    v *= 10
+    v += t
+    v &= 0x00FF00FF00FF00FF  # pairs of digits
+    np.right_shift(v, 16, out=t)
+    v *= 100
+    v += t
+    v &= 0x0000FFFF0000FFFF  # fours
+    np.right_shift(v, 32, out=t)
+    v *= 10000
+    v += t
+    v &= 0xFFFFFFFF
+    return v
 
 
 def _windows(buf: bytes, width: int) -> np.ndarray:
@@ -336,18 +363,29 @@ def _fixed6(a: np.ndarray, buf: bytes, s: np.ndarray, e: np.ndarray):
     float()'s.
     """
     neg = a[s] == _MINUS
-    k = e - s - 7 - neg  # integer digits
+    k = e - s
+    k -= neg
+    k -= 7  # integer digits
     if not ((k >= 1) & (k <= 8)).all():
         return None
-    whole, point = _windows(buf, 16)[e - 15].view("<u8").reshape(-1, 2).T.copy()
+    words = _windows(buf, 16)[e - 15].view("<u8").reshape(-1, 2)
+    whole, point = words.T
     if not ((point & 0xFF) == _DOT).all():
         return None
     keep = _TOP[k]
-    whole = (whole & keep) | (_ZEROS & ~keep)  # '0' before the integer digits
-    point = (point & 0x00FFFFFFFFFFFF00) | 0x3000000000000030  # '0', the decimals, '0'
-    if not (_digits(whole) & _digits(point)).all():
+    whole &= keep
+    whole |= np.invert(keep, out=keep) & _ZEROS  # '0' before the integer digits
+    del keep
+    point &= 0x00FFFFFFFFFFFF00
+    point |= 0x3000000000000030  # '0', the decimals, '0'
+    words = _digit_bytes(words)
+    if words is None:
         return None
-    x = (_number(whole) * 10_000_000 + _number(point)).astype(np.float64) / 1e7
+    whole, point = _number(words).T
+    whole *= 10_000_000
+    whole += point
+    x = whole.astype(np.float64)
+    x /= 1e7
     return np.negative(x, out=x, where=neg)
 
 
@@ -357,8 +395,8 @@ def _int4(buf: bytes, s: np.ndarray, e: np.ndarray):
     if not ((n >= 1) & (n <= 4)).all():
         return None
     keep = _TOP[n]
-    digits = (_windows(buf, 8)[e - 8].view("<u8") & keep) | (_ZEROS & ~keep)
-    if not _digits(digits).all():
+    digits = _digit_bytes((_windows(buf, 8)[e - 8].view("<u8") & keep) | (_ZEROS & ~keep))
+    if digits is None:
         return None
     return _number(digits).astype(np.int64)
 
@@ -371,6 +409,9 @@ def _code_fields(buf: bytes, s: np.ndarray, e: np.ndarray, table: dict):
     row's key is then compared with that row's, and a row whose bucket
     holds another string is coded on its own, so a shared bucket costs
     time, not correctness.
+
+    Raises:
+        UnicodeDecodeError: a field is not UTF-8.
     """
     n = e - s
     if n.max() >= len(_KEY_BYTES[0]):
@@ -402,45 +443,128 @@ _FLOATS = [_COLUMNS.index(name) for name in
 _STRINGS = [_COLUMNS.index(name) for name in _CODED]
 
 
-def _decode_block(lines: bytes, table: dict):
+def _decode_block(buf: bytes):
     r"""Decode a block of whole lines by byte position, or None to parse it by line.
 
-    The fast path takes a block whose every line holds exactly 8 commas,
-    no carriage return, and numbers of the form the writer writes
-    (time_s, pressure_kPa, inflation_mm and object_z_mm -?\d{1,8}\.\d{6},
-    module_id \d{1,4}).
+    buf is the block as _blocks gives it, between two _PADs.  The fast
+    path takes a block whose every line holds exactly 8 commas, no
+    carriage return, UTF-8 strings, and numbers of the form the writer
+    writes (time_s, pressure_kPa, inflation_mm and object_z_mm
+    -?\d{1,8}\.\d{6}, module_id \d{1,4}).  It runs on worker threads, so
+    it reads and writes nothing shared.
 
     Returns:
-        The block's nine columns, the string columns coded into table.
+        The block's nine columns, the string columns as codes into the
+        block's own table, and that table's strings in code order.
     """
-    if b"\r" in lines:
+    if b"\r" in buf:
         return None
-    buf = b"".join((_PAD, lines, b"" if lines.endswith(b"\n") else b"\n", _PAD))
     a = np.frombuffer(buf, np.uint8)
-    low = np.flatnonzero((a == _COMMA) | (a == _NL))
-    n = len(low) // 9
-    if len(low) != 9 * n or not (a[low].reshape(n, 9) == _SEPARATORS).all():
+    at = a == _NL
+    n = np.count_nonzero(at)  # lines
+    at |= a == _COMMA
+    at = np.flatnonzero(at)
+    # every separator, after one before the first field: field j of line r
+    # lies between sep[9 * r + j] and sep[9 * r + j + 1]
+    sep = np.empty(len(at) + 1, np.int32 if len(buf) < 1 << 31 else np.intp)
+    sep[0] = len(_PAD) - 1
+    sep[1:] = at
+    del at
+    # 9 separators a line, every 9th a newline: so the other 8 are commas
+    if len(sep) != 9 * n + 1 or not (a[sep[9::9]] == _NL).all():
         return None
-    ends = low.reshape(n, 9).T.copy()  # the separator after each field
-    starts = np.empty_like(ends)
-    starts[1:] = ends[:8] + 1
-    starts[0, 0] = len(_PAD)
-    starts[0, 1:] = ends[8, :-1] + 1
-    floats = _fixed6(a, buf, starts[_FLOATS].ravel(), ends[_FLOATS].ravel())
-    module_id = _int4(buf, starts[1], ends[1])
-    strings = _code_fields(buf, starts[_STRINGS].ravel(), ends[_STRINGS].ravel(), table)
-    if floats is None or module_id is None or strings is None:
+    before, after = sep[:-1].reshape(n, 9), sep[1:].reshape(n, 9)
+    x = _fixed6(a, buf, before[:, _FLOATS].ravel() + 1, after[:, _FLOATS].ravel())
+    module_id = _int4(buf, before[:, 1] + 1, after[:, 1])
+    if x is None or module_id is None:
         return None
-    event = np.full(n, "", object)
-    for r in np.flatnonzero(ends[8] > starts[8]).tolist():
-        event[r] = buf[starts[8, r]:ends[8, r]].decode()
+    table = {}
+    try:
+        strings = _code_fields(buf, before[:, _STRINGS].T.ravel() + 1,
+                               after[:, _STRINGS].T.ravel(), table)
+        event = np.full(n, "", object)
+        for r in np.flatnonzero(after[:, 8] - before[:, 8] > 1).tolist():
+            event[r] = buf[before[r, 8] + 1:after[r, 8]].decode()
+    except UnicodeDecodeError:
+        return None  # the by-line parse names the line
+    if strings is None:
+        return None
     columns = [None] * len(_COLUMNS)
     columns[1], columns[8] = module_id, event
-    for j, column in zip(_FLOATS, floats.reshape(len(_FLOATS), n)):
+    for j, column in zip(_FLOATS, x.reshape(n, len(_FLOATS)).T):
         columns[j] = column
     for j, column in zip(_STRINGS, strings.reshape(len(_STRINGS), n)):
         columns[j] = column
-    return columns
+    return columns, list(table)
+
+
+def _blocks(f):
+    """The rest of a binary file in blocks of whole lines, each ending in a
+    newline and put between two _PADs, so that every field's byte windows
+    lie inside it.  Each is copied once from the bytes read."""
+    rest = b""
+    while chunk := f.read(_BATCH_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join((_PAD, rest, memoryview(chunk)[:cut], _PAD))
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield b"".join((_PAD, rest, b"\n", _PAD))
+
+
+class _Reading:
+    """A recording as read so far: its columns, filled block by block in
+    file order, the table of shared strings and the next line's number.
+
+    Each column but event is one array, grown in place (ndarray.resize)
+    when a block does not fit and cut to length at the end, so each value
+    is copied into it once and no array a worker made outlives its block.
+    Events are kept per block and joined at the end.
+    """
+
+    def __init__(self, rows: int):
+        self.arrays = [np.empty(rows, dtype) for dtype in _DTYPES[:-1]]
+        self.events = []
+        self.rows = 0
+        self.table = {}  # the distinct kind, valve and phase strings -> their codes
+        self.lineno = 2
+
+    def take(self, block: bytes, decoded):
+        """Add the next block: its _decode_block result, or its lines parsed
+        one by one where that is None."""
+        table = self.table
+        if decoded is None:
+            text = block[len(_PAD):-len(_PAD)].splitlines(keepends=True)
+            columns = list(zip(*_checked_rows(text, self.lineno))) or [()] * len(_COLUMNS)
+            for j in _STRINGS:
+                columns[j] = [table.setdefault(v, len(table)) for v in columns[j]]
+            self.lineno += len(text)
+        else:
+            columns, strings = decoded
+            lut = np.array([table.setdefault(v, len(table)) for v in strings], np.uint32)
+            for j in _STRINGS:
+                columns[j] = lut[columns[j]]
+            self.lineno += len(columns[0])
+        a, b = self.rows, self.rows + len(columns[0])
+        for array, column in zip(self.arrays, columns):
+            if b > len(array):  # nothing else refers to the array, so it may move
+                array.resize(max(b, 2 * len(array)), refcheck=False)
+            array[a:b] = column
+        self.events.append(np.array(columns[-1], object))
+        self.rows = b
+
+    def log(self) -> TelemetryLog:
+        """The recording read, its codes in the least dtype that holds them."""
+        for array in self.arrays:
+            array.resize(self.rows, refcheck=False)
+        columns = [*self.arrays, np.concatenate(self.events or [np.empty(0, object)])]
+        strings = np.array(list(self.table), object)
+        small = np.min_scalar_type(max(len(strings) - 1, 0))  # the least dtype to hold every code
+        for j in _STRINGS:
+            columns[j] = (columns[j].astype(small), strings)
+        return TelemetryLog(*columns)
 
 
 def read_telemetry(path) -> TelemetryLog:
@@ -450,43 +574,38 @@ def read_telemetry(path) -> TelemetryLog:
     writer writes them is decoded by byte position into typed columns
     (_decode_block); the numbers get the bits float() and int() would
     give.  Any other block (a blank line, commas inside the event text, a
-    number such as 1e3, +1.0 or 1_0.5) is parsed line by line, which skips
-    blank lines and names the first malformed line.  The kind, valve and
-    phase columns are codes into one table of shared strings.
+    number such as 1e3, +1.0 or 1_0.5, bytes that are not UTF-8) is
+    parsed line by line, which skips blank lines and names the first
+    malformed line.  The kind, valve and phase columns are codes into one
+    table of shared strings.
+
+    Blocks are decoded on min(2, usable CPUs) worker threads, with at most
+    one block more than workers in flight.  This thread takes the results
+    in file order (_Reading.take): it maps each block's string codes into
+    the shared table in that order, so the table and the codes are those
+    of a sequential read; it parses a by-line block itself, so line
+    numbers, and which of two bad lines is reported, are too; and it
+    copies the values into the result's columns.  Memory beyond the
+    result is a few blocks' worth.
 
     Raises:
         ValueError: wrong header or malformed row.
     """
-    table = {}  # the distinct kind, valve and phase strings -> their codes
-    blocks = []
-    with open(path, "rb") as f:
-        header = f.readline().decode().rstrip("\n")
+    # imported on the first read: it loads logging, which runs that read no
+    # telemetry need not
+    from concurrent.futures import ThreadPoolExecutor
+
+    with open(path, "rb") as f, ThreadPoolExecutor(_WORKERS) as pool:
+        header = f.readline().decode(errors="replace").rstrip("\n")
         if header != TELEMETRY_HEADER:
             raise ValueError(f"unrecognized telemetry header: {header!r}")
-        lineno = 2
-        rest = b""
-        while True:
-            chunk = f.read(_BATCH_BYTES)
-            lines = rest + chunk
-            cut = lines.rfind(b"\n") + 1 if chunk else len(lines)
-            lines, rest = lines[:cut], lines[cut:]
-            if lines:
-                columns = _decode_block(lines, table)
-                if columns is not None:
-                    lineno += len(columns[0])
-                else:
-                    text = io.StringIO(lines.decode(), newline="").readlines()
-                    columns = list(zip(*_checked_rows(text, lineno))) or [()] * len(_COLUMNS)
-                    for j in _STRINGS:
-                        columns[j] = [table.setdefault(v, len(table)) for v in columns[j]]
-                    lineno += len(text)
-                blocks.append(columns)
-            if not chunk:
-                break
-    columns = [np.concatenate([np.asarray(b[j], dtype) for b in blocks] or [np.empty(0, dtype)])
-               for j, dtype in enumerate(_DTYPES)]
-    strings = np.array(list(table), object)
-    small = np.min_scalar_type(max(len(strings) - 1, 0))  # the least dtype to hold every code
-    for j in _STRINGS:
-        columns[j] = (columns[j].astype(small, copy=False), strings)
-    return TelemetryLog(*columns)
+        reading = _Reading(os.fstat(f.fileno()).st_size // _LINE_BYTES)
+        window = collections.deque()  # (block, future) per block in flight, in file order
+        for block in _blocks(f):
+            window.append((block, pool.submit(_decode_block, block)))
+            if len(window) > _WORKERS:
+                block, decoded = window.popleft()
+                reading.take(block, decoded.result())
+        for block, decoded in window:
+            reading.take(block, decoded.result())
+    return reading.log()

@@ -1,4 +1,5 @@
 import contextlib
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -137,16 +138,36 @@ def assert_reads_as(log, rows):
             assert column(log, name) == expected, name
 
 
+def assert_same_log(a, b):
+    """Two TelemetryLogs are equal bit for bit: every column, dtypes, codes
+    and the order of each string table."""
+    assert len(a) == len(b)
+    for name in Row._fields:
+        if name in CODED:
+            (codes_a, table_a), (codes_b, table_b) = a.codes(name), b.codes(name)
+            assert codes_a.dtype == codes_b.dtype and np.array_equal(codes_a, codes_b), name
+            assert table_a.tolist() == table_b.tolist(), name
+        else:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype, name
+            if x.dtype == object:
+                assert x.tolist() == y.tolist(), name
+            else:
+                assert x.tobytes() == y.tobytes(), name
+
+
 @contextlib.contextmanager
 def counting_blocks():
     """Counts the blocks that read_telemetry decodes by byte position and by line."""
     counts = {"fast": 0, "by line": 0}
     decode = telemetry_module._decode_block
+    lock = threading.Lock()  # blocks are decoded on worker threads
 
-    def counted(lines, table):
-        columns = decode(lines, table)
-        counts["fast" if columns is not None else "by line"] += 1
-        return columns
+    def counted(lines):
+        decoded = decode(lines)
+        with lock:
+            counts["fast" if decoded is not None else "by line"] += 1
+        return decoded
 
     telemetry_module._decode_block = counted
     try:

@@ -149,6 +149,8 @@ class TestValidate:
          "material: target_ratio must be finite and > 0, got nan"),
         ("material:\n  calibration_target: .inf\n",
          "material: target_ratio must be finite and > 0, got inf"),
+        ("run:\n  duration_s: 0.0004\n",
+         "run: duration_s must be over half a tick (dt = 0.001 s), got 0.0004"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, problem):
         cfg = write_cfg(tmp_path, text)
@@ -256,6 +258,21 @@ class TestRun:
         assert "FAIL run: duration_s must be finite, got inf" in capsys.readouterr().out
         assert not telemetry.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_duration_of_no_tick_exits_1(self, tmp_path, capsys, where):
+        telemetry = tmp_path / "t.csv"
+        argv = ["run", "--out", str(telemetry)]
+        if where == "flag":
+            argv += ["--config", write_cfg(tmp_path, SMALL_RUN), "--duration", "1e-300"]
+        else:
+            argv += ["--config", write_cfg(tmp_path, SMALL_RUN.replace("40.0", "0.0005"))]
+        assert main(argv) == 1
+        duration = "1e-300" if where == "flag" else "0.0005"
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL run: duration_s must be over half a tick (dt = 0.001 s), "
+                         f"got {duration}"]
+        assert not telemetry.exists()
+
     def test_missing_baselines_file_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         code = main(["run", "--config", cfg, "--baselines", str(tmp_path / "nope.csv"),
@@ -270,7 +287,8 @@ class TestRun:
         ("1,4.33\n3,-4.33\n", "baselines line 3: rate must be finite and > 0, got -4.33"),
         ("1,4.33\n9,4.33\n", "module 9 is not a Compression ring of the station"),
         ("1,4.33\n2,4.33\n", "module 2 is not a Compression ring of the station"),
-    ], ids=["zero", "nan", "inf", "negative", "not in the station", "longitudinal"])
+        ("1,4.33\n1,9.0\n", "baselines line 3: module 1 already has a rate (line 2)"),
+    ], ids=["zero", "nan", "inf", "negative", "not in the station", "longitudinal", "duplicate"])
     def test_bad_baselines_exit_2(self, tmp_path, capsys, rows, error):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         baselines = tmp_path / "baselines.csv"
@@ -531,6 +549,7 @@ class TestArgvFuzz:
     @settings(max_examples=60, deadline=None)
     @given(argv=argvs())
     @example(argv=["run", "--config", None, "--seed", "-1", "--duration", "0.1"])
+    @example(argv=["run", "--config", None, "--duration", "1e-300"])
     @example(argv=["calibrate", "--config", None, "--seed", "-1"])
     @example(argv=["sweep", "--config", None, "--param", "l", "--range", "nan:1:1"])
     @example(argv=["sweep", "--config", None, "--param", "t", "--range", "0:1:1e-12"])
@@ -541,6 +560,7 @@ class TestArgvFuzz:
     @given(contents=baselines_files(), duration=st.sampled_from(["0.2", "0.5", "1.0", "nan", "0"]))
     @example(contents=f"{BASELINES_HEADER}\n1,4.33\n5,0\n".encode(), duration="0.2")
     @example(contents=f"{BASELINES_HEADER}\n1,4.33\n9,4.33\n".encode(), duration="0.2")
+    @example(contents=f"{BASELINES_HEADER}\n1,4.33\n1,9.0\n".encode(), duration="0.2")
     def test_baselines_file(self, contents, duration):
         # the default station: modules 1, 3 and 5 are its rings
         check_argv(["run", "--duration", duration], baselines=contents)

@@ -11,6 +11,7 @@ from peristation import (
     load_config,
     write_baselines,
 )
+from peristation.config import duration_problems
 
 
 def cfg_file(tmp_path, text):
@@ -161,6 +162,29 @@ class TestSemanticProblems:
         cfg = load_config(cfg_file(tmp_path, "run:\n  duration_s: 0\n"))
         assert "run: duration_s must be > 0, got 0.0" in cfg.problems
 
+    @pytest.mark.parametrize("duration", ["1.0e-300", "0.0004", "0.0005"])
+    def test_duration_of_no_tick_reported(self, tmp_path, duration):
+        """round(duration_s / dt) is 0 up to half a tick, which rounds to even."""
+        cfg = load_config(cfg_file(tmp_path, f"run:\n  duration_s: {duration}\n"))
+        assert cfg.problems == [f"run: duration_s must be over half a tick (dt = 0.001 s), "
+                                f"got {float(duration)}"]
+
+    def test_duration_of_one_tick_accepted(self, tmp_path):
+        cfg = load_config(cfg_file(tmp_path, "run:\n  duration_s: 0.00050001\n"))
+        assert cfg.problems == []
+        # the tick is the config's own
+        cfg = load_config(cfg_file(tmp_path, "plant:\n  dt: 0.01\nrun:\n  duration_s: 0.004\n"))
+        assert cfg.problems == [
+            "run: duration_s must be over half a tick (dt = 0.01 s), got 0.004"]
+
+    def test_duration_problems_takes_the_tick(self):
+        assert duration_problems(1e-300, 1e-3) != []
+        assert duration_problems(6e-4, 1e-3) == []
+        assert duration_problems(6e-4, 1e-2) != []
+        assert duration_problems(1e-300, None) == []  # no valid plant section: no tick
+        assert duration_problems(float("nan"), None) == [
+            "run: duration_s must be finite, got nan"]
+
 
 class TestSectionsApplied:
     def test_absent_object(self, tmp_path):
@@ -221,3 +245,10 @@ class TestBaselineFiles:
         path = tmp_path / "b.csv"
         path.write_text(BASELINES_HEADER + "\n\n1,4.33\n")
         assert load_baselines(str(path)) == {1: 4.33}
+
+    def test_module_named_twice_rejected(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text(BASELINES_HEADER + "\n1,4.33\n3,4.33\n\n1,9.0\n")
+        with pytest.raises(ConfigError,
+                           match=r"baselines line 5: module 1 already has a rate \(line 2\)"):
+            load_baselines(str(path))

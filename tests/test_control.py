@@ -39,6 +39,7 @@ from peristation import (
 )
 from peristation.config import load_config
 from peristation.control import ADVANCE_RELEASE, GATES, REGRASP_BOTTOM
+from peristation.telemetry import as_recorded
 from tests.conftest import NOMINAL, Row, log_of, read_rows
 
 DT = 1e-3
@@ -59,6 +60,24 @@ def linear_trace(rate, intercept=0.0, until=2.6, clamp=None):
 def sim_backend(layout, material, params, ror=0.7, length=75.0, z=0.0, with_object=True):
     obj = ObjectState(ObjectSpec(ror * 25.0, length), z) if with_object else None
     return SimulatedBackend(Plant(layout, obj, params, material))
+
+
+class SensedTrace(SimulatedBackend):
+    """A simulated backend that keeps each tick's sensed kPa, unrounded, in
+    pressure (ticks x modules): the last lookahead over a tick, made after
+    every command that acts on it, holds its sensed values."""
+
+    def __init__(self, plant):
+        super().__init__(plant)
+        self.pressure = np.empty((0, len(plant.layout.modules)))
+
+    def lookahead(self, n):
+        rows = super().lookahead(n)
+        first = round(rows.time[0] / self.dt)
+        if len(self.pressure) < first + n:
+            self.pressure = np.resize(self.pressure, (2 * (first + n), self.pressure.shape[1]))
+        self.pressure[first:first + n] = rows.pressure
+        return rows
 
 
 class CommandDropper:
@@ -642,6 +661,53 @@ class TestReplayEquivalence:
         assert (again.outcome, again.cycles, again.sim_time_s) == (
             live.outcome, live.cycles, live.sim_time_s)
         # both decide on the recorded values: the same events, texts and times included
+        assert again.events == live.events
+        assert again.detections == live.detections
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.01, 0.1), data=st.data())
+    def test_gates_between_values_and_their_recorded_text(self, seed, sigma, data):
+        """Over noise seeds and sigma, the first grasp gate is placed between
+        a sensed value and its lower 6-decimal text, at a tick where the
+        sensed min(module 1, module 3) rises to a new maximum: deciding on
+        sensed values would open it there.  Live and replay both open it
+        later, when the recorded value passes, and take the same decisions."""
+        geometry = RingGeometry(**NOMINAL)
+        material = SurrogateMaterial(100.0, 0.45, calibrate_kappa(geometry, 100.0, 0.69, 15.0))
+        layout = build_station(geometry, 5, 20.0, 20.0)
+        params = PlantParams(noise_sigma=sigma, rng_seed=seed)
+        spec, duration = ObjectSpec(17.5, 75.0), 4.0
+        sensed = SensedTrace(Plant(layout, ObjectState(spec, 0.0), params, material))
+        first = run_station(sensed, layout, spec, 0.0, params, DetectionConfig(),
+                            ControlConfig(max_cycles=1), duration)
+        grasp = round(next(t for t, _, text in first.events if text == "grasped level=0")
+                      / params.dt)
+        # the grasp gate's modules until the gate opened, as sensed
+        low = sensed.pressure[:grasp, [0, 2]].min(axis=1)
+        peak = np.maximum.accumulate(low)
+        # below 0.85 P_max a grip too soft lets the object slip: plant events
+        # that a replay, which has no plant, does not see
+        firm = (low[1:] >= 0.85 * params.P_max) & (low[1:] <= params.P_max)
+        rises = np.flatnonzero((low[1:] > peak[:-1]) & (as_recorded(low[1:]) < low[1:])
+                               & firm) + 1
+        assert len(rises)
+        k = data.draw(st.sampled_from(rises.tolist()))
+        below = max(peak[k - 1], as_recorded(low[k:k + 1])[0])  # what the gate must exceed
+        control = ControlConfig(max_cycles=1,
+                                inflated_fraction=(below + low[k]) / 2 / params.P_max)
+        assert below < control.inflated_fraction * params.P_max <= low[k]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.csv")
+            plant = Plant(layout, ObjectState(spec, 0.0), params, material)
+            with TelemetryWriter(path) as writer:
+                live = run_station(SimulatedBackend(plant), layout, spec, 0.0, params,
+                                   DetectionConfig(), control, duration, recorder=writer)
+            replay = ReplayBackend(read_telemetry(path), params.dt)
+            again = run_station(replay, layout, spec, 0.0, params, DetectionConfig(), control,
+                                duration)
+        opened = next(t for t, _, text in live.events if text == "grasped level=0")
+        assert round(opened / params.dt) > k
+        assert replay.mismatches == 0
         assert again.events == live.events
         assert again.detections == live.detections
 

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import peristation.telemetry as telemetry
+
 from peristation import read_telemetry
 from peristation.cli import main
-from tests.conftest import assert_reads_as, counting_blocks, read_rows
+from tests.conftest import assert_reads_as, assert_same_log, counting_blocks, read_rows
 
 GOLDEN = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
 
@@ -59,3 +61,21 @@ def test_noisy_seed0_recording_decodes_by_byte_position(noisy_seed0):
     with counting_blocks() as counts:
         read_telemetry(noisy_seed0)
     assert counts["fast"] > 1 and counts["by line"] == 0
+
+
+# The noisy recording's string table, in the order that 1 MiB blocks give
+# it: each block's new strings in the order of their buckets.
+NOISY_SEED0_STRINGS = ["Inflate", "L0:Grasp", "Hold", "L0:AdvanceRelease", "Deflate",
+                       "Longitudinal", "-", "Compression", "L0:RegraspBottom", "L0:ResetTop",
+                       "L1:Grasp", "L1:AdvanceRelease", "L1:RegraspBottom", "L1:ResetTop"]
+
+
+def test_noisy_seed0_recording_reads_alike_on_one_worker_and_two(noisy_seed0, monkeypatch):
+    """Two decode workers give the one-worker TelemetryLog bit for bit, with
+    the string table in the sequential decoder's order."""
+    monkeypatch.setattr(telemetry, "_WORKERS", 2)
+    two = read_telemetry(noisy_seed0)
+    monkeypatch.setattr(telemetry, "_WORKERS", 1)
+    assert_same_log(read_telemetry(noisy_seed0), two)
+    for name in ("kind", "valve", "phase"):
+        assert two.codes(name)[1].tolist() == NOISY_SEED0_STRINGS

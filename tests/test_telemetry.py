@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import sys
 import tempfile
 from types import SimpleNamespace
 
@@ -26,7 +27,8 @@ from peristation import (
     TelemetryWriter,
     read_telemetry,
 )
-from tests.conftest import Row, assert_reads_as, column, counting_blocks, read_rows
+from tests.conftest import (Row, assert_reads_as, assert_same_log, column, counting_blocks,
+                            read_rows)
 
 
 @pytest.fixture
@@ -267,13 +269,114 @@ class TestDecoder:
         assert log.event.dtype == object
 
 
-def insert_line(path, line: str) -> int:
-    """Insert a line at the first line start past 1.5 MiB (a later parse
-    block); returns its line number."""
+def insert_line(path, line, past: int = 3 << 19) -> int:
+    """Insert a line (text or bytes) at the first line start past byte past
+    (by default 1.5 MiB, a later parse block); returns its line number."""
     data = path.read_bytes()
-    at = data.index(b"\n", 3 << 19) + 1
-    path.write_bytes(data[:at] + line.encode() + data[at:])
+    at = data.index(b"\n", past) + 1
+    path.write_bytes(data[:at] + (line.encode() if isinstance(line, str) else line) + data[at:])
     return data.count(b"\n", 0, at) + 1
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """64 KiB blocks, so that a recording of a few megabytes makes dozens."""
+    monkeypatch.setattr(telemetry, "_BATCH_BYTES", 1 << 16)
+
+
+def read_on(workers: int, path, monkeypatch):
+    """read_telemetry with its blocks decoded on this many worker threads."""
+    monkeypatch.setattr(telemetry, "_WORKERS", workers)
+    return read_telemetry(path)
+
+
+class TestWorkers:
+    """A read whose blocks are decoded on two workers equals a read on one,
+    bit for bit, whatever order the workers finish in."""
+
+    def test_block_by_line_between_decoded_blocks(self, recording, small_blocks, monkeypatch):
+        insert_line(recording, "\n", recording.stat().st_size // 2)
+        with counting_blocks() as counts:
+            two = read_on(2, recording, monkeypatch)
+        assert counts["by line"] == 1 and counts["fast"] > 20
+        assert_same_log(read_on(1, recording, monkeypatch), two)
+        assert_reads_as(two, read_rows(recording))
+
+    def test_strings_that_share_a_bucket_over_several_blocks(self, tmp_path, monkeypatch):
+        """600 distinct phases over 8 KiB blocks: each block codes about a
+        hundred into its own table, with shared buckets."""
+        monkeypatch.setattr(telemetry, "_BATCH_BYTES", 8192)
+        path = tmp_path / "t.csv"
+        path.write_text(TELEMETRY_HEADER + "\n" + "".join(
+            f"0.001000,1,Compression,1.000000,Hold,0.000000,0.000000,L0:phase{i},\n"
+            for i in range(600)))
+        with counting_blocks() as counts:
+            two = read_on(2, path, monkeypatch)
+        assert counts["fast"] > 4 and counts["by line"] == 0
+        assert_same_log(read_on(1, path, monkeypatch), two)
+        assert_reads_as(two, read_rows(path))
+        codes, table = two.codes("phase")
+        assert len(set(codes.tolist())) == 600
+
+    def test_more_workers_than_cores_switching_often(self, recording, small_blocks,
+                                                     monkeypatch):
+        """Eight workers and a 1 us switch interval: the log is still the
+        one-worker log, and the thread-safe count sees every block."""
+        one = read_on(1, recording, monkeypatch)
+        data = recording.read_bytes()
+        blocks = -(-(len(data) - data.index(b"\n") - 1) // telemetry._BATCH_BYTES)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with counting_blocks() as counts:
+                many = read_on(8, recording, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == {"fast": blocks, "by line": 0}
+        assert_same_log(one, many)
+
+    def test_lines_shorter_than_the_row_guess(self, tmp_path, small_blocks, monkeypatch):
+        """Rows of 43 bytes, fewer than telemetry._LINE_BYTES, outnumber the
+        first guess at the row count, so the columns grow as blocks come."""
+        path = tmp_path / "t.csv"
+        path.write_text(TELEMETRY_HEADER + "\n" + "".join(
+            f"{k % 10}.000000,{k % 7},,-0.000000,,0.00000{k % 10},0.000000,,\n"
+            for k in range(20000)))
+        with counting_blocks() as counts:
+            log = read_on(2, path, monkeypatch)
+        assert counts["fast"] > 10 and counts["by line"] == 0
+        assert path.stat().st_size // telemetry._LINE_BYTES < len(log) == 20000
+        assert_reads_as(log, read_rows(path))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_of_two_bad_lines_is_reported(self, recording, small_blocks, monkeypatch,
+                                                workers):
+        size = recording.stat().st_size
+        insert_line(recording, "0.001000,1,Compression,oops,Hold,0.0,0.0,L0:Grasp,\n",
+                    3 * size // 4)
+        first = insert_line(recording, "0.001000,x,Compression,1.0,Hold,0.0,0.0,L0:Grasp,\n",
+                            size // 4)
+        with pytest.raises(ValueError, match=f"line {first}: invalid literal for int"):
+            read_on(workers, recording, monkeypatch)
+
+
+class TestNonUtf8:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("line", [
+        b"0.001000,0,-,0.000000,-,0.000000,0.000000,L0:Grasp,d\xe9tection\n",
+        b"0.001000,1,Compression,1.000000,Hold,0.000000,0.000000,L0:Gr\xffsp,\n",
+        b"0.001000,1,Compression,1.0,Hold,0.0,0.0,L0:Grasp,\xff\xfe\n",
+    ], ids=["event", "phase", "block by line"])
+    def test_bad_bytes_name_their_line(self, recording, monkeypatch, workers, line):
+        lineno = insert_line(recording, line)
+        with pytest.raises(ValueError, match=f"line {lineno}: not UTF-8 text"):
+            read_on(workers, recording, monkeypatch)
+
+    def test_bad_bytes_in_the_header(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(TELEMETRY_HEADER.encode().replace(b"_s,", b"_\xff,") + b"\n")
+        with pytest.raises(ValueError, match="unrecognized telemetry header: 'time_\ufffd,"):
+            read_telemetry(bad)
 
 
 def ulps_from(x: float, steps: int) -> float:
