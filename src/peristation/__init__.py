@@ -50,7 +50,6 @@ from .hal import (
 from .control import (
     ADVANCE_RELEASE,
     GRASP,
-    PHASES,
     REGRASP_BOTTOM,
     RESET_TOP,
     CalibrationError,

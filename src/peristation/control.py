@@ -6,9 +6,10 @@ ratio against a per-module baseline, and object position is dead reckoned
 from completed strokes.  Nothing here reads plant ground truth, so the same
 controller runs identically against the simulated and replay backends.
 
-The phase sequence lives in one place, StationController: a tick-driven
-phase machine with probe scheduling, multi-level promotion and termination
-handling, which run_station drives against a backend.  The one blocking
+The transport cycle's stages, their commands and their gates are one
+table, CYCLE.  StationController steps through it once per tick, with
+probe scheduling, multi-level promotion and termination handling, and
+run_station drives it against a backend.  The one blocking
 helper, calibrate_baseline, measures a single ring's free-inflation rate
 before a run.
 """
@@ -39,23 +40,25 @@ GRASP = "Grasp"
 ADVANCE_RELEASE = "AdvanceRelease"
 REGRASP_BOTTOM = "RegraspBottom"
 RESET_TOP = "ResetTop"
-PHASES = (GRASP, ADVANCE_RELEASE, REGRASP_BOTTOM, RESET_TOP)
 
-# Gate of each (phase, stage): every (triple position, rises) pair must hold
-# for the gate to open, where triple positions 0, 1, 2 are the working
-# unit's bottom, middle and top ring, and a rising ring must read at least
-# the inflated gate and a falling one at most the deflated gate.  On a
-# timeout, the first pair that does not hold names the stalled module (the
-# last pair when all hold).
-GATES = {
-    (GRASP, 0): ((0, True), (2, True)),
-    (ADVANCE_RELEASE, 0): ((0, False),),
-    (ADVANCE_RELEASE, 1): ((1, True),),
-    (REGRASP_BOTTOM, 0): ((0, True),),
-    (REGRASP_BOTTOM, 1): ((2, False),),
-    (RESET_TOP, 0): ((1, False),),
-    (RESET_TOP, 1): ((2, True),),
+# The transport cycle, stage by stage in order.  Entering (phase, stage)
+# sends its commands, (triple position, mode) pairs, and the stage's gate
+# opens once every (triple position, rises) pair holds; the cycle then moves
+# to the next stage.  Triple positions 0, 1, 2 are the working unit's bottom,
+# middle and top ring, and a rising ring must read at least the inflated
+# gate and a falling one at most the deflated gate.  On a timeout, the first
+# pair that does not hold names the stalled module (the last pair when all
+# hold).
+CYCLE = {
+    (GRASP, 0): (((0, INFLATE), (2, INFLATE)), ((0, True), (2, True))),
+    (ADVANCE_RELEASE, 0): (((0, DEFLATE),), ((0, False),)),
+    (ADVANCE_RELEASE, 1): (((1, INFLATE),), ((1, True),)),
+    (REGRASP_BOTTOM, 0): (((0, INFLATE),), ((0, True),)),
+    (REGRASP_BOTTOM, 1): (((2, DEFLATE),), ((2, False),)),
+    (RESET_TOP, 0): (((1, DEFLATE),), ((1, False),)),
+    (RESET_TOP, 1): (((2, INFLATE),), ((2, True),)),
 }
+_NEXT = dict(zip(CYCLE, tuple(CYCLE)[1:]))  # the last stage completes the cycle
 
 # Most ticks run_station and calibrate_baseline advance in one block.  It
 # bounds the arrays and the telemetry text that one block holds in memory.
@@ -394,7 +397,7 @@ class StationController:
             self._entered = True
             for mid, rate in sorted(self.det.baseline_rates.items()):
                 self._emit(mid, f"baseline module={mid} rate={rate:.6f}")
-            self._enter_phase(GRASP)
+            self._enter(GRASP, 0)
         self._probe_step(sensed)
         if not self.done:
             self._check_gate(sensed)
@@ -457,38 +460,21 @@ class StationController:
 
     # -- phase machine --------------------------------------------------------
 
-    def _enter_phase(self, phase: str) -> None:
-        self.phase = phase
-        self.stage = 0
-        self.phase_start = self.now
-        b, m, t = self._triple()
-        if phase == GRASP:
-            self._set(b, INFLATE)
-            self._set(t, INFLATE)
-            if self._initial:
-                self._probe_begin()
-        elif phase == ADVANCE_RELEASE:
-            self._set(b, DEFLATE)
-        elif phase == REGRASP_BOTTOM:
-            self._set(b, INFLATE)
-        elif phase == RESET_TOP:
-            self._set(m, DEFLATE)
-
-    def _advance_stage(self) -> None:
-        b, m, t = self._triple()
-        self.stage = 1
-        if self.phase == ADVANCE_RELEASE:
-            self._set(m, INFLATE)
-        elif self.phase == REGRASP_BOTTOM:
-            self._set(t, DEFLATE)
-        elif self.phase == RESET_TOP:
-            self._set(t, INFLATE)
+    def _enter(self, phase: str, stage: int) -> None:
+        """Make (phase, stage) current and send its commands."""
+        self.phase, self.stage = phase, stage
+        if stage == 0:
+            self.phase_start = self.now
+        triple = self._triple()
+        for pos, mode in CYCLE[phase, stage][0]:
+            self._set(triple[pos], mode)
+        if (phase, stage) == (RESET_TOP, 1) or (phase == GRASP and self._initial):
             self._probe_begin()
 
     def _gate(self) -> list[tuple[int, bool]]:
-        """The current gate as (module_id, rises) pairs, read off GATES."""
+        """The current gate as (module_id, rises) pairs, read off CYCLE."""
         triple = self._triple()
-        return [(triple[pos], rises) for pos, rises in GATES[self.phase, self.stage]]
+        return [(triple[pos], rises) for pos, rises in CYCLE[self.phase, self.stage][1]]
 
     def _holds(self, pressure, rises: bool):
         """Whether a kPa, or each of an array, read as recorded passes a gate."""
@@ -506,25 +492,21 @@ class StationController:
             return
         if not all(self._holds(sensed[mid - 1], rises) for mid, rises in gate):
             return
-        if self.phase == GRASP:
-            b = self._triple()[0]
+        key = (self.phase, self.stage)
+        if key == (GRASP, 0):
             self._emit(0, f"grasped level={self.level}")
             self._initial = False
-            if self.obj is not None and not self._regrasp_feasible(b):
+            if self.obj is not None and not self._regrasp_feasible(self._triple()[0]):
                 outcome = (
                     "undetectable object" if self._probe_for_level() is not None
                     else "transport limit reached"
                 )
                 self.finish(outcome)
                 return
-            self._enter_phase(ADVANCE_RELEASE)
-        elif self.stage == 0:
-            self._advance_stage()
-        elif self.phase == ADVANCE_RELEASE:
+        elif key == (ADVANCE_RELEASE, 1):
             self.z_est += self._stroke()
-            self._enter_phase(REGRASP_BOTTOM)
-        elif self.phase == REGRASP_BOTTOM:
-            self._enter_phase(RESET_TOP)
+        if key in _NEXT:
+            self._enter(*_NEXT[key])
         else:
             self._cycle_complete()
 
@@ -593,7 +575,7 @@ class StationController:
                 f"after {self.cycles_at_level} cycles"
             )
             return
-        self._enter_phase(GRASP)
+        self._enter(GRASP, 0)
 
 
 def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec],

@@ -9,7 +9,7 @@ design sweep maximizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 # Relative slack on the packing constraint.  Nominal parameter sets satisfy
@@ -218,23 +218,14 @@ def _vary(base: RingGeometry, parameter: str, value: float) -> RingGeometry:
         if n != value:
             raise ValueError(f"chamber count must be an integer, got {value}")
         s = solve_chamber_length(base.outer_radius_R, base.inner_radius_r, base.chamber_spacing_l, n)
-        return RingGeometry(
-            base.outer_radius_R, base.inner_radius_r, base.step_height_m,
-            base.chamber_spacing_l, base.wall_thickness_t, s, n,
-        )
+        return replace(base, chamber_length_s=s, chamber_count_N=n)
     if parameter == "l":
         s = solve_chamber_length(
             base.outer_radius_R, base.inner_radius_r, value, base.chamber_count_N
         )
-        return RingGeometry(
-            base.outer_radius_R, base.inner_radius_r, base.step_height_m,
-            value, base.wall_thickness_t, s, base.chamber_count_N,
-        )
+        return replace(base, chamber_spacing_l=value, chamber_length_s=s)
     if parameter == "t":
-        return RingGeometry(
-            base.outer_radius_R, base.inner_radius_r, base.step_height_m,
-            base.chamber_spacing_l, value, base.chamber_length_s, base.chamber_count_N,
-        )
+        return replace(base, wall_thickness_t=value)
     raise ValueError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEP_PARAMETERS}")
 
 

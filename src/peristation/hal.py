@@ -22,6 +22,10 @@ and two operations act on the current tick:
 
 tick (advance by one) is a thin form of advance, and dt is the fixed time
 between ticks.  The controller owns the backend and serializes all calls.
+Both backends inherit read_pressure, tick and every argument check from one
+base class, so they accept and refuse the same calls: an unknown module or
+mode, a command older than its module's last accepted one, a tick at
+another dt, lookahead(n < 1) and advance(j < 0).
 
 A recording replays only as a grid of ticks x modules: every tick holds one
 row per module, in the first tick's order and at one time, and tick k is at
@@ -85,16 +89,62 @@ class EndOfRecordingError(ValueError):
     """Replay queried past the last recorded sample."""
 
 
-def _check_order(last: dict[int, float], cmd: ValveCommand) -> None:
-    """Keep cmd's timestamp as its module's last; it must not precede the one kept before."""
-    before = last.get(cmd.module_id, -math.inf)
-    if cmd.timestamp < before:
-        raise ValueError(f"command timestamps must be non-decreasing per module "
-                         f"(module {cmd.module_id}: {cmd.timestamp} < {before})")
-    last[cmd.module_id] = cmd.timestamp
+class _Backend:
+    """The contract both backends share, with every argument check it makes.
+
+    A backend passes its module ids and dt here and implements now,
+    drain_events and three hooks, called only with checked arguments:
+    _rows(n) gives a lookahead's rows, _commit(j) commits j ticks and
+    _command(cmd, col) acts on a command for the module in column col.
+    """
+
+    def __init__(self, ids: tuple[int, ...], dt: float):
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        self.dt = dt
+        self._ids = ids
+        self._cols = {mid: i for i, mid in enumerate(ids)}
+        self._last_cmd_t: dict[int, float] = {}  # each module's last accepted timestamp
+
+    def _col(self, module_id: int) -> int:
+        if module_id not in self._cols:
+            raise ValueError(f"no such endpoint: module {module_id}")
+        return self._cols[module_id]
+
+    def read_pressure(self, module_id: int) -> tuple[float, float]:
+        col = self._col(module_id)
+        return self.lookahead(1).pressure[0, col].item(), self.now
+
+    def set_valve(self, cmd: ValveCommand) -> bool:
+        col = self._col(cmd.module_id)
+        if cmd.mode not in VALVE_MODES:
+            raise ValueError(f"unknown valve mode {cmd.mode!r}")
+        before = self._last_cmd_t.get(cmd.module_id, -math.inf)
+        if cmd.timestamp < before:
+            raise ValueError(f"command timestamps must be non-decreasing per module "
+                             f"(module {cmd.module_id}: {cmd.timestamp} < {before})")
+        self._command(cmd, col)
+        self._last_cmd_t[cmd.module_id] = cmd.timestamp
+        return True
+
+    def lookahead(self, n: int) -> Rows:
+        if n < 1:
+            raise ValueError(f"lookahead needs n >= 1, got {n}")
+        return self._rows(n)
+
+    def advance(self, j: int) -> None:
+        if j < 0:
+            raise ValueError(f"advance needs j >= 0, got {j}")
+        self._commit(j)
+
+    def tick(self, dt: float) -> float:
+        if abs(dt - self.dt) > 1e-12:
+            raise ValueError(f"backend steps at fixed dt={self.dt}, got {dt}")
+        self.advance(1)
+        return self.now
 
 
-class SimulatedBackend:
+class SimulatedBackend(_Backend):
     """HAL over the in-process plant.
 
     Sensor readings are the plant pressures plus optional zero-mean Gaussian
@@ -106,13 +156,12 @@ class SimulatedBackend:
     """
 
     def __init__(self, plant: Plant):
+        super().__init__(tuple(m.id for m in plant.layout.modules), plant.params.dt)
         self.plant = plant
-        self._ids = tuple(m.id for m in plant.layout.modules)
         self._sigma = plant.params.noise_sigma
         self._rng = np.random.default_rng(plant.params.rng_seed)
         self._noise = np.empty((0, len(self._ids)))  # drawn noise; row 0 is the current tick's
         self._traj = None  # the last lookahead's trajectory, while it stays valid
-        self._last_cmd_t: dict[int, float] = {}
         self._pending_events: list[tuple[int, str]] = []
 
     def _noise_rows(self, n: int) -> np.ndarray:
@@ -124,37 +173,20 @@ class SimulatedBackend:
         return self._noise[:n]
 
     @property
-    def dt(self) -> float:
-        return self.plant.params.dt
-
-    @property
     def now(self) -> float:
         return self.plant.time
 
-    def read_pressure(self, module_id: int) -> tuple[float, float]:
-        if module_id not in self._ids:
-            raise ValueError(f"no such endpoint: module {module_id}")
-        return self.lookahead(1).pressure[0, self._ids.index(module_id)].item(), self.plant.time
-
-    def set_valve(self, cmd: ValveCommand) -> bool:
-        if cmd.module_id not in self._ids:
-            raise ValueError(f"no such endpoint: module {cmd.module_id}")
-        _check_order(self._last_cmd_t, cmd)
+    def _command(self, cmd: ValveCommand, col: int) -> None:
         self.plant.set_valve(cmd.module_id, cmd.mode)
         self._traj = None
-        return True
 
-    def lookahead(self, n: int) -> Rows:
-        if n < 1:
-            raise ValueError(f"lookahead needs n >= 1, got {n}")
+    def _rows(self, n: int) -> Rows:
         traj = self._traj = self.plant.trajectory(n - 1)
         sensed = traj.pressure + self._noise_rows(len(traj)) if self._sigma > 0.0 else traj.pressure
         z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
         return Rows(self._ids, sensed, traj.time, traj.inflation, z)
 
-    def advance(self, j: int) -> None:
-        if j < 0:
-            raise ValueError(f"advance needs j >= 0, got {j}")
+    def _commit(self, j: int) -> None:
         while j > 0:
             traj = self._traj
             if traj is None or len(traj) < 2:
@@ -167,21 +199,13 @@ class SimulatedBackend:
                 self._noise = self._noise[i:]
             j -= i
 
-    def tick(self, dt: float) -> float:
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        if abs(dt - self.dt) > 1e-12:
-            raise ValueError(f"simulated backend steps at fixed dt={self.dt}, got {dt}")
-        self.advance(1)
-        return self.plant.time
-
     def drain_events(self) -> list[tuple[int, str]]:
         out = self._pending_events
         self._pending_events = []
         return out
 
 
-class ReplayBackend:
+class ReplayBackend(_Backend):
     """HAL over a recorded telemetry stream, held as a (ticks x modules) grid.
 
     read_pressure and lookahead return the recorded sensed pressures.
@@ -196,11 +220,6 @@ class ReplayBackend:
     """
 
     def __init__(self, log: TelemetryLog, dt: float):
-        if not 0 < dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {dt}")
-        self.dt = dt
-        self.mismatches = 0
-        self._last_cmd_t: dict[int, float] = {}
         mids = log.module_id
         rows = np.flatnonzero(mids)
         if not rows.size:
@@ -208,9 +227,9 @@ class ReplayBackend:
         mids = mids[rows]
         again = np.flatnonzero(mids[1:] == mids[0])
         m = int(again[0]) + 1 if again.size else len(mids)
+        super().__init__(tuple(mids[:m].tolist()), dt)
+        self.mismatches = 0
         self._time = _tick_times(mids, log.time_s[rows], m, dt)
-        self._ids = tuple(mids[:m].tolist())
-        self._cols = {mid: i for i, mid in enumerate(self._ids)}
         self._pressure = log.pressure_kPa[rows].reshape(-1, m)
         codes, table = log.codes("valve")
         self._valve = codes[rows].reshape(-1, m)  # recorded valve of each grid cell, as a code
@@ -229,25 +248,12 @@ class ReplayBackend:
             raise EndOfRecordingError("end of recording")
         return self._k
 
-    def _col(self, module_id: int) -> int:
-        if module_id not in self._cols:
-            raise ValueError(f"no such endpoint: module {module_id}")
-        return self._cols[module_id]
-
     @property
     def now(self) -> float:
         return self._time[self._current()].item()
 
-    def read_pressure(self, module_id: int) -> tuple[float, float]:
-        k = self._current()
-        return self._pressure[k, self._col(module_id)].item(), self._time[k].item()
-
-    def set_valve(self, cmd: ValveCommand) -> bool:
-        k, col = self._current(), self._col(cmd.module_id)
-        if cmd.mode not in VALVE_MODES:
-            raise ValueError(f"unknown valve mode {cmd.mode!r}")
-        _check_order(self._last_cmd_t, cmd)
-        code, recorded = self._code(cmd.mode), self._valve[k, col]
+    def _command(self, cmd: ValveCommand, col: int) -> None:
+        code, recorded = self._code(cmd.mode), self._valve[self._current(), col]
         if recorded != code:
             self.mismatches += 1
             raise ReplayMismatchError(
@@ -255,18 +261,13 @@ class ReplayBackend:
                 f"sent {cmd.mode}, recorded {self._modes[recorded]}"
             )
         self._mode[col] = code
-        return True
 
-    def lookahead(self, n: int) -> Rows:
-        if n < 1:
-            raise ValueError(f"lookahead needs n >= 1, got {n}")
+    def _rows(self, n: int) -> Rows:
         k = self._current()
         ticks = slice(k, k + n)
         return Rows(self._ids, self._pressure[ticks], self._time[ticks])
 
-    def advance(self, j: int) -> None:
-        if j < 0:
-            raise ValueError(f"advance needs j >= 0, got {j}")
+    def _commit(self, j: int) -> None:
         k = self._k
         bad = np.argwhere(self._valve[k:k + j] != self._mode)
         if bad.size:
@@ -281,12 +282,6 @@ class ReplayBackend:
             self._k = len(self._time)
             raise EndOfRecordingError("end of recording")
         self._k += j
-
-    def tick(self, dt: float) -> float:
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        self.advance(1)
-        return self.now
 
     def drain_events(self) -> list[tuple[int, str]]:
         return []

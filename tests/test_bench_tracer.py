@@ -42,7 +42,7 @@ def test_traced_calibrate_run_and_replay_count_every_layer(tmp_path):
                                 cfg.detection, cfg.control, 1.0)
     assert peristation.cli.main is main  # unpatched again
     calls = tracer.take_calls()
-    for name in ("cli.main", "plant.init", "hal.set_valve", "control.update",
-                 "control.calibrate_baseline", "control.run_station", "telemetry.record",
-                 "telemetry.read", "hal.replay_init"):
+    for name in ("cli.main", "plant.init", "hal.read_pressure", "hal.set_valve",
+                 "control.update", "control.calibrate_baseline", "control.run_station",
+                 "telemetry.record", "telemetry.read", "hal.replay_init"):
         assert calls[name][0] > 0, name

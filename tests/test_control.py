@@ -38,7 +38,7 @@ from peristation import (
     run_station,
 )
 from peristation.config import load_config
-from peristation.control import ADVANCE_RELEASE, GATES, REGRASP_BOTTOM
+from peristation.control import ADVANCE_RELEASE, CYCLE, REGRASP_BOTTOM
 from peristation.telemetry import as_recorded
 from tests.conftest import NOMINAL, Row, log_of, read_rows
 
@@ -364,7 +364,7 @@ class TestStationController:
         assert "detection aborted module=5 reason=insufficient-trace" in texts
 
     @settings(max_examples=100, deadline=None)
-    @given(gate=st.sampled_from(sorted(GATES)), timeout_back=st.sampled_from([0, 9990, 10000]),
+    @given(gate=st.sampled_from(sorted(CYCLE)), timeout_back=st.sampled_from([0, 9990, 10000]),
            probe_back=st.sampled_from([None, 0, 2490, 2500]),
            spikes=st.lists(st.tuples(st.integers(1, 29), st.integers(1, 5), st.integers(0, 10)),
                            max_size=4))

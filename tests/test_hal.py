@@ -79,19 +79,58 @@ def advance_recorded(backend, valves, k, j):
             command_recorded(backend, valves, k)
 
 
-class TestSimulatedBackend:
-    def test_noise_free_read_is_plant_truth(self, backend):
-        backend.plant.set_valve(1, INFLATE)
-        backend.tick(1e-3)
-        value, t = backend.read_pressure(1)
-        assert value == backend.plant.trajectory(0).pressure[0, 0]
-        assert t == backend.plant.time == pytest.approx(1e-3)
+class BackendContract:
+    """What every backend accepts and refuses, run on each backend's class.
+
+    A subclass's backend fixture gives a fresh backend at time 0 that
+    accepts module 1 inflating and module 2 holding.
+    """
 
     def test_unknown_endpoint_rejected(self, backend):
         with pytest.raises(ValueError, match="endpoint"):
             backend.read_pressure(9)
         with pytest.raises(ValueError, match="endpoint"):
             backend.set_valve(ValveCommand(9, HOLD, 0.0))
+
+    def test_unknown_mode_rejected(self, backend):
+        with pytest.raises(ValueError, match="unknown valve mode 'Open'"):
+            backend.set_valve(ValveCommand(1, "Open", 0.0))
+
+    def test_command_timestamps_monotonic_per_module(self, backend):
+        backend.set_valve(ValveCommand(1, INFLATE, 1.0))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            backend.set_valve(ValveCommand(1, INFLATE, 0.5))
+        # other modules keep their own clocks
+        backend.set_valve(ValveCommand(2, HOLD, 0.5))
+        backend.set_valve(ValveCommand(1, INFLATE, 1.0))  # equal is allowed
+
+    def test_refused_command_keeps_no_timestamp(self, backend):
+        with pytest.raises(ValueError, match="valve mode"):
+            backend.set_valve(ValveCommand(1, "Open", 5.0))
+        assert backend.set_valve(ValveCommand(1, INFLATE, 1.0))
+
+    def test_tick_rejects_foreign_dt(self, backend):
+        for dt in (0.0, 2e-3, 0.5):
+            with pytest.raises(ValueError, match="fixed dt"):
+                backend.tick(dt)
+        assert backend.now == 0.0  # no tick was taken
+        assert backend.tick(1e-3) == backend.now == 0.001
+
+    def test_lookahead_and_advance_reject_bad_counts(self, backend):
+        with pytest.raises(ValueError, match="n >= 1"):
+            backend.lookahead(0)
+        with pytest.raises(ValueError, match="j >= 0"):
+            backend.advance(-1)
+        assert backend.now == 0.0
+
+
+class TestSimulatedBackend(BackendContract):
+    def test_noise_free_read_is_plant_truth(self, backend):
+        backend.plant.set_valve(1, INFLATE)
+        backend.tick(1e-3)
+        value, t = backend.read_pressure(1)
+        assert value == backend.plant.trajectory(0).pressure[0, 0]
+        assert t == backend.plant.time == pytest.approx(1e-3)
 
     def test_endpoints_expose_both_capabilities(self, backend):
         assert backend.lookahead(1).ids == (1, 2, 3)
@@ -103,20 +142,6 @@ class TestSimulatedBackend:
         assert backend.set_valve(ValveCommand(1, INFLATE, 0.0))
         # module 1 inflates at the free rate from the next step on; the others hold
         assert backend.plant.trajectory(1).pressure[1].tolist() == [4.33 * 1e-3, 0.0, 0.0]
-
-    def test_command_timestamps_monotonic_per_module(self, backend):
-        backend.set_valve(ValveCommand(1, INFLATE, 1.0))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            backend.set_valve(ValveCommand(1, HOLD, 0.5))
-        # other modules keep their own clocks
-        backend.set_valve(ValveCommand(2, INFLATE, 0.5))
-        backend.set_valve(ValveCommand(1, HOLD, 1.0))  # equal is allowed
-
-    def test_tick_rejects_foreign_dt(self, backend):
-        with pytest.raises(ValueError, match="dt"):
-            backend.tick(0.0)
-        with pytest.raises(ValueError, match="fixed dt"):
-            backend.tick(2e-3)
 
     def test_sensed_value_frozen_within_tick(self, backend):
         backend.set_valve(ValveCommand(1, INFLATE, 0.0))
@@ -213,7 +238,11 @@ class TestSimulatedBackend:
         assert backend.drain_events() == []
 
 
-class TestReplayBackend:
+class TestReplayBackend(BackendContract):
+    @pytest.fixture
+    def backend(self):
+        return replay_fixture()
+
     def test_reads_return_the_recording(self):
         backend = replay_fixture()
         assert backend.read_pressure(1) == (1.0, 0.0)
@@ -304,22 +333,26 @@ class TestReplayBackend:
             backend.set_valve(ValveCommand(1, DEFLATE, 0.0))
         assert backend.mismatches == 1
 
+    def test_mismatched_command_keeps_no_timestamp(self):
+        backend = replay_fixture()
+        with pytest.raises(ReplayMismatchError):
+            backend.set_valve(ValveCommand(1, DEFLATE, 5.0))
+        assert backend.set_valve(ValveCommand(1, INFLATE, 1.0))
+
     def test_unknown_mode_is_an_error_not_a_mismatch(self):
         backend = replay_fixture()
         with pytest.raises(ValueError, match="valve mode"):
             backend.set_valve(ValveCommand(1, "Open", 0.0))
         assert backend.mismatches == 0
 
-    def test_unknown_endpoint_rejected(self):
-        backend = replay_fixture()
-        with pytest.raises(ValueError, match="endpoint"):
-            backend.read_pressure(9)
-
     def test_command_timestamps_monotonic(self):
+        """An out-of-order command is refused before it is compared with the
+        recording, so it is no mismatch."""
         backend = replay_fixture()
         backend.set_valve(ValveCommand(1, INFLATE, 1.0))
         with pytest.raises(ValueError, match="non-decreasing"):
-            backend.set_valve(ValveCommand(1, INFLATE, 0.5))
+            backend.set_valve(ValveCommand(1, DEFLATE, 0.5))
+        assert backend.mismatches == 0
 
     def test_end_of_recording(self):
         backend = replay_fixture()
