@@ -12,18 +12,10 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from typing import Optional
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    duration_problems,
-    load_baselines,
-    load_config,
-    write_baselines,
-)
-from .control import ControlFaultError, calibrate_baseline, run_station
-from .geometry import sweep
+from .config import ConfigError, load_baselines, load_config, write_baselines
+from .control import ControlFaultError, calibrate_baseline, duration_problems, run_station
+from .geometry import SWEEP_PARAMETERS, sweep
 from .hal import SimulatedBackend
 from .plant import COMPRESSION, ObjectState, Plant
 from .telemetry import TelemetryWriter
@@ -66,22 +58,32 @@ def parse_range(spec: str) -> list[float]:
     return values
 
 
-def _load(path: Optional[str]) -> Optional[RunConfig]:
+def _prepare(args):
+    """Load args.config and apply --duration and --seed where the command has them.
+
+    Prints each problem as a FAIL line.  Returns the RunConfig, or else the
+    exit code: 2 for a config that cannot be loaded, 1 for one with problems.
+    """
     try:
-        return load_config(path)
+        cfg = load_config(args.config)
     except (ConfigError, OSError) as e:
         print(f"config error: {e}")
-        return None
-
-
-def _override_seed(cfg: RunConfig, seed: Optional[int]) -> None:
-    """--seed replaces the plant's rng_seed, checked as the config field is."""
-    if seed is None or cfg.params is None:
-        return
-    try:
-        cfg.params = replace(cfg.params, rng_seed=seed)
-    except ValueError as e:
-        cfg.problems.append(f"--seed: {e}")
+        return 2
+    duration, seed = getattr(args, "duration", None), getattr(args, "seed", None)
+    if duration is not None:  # it replaces the config's duration, and so its problem
+        dt = cfg.params and cfg.params.dt
+        old = duration_problems(cfg.duration_s, dt)
+        cfg.problems = [p for p in cfg.problems if p not in old]
+        cfg.problems += duration_problems(duration, dt)
+        cfg.duration_s = duration
+    if seed is not None and cfg.params is not None:  # checked as the config field is
+        try:
+            cfg.params = replace(cfg.params, rng_seed=seed)
+        except ValueError as e:
+            cfg.problems.append(f"--seed: {e}")
+    for p in cfg.problems:
+        print(f"FAIL {p}")
+    return 1 if cfg.problems else cfg
 
 
 def _output_error(path: str, e: OSError) -> int:
@@ -90,18 +92,10 @@ def _output_error(path: str, e: OSError) -> int:
     return 2
 
 
-def _report_problems(cfg: RunConfig) -> bool:
-    for p in cfg.problems:
-        print(f"FAIL {p}")
-    return bool(cfg.problems)
-
-
 def cmd_validate(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
-    if _report_problems(cfg):
-        return 1
+    cfg = _prepare(args)
+    if isinstance(cfg, int):
+        return cfg
     print("geometry: OK")
     print(f"station: OK ({len(cfg.layout.modules)} modules)")
     print("config: OK")
@@ -109,12 +103,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
-    _override_seed(cfg, args.seed)
-    if _report_problems(cfg):
-        return 1
+    cfg = _prepare(args)
+    if isinstance(cfg, int):
+        return cfg
     with_object = cfg.calibration_with_object and cfg.object_spec is not None
     obj = ObjectState(cfg.object_spec, cfg.initial_z) if with_object else None
     backend = SimulatedBackend(Plant(cfg.layout, obj, cfg.params, cfg.material))
@@ -139,19 +130,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
-    if args.duration is not None:
-        # the override replaces the config's duration, and so its problem
-        dt = cfg.params and cfg.params.dt
-        for problem in duration_problems(cfg.duration_s, dt):
-            cfg.problems.remove(problem)
-        cfg.duration_s = args.duration
-        cfg.problems.extend(duration_problems(cfg.duration_s, dt))
-    _override_seed(cfg, args.seed)
-    if _report_problems(cfg):
-        return 1
+    cfg = _prepare(args)
+    if isinstance(cfg, int):
+        return cfg
     detection = cfg.detection
     if args.baselines:
         try:
@@ -192,11 +173,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args.config)
-    if cfg is None:
-        return 2
-    if _report_problems(cfg):
-        return 1
+    cfg = _prepare(args)
+    if isinstance(cfg, int):
+        return cfg
     try:
         values = parse_range(args.range)
         if args.param == "N":
@@ -256,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one geometry parameter and report d_c/r")
     p.add_argument("--config", metavar="PATH")
-    p.add_argument("--param", required=True, choices=("N", "l", "t"))
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--range", required=True, metavar="SPEC",
                    help="start:stop:step (stop inclusive) or v1,v2,...")
     p.add_argument("--out", metavar="PATH", help="sweep CSV (default sweep.csv)")

@@ -22,15 +22,17 @@ from typing import Optional
 
 import yaml
 
-from .control import ControlConfig, DetectionConfig
+from .control import ControlConfig, DetectionConfig, duration_problems
 from .geometry import RingGeometry, SurrogateMaterial, calibrate_kappa, validate_geometry
 from .plant import (
+    COMPRESSION,
+    LONGITUDINAL,
+    MAX_MODULES,
     MODULE_KINDS,
-    ModuleSpec,
     ObjectSpec,
     PlantParams,
     StationLayout,
-    alternating_modules,
+    alternating_kinds,
     stack_modules,
     station_violations,
 )
@@ -137,64 +139,61 @@ def _merge(section: str, raw: dict, defaults: dict, require_all: bool = False) -
 def _num(section: str, key: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{section}.{key}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if v > 0 else -math.inf
 
 
-def _int(section: str, key: str, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{section}.{key}: expected an integer, got {v!r}")
-    return v
+def _typed(section: str, merged: dict) -> dict:
+    """A merged section, each value checked against the type of its default.
+
+    A bool default takes true/false, an int default an integer and a float
+    default a number.  A key whose default is None (station.modules,
+    run.output_path) keeps its value for the check where it is read.
+    """
+    out = dict(merged)
+    for key, default in _SECTIONS[section].items():
+        if isinstance(default, float):
+            out[key] = _num(section, key, merged[key])
+        elif isinstance(default, int) and type(merged[key]) is not type(default):  # a bool is an int
+            expected = "true/false" if isinstance(default, bool) else "an integer"
+            raise ConfigError(f"{section}.{key}: expected {expected}, got {merged[key]!r}")
+    return out
 
 
-def _bool(section: str, key: str, v) -> bool:
-    if not isinstance(v, bool):
-        raise ConfigError(f"{section}.{key}: expected true/false, got {v!r}")
-    return v
-
-
-def _typed(section: str, raw: dict) -> dict:
-    """A merged numeric section of raw, each value checked against its default's type."""
-    return {
-        key: (_int if isinstance(default, int) else _num)(section, key, raw[section][key])
-        for key, default in _SECTIONS[section].items()
-    }
-
-
-def _build_params(section: str, cls, raw: dict, problems: list):
-    """Type-check a merged section of raw and build cls from it.
+def _build_params(section: str, cls, sections: dict, problems: list):
+    """Build cls from a typed section.
 
     A rule the values break goes to problems as "<section>: ...", and the
     result is then None.
     """
-    kwargs = _typed(section, raw)
     try:
-        return cls(**kwargs)
+        return cls(**sections[section])
     except ValueError as e:
         problems.append(f"{section}: {e}")
         return None
 
 
-def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
-    """The rule a run duration breaks, as a "run: ..." problem (empty = valid).
+def _build_layout(station: dict, geometry: RingGeometry, problems: list
+                  ) -> Optional[StationLayout]:
+    """The station's layout, or None with the rules it breaks in problems as "station: ...".
 
-    A run of duration_s takes round(duration_s / dt) ticks, which must not
-    be 0.  dt is None where the plant section is invalid (a problem of its
-    own), and then the tick count is not checked.
+    An explicit module list overrides module_count; a module in it without
+    a height takes the section's height for its kind.  A module_count over
+    MAX_MODULES is refused before a single module is built.
     """
-    if not math.isfinite(duration_s):
-        return [f"run: duration_s must be finite, got {duration_s}"]
-    if duration_s <= 0:
-        return [f"run: duration_s must be > 0, got {duration_s}"]
-    if dt is not None and not duration_s / dt > 0.5:  # round(0.5) is 0
-        return [f"run: duration_s must be over half a tick (dt = {dt} s), got {duration_s}"]
-    return []
-
-
-def _build_modules(station: dict, geometry: RingGeometry) -> list[ModuleSpec]:
-    raw_list = station["modules"]
-    if raw_list is not None:
-        if not isinstance(raw_list, list):
-            raise ConfigError("station.modules: expected a list")
+    height = {COMPRESSION: station["compression_height"],
+              LONGITUDINAL: station["longitudinal_height"]}
+    raw_list, count = station["modules"], station["module_count"]
+    if raw_list is None and count > MAX_MODULES:
+        problems.append(f"station: module_count must be <= {MAX_MODULES}, got {count}")
+        return None
+    if raw_list is None:
+        kinds_and_heights = [(kind, height[kind]) for kind in alternating_kinds(count)]
+    elif not isinstance(raw_list, list):
+        raise ConfigError("station.modules: expected a list")
+    else:
         kinds_and_heights = []
         for i, item in enumerate(raw_list, start=1):
             item = _mapping(item, f"station.modules[{i}]")
@@ -206,13 +205,12 @@ def _build_modules(station: dict, geometry: RingGeometry) -> list[ModuleSpec]:
                 raise ConfigError(
                     f"station.modules[{i}].kind: expected one of {MODULE_KINDS}, got {kind!r}"
                 )
-            h = _num(f"station.modules[{i}]", "height", item.get("height", 20.0))
+            h = _num(f"station.modules[{i}]", "height", item.get("height", height[kind]))
             kinds_and_heights.append((kind, h))
-        return stack_modules(geometry, kinds_and_heights)
-    count = _int("station", "module_count", station["module_count"])
-    hc = _num("station", "compression_height", station["compression_height"])
-    hl = _num("station", "longitudinal_height", station["longitudinal_height"])
-    return alternating_modules(geometry, max(count, 0), hc, hl)
+    specs = stack_modules(geometry, kinds_and_heights)
+    violations = station_violations(specs)
+    problems.extend(f"station: {v}" for v in violations)
+    return None if violations else StationLayout(tuple(specs))
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:
@@ -238,46 +236,40 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
 
-    raw = {name: _merge(name, _mapping(data.get(name), name), defaults,
-                        require_all=name == "geometry")
-           for name, defaults in _SECTIONS.items()}
+    sections = {
+        name: _typed(name, _merge(name, _mapping(data.get(name), name), defaults,
+                                  require_all=name == "geometry"))
+        for name, defaults in _SECTIONS.items()
+    }
 
     problems: list[str] = []
 
-    geometry = RingGeometry(**_typed("geometry", raw))
+    geometry = RingGeometry(**sections["geometry"])
     try:
         report = validate_geometry(geometry)
         problems.extend(f"geometry: {v}" for v in report.violations)
     except ValueError as e:
         problems.append(f"geometry: {e}")
 
-    params = _build_params("plant", PlantParams, raw, problems)
+    params = _build_params("plant", PlantParams, sections, problems)
 
     material = None
-    E = _num("material", "youngs_modulus_E", raw["material"]["youngs_modulus_E"])
-    nu = _num("material", "poisson_ratio_nu", raw["material"]["poisson_ratio_nu"])
-    target = _num("material", "calibration_target", raw["material"]["calibration_target"])
+    mat = sections["material"]
     geometry_ok = not any(p.startswith("geometry:") for p in problems)
     if geometry_ok and params is not None:
         try:
-            kappa = calibrate_kappa(geometry, E, target, params.P_max)
-            material = SurrogateMaterial(E, nu, kappa)
+            kappa = calibrate_kappa(geometry, mat["youngs_modulus_E"], mat["calibration_target"],
+                                    params.P_max)
+            material = SurrogateMaterial(mat["youngs_modulus_E"], mat["poisson_ratio_nu"], kappa)
         except ValueError as e:
             problems.append(f"material: {e}")
 
-    layout = None
-    specs = _build_modules(raw["station"], geometry)
-    violations = station_violations(specs)
-    if violations:
-        problems.extend(f"station: {v}" for v in violations)
-    else:
-        layout = StationLayout(tuple(specs))
+    layout = _build_layout(sections["station"], geometry, problems)
 
+    obj = sections["object"]
     object_spec = None
-    initial_z = _num("object", "initial_z", raw["object"]["initial_z"])
-    if _bool("object", "present", raw["object"]["present"]):
-        r_o = _num("object", "radius_r_o", raw["object"]["radius_r_o"])
-        L_o = _num("object", "length_L_o", raw["object"]["length_L_o"])
+    if obj["present"]:
+        r_o, L_o, z = obj["radius_r_o"], obj["length_L_o"], obj["initial_z"]
         if not 0 < r_o < geometry.inner_radius_r:
             problems.append(
                 f"object: radius_r_o must be in (0, inner_radius_r={geometry.inner_radius_r}), "
@@ -285,32 +277,30 @@ def load_config(path: Optional[str] = None) -> RunConfig:
             )
         if not 0 < L_o < math.inf:
             problems.append(f"object: length_L_o must be finite and > 0, got {L_o}")
-        if not 0 <= initial_z < math.inf:
-            problems.append(f"object: initial_z must be finite and >= 0, got {initial_z}")
+        if not 0 <= z < math.inf:
+            problems.append(f"object: initial_z must be finite and >= 0, got {z}")
         object_spec = ObjectSpec(r_o, L_o)
 
-    detection = _build_params("detection", DetectionConfig, raw, problems)
-    control = _build_params("control", ControlConfig, raw, problems)
+    detection = _build_params("detection", DetectionConfig, sections, problems)
+    control = _build_params("control", ControlConfig, sections, problems)
 
-    duration_s = _num("run", "duration_s", raw["run"]["duration_s"])
-    problems.extend(duration_problems(duration_s, params and params.dt))
-    output_path = raw["run"]["output_path"]
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"run.output_path: expected a path string, got {output_path!r}")
+    run = sections["run"]
+    problems.extend(duration_problems(run["duration_s"], params and params.dt))
+    if run["output_path"] is not None and not isinstance(run["output_path"], str):
+        raise ConfigError(f"run.output_path: expected a path string, got {run['output_path']!r}")
 
     return RunConfig(
         geometry=geometry,
         material=material,
         layout=layout,
         object_spec=object_spec,
-        initial_z=initial_z,
+        initial_z=obj["initial_z"],
         params=params,
         detection=detection,
         control=control,
-        calibration_with_object=_bool("calibration", "object_present",
-                                      raw["calibration"]["object_present"]),
-        duration_s=duration_s,
-        output_path=output_path,
+        calibration_with_object=sections["calibration"]["object_present"],
+        duration_s=run["duration_s"],
+        output_path=run["output_path"],
         problems=problems,
     )
 

@@ -66,7 +66,7 @@ BLOCK_TICKS = 1024
 
 
 class ControlFaultError(RuntimeError):
-    """calibrate_baseline timed out waiting for a pressure gate."""
+    """calibrate_baseline timed out waiting for a pressure gate or its detection window."""
 
 
 class CalibrationError(ValueError):
@@ -212,33 +212,33 @@ def detect_contact(
 # -- blocking calibration -----------------------------------------------------
 
 
-def _advance_until(backend, module_id: int, stop: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+def _advance_until(backend, module_id: int, stop: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   timeout: float, describe: str):
     """Advance block by block to the first row where stop(time, kPa) holds.
 
     stop gets the rows' backend times and the module's sensed pressures and
     returns a boolean mask.  Returns the times and pressures of the rows
-    passed over, the row it stopped at excluded, and that row's pressure.
+    passed over, the row it stopped at excluded.
+
+    Raises:
+        ControlFaultError: timeout has passed and stop has not held.
     """
+    deadline = backend.now + timeout
     times: list[float] = []
     pressures: list[float] = []
     while True:
         rows = backend.lookahead(BLOCK_TICKS)
         p = rows.pressure[:, rows.ids.index(module_id)]
-        hits = np.flatnonzero(stop(rows.time, p))
+        done = stop(rows.time, p)
+        hits = np.flatnonzero(done | (rows.time >= deadline))
         j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
         times += rows.time[:j].tolist()
         pressures += p[:j].tolist()
         backend.advance(j)
         if hits.size:
-            return times, pressures, p[j].item()
-
-
-def _wait_gate(backend, module_id: int, lo: float, timeout: float, describe: str) -> None:
-    """Advance until the module reads at most lo, or fail once timeout has passed."""
-    deadline = backend.now + timeout
-    _, _, p = _advance_until(backend, module_id, lambda t, p: (p <= lo) | (t >= deadline))
-    if not p <= lo:
-        raise ControlFaultError(f"timeout: module {module_id} stalled {describe}")
+            if not done[j]:
+                raise ControlFaultError(f"timeout: module {module_id} stalled {describe}")
+            return times, pressures
 
 
 def calibrate_baseline(backend, module_id: int, params: PlantParams,
@@ -250,6 +250,8 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     slope, and vents back.  The caller must ensure no object sits in the
     ring's span; a slope above theta times the free rate is rejected as
     contaminated.  Time is the backend's clock, and ticks advance in blocks.
+    Each of the three waits raises ControlFaultError once the control's
+    phase_timeout_s has passed.
     """
     ctl = control or ControlConfig()
     lo = ctl.deflated_threshold_kPa
@@ -257,20 +259,21 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     def cmd(mode: str) -> None:
         backend.set_valve(ValveCommand(module_id, mode, backend.now))
 
-    p, _ = backend.read_pressure(module_id)
-    if p > lo:
+    def vent(when: str) -> None:
         cmd(DEFLATE)
-        _wait_gate(backend, module_id, lo, ctl.phase_timeout_s, "venting before calibration")
+        _advance_until(backend, module_id, lambda t, p: p <= lo, ctl.phase_timeout_s,
+                       f"venting {when} calibration")
 
+    if backend.read_pressure(module_id)[0] > lo:
+        vent("before")
     cmd(INFLATE)
     t0 = backend.now
     w_end = detection.window_start + detection.window_len + params.dt
-    times, pressures, _ = _advance_until(backend, module_id, lambda t, p: t - t0 > w_end)
+    times, pressures = _advance_until(backend, module_id, lambda t, p: t - t0 > w_end,
+                                      ctl.phase_timeout_s, "inflating through the detection window")
     trace = [(t - t0, p) for t, p in zip(times, pressures)]
     slope, _ = _window_slope(trace, detection, params.P_max)
-
-    cmd(DEFLATE)
-    _wait_gate(backend, module_id, lo, ctl.phase_timeout_s, "venting after calibration")
+    vent("after")
     cmd(HOLD)
 
     if slope > detection.threshold_ratio_theta * params.k_free:
@@ -578,6 +581,28 @@ class StationController:
         self._enter(GRASP, 0)
 
 
+def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
+    """The rule a run duration breaks, as a "run: ..." problem (empty = valid).
+
+    A run of duration_s takes round(duration_s / dt) ticks, which must be
+    finite and at least 1.  dt is None where the plant section is
+    invalid (a problem of its own), and then the tick count is not checked.
+    """
+    if not math.isfinite(duration_s):
+        return [f"run: duration_s must be finite, got {duration_s}"]
+    if duration_s <= 0:
+        return [f"run: duration_s must be > 0, got {duration_s}"]
+    if dt is None:
+        return []
+    ticks = duration_s / dt
+    if not ticks > 0.5:  # round(0.5) is 0
+        return [f"run: duration_s must be over half a tick (dt = {dt} s), got {duration_s}"]
+    if ticks == math.inf:
+        return [f"run: duration_s must be a finite number of ticks (dt = {dt} s), "
+                f"got {duration_s}"]
+    return []
+
+
 def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec],
                 initial_z: float, params: PlantParams, detection: DetectionConfig,
                 control: ControlConfig, duration_s: float, recorder=None) -> RunResult:
@@ -600,9 +625,14 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     6-decimal text reads back as: gates through recorded_threshold, the
     probe trace through as_recorded.  A replay reads those doubles from the
     file, so it takes the live run's decisions by construction.
+
+    Raises:
+        ValueError: a duration that breaks the rule of duration_problems, a
+            backend at another dt, or backend rows that are not the layout's.
     """
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    problems = duration_problems(duration_s, params.dt)
+    if problems:
+        raise ValueError(problems[0])
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))

@@ -109,16 +109,11 @@ def validate_geometry(g: RingGeometry) -> ValidationReport:
     Raises:
         ValueError: if any field is non-finite (precondition, not a rule).
     """
-    fields = (
-        g.outer_radius_R,
-        g.inner_radius_r,
-        g.step_height_m,
-        g.chamber_spacing_l,
-        g.wall_thickness_t,
-        g.chamber_length_s,
-        float(g.chamber_count_N),
-    )
-    if not all(math.isfinite(v) for v in fields):
+    try:
+        finite = all(math.isfinite(getattr(g, f.name)) for f in fields(g))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("geometry fields must all be finite")
 
     violations = []

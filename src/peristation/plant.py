@@ -34,6 +34,9 @@ from .geometry import RingGeometry, SurrogateMaterial, require_finite, surrogate
 COMPRESSION = "Compression"
 LONGITUDINAL = "Longitudinal"
 MODULE_KINDS = (COMPRESSION, LONGITUDINAL)
+# The most modules a configured station may have: the largest module id
+# that the telemetry reader's fast path decodes, four digits.
+MAX_MODULES = 9999
 
 INFLATE = "Inflate"
 HOLD = "Hold"
@@ -181,17 +184,6 @@ def stack_modules(
     return mods
 
 
-def alternating_modules(
-    geometry: RingGeometry,
-    module_count: int,
-    compression_height: float,
-    longitudinal_height: float,
-) -> list[ModuleSpec]:
-    """module_count modules of alternating kinds, stacked from z = 0 (unchecked)."""
-    height = {COMPRESSION: compression_height, LONGITUDINAL: longitudinal_height}
-    return stack_modules(geometry, ((k, height[k]) for k in alternating_kinds(module_count)))
-
-
 def build_station(
     geometry: RingGeometry,
     module_count: int,
@@ -201,8 +193,9 @@ def build_station(
     """Stack module_count alternating modules contiguously from z = 0."""
     if module_count < 1 or module_count % 2 == 0:
         raise ValueError(f"module_count must be odd and >= 1, got {module_count}")
-    return StationLayout(tuple(alternating_modules(
-        geometry, module_count, compression_height, longitudinal_height)))
+    height = {COMPRESSION: compression_height, LONGITUDINAL: longitudinal_height}
+    return StationLayout(tuple(stack_modules(
+        geometry, ((k, height[k]) for k in alternating_kinds(module_count)))))
 
 
 def time_to_contact(

@@ -4,6 +4,8 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import peristation
 from peristation import TELEMETRY_HEADER, BASELINES_HEADER, ConfigError
 from peristation.cli import main, parse_range
 from peristation.config import (
@@ -38,6 +41,20 @@ def write_cfg(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+# The CLI, after limiting its process to 1 GiB of address space.
+CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from peristation.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_child(argv, timeout=60):
+    """The CLI in a child process, held to 1 GiB and killed after timeout s: an
+    input that loops or grows without bound fails the test (TimeoutExpired, or a
+    MemoryError traceback) instead of stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(peristation.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestParseRange:
@@ -151,6 +168,14 @@ class TestValidate:
          "material: target_ratio must be finite and > 0, got inf"),
         ("run:\n  duration_s: 0.0004\n",
          "run: duration_s must be over half a tick (dt = 0.001 s), got 0.0004"),
+        ("run:\n  duration_s: 1.0e+306\n",
+         "run: duration_s must be a finite number of ticks (dt = 0.001 s), got 1e+306"),
+        ("plant:\n  dt: 1.0e-308\n",
+         "run: duration_s must be a finite number of ticks (dt = 1e-308 s), got 120.0"),
+        (f"plant:\n  P_max: {10 ** 400}\n", "plant: P_max must be finite, got inf"),
+        ("geometry:\n" + "".join(f"  {key}: {value}\n" for key, value in
+                                 {**DEFAULT_GEOMETRY, "chamber_count_N": 10 ** 400}.items()),
+         "geometry: geometry fields must all be finite"),
     ])
     def test_out_of_range_value_exits_1(self, tmp_path, capsys, text, problem):
         cfg = write_cfg(tmp_path, text)
@@ -158,6 +183,20 @@ class TestValidate:
         out = capsys.readouterr().out
         assert f"FAIL {problem}" in out
         assert "config: OK" not in out
+
+    def test_huge_module_count_exits_1(self, tmp_path):
+        """The count is refused before a module is built (in a child process:
+        building that many modules would exhaust memory)."""
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 1000000000000000001\n")
+        done = run_child(["validate", "--config", cfg])
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ("FAIL station: module_count must be <= 9999, "
+                               "got 1000000000000000001\n")
+
+    def test_largest_module_count_accepted(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 9999\n")
+        assert main(["validate", "--config", cfg]) == 0
+        assert "station: OK (9999 modules)" in capsys.readouterr().out
 
     def test_rule_violations_exit_1_and_name_each(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "station:\n  module_count: 4\n")
@@ -194,6 +233,27 @@ class TestCalibrate:
         assert main(["calibrate", "--config", cfg, "--out", out]) == 1
         assert "calibration failed: insufficient trace" in capsys.readouterr().out
         assert not (tmp_path / "baselines.csv").exists()
+
+    def test_slow_vent_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 3\nplant:\n  k_vent: 1.0\n"
+                                  "control:\n  phase_timeout_s: 5.0\n")
+        out = tmp_path / "baselines.csv"
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "calibration failed: timeout: module 1 stalled venting after calibration")
+        assert not out.exists()
+
+    def test_huge_window_exits_1(self, tmp_path):
+        """The inflation wait ends at the phase timeout (in a child process: without
+        that bound the wait never ends)."""
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 3\ndetection:\n"
+                                  "  window_len: 1.0e+308\n")
+        out = tmp_path / "baselines.csv"
+        done = run_child(["calibrate", "--config", cfg, "--out", str(out)])
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ("calibration failed: timeout: module 1 stalled inflating "
+                               "through the detection window\n")
+        assert not out.exists()
 
     def test_noise_seed_reproducibility(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -271,6 +331,19 @@ class TestRun:
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert fails == [f"FAIL run: duration_s must be over half a tick (dt = 0.001 s), "
                          f"got {duration}"]
+        assert not telemetry.exists()
+
+    @pytest.mark.parametrize("argv, text, problem", [
+        (["--duration", "1e308"], SMALL_RUN, "(dt = 0.001 s), got 1e+308"),
+        ([], SMALL_RUN.replace("40.0", "1.0e+306"), "(dt = 0.001 s), got 1e+306"),
+        ([], SMALL_RUN + "plant:\n  dt: 1.0e-308\n", "(dt = 1e-308 s), got 40.0"),
+    ], ids=["flag", "config", "tick"])
+    def test_tick_count_that_overflows_exits_1(self, tmp_path, capsys, argv, text, problem):
+        telemetry = tmp_path / "t.csv"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", cfg, *argv, "--out", str(telemetry)]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL run: duration_s must be a finite number of ticks {problem}"]
         assert not telemetry.exists()
 
     def test_missing_baselines_file_exits_2(self, tmp_path, capsys):
@@ -483,7 +556,7 @@ class TestConfigFuzz:
 SEEDS = st.one_of(st.integers(-3, 2**64), st.integers(0, 9),
                   st.sampled_from(["x", "1.5", "", "nan"]))
 DURATIONS = st.one_of(st.floats(1e-3, 1.0), st.sampled_from(
-    ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "x", ""]))
+    ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-300", "1e308", "x", ""]))
 RANGE_PARTS = ["0", "1", "2", "5", "12", "-1", "0.5", "1e-12", "nan", "inf", "-inf", "x", ""]
 
 
@@ -550,6 +623,7 @@ class TestArgvFuzz:
     @given(argv=argvs())
     @example(argv=["run", "--config", None, "--seed", "-1", "--duration", "0.1"])
     @example(argv=["run", "--config", None, "--duration", "1e-300"])
+    @example(argv=["run", "--config", None, "--duration", "1e308"])
     @example(argv=["calibrate", "--config", None, "--seed", "-1"])
     @example(argv=["sweep", "--config", None, "--param", "l", "--range", "nan:1:1"])
     @example(argv=["sweep", "--config", None, "--param", "t", "--range", "0:1:1e-12"])

@@ -82,6 +82,18 @@ class TestStructuralErrors:
         with pytest.raises(ConfigError, match="object.present: expected true/false"):
             load_config(cfg_file(tmp_path, "object:\n  present: 1\n"))
 
+    def test_every_field_typed_where_it_is_not_used(self, tmp_path):
+        with pytest.raises(ConfigError, match="station.module_count: expected an integer"):
+            load_config(cfg_file(tmp_path, "station:\n  module_count: 2.5\n  modules:\n"
+                                           "    - {kind: Compression}\n"))
+        with pytest.raises(ConfigError, match="object.radius_r_o: expected a number"):
+            load_config(cfg_file(tmp_path, "object:\n  present: false\n  radius_r_o: wide\n"))
+
+    def test_sections_typed_in_order(self, tmp_path):
+        with pytest.raises(ConfigError, match="^material.poisson_ratio_nu: expected a number"):
+            load_config(cfg_file(tmp_path, "plant:\n  P_max: high\n"
+                                           "material:\n  poisson_ratio_nu: x\n"))
+
     def test_non_string_output_path(self, tmp_path):
         with pytest.raises(ConfigError, match="run.output_path"):
             load_config(cfg_file(tmp_path, "run:\n  output_path: 7\n"))
@@ -169,6 +181,20 @@ class TestSemanticProblems:
         assert cfg.problems == [f"run: duration_s must be over half a tick (dt = 0.001 s), "
                                 f"got {float(duration)}"]
 
+    @pytest.mark.parametrize("text, problem", [
+        ("run:\n  duration_s: 1.0e+306\n", "(dt = 0.001 s), got 1e+306"),
+        ("plant:\n  dt: 1.0e-308\n", "(dt = 1e-308 s), got 120.0"),
+    ])
+    def test_tick_count_that_overflows_reported(self, tmp_path, text, problem):
+        cfg = load_config(cfg_file(tmp_path, text))
+        assert cfg.problems == [f"run: duration_s must be a finite number of ticks {problem}"]
+
+    def test_integer_beyond_the_float_range_is_infinite(self, tmp_path):
+        cfg = load_config(cfg_file(tmp_path, f"plant:\n  k_vent: {10 ** 400}\n"
+                                             f"object:\n  initial_z: -{10 ** 400}\n"))
+        assert cfg.problems == ["plant: k_vent must be finite, got inf",
+                                "object: initial_z must be finite and >= 0, got -inf"]
+
     def test_duration_of_one_tick_accepted(self, tmp_path):
         cfg = load_config(cfg_file(tmp_path, "run:\n  duration_s: 0.00050001\n"))
         assert cfg.problems == []
@@ -184,6 +210,9 @@ class TestSemanticProblems:
         assert duration_problems(1e-300, None) == []  # no valid plant section: no tick
         assert duration_problems(float("nan"), None) == [
             "run: duration_s must be finite, got nan"]
+        assert duration_problems(1e308, 1e-3) == [
+            "run: duration_s must be a finite number of ticks (dt = 0.001 s), got 1e+308"]
+        assert duration_problems(1e308, None) == []
 
 
 class TestSectionsApplied:
@@ -204,6 +233,21 @@ class TestSectionsApplied:
         assert cfg.problems == []
         assert [m.height_h for m in cfg.layout.modules] == [10.0, 20.0, 20.0]
         assert [m.z_origin for m in cfg.layout.modules] == [0.0, 10.0, 30.0]
+
+    def test_explicit_module_takes_the_height_of_its_kind(self, tmp_path):
+        text = (
+            "station:\n"
+            "  compression_height: 12.0\n"
+            "  longitudinal_height: 30.0\n"
+            "  module_count: 4\n"  # ignored next to a module list
+            "  modules:\n"
+            "    - {kind: Compression}\n"
+            "    - {kind: Longitudinal}\n"
+            "    - {kind: Compression, height: 10.0}\n"
+        )
+        cfg = load_config(cfg_file(tmp_path, text))
+        assert cfg.problems == []
+        assert [m.height_h for m in cfg.layout.modules] == [12.0, 30.0, 10.0]
 
     def test_calibration_and_run_sections(self, tmp_path):
         text = "calibration:\n  object_present: true\nrun:\n  duration_s: 7.5\n  output_path: out.csv\n"

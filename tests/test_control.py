@@ -17,6 +17,7 @@ from peristation import (
     INFLATE,
     CalibrationError,
     ControlConfig,
+    ControlFaultError,
     DetectionConfig,
     ObjectSpec,
     ObjectState,
@@ -296,6 +297,24 @@ class TestCalibrateBaseline:
         with pytest.raises(CalibrationError, match="contaminated"):
             calibrate_baseline(backend, 1, params, DetectionConfig())
 
+    def test_slow_vent_times_out(self, three_module_layout, material):
+        """At 1 kPa/s the ring cannot vent from about 10.8 kPa within 5 s."""
+        slow = PlantParams(k_vent=1.0)
+        backend = sim_backend(three_module_layout, material, slow, with_object=False)
+        with pytest.raises(ControlFaultError,
+                           match="^timeout: module 1 stalled venting after calibration$"):
+            calibrate_baseline(backend, 1, slow, DetectionConfig(),
+                               ControlConfig(phase_timeout_s=5.0))
+        assert backend.now == pytest.approx(2.501 + 5.0, abs=2e-3)
+
+    def test_window_past_the_timeout_times_out(self, three_module_layout, material, params):
+        """The window would end at 21.5 s; the wait stops at the 10 s phase timeout."""
+        backend = sim_backend(three_module_layout, material, params, with_object=False)
+        with pytest.raises(ControlFaultError, match="^timeout: module 1 stalled inflating "
+                                                    "through the detection window$"):
+            calibrate_baseline(backend, 1, params, DetectionConfig(window_len=20.0))
+        assert backend.now == pytest.approx(10.0, abs=2e-3)
+
 
 class TestStationController:
     def controller(self, layout, detection=None, control=None, obj=ObjectSpec(17.5, 75.0)):
@@ -489,6 +508,14 @@ class TestRunStation:
         assert res.outcome == "fault"
         assert res.faults == ("timeout in phase L0:AdvanceRelease stage 0: module 1 stalled",)
 
+    def test_probe_patience_runs_out(self, five_module_layout, material, params):
+        backend = sim_backend(five_module_layout, material, params, ror=0.4)  # r_o = 10 mm
+        res = run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                          params, DetectionConfig(), ControlConfig(max_cycles_per_level=1), 120.0)
+        assert res.outcome == "fault"
+        assert res.faults == ("object never detected at level 0 after 1 cycles",)
+        assert res.cycles == 1
+
     def test_nonpositive_duration_rejected(self, five_module_layout, material, params):
         backend = sim_backend(five_module_layout, material, params)
         with pytest.raises(ValueError, match="duration"):
@@ -507,6 +534,18 @@ class TestRunStation:
         with pytest.raises(ValueError, match="duration_s must be finite"):
             run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
                         params, DetectionConfig(), ControlConfig(), duration)
+
+    @pytest.mark.parametrize("duration, problem", [
+        (4e-4, "run: duration_s must be over half a tick (dt = 0.001 s), got 0.0004"),
+        (1e308, "run: duration_s must be a finite number of ticks (dt = 0.001 s), got 1e+308"),
+    ], ids=["under half a tick", "too many ticks"])
+    def test_tick_count_rejected(self, five_module_layout, material, params, duration, problem):
+        backend = sim_backend(five_module_layout, material, params)
+        with pytest.raises(ValueError) as e:
+            run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                        params, DetectionConfig(), ControlConfig(), duration)
+        assert str(e.value) == problem
+        assert backend.now == 0.0
 
 
 class TestBlockStepping:

@@ -477,6 +477,28 @@ class TestPlantIntegration:
         with pytest.raises(ValueError, match="module"):
             plant.set_valve(99, HOLD)
 
+    def test_commit_rejects_a_stale_trajectory(self, three_module_layout, material, params):
+        plant = make_plant(three_module_layout, material, params)
+        traj = plant.trajectory(10)
+        plant.set_valve(1, INFLATE)  # a valve change makes the plant another state
+        with pytest.raises(ValueError, match="trajectory is stale"):
+            plant.commit(traj, 5)
+        traj = plant.trajectory(10)
+        plant.commit(traj, 5)
+        with pytest.raises(ValueError, match="trajectory is stale"):
+            plant.commit(traj, 10)
+        assert plant.time == pytest.approx(5e-3)
+
+    @pytest.mark.parametrize("row", [-1, 11, 50])
+    def test_commit_rejects_a_row_outside_the_trajectory(self, three_module_layout, material,
+                                                         params, row):
+        plant = make_plant(three_module_layout, material, params)
+        traj = plant.trajectory(10)
+        with pytest.raises(ValueError, match=f"row {row} outside a trajectory of 11 rows"):
+            plant.commit(traj, row)
+        assert plant.time == 0.0
+        plant.commit(traj, 10)  # the refusals left the trajectory valid
+
 
 
 class TestPlantProperties:
