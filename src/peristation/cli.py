@@ -92,20 +92,14 @@ def _output_error(path: str, e: OSError) -> int:
     return 2
 
 
-def cmd_validate(args) -> int:
-    cfg = _prepare(args)
-    if isinstance(cfg, int):
-        return cfg
+def cmd_validate(args, cfg) -> int:
     print("geometry: OK")
     print(f"station: OK ({len(cfg.layout.modules)} modules)")
     print("config: OK")
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _prepare(args)
-    if isinstance(cfg, int):
-        return cfg
+def cmd_calibrate(args, cfg) -> int:
     with_object = cfg.calibration_with_object and cfg.object_spec is not None
     obj = ObjectState(cfg.object_spec, cfg.initial_z) if with_object else None
     backend = SimulatedBackend(Plant(cfg.layout, obj, cfg.params, cfg.material))
@@ -129,10 +123,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _prepare(args)
-    if isinstance(cfg, int):
-        return cfg
+def cmd_run(args, cfg) -> int:
     detection = cfg.detection
     if args.baselines:
         try:
@@ -172,10 +163,7 @@ def cmd_run(args) -> int:
     return 1 if result.faults else 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _prepare(args)
-    if isinstance(cfg, int):
-        return cfg
+def cmd_sweep(args, cfg) -> int:
     try:
         values = parse_range(args.range)
         if args.param == "N":
@@ -249,7 +237,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return args.func(args)
+    cfg = _prepare(args)
+    return cfg if isinstance(cfg, int) else args.func(args, cfg)
 
 
 if __name__ == "__main__":

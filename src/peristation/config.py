@@ -22,7 +22,7 @@ from typing import Optional
 
 import yaml
 
-from .control import ControlConfig, DetectionConfig, duration_problems
+from .control import ControlConfig, DetectionConfig, duration_problems, gate_problems
 from .geometry import RingGeometry, SurrogateMaterial, calibrate_kappa, validate_geometry
 from .plant import (
     COMPRESSION,
@@ -283,6 +283,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
 
     detection = _build_params("detection", DetectionConfig, sections, problems)
     control = _build_params("control", ControlConfig, sections, problems)
+    if control is not None and params is not None:
+        problems.extend(gate_problems(control, params.P_max))
 
     run = sections["run"]
     problems.extend(duration_problems(run["duration_s"], params and params.dt))

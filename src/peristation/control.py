@@ -307,8 +307,9 @@ class StationController:
     def __init__(self, layout: StationLayout, object_spec: Optional[ObjectSpec],
                  initial_z: float, params: PlantParams, detection: DetectionConfig,
                  control: ControlConfig):
-        if len(layout.modules) < 3:
-            raise ValueError("station needs at least one (C, L, C) triple")
+        problems = gate_problems(control, params.P_max)
+        if problems:
+            raise ValueError(problems[0])
         self.layout = layout
         self.params = params
         self.ctl = control
@@ -581,12 +582,26 @@ class StationController:
         self._enter(GRASP, 0)
 
 
+def gate_problems(control: ControlConfig, P_max: float) -> list[str]:
+    """The rule the two pressure gates break, as a "control: ..." problem (empty = valid).
+
+    The deflated gate must be below the inflated gate: otherwise a ring that
+    reads the inflated gate passes the deflated one too, and a vent stage
+    can end with the ring still full.
+    """
+    gate = control.inflated_fraction * P_max
+    if control.deflated_threshold_kPa < gate:
+        return []
+    return [f"control: deflated_threshold_kPa must be below the inflated gate "
+            f"inflated_fraction * P_max = {gate} kPa, got {control.deflated_threshold_kPa}"]
+
+
 def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
     """The rule a run duration breaks, as a "run: ..." problem (empty = valid).
 
-    A run of duration_s takes round(duration_s / dt) ticks, which must be
-    finite and at least 1.  dt is None where the plant section is
-    invalid (a problem of its own), and then the tick count is not checked.
+    A run of duration_s takes round(duration_s / dt) ticks, at least 1 and
+    at most 2**53.  dt is None where the plant section is invalid (a
+    problem of its own), and then the tick count is not checked.
     """
     if not math.isfinite(duration_s):
         return [f"run: duration_s must be finite, got {duration_s}"]
@@ -597,9 +612,11 @@ def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
     ticks = duration_s / dt
     if not ticks > 0.5:  # round(0.5) is 0
         return [f"run: duration_s must be over half a tick (dt = {dt} s), got {duration_s}"]
-    if ticks == math.inf:
-        return [f"run: duration_s must be a finite number of ticks (dt = {dt} s), "
-                f"got {duration_s}"]
+    # tick k is at k * dt: every k up to 2**53 is an exact double, so each
+    # tick's time is rounded once
+    if not ticks <= 2**53:
+        count = "a finite number of" if ticks == math.inf else "at most 2**53"
+        return [f"run: duration_s must be {count} ticks (dt = {dt} s), got {duration_s}"]
     return []
 
 
@@ -627,8 +644,9 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     file, so it takes the live run's decisions by construction.
 
     Raises:
-        ValueError: a duration that breaks the rule of duration_problems, a
-            backend at another dt, or backend rows that are not the layout's.
+        ValueError: a duration that breaks the rule of duration_problems,
+            gates that break the rule of gate_problems, a backend at another
+            dt, or backend rows that are not the layout's.
     """
     problems = duration_problems(duration_s, params.dt)
     if problems:

@@ -129,6 +129,8 @@ def station_violations(modules: Sequence[ModuleSpec]) -> list[str]:
     violations = []
     if not modules:
         return ["station must contain at least one module"]
+    if len(modules) < 3:  # the smallest unit that can move an object
+        violations.append("station needs at least one (C, L, C) triple")
     ids = [m.id for m in modules]
     if ids != list(range(1, len(modules) + 1)):
         violations.append("module ids must be contiguous from 1")

@@ -184,6 +184,17 @@ class TestValidate:
         assert f"FAIL {problem}" in out
         assert "config: OK" not in out
 
+    @pytest.mark.parametrize("deflated, code, last", [
+        (14.25, 1, "FAIL control: deflated_threshold_kPa must be below the inflated gate "
+                   "inflated_fraction * P_max = 14.25 kPa, got 14.25"),
+        (math.nextafter(14.25, 0.0), 0, "config: OK"),
+    ], ids=["at", "just below"])
+    def test_deflated_gate_below_the_inflated_gate(self, tmp_path, capsys, deflated, code, last):
+        """The default inflated gate is inflated_fraction * P_max = 0.95 * 15.0 = 14.25 kPa."""
+        cfg = write_cfg(tmp_path, f"control:\n  deflated_threshold_kPa: {deflated!r}\n")
+        assert main(["validate", "--config", cfg]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == last
+
     def test_huge_module_count_exits_1(self, tmp_path):
         """The count is refused before a module is built (in a child process:
         building that many modules would exhaust memory)."""
@@ -346,6 +357,17 @@ class TestRun:
         assert fails == [f"FAIL run: duration_s must be a finite number of ticks {problem}"]
         assert not telemetry.exists()
 
+    def test_tick_count_past_2_to_the_53_exits_1_at_once(self, tmp_path):
+        """5e306 ticks is finite, and would run without end."""
+        telemetry = tmp_path / "t.csv"
+        cfg = write_cfg(tmp_path, SMALL_RUN + "plant:\n  dt: 1.0e-308\n")
+        done = run_child(["run", "--config", cfg, "--duration", "0.05", "--out", str(telemetry)],
+                         timeout=30)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ("FAIL run: duration_s must be at most 2**53 ticks "
+                               "(dt = 1e-308 s), got 0.05\n")
+        assert not telemetry.exists()
+
     def test_missing_baselines_file_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         code = main(["run", "--config", cfg, "--baselines", str(tmp_path / "nope.csv"),
@@ -459,6 +481,33 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+class TestRefusedByEveryCommand:
+    """A config that validate refuses, every command refuses: exit 1, the
+    same FAIL line, no traceback and no output file (in a child process: a
+    command that accepted 2**53 ticks would not return)."""
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["calibrate", "--out"], ["run", "--out"],
+        ["sweep", "--param", "N", "--range", "3:5:1", "--out"],
+    ], ids=["validate", "calibrate", "run", "sweep"])
+    @pytest.mark.parametrize("text, problem", [
+        ("station:\n  module_count: 1\n", "station: station needs at least one (C, L, C) triple"),
+        ("station:\n  modules:\n    - {kind: Compression}\n",
+         "station: station needs at least one (C, L, C) triple"),
+        ("control:\n  deflated_threshold_kPa: 20.0\n",
+         "control: deflated_threshold_kPa must be below the inflated gate "
+         "inflated_fraction * P_max = 14.25 kPa, got 20.0"),
+        ("plant:\n  dt: 1.0e-308\nrun:\n  duration_s: 0.05\n",
+         "run: duration_s must be at most 2**53 ticks (dt = 1e-308 s), got 0.05"),
+    ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks"])
+    def test_exits_1(self, tmp_path, command, text, problem):
+        out = tmp_path / "out.csv"
+        argv = [*command, str(out)] if command[-1] == "--out" else command
+        done = run_child([*argv, "--config", write_cfg(tmp_path, text)], timeout=30)
+        assert (done.returncode, done.stdout, done.stderr) == (1, f"FAIL {problem}\n", "")
+        assert not out.exists()
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize("command", [
         ["validate"], ["calibrate", "--out"], ["run", "--out"],
@@ -506,6 +555,9 @@ FUZZ_FIELDS = {
     for key, default in defaults.items()
 }
 
+# one module: a station without a (C, L, C) triple
+FUZZ_FIELDS["station", "module_count"].append(1)
+
 # A section given only as a whole: a fuzzed field replaces one of its defaults.
 WHOLE_SECTIONS = {"geometry": DEFAULT_GEOMETRY}
 
@@ -527,7 +579,8 @@ def fuzzed_configs(draw):
 
 
 def check_config(config):
-    """validate exits 0, 1 or 2; a config it accepts runs briefly and exits 0 or 1."""
+    """validate exits 0, 1 or 2; a config it accepts calibrates and runs
+    briefly, each exiting 0 or 1."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         path = os.path.join(tmp, "cfg.yaml")
         with open(path, "w") as f:
@@ -535,7 +588,8 @@ def check_config(config):
         code = main(["validate", "--config", path])
         assert code in (0, 1, 2), config
         if code == 0:
-            out = os.path.join(tmp, "t.csv")
+            out = os.path.join(tmp, "out.csv")
+            assert main(["calibrate", "--config", path, "--out", out]) in (0, 1), config
             code = main(["run", "--config", path, "--duration", "0.05", "--out", out])
             assert code in (0, 1), config
 
@@ -548,6 +602,7 @@ class TestConfigFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(config=fuzzed_configs())
+    @example(config={"station": {"modules": [{"kind": "Compression"}]}})
     def test_field_values_combined(self, config):
         check_config(config)
 

@@ -1,5 +1,7 @@
 """Config loading: defaults, the two failure channels, baseline files."""
 
+import math
+
 import pytest
 
 from peristation import (
@@ -213,6 +215,10 @@ class TestSemanticProblems:
         assert duration_problems(1e308, 1e-3) == [
             "run: duration_s must be a finite number of ticks (dt = 0.001 s), got 1e+308"]
         assert duration_problems(1e308, None) == []
+        # at most 2**53 ticks: the bound itself runs, the next double does not
+        assert duration_problems(2.0 ** 53, 1.0) == []
+        assert duration_problems(math.nextafter(2.0 ** 53, math.inf), 1.0) == [
+            "run: duration_s must be at most 2**53 ticks (dt = 1.0 s), got 9007199254740994.0"]
 
 
 class TestSectionsApplied:

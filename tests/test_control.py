@@ -437,9 +437,16 @@ class TestStationController:
         assert c.quiet_rows(np.zeros(1), np.zeros((1, 5))) == 1
 
     def test_station_without_triple_rejected(self, geometry, material):
-        layout = build_station(geometry, 1, 20.0, 20.0)
         with pytest.raises(ValueError, match="triple"):
-            StationController(layout, None, 0.0, PlantParams(), DetectionConfig(), ControlConfig())
+            build_station(geometry, 1, 20.0, 20.0)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.4])  # gate 7.5 kPa, then 6.0 kPa
+    def test_gates_out_of_order_rejected(self, five_module_layout, fraction):
+        control = ControlConfig(inflated_fraction=fraction, deflated_threshold_kPa=7.5)
+        with pytest.raises(ValueError, match=r"^control: deflated_threshold_kPa must be below "
+                                             r"the inflated gate inflated_fraction \* P_max"):
+            StationController(five_module_layout, None, 0.0, PlantParams(), DetectionConfig(),
+                              control)
 
 
 class TestRunStation:

@@ -92,9 +92,8 @@ class TestStationRules:
             build_station(geometry, count, 20.0, 20.0)
 
     def test_single_module_station(self, geometry):
-        layout = build_station(geometry, 1, 20.0, 20.0)
-        assert len(layout.modules) == 1
-        assert layout.modules[0].kind == COMPRESSION
+        mods = [ModuleSpec(1, COMPRESSION, geometry, 20.0, 0.0)]
+        assert station_violations(mods) == ["station needs at least one (C, L, C) triple"]
 
     def test_empty_station_named(self):
         assert station_violations([]) == ["station must contain at least one module"]
