@@ -22,7 +22,8 @@ from typing import Optional
 
 import yaml
 
-from .control import ControlConfig, DetectionConfig, duration_problems, gate_problems
+from .control import (ControlConfig, DetectionConfig, duration_problems, gate_problems,
+                      window_problems)
 from .geometry import RingGeometry, SurrogateMaterial, calibrate_kappa, validate_geometry
 from .plant import (
     COMPRESSION,
@@ -285,6 +286,8 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     control = _build_params("control", ControlConfig, sections, problems)
     if control is not None and params is not None:
         problems.extend(gate_problems(control, params.P_max))
+        if detection is not None:
+            problems.extend(window_problems(detection, control, params.dt))
 
     run = sections["run"]
     problems.extend(duration_problems(run["duration_s"], params and params.dt))

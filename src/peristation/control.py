@@ -16,8 +16,11 @@ before a run.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,8 +162,9 @@ class RunResult:
 def _window_slope(trace: Sequence[tuple[float, float]], config: DetectionConfig, p_max: float):
     """Least-squares pressure slope over the detection window.
 
-    Returns (slope, samples_used).  Raises ValueError when the trace does
-    not cover the window or saturation leaves too few samples.
+    trace must be in time order.  Returns (slope, samples_used).  Raises
+    ValueError when the trace does not cover the window or saturation leaves
+    too few samples.
     """
     w0 = config.window_start
     w1 = w0 + config.window_len
@@ -170,21 +174,19 @@ def _window_slope(trace: Sequence[tuple[float, float]], config: DetectionConfig,
             f"(trace ends at {trace[-1][0]:.3f} s)" if trace else "insufficient trace: empty"
         )
     cutoff = config.saturation_fraction * p_max
-    ts, ps = [], []
-    for tau, p in trace:
-        if tau < w0:
-            continue
-        if tau > w1 or p >= cutoff:
-            break
-        ts.append(tau)
-        ps.append(p)
-    if len(ts) < config.min_window_samples:
+    lo = bisect.bisect_left(trace, w0, key=itemgetter(0))
+    hi = bisect.bisect_right(trace, w1, lo, key=itemgetter(0))
+    window = np.fromiter(chain.from_iterable(trace[lo:hi]), np.float64, 2 * (hi - lo))
+    t, p = window[0::2], window[1::2]
+    saturated = np.flatnonzero(p >= cutoff)  # the first saturated sample ends the window
+    n = int(saturated[0]) if saturated.size else len(t)
+    if n < config.min_window_samples:
         raise ValueError(
-            f"insufficient trace: only {len(ts)} usable samples in the window "
+            f"insufficient trace: only {n} usable samples in the window "
             f"(saturation cutoff {cutoff:.3f} kPa)"
         )
-    slope = float(np.polyfit(np.asarray(ts), np.asarray(ps), 1)[0])
-    return slope, len(ts)
+    slope = float(np.polyfit(t[:n], p[:n], 1)[0])
+    return slope, n
 
 
 def detect_contact(
@@ -195,8 +197,9 @@ def detect_contact(
 ) -> DetectionResult:
     """Classify one probe inflation trace against the module's baseline.
 
-    trace is (seconds since inflation onset, sensed kPa) pairs.  Deterministic
-    for a given trace.
+    trace is (seconds since inflation onset, sensed kPa) pairs in time
+    order: the window's ends are found by bisection.  Deterministic for a
+    given trace.
 
     Raises:
         ValueError: no baseline for the module, or the window is not covered.
@@ -252,8 +255,14 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     contaminated.  Time is the backend's clock, and ticks advance in blocks.
     Each of the three waits raises ControlFaultError once the control's
     phase_timeout_s has passed.
+
+    Raises:
+        ValueError: a window that breaks the rule of window_problems.
     """
     ctl = control or ControlConfig()
+    problems = window_problems(detection, ctl, params.dt)
+    if problems:
+        raise ValueError(problems[0])
     lo = ctl.deflated_threshold_kPa
 
     def cmd(mode: str) -> None:
@@ -594,6 +603,20 @@ def gate_problems(control: ControlConfig, P_max: float) -> list[str]:
         return []
     return [f"control: deflated_threshold_kPa must be below the inflated gate "
             f"inflated_fraction * P_max = {gate} kPa, got {control.deflated_threshold_kPa}"]
+
+
+def window_problems(detection: DetectionConfig, control: ControlConfig, dt: float) -> list[str]:
+    """The rule the detection window breaks, as a "detection: ..." problem (empty = valid).
+
+    calibrate_baseline inflates a ring until window_start + window_len + dt
+    has passed and gives up at phase_timeout_s, so the window must end
+    before the timeout.
+    """
+    end = detection.window_start + detection.window_len + dt
+    if end < control.phase_timeout_s:
+        return []
+    return [f"detection: window_start + window_len + dt must be below "
+            f"phase_timeout_s = {control.phase_timeout_s} s, got {end}"]
 
 
 def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:

@@ -18,7 +18,11 @@ Step order, per tick:
 
 Plant.trajectory runs this order over a whole block of ticks at once, one
 stretch of constant rates after another, and gives the same bits as
-stepping one tick at a time.
+stepping one tick at a time.  It keeps each module's states as one
+contiguous row and integrates only the rings that move: in a stretch a
+ring that holds or is pinned at a pressure bound keeps its bits exactly,
+and so do the lifts, the object and the contacts that nothing under them
+moves.
 """
 
 from __future__ import annotations
@@ -225,8 +229,10 @@ class Trajectory:
     """States a plant would pass through under its current valves, not yet committed.
 
     Row 0 is the state the trajectory starts from and row i the state after
-    i steps; the arrays have one column per module, in layout order.
-    Plant.trajectory builds one and Plant.commit moves the plant to a row.
+    i steps; the arrays have one column per module, in layout order.  The
+    per-module arrays are transposed views of (modules, rows) storage, so
+    each module's column is contiguous.  Plant.trajectory builds one and
+    Plant.commit moves the plant to a row.
     """
 
     start: int  # the plant's state count when the trajectory was computed
@@ -283,11 +289,11 @@ class Plant:
         self._comp = [i for i, k in enumerate(self._kind) if k == COMPRESSION]
         self._gap = [m.geometry.inner_radius_r - obj.spec.radius_r_o if obj else 0.0 for m in self._mods]
         ror = obj.spec.radius_r_o / self._mods[0].geometry.inner_radius_r if obj else 0.0
-        # pressure change per step by valve mode; -0.0 leaves every pressure bit-exact
+        # pressure change per step of an inflating or venting ring
         dt = params.dt
         self._inc_free = params.k_free * dt
         self._inc_contact = params.contact_rate(ror) * dt
-        self._inc_other = {HOLD: -0.0, DEFLATE: -(params.k_vent * dt)}
+        self._inc_vent = -(params.k_vent * dt)
 
     def set_valve(self, module_id: int, mode: str) -> None:
         if mode not in VALVE_MODES:
@@ -328,20 +334,25 @@ class Plant:
         self._state += 1
         return list(traj.events) if row == len(traj) - 1 else []
 
-    def _increments(self, contact: Sequence[bool]) -> list[float]:
-        """Each module's pressure change over one step at the current valves."""
-        return [(self._inc_contact if contact[i] else self._inc_free) if v == INFLATE
-                else self._inc_other[v] for i, v in enumerate(self._valve)]
-
     def trajectory(self, n: int) -> Trajectory:
         """The states of the next n steps (fewer after an event), plant unchanged.
 
         Between contact changes every rate is constant, so each stretch is
         integrated by cumulative sums that repeat the per-step float
         operations in the same order, and results are bit-identical to
-        stepping one dt at a time.  A contact change ends a stretch and the
-        next one starts from its row.  The trajectory ends after the first
-        step that emits a "conflict" or "drop" event.
+        stepping one dt at a time.  Each module's states are one contiguous
+        row of (modules, rows) storage.  A stretch integrates only the rings
+        whose pressure can change (INFLATE below P_max, DEFLATE above 0) and
+        fills the others with their value: a step leaves a held ring's
+        pressure as it is and clips a pinned ring back to its bound, so
+        their bits cannot move.
+        Lifts and the object are recomputed only when a longitudinal ring
+        moves, and a ring's contact only where its inflation, lift or the
+        object moves; otherwise it is evaluated once, at the stretch's first
+        new row, never copied from the row before (row 0 may hold contacts
+        from before a drop moved the object).  A contact change ends a
+        stretch and the next one starts from its row.  The trajectory ends
+        after the first step that emits a "conflict" or "drop" event.
         """
         if n < 0:
             raise ValueError(f"steps must be >= 0, got {n}")
@@ -352,71 +363,83 @@ class Plant:
         obj = self.object
         comp = self._comp
         rows = n + 1
-        P = np.empty((rows, m))
-        d = np.empty((rows, m))
-        lift = np.empty((rows, m))
-        contact = np.zeros((rows, m), dtype=bool)
+        # one contiguous row per module; the Trajectory gets (rows, modules) views
+        P = np.empty((m, rows))
+        d = np.empty((m, rows))
+        lift = np.empty((m, rows))
+        contact = np.zeros((m, rows), dtype=bool)
         z = np.empty(rows) if obj is not None else None
-        P[0] = self._P
-        d[0] = self._d
-        lift[0] = self._lift
-        contact[0] = self._contact
+        P[:, 0] = self._P
+        d[:, 0] = self._d
+        lift[:, 0] = self._lift
+        contact[:, 0] = self._contact
         if z is not None:
             z[0] = obj.z
         events: list[tuple[int, str]] = []
         last = 0  # last row computed
         while last < n and not events:
             seg = slice(last + 1, rows)
-            hit0 = contact[last].tolist()
-            # 1+2) pressures under the valves and last tick's contacts, then inflations
-            acc = np.empty((rows - last, m))
-            acc[0] = P[last]
-            acc[1:] = self._increments(hit0)
-            np.add.accumulate(acc, axis=0, out=acc)
-            Ps = np.clip(acc[1:], 0.0, P_max, out=P[seg])
-            ds = np.divide(Ps, P_max, out=d[seg])
-            ds *= self._d_full
+            hit0 = contact[:, last].tolist()
+            for a in (P, d, lift):
+                a[:, seg] = a[:, last, None]
+            # 1+2) pressures of the rings that can move under the valves and last
+            # tick's contacts, then their inflations
+            moving = [i for i, v in enumerate(self._valve) if v == INFLATE and P[i, last] < P_max
+                      or v == DEFLATE and P[i, last] > 0.0]
+            for i in moving:
+                Pi = P[i, last:]
+                Pi[1:] = (self._inc_vent if self._valve[i] == DEFLATE
+                          else self._inc_contact if hit0[i] else self._inc_free)
+                np.add.accumulate(Pi, out=Pi)
+                if self._valve[i] == DEFLATE:  # a vent only falls and a fill only rises
+                    np.maximum(P[i, seg], 0.0, out=P[i, seg])
+                else:
+                    np.minimum(P[i, seg], P_max, out=P[i, seg])
+                di = np.divide(P[i, seg], P_max, out=d[i, seg])
+                di *= self._d_full[i]
             # 3) longitudinal strokes lift everything stacked above them
-            ls = lift[seg]
-            run = 0.0
-            for i in range(m):
-                ls[:, i] = run
-                if self._kind[i] == LONGITUDINAL:
-                    run = run + ds[:, i]
+            low = min((i for i in moving if self._kind[i] == LONGITUDINAL), default=m)
+            for i in range(low + 1, m):
+                if self._kind[i - 1] == LONGITUDINAL:
+                    np.add(lift[i - 1, seg], d[i - 1, seg], out=lift[i, seg])
+                else:
+                    lift[i, seg] = lift[i - 1, seg]
             end = n  # last row this stretch keeps
             conflict = flip = None
             if obj is not None:
                 # 4) the object rides its supporters from the previous tick
                 sup = [i for i in comp if hit0[i]]
                 zs = z[seg]
-                if sup:
-                    deltas = lift[last + 1:, sup] - lift[last:-1, sup]
+                rides = bool(sup) and sup[-1] > low  # a supporter rises or sinks
+                if rides:
+                    deltas = lift[sup, last + 1:] - lift[sup, last:-1]
                     if len(sup) > 1:
-                        spread = deltas.max(axis=1) - deltas.min(axis=1) > 1e-12
+                        spread = deltas.max(axis=0) - deltas.min(axis=0) > 1e-12
                         conflicts = np.flatnonzero(spread)
                         if conflicts.size:
                             end = conflict = last + 1 + int(conflicts[0])
-                    acc = np.empty(rows - last)
-                    acc[0] = z[last]
                     # -0.0 where the lowest supporter stays put, so z is left bit-exact
-                    acc[1:] = np.where(deltas[:, 0] == 0.0, -0.0, deltas[:, 0])
-                    np.add.accumulate(acc, out=acc)
-                    zs[:] = acc[1:]
+                    zs[:] = np.where(deltas[0] == 0.0, -0.0, deltas[0])
+                    np.add.accumulate(z[last:], out=z[last:])
                 else:
                     zs[:] = z[last]
-                # 5) contacts at the new configuration
-                cs = contact[seg]
-                top = zs + obj.spec.length_L_o
+                # 5) contacts at the new configuration: the reach over the stretch if the
+                # ring moves, the span overlap if its lift or the object moves, else
+                # each at the stretch's first new row
                 for i in comp:
                     mod = mods[i]
-                    lo = mod.z_origin + ls[:, i]
-                    cs[:, i] = (ds[:, i] >= self._gap[i]) & (zs < lo + mod.height_h) & (top > lo)
-                flips = np.flatnonzero((cs[:, comp] != [hit0[i] for i in comp]).any(axis=1))
+                    c = d[i, seg if i in moving else last + 1] >= self._gap[i]
+                    if c.any():
+                        at = seg if rides or i > low else last + 1
+                        lo = mod.z_origin + lift[i, at]
+                        c = c & (z[at] < lo + mod.height_h) & (z[at] + obj.spec.length_L_o > lo)
+                    contact[i, seg] = c
+                flips = np.flatnonzero((contact[:, seg] != contact[:, last, None]).any(axis=0))
                 if flips.size and last + 1 + int(flips[0]) <= end:
                     end = flip = last + 1 + int(flips[0])
                 if end == conflict:
                     events.append(self._conflict_event(sup))
-                if end == flip and sup and not contact[end].any():
+                if end == flip and sup and not contact[:, end].any():
                     # 6) drop on held -> unsupported
                     events.append((0, self._drop(z, d, lift, end)))
             last = end
@@ -425,7 +448,7 @@ class Plant:
         time[1:] = params.dt
         np.add.accumulate(time, out=time)
         k = last + 1
-        return Trajectory(self._state, P[:k], d[:k], lift[:k], contact[:k],
+        return Trajectory(self._state, P[:, :k].T, d[:, :k].T, lift[:, :k].T, contact[:, :k].T,
                           z[:k] if z is not None else None, time, tuple(events))
 
     def _conflict_event(self, sup: list[int]) -> tuple[int, str]:
@@ -438,9 +461,9 @@ class Plant:
         land = 0.0
         for i in self._comp:
             mod = self._mods[i]
-            if d[row, i].item() < self._gap[i]:
+            if d[i, row].item() < self._gap[i]:
                 continue
-            top = mod.z_origin + lift[row, i].item() + mod.height_h
+            top = mod.z_origin + lift[i, row].item() + mod.height_h
             if top <= oz and top > land:
                 land = top
         z[row] = land

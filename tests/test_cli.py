@@ -255,16 +255,31 @@ class TestCalibrate:
         assert not out.exists()
 
     def test_huge_window_exits_1(self, tmp_path):
-        """The inflation wait ends at the phase timeout (in a child process: without
-        that bound the wait never ends)."""
+        """A window past the phase timeout is refused before any ring inflates
+        (in a child process: without that bound the wait never ends)."""
         cfg = write_cfg(tmp_path, "station:\n  module_count: 3\ndetection:\n"
                                   "  window_len: 1.0e+308\n")
         out = tmp_path / "baselines.csv"
         done = run_child(["calibrate", "--config", cfg, "--out", str(out)])
         assert done.returncode == 1, done.stderr
-        assert done.stdout == ("calibration failed: timeout: module 1 stalled inflating "
-                               "through the detection window\n")
+        assert done.stdout == ("FAIL detection: window_start + window_len + dt must be below "
+                               "phase_timeout_s = 10.0 s, got 1e+308\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("window_len, code", [(8.499, 1), (math.nextafter(8.499, 0.0), 0)],
+                             ids=["at", "just below"])
+    def test_window_ends_before_the_phase_timeout(self, tmp_path, capsys, window_len, code):
+        """1.5 + 8.499 + 0.001 s is the default 10 s phase timeout: at it the
+        config is refused, and one double below it calibrates."""
+        cfg = write_cfg(tmp_path, f"station:\n  module_count: 3\ndetection:\n"
+                                  f"  window_len: {window_len!r}\n")
+        out = tmp_path / "baselines.csv"
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == code
+        printed = capsys.readouterr().out
+        if code:
+            assert printed == ("FAIL detection: window_start + window_len + dt must be below "
+                               "phase_timeout_s = 10.0 s, got 10.0\n")
+        assert out.exists() == (code == 0)
 
     def test_noise_seed_reproducibility(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -499,7 +514,11 @@ class TestRefusedByEveryCommand:
          "inflated_fraction * P_max = 14.25 kPa, got 20.0"),
         ("plant:\n  dt: 1.0e-308\nrun:\n  duration_s: 0.05\n",
          "run: duration_s must be at most 2**53 ticks (dt = 1e-308 s), got 0.05"),
-    ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks"])
+        ("detection:\n  window_len: 20.0\n",
+         "detection: window_start + window_len + dt must be below phase_timeout_s = 10.0 s, "
+         "got 21.501"),
+    ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks",
+            "window past the timeout"])
     def test_exits_1(self, tmp_path, command, text, problem):
         out = tmp_path / "out.csv"
         argv = [*command, str(out)] if command[-1] == "--out" else command

@@ -9,11 +9,14 @@ from peristation import (
     LONGITUDINAL,
     BASELINES_HEADER,
     ConfigError,
+    ControlConfig,
+    DetectionConfig,
     load_baselines,
     load_config,
     write_baselines,
 )
 from peristation.config import duration_problems
+from peristation.control import window_problems
 
 
 def cfg_file(tmp_path, text):
@@ -219,6 +222,24 @@ class TestSemanticProblems:
         assert duration_problems(2.0 ** 53, 1.0) == []
         assert duration_problems(math.nextafter(2.0 ** 53, math.inf), 1.0) == [
             "run: duration_s must be at most 2**53 ticks (dt = 1.0 s), got 9007199254740994.0"]
+
+    def test_window_must_end_before_the_phase_timeout(self, tmp_path):
+        """calibrate inflates through window_start + window_len + dt and gives up
+        at phase_timeout_s: 1.5 + 8.499 + 0.001 is 10.0, the default timeout."""
+        assert window_problems(DetectionConfig(), ControlConfig(), 1e-3) == []
+        refused = ["detection: window_start + window_len + dt must be below "
+                   "phase_timeout_s = 10.0 s, got 10.0"]
+        assert window_problems(DetectionConfig(window_len=8.499), ControlConfig(), 1e-3) == refused
+        below = math.nextafter(8.499, 0.0)
+        assert window_problems(DetectionConfig(window_len=below), ControlConfig(), 1e-3) == []
+        cfg = load_config(cfg_file(tmp_path, "detection:\n  window_len: 8.499\n"))
+        assert cfg.problems == refused
+        # each term counts: the tick, the start and the timeout of the config
+        cfg = load_config(cfg_file(tmp_path, "plant:\n  dt: 0.01\ndetection:\n"
+                                             "  window_start: 2.0\n  window_len: 1.0\n"
+                                             "control:\n  phase_timeout_s: 3.0\n"))
+        assert cfg.problems == ["detection: window_start + window_len + dt must be below "
+                                "phase_timeout_s = 3.0 s, got 3.01"]
 
 
 class TestSectionsApplied:

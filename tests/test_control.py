@@ -233,6 +233,43 @@ class TestDetectContact:
         with pytest.raises(ValueError, match="usable samples"):
             detect_contact(5, trace, self.config(), 15.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(st.sampled_from([0.013, 0.25, 0.5]), min_size=2, max_size=120),
+        pressures=st.lists(st.one_of(st.floats(0.0, 15.0), st.just(0.98 * 15.0)),
+                           min_size=120, max_size=120),
+        edges=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        on_samples=st.booleans(),
+    )
+    def test_window_takes_the_samples_of_a_full_scan(self, steps, pressures, edges, on_samples):
+        """Bisection picks the samples that scanning the whole time-ordered
+        trace picks, so the slope keeps its bits."""
+        tau, trace = 0.0, []
+        for step, p in zip(steps, pressures):
+            tau += step
+            trace.append((tau, p))
+        w0 = edges[0] * tau
+        w1 = w0 + edges[1] * (tau - w0)
+        if on_samples:  # edges on sample times: 0.25 s steps sum exactly
+            w0, w1 = (trace[int(e * (len(trace) - 1))][0] for e in sorted(edges))
+        config = DetectionConfig(window_start=w0, window_len=max(w1 - w0, 1e-9),
+                                 min_window_samples=2, baseline_rates={1: 4.33})
+        w0, w1 = config.window_start, config.window_start + config.window_len
+        samples = []  # the samples a scan of the whole trace keeps
+        for t, p in trace:
+            if t < w0:
+                continue
+            if t > w1 or p >= config.saturation_fraction * 15.0:
+                break
+            samples.append((t, p))
+        try:
+            got = detect_contact(1, trace, config, 15.0).measured_rate
+        except ValueError:
+            assert trace[-1][0] < w1 or len(samples) < 2
+            return
+        ts, ps = np.array([t for t, _ in samples]), np.array([p for _, p in samples])
+        assert got.hex() == float(np.polyfit(ts, ps, 1)[0]).hex()
+
 
 class TestBlockingSchedules:
     """The grasp and transport-cycle schedules, run by the phase machine."""
@@ -307,13 +344,15 @@ class TestCalibrateBaseline:
                                ControlConfig(phase_timeout_s=5.0))
         assert backend.now == pytest.approx(2.501 + 5.0, abs=2e-3)
 
-    def test_window_past_the_timeout_times_out(self, three_module_layout, material, params):
-        """The window would end at 21.5 s; the wait stops at the 10 s phase timeout."""
+    def test_window_past_the_timeout_is_refused(self, three_module_layout, material, params):
+        """The window would end at 21.5 s, after the 10 s phase timeout: refused
+        before the ring moves, with the rule's text."""
         backend = sim_backend(three_module_layout, material, params, with_object=False)
-        with pytest.raises(ControlFaultError, match="^timeout: module 1 stalled inflating "
-                                                    "through the detection window$"):
+        with pytest.raises(ValueError, match=r"^detection: window_start \+ window_len \+ dt "
+                                             r"must be below phase_timeout_s = 10.0 s, "
+                                             r"got 21.501$"):
             calibrate_baseline(backend, 1, params, DetectionConfig(window_len=20.0))
-        assert backend.now == pytest.approx(10.0, abs=2e-3)
+        assert backend.now == 0.0
 
 
 class TestStationController:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peristation import (
@@ -25,6 +25,7 @@ from peristation import (
     station_violations,
     time_to_contact,
 )
+from peristation.plant import VALVE_MODES, full_compression_inflation
 from tests.conftest import NOMINAL
 
 
@@ -498,6 +499,140 @@ class TestPlantIntegration:
         assert plant.time == 0.0
         plant.commit(traj, 10)  # the refusals left the trajectory valid
 
+
+class ReferencePlant:
+    """The plant one tick at a time in plain Python floats, in the order of
+    the plant module's docstring: pressures, inflations, lifts, the object,
+    then contacts and a drop.  It shares only the rate and inflation laws
+    with Plant, none of its integration."""
+
+    def __init__(self, layout, material, params, obj):
+        self.mods, self.params, self.spec = layout.modules, params, obj.spec
+        self.full = [full_compression_inflation(m.geometry, material, params.P_max)
+                     if m.kind == COMPRESSION else 0.3 * m.height_h for m in self.mods]
+        self.gap = [m.geometry.inner_radius_r - obj.spec.radius_r_o for m in self.mods]
+        self.k_contact = params.contact_rate(obj.spec.radius_r_o
+                                             / self.mods[0].geometry.inner_radius_r)
+        n = len(self.mods)
+        self.P, self.d, self.lift, self.contact = [0.0] * n, [0.0] * n, [0.0] * n, [False] * n
+        self.z, self.time = obj.z, 0.0
+
+    def step(self, valves):
+        """One tick under valves (a mode per module); returns its event texts."""
+        p, events = self.params, []
+        for i, v in enumerate(valves):  # 1) last tick's contact selects the fill rate
+            if v == INFLATE:
+                rate = self.k_contact if self.contact[i] else p.k_free
+                self.P[i] = min(self.P[i] + rate * p.dt, p.P_max)
+            elif v == DEFLATE:
+                self.P[i] = max(self.P[i] - p.k_vent * p.dt, 0.0)
+        self.d = [P / p.P_max * full for P, full in zip(self.P, self.full)]  # 2)
+        old, run = self.lift, 0.0
+        self.lift = []
+        for m, d in zip(self.mods, self.d):  # 3) a stroke lifts the modules above it
+            self.lift.append(run)
+            if m.kind == LONGITUDINAL:
+                run = run + d
+        held = [i for i, c in enumerate(self.contact) if c]
+        if held:  # 4) the object follows its lowest supporter
+            moves = [self.lift[i] - old[i] for i in held]
+            if max(moves) - min(moves) > 1e-12:
+                ids = "+".join(str(i + 1) for i in held)
+                events.append(f"conflict supporters={ids} following={held[0] + 1}")
+            if moves[0] != 0.0:
+                self.z = self.z + moves[0]
+        self.contact = [m.kind == COMPRESSION and self.d[i] >= self.gap[i]  # 5)
+                        and self.z < m.z_origin + self.lift[i] + m.height_h
+                        and self.z + self.spec.length_L_o > m.z_origin + self.lift[i]
+                        for i, m in enumerate(self.mods)]
+        if held and not any(self.contact):
+            land = 0.0
+            for i, m in enumerate(self.mods):
+                top = m.z_origin + self.lift[i] + m.height_h
+                if m.kind == COMPRESSION and self.d[i] >= self.gap[i] and land < top <= self.z:
+                    land = top
+            self.z = land
+            events.append(f"drop to_z={land:.6f}")
+        self.time = self.time + p.dt
+        return events
+
+    def row(self):
+        return (self.time.hex(), [x.hex() for x in self.P], [x.hex() for x in self.d],
+                [x.hex() for x in self.lift], self.z.hex(), self.contact)
+
+
+def kernel_and_reference_rows(layout, material, params, obj, schedule, block):
+    """Run a schedule of ({module_id: mode}, ticks) steps through Plant, in
+    trajectories of at most block steps, and through ReferencePlant; returns
+    both as per-tick (row with floats as hex, event texts) lists."""
+    plant = Plant(layout, ObjectState(obj.spec, obj.z), params, material)
+    ref = ReferencePlant(layout, material, params, obj)
+    valves = [HOLD] * len(layout.modules)
+    got, want = [], []
+    for commands, ticks in schedule:
+        for mid, mode in commands.items():
+            plant.set_valve(mid, mode)
+            valves[mid - 1] = mode
+        want += [(ref.step(valves), ref.row()) for _ in range(ticks)]
+        while len(got) < len(want):
+            traj = plant.trajectory(min(block, len(want) - len(got)))
+            for k in range(1, len(traj)):
+                got.append(([], (traj.time[k].item().hex(),
+                                 [x.hex() for x in traj.pressure[k].tolist()],
+                                 [x.hex() for x in traj.inflation[k].tolist()],
+                                 [x.hex() for x in traj.lift[k].tolist()],
+                                 traj.object_z[k].item().hex(), traj.contact[k].tolist())))
+            got[-1][0].extend(text for _, text in plant.commit(traj, len(traj) - 1))
+    return got, want
+
+
+class TestKernelAgainstReference:
+    def test_every_path_follows_the_reference(self, five_module_layout, material, params):
+        """Pinned rings, HOLD mid-ramp, an object that rides a ring into
+        another ring's span, a conflict and a drop: each row equal to the
+        per-tick reference bit for bit."""
+        obj = ObjectState(ObjectSpec(17.5, 30.0), 22.0)  # above ring 1, inside ring 3
+        schedule = [({1: DEFLATE, 2: INFLATE}, 100),  # ring 1 pinned at 0.0; 2 ramps
+                    ({2: HOLD}, 50),  # the stroke holds mid-ramp
+                    ({1: INFLATE, 2: INFLATE, 3: INFLATE}, 4000),  # 3 grips and rides up,
+                    # 1 fills clear of the object, both pin at P_max
+                    ({2: DEFLATE}, 1500),  # 3 sinks the object into ring 1: conflict
+                    ({1: DEFLATE, 3: DEFLATE}, 2000)]  # both let go: drop
+        got, want = kernel_and_reference_rows(five_module_layout, material, params, obj,
+                                              schedule, 1024)
+        texts = [text for events, _ in want for text in events]
+        assert "conflict supporters=1+3 following=1" in texts
+        assert "drop to_z=0.000000" in texts
+        rows = [row for _, row in want]
+        zero, full = (0.0).hex(), (15.0).hex()
+        assert rows[99][1][0] == zero and rows[5149][1][0] == rows[5149][1][2] == full
+        assert rows[99][1][1] == rows[149][1][1] != zero
+        assert any(not a[5][0] and b[5][0] and a[4] != b[4] for a, b in zip(rows, rows[1:]))
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.sampled_from([5, 9]),
+        start=st.sampled_from([(75.0, 0.0), (30.0, 22.0), (30.0, 45.0), (115.0, 20.0)]),
+        schedule=st.lists(st.tuples(
+            st.dictionaries(st.integers(0, 8), st.sampled_from(VALVE_MODES), max_size=3),
+            st.integers(1, 300)), min_size=1, max_size=6),
+        block=st.sampled_from([1, 7, 64, 1024]),
+    )
+    @example(count=9, start=(30.0, 22.0), block=64,  # every path, as in the test above
+             schedule=[({0: DEFLATE, 1: INFLATE}, 10), ({1: HOLD}, 5),
+                       ({0: INFLATE, 1: INFLATE, 2: INFLATE}, 400), ({1: DEFLATE}, 150),
+                       ({0: DEFLATE, 2: DEFLATE}, 200)])
+    def test_random_schedules_follow_the_reference(self, count, start, schedule, block):
+        g = RingGeometry(**NOMINAL)
+        mat = SurrogateMaterial(100.0, 0.45, calibrate_kappa(g, 100.0, 0.69, 15.0))
+        params = PlantParams(dt=0.01)  # coarse ticks, so rings pin within a schedule
+        obj = ObjectState(ObjectSpec(17.5, start[0]), start[1])
+        steps = [({mid % count + 1: mode for mid, mode in commands.items()}, ticks)
+                 for commands, ticks in schedule]
+        got, want = kernel_and_reference_rows(build_station(g, count, 20.0, 20.0), mat,
+                                              params, obj, steps, block)
+        assert got == want
 
 
 class TestPlantProperties:
