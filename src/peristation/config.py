@@ -23,7 +23,7 @@ from typing import Optional
 import yaml
 
 from .control import (ControlConfig, DetectionConfig, duration_problems, gate_problems,
-                      window_problems)
+                      timeout_problems, window_problems)
 from .geometry import RingGeometry, SurrogateMaterial, calibrate_kappa, validate_geometry
 from .plant import (
     COMPRESSION,
@@ -286,6 +286,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     control = _build_params("control", ControlConfig, sections, problems)
     if control is not None and params is not None:
         problems.extend(gate_problems(control, params.P_max))
+        problems.extend(timeout_problems(control, params.dt))
         if detection is not None:
             problems.extend(window_problems(detection, control, params.dt))
 

@@ -257,10 +257,10 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     phase_timeout_s has passed.
 
     Raises:
-        ValueError: a window that breaks the rule of window_problems.
+        ValueError: a timeout or a window that breaks timeout_problems or window_problems.
     """
     ctl = control or ControlConfig()
-    problems = window_problems(detection, ctl, params.dt)
+    problems = timeout_problems(ctl, params.dt) + window_problems(detection, ctl, params.dt)
     if problems:
         raise ValueError(problems[0])
     lo = ctl.deflated_threshold_kPa
@@ -619,6 +619,23 @@ def window_problems(detection: DetectionConfig, control: ControlConfig, dt: floa
             f"phase_timeout_s = {control.phase_timeout_s} s, got {end}"]
 
 
+def timeout_problems(control: ControlConfig, dt: float) -> list[str]:
+    """The rule phase_timeout_s breaks, as a "control: ..." problem (empty = valid):
+    each wait of calibrate_baseline ends by it, so it has a run's tick bound."""
+    return _ticks_problems("control: phase_timeout_s", control.phase_timeout_s, dt)
+
+
+def _ticks_problems(name: str, seconds: float, dt: float) -> list[str]:
+    """The problem of a span of seconds over 2**53 ticks of dt (empty = valid)."""
+    # tick k is at k * dt: every k up to 2**53 is an exact double, so each
+    # tick's time is rounded once
+    ticks = seconds / dt
+    if ticks <= 2**53:
+        return []
+    count = "a finite number of" if ticks == math.inf else "at most 2**53"
+    return [f"{name} must be {count} ticks (dt = {dt} s), got {seconds}"]
+
+
 def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
     """The rule a run duration breaks, as a "run: ..." problem (empty = valid).
 
@@ -632,15 +649,9 @@ def duration_problems(duration_s: float, dt: Optional[float]) -> list[str]:
         return [f"run: duration_s must be > 0, got {duration_s}"]
     if dt is None:
         return []
-    ticks = duration_s / dt
-    if not ticks > 0.5:  # round(0.5) is 0
+    if not duration_s / dt > 0.5:  # round(0.5) is 0
         return [f"run: duration_s must be over half a tick (dt = {dt} s), got {duration_s}"]
-    # tick k is at k * dt: every k up to 2**53 is an exact double, so each
-    # tick's time is rounded once
-    if not ticks <= 2**53:
-        count = "a finite number of" if ticks == math.inf else "at most 2**53"
-        return [f"run: duration_s must be {count} ticks (dt = {dt} s), got {duration_s}"]
-    return []
+    return _ticks_problems("run: duration_s", duration_s, dt)
 
 
 def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec],

@@ -71,11 +71,13 @@ _WRITE_TICKS = 256
 # The fixed-6 encoder's tables.  A value's text and its ',' take two
 # little-endian words: the sign and integer digits right-aligned in the
 # first, NUL-padded, then '.', six decimals and ','.  _HEAD[2 * i] is i's
-# first word and _HEAD[2 * i + 1] is -i's; _DEC[i] holds i's three digits
-# in bytes 1 to 3.
+# first word and _HEAD[2 * i + 1] is -i's, and _HEAD_LEN holds the length
+# of the text that each starts; _DEC[i] holds i's three digits in bytes 1 to 3.
 _INT_LIMIT = 1000
 _HEAD = np.array([int.from_bytes(f"{sign}{i}".encode().rjust(8, b"\0"), "little")
                   for i in range(_INT_LIMIT) for sign in ("", "-")], np.uint64)
+_HEAD_LEN = np.array([len(f"{sign}{i}.000000,") for i in range(_INT_LIMIT) for sign in ("", "-")],
+                     np.uint16)
 _DEC = np.array([int.from_bytes(f"\0{i:03d}".encode(), "little") for i in range(1000)],
                 np.uint64)
 _POINT_COMMA = np.uint64(_DOT | _COMMA << 56)
@@ -128,12 +130,14 @@ def recorded_threshold(g: float, rises: bool) -> float:
     return hi if rises else lo
 
 
-def _encode6(x: np.ndarray) -> np.ndarray:
-    """Each float's '%.6f' text and a ',' as one row of bytes, right-aligned
-    and NUL-padded: a (len(x), w) uint8 array, w 16 unless a text is longer.
+def _encode6(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float's '%.6f' text and a ',': (out, lengths).
 
-    The fast values of _digits6 come from the tables, the sign from
-    signbit (so -1e-9 gives -0.000000); the rest go through '%.6f'.
+    out holds each text as one row of bytes, right-aligned and NUL-padded:
+    a (len(x), w) uint8 array, w 16 unless a text is longer.  lengths holds
+    each text's byte length.  The fast values of _digits6 come from the
+    tables, the sign from signbit (so -1e-9 gives -0.000000), and so does a
+    fast text's length; the rest go through '%.6f'.
     """
     digits, fast = _digits6(x)
     digits *= fast
@@ -146,19 +150,17 @@ def _encode6(x: np.ndarray) -> np.ndarray:
     digits -= head * 1_000_000  # the six decimals
     hi = digits // 1000
     digits -= hi * 1000  # the last three
+    head *= 2
+    head += np.signbit(x)  # the sign and integer digits' entry in _HEAD
     # every index is in its table, and "clip" takes them without a check
-    np.take(_HEAD, 2 * head + np.signbit(x), out=words[:, 0], mode="clip")
+    np.take(_HEAD, head, out=words[:, 0], mode="clip")
+    lengths = np.take(_HEAD_LEN, head, mode="clip")
     np.take(_DEC, hi, out=words[:, 1], mode="clip")
     words[:, 1] |= np.take(_DEC, digits, mode="clip") << np.uint64(24) | _POINT_COMMA
     out[slow] = np.frombuffer(b"".join(t.rjust(w, b"\0") for t in texts),
                               np.uint8).reshape(len(slow), w)
-    return out
-
-
-def _one_value(values: np.ndarray) -> bool:
-    """Whether every float has the bits of the first (so 0.0 and -0.0 differ)."""
-    bits = values.view(np.int64)
-    return len(bits) < 2 or bool((bits == bits[0]).all())
+    lengths[slow] = list(map(len, texts))
+    return out, lengths
 
 
 class TelemetryWriter:
@@ -182,44 +184,46 @@ class TelemetryWriter:
         and plant truth, one column per layout module in layout order;
         events are the first tick's (module_id, text) events.  Module rows
         come in layout order, then one module_id 0 row per station event.
-        A float column that holds one value over the ticks (a held valve, a
-        saturated ring, an object at rest) is written as text once; the
-        others are encoded in one _encode6 call.
+        A float column that holds one value over the ticks (the same bits:
+        a held valve, a saturated ring, an object at rest) is written as
+        text once; the others are encoded in one _encode6 call, and each
+        gets a slot as wide as its widest text in the call.
         """
         if rows.inflation is None:
             raise ValueError("recording requires plant ground truth")
         texts = {}
         for mid, text in events:
             texts.setdefault(mid, []).append(text)
-        columns = [np.asarray(now, np.float64), rows.object_z]
-        for i in range(len(layout.modules)):
-            columns += [rows.pressure[:, i], rows.inflation[:, i]]
-        fields, varying = [], []  # per column: its text, or its index in varying
-        for column in columns:
-            if _one_value(column):
-                fields.append("%.6f," % column[0].item())
-            else:
-                fields.append(len(varying))
-                varying.append(column)
-        n = len(columns[0])
-        encoded = _encode6(np.array(varying, np.float64).ravel())
-        encoded = encoded.reshape(len(varying), n, encoded.shape[1])
-        self._write(fields, encoded, 0, 1, valves, phase, layout, texts)
-        self._write(fields, encoded, 1, n, valves, phase, layout, {})
+        n = len(rows.object_z)
+        columns = np.empty((2 + 2 * len(layout.modules), n))
+        columns[0], columns[1] = now, rows.object_z
+        columns[2::2], columns[3::2] = rows.pressure.T, rows.inflation.T
+        bits = columns.view(np.int64)
+        varies = (bits != bits[:, :1]).any(axis=1)  # so 0.0 and -0.0 differ
+        encoded, lengths = _encode6(columns[varies].ravel())
+        w = encoded.shape[1]
+        encoded = encoded.reshape(-1, n, w)
+        widths = lengths.reshape(-1, n).max(axis=1).tolist()
+        slots = iter([column[:, w - width:] for column, width in zip(encoded, widths)])
+        fields = [next(slots) if v else "%.6f," % x
+                  for v, x in zip(varies.tolist(), columns[:, 0].tolist())]
+        self._write(fields, 0, 1, valves, phase, layout, texts)
+        self._write(fields, 1, n, valves, phase, layout, {})
 
-    def _write(self, fields, encoded, a, b, valves, phase, layout, texts):
+    def _write(self, fields, a, b, valves, phase, layout, texts):
         """Write ticks a to b - 1 of a record() call, each with the events in texts.
 
-        fields holds the text of the time, object z and each module's
-        pressure and inflation, or the index of its encoded column.  A
+        fields holds the time, object z and each module's pressure and
+        inflation: a text, or an encoded column's (ticks, width) texts.  A
         tick's rows become one template with a NUL slot per encoded column,
         put into each row of a reused buffer once; each chunk of ticks then
-        fills the slots and is written without the NULs.  A NUL in the text
-        would be dropped with them, so it raises ValueError.
+        fills the slots.  A chunk whose slots all hold texts of their full
+        width holds no NUL and is written as it is; from any other the
+        NULs are dropped (bytes.replace, which jumps between them).  A NUL
+        in the text would be dropped with them, so it raises ValueError.
         """
         if a >= b:
             return
-        w = encoded.shape[2]
         time, z, *floats = fields
         pieces = []
         for mod, pressure, inflation in zip(layout.modules, floats[::2], floats[1::2]):
@@ -229,9 +233,9 @@ class TelemetryWriter:
             pieces += [time, "0,-,0.000000,-,0.000000,", z, f"{phase},{text}\n"]
         template, slots = bytearray(), []  # slots: (byte offset, encoded column)
         for piece in pieces:
-            if isinstance(piece, int):
+            if not isinstance(piece, str):
                 slots.append((len(template), piece))
-                piece = "\0" * w
+                piece = "\0" * piece.shape[1]
             elif "\0" in piece:
                 raise ValueError(f"telemetry text holds a NUL byte: {piece!r}")
             template += piece.encode()
@@ -242,10 +246,10 @@ class TelemetryWriter:
         buf[:] = np.frombuffer(template, np.uint8)
         for c in range(a, b, _WRITE_TICKS):
             d = min(c + _WRITE_TICKS, b)
-            for at, j in slots:
-                buf[:d - c, at:at + w] = encoded[j, c:d]
-            text = buf[:d - c].ravel()
-            self._f.write(text[text != 0])
+            for at, column in slots:
+                buf[:d - c, at:at + column.shape[1]] = column[c:d]
+            # replace gives back the chunk itself when it holds no NUL
+            self._f.write(buf[:d - c].tobytes().replace(b"\0", b""))
 
     def close(self):
         self._f.close()

@@ -101,6 +101,15 @@ class TestUsage:
         assert main(["sweep", "--param", "R", "--range", "1:2:1"]) == 2
         capsys.readouterr()
 
+    def test_python_dash_m(self, tmp_path):
+        """python -m peristation is the command line, exit code included."""
+        env = {**os.environ, "PYTHONPATH": str(Path(peristation.__file__).parents[1])}
+        for argv, code in ([], 0), (["--config", str(tmp_path / "absent.yaml")], 2):
+            done = subprocess.run([sys.executable, "-m", "peristation", "validate", *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == code
+            assert ("config: OK" in done.stdout) == (code == 0), done.stdout
+
 
 class TestValidate:
     def test_defaults_pass(self, capsys):
@@ -369,18 +378,24 @@ class TestRun:
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg, *argv, "--out", str(telemetry)]) == 1
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-        assert fails == [f"FAIL run: duration_s must be a finite number of ticks {problem}"]
+        # a tick that makes the run's tick count infinite makes the phase timeout's so too
+        timeout = [] if "0.001" in problem else [
+            "FAIL control: phase_timeout_s must be a finite number of ticks (dt = 1e-308 s), "
+            "got 10.0"]
+        assert fails == [*timeout,
+                         f"FAIL run: duration_s must be a finite number of ticks {problem}"]
         assert not telemetry.exists()
 
     def test_tick_count_past_2_to_the_53_exits_1_at_once(self, tmp_path):
-        """5e306 ticks is finite, and would run without end."""
+        """5e16 ticks is finite, and would run without end (a tick at which the
+        phase timeout is at most 2**53 ticks, so the run's is the one problem)."""
         telemetry = tmp_path / "t.csv"
-        cfg = write_cfg(tmp_path, SMALL_RUN + "plant:\n  dt: 1.0e-308\n")
-        done = run_child(["run", "--config", cfg, "--duration", "0.05", "--out", str(telemetry)],
+        cfg = write_cfg(tmp_path, SMALL_RUN + "plant:\n  dt: 2.0e-15\n")
+        done = run_child(["run", "--config", cfg, "--duration", "100", "--out", str(telemetry)],
                          timeout=30)
         assert done.returncode == 1, done.stderr
         assert done.stdout == ("FAIL run: duration_s must be at most 2**53 ticks "
-                               "(dt = 1e-308 s), got 0.05\n")
+                               "(dt = 2e-15 s), got 100.0\n")
         assert not telemetry.exists()
 
     def test_missing_baselines_file_exits_2(self, tmp_path, capsys):
@@ -512,13 +527,16 @@ class TestRefusedByEveryCommand:
         ("control:\n  deflated_threshold_kPa: 20.0\n",
          "control: deflated_threshold_kPa must be below the inflated gate "
          "inflated_fraction * P_max = 14.25 kPa, got 20.0"),
-        ("plant:\n  dt: 1.0e-308\nrun:\n  duration_s: 0.05\n",
-         "run: duration_s must be at most 2**53 ticks (dt = 1e-308 s), got 0.05"),
+        ("plant:\n  dt: 2.0e-15\nrun:\n  duration_s: 100.0\n",
+         "run: duration_s must be at most 2**53 ticks (dt = 2e-15 s), got 100.0"),
         ("detection:\n  window_len: 20.0\n",
          "detection: window_start + window_len + dt must be below phase_timeout_s = 10.0 s, "
          "got 21.501"),
+        # 1e10 run ticks, but calibrate would wait up to 1e301 ticks
+        ("plant:\n  dt: 1.0e-300\nrun:\n  duration_s: 1.0e-290\n",
+         "control: phase_timeout_s must be at most 2**53 ticks (dt = 1e-300 s), got 10.0"),
     ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks",
-            "window past the timeout"])
+            "window past the timeout", "2**53 timeout ticks"])
     def test_exits_1(self, tmp_path, command, text, problem):
         out = tmp_path / "out.csv"
         argv = [*command, str(out)] if command[-1] == "--out" else command

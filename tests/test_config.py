@@ -16,7 +16,7 @@ from peristation import (
     write_baselines,
 )
 from peristation.config import duration_problems
-from peristation.control import window_problems
+from peristation.control import calibrate_baseline, timeout_problems, window_problems
 
 
 def cfg_file(tmp_path, text):
@@ -192,7 +192,11 @@ class TestSemanticProblems:
     ])
     def test_tick_count_that_overflows_reported(self, tmp_path, text, problem):
         cfg = load_config(cfg_file(tmp_path, text))
-        assert cfg.problems == [f"run: duration_s must be a finite number of ticks {problem}"]
+        # a tick that makes the run's tick count infinite makes the phase timeout's so too
+        timeout = [] if "0.001" in problem else [
+            "control: phase_timeout_s must be a finite number of ticks (dt = 1e-308 s), got 10.0"]
+        assert cfg.problems == [*timeout,
+                                f"run: duration_s must be a finite number of ticks {problem}"]
 
     def test_integer_beyond_the_float_range_is_infinite(self, tmp_path):
         cfg = load_config(cfg_file(tmp_path, f"plant:\n  k_vent: {10 ** 400}\n"
@@ -240,6 +244,24 @@ class TestSemanticProblems:
                                              "control:\n  phase_timeout_s: 3.0\n"))
         assert cfg.problems == ["detection: window_start + window_len + dt must be below "
                                 "phase_timeout_s = 3.0 s, got 3.01"]
+
+    def test_phase_timeout_of_at_most_2_53_ticks(self, tmp_path):
+        """Each wait of calibrate ends by phase_timeout_s: the bound itself is
+        accepted, the next double is not, and calibrate_baseline refuses it too."""
+        assert timeout_problems(ControlConfig(phase_timeout_s=2.0 ** 53), 1.0) == []
+        above = ControlConfig(phase_timeout_s=math.nextafter(2.0 ** 53, math.inf))
+        assert timeout_problems(above, 1.0) == [
+            "control: phase_timeout_s must be at most 2**53 ticks (dt = 1.0 s), "
+            "got 9007199254740994.0"]
+        assert timeout_problems(ControlConfig(), 5e-324) == [
+            "control: phase_timeout_s must be a finite number of ticks (dt = 5e-324 s), got 10.0"]
+        cfg = load_config(cfg_file(tmp_path, "plant:\n  dt: 1.0e-300\n"
+                                             "run:\n  duration_s: 1.0e-290\n"))
+        assert cfg.problems == [
+            "control: phase_timeout_s must be at most 2**53 ticks (dt = 1e-300 s), got 10.0"]
+        with pytest.raises(ValueError) as refused:  # before it touches the backend
+            calibrate_baseline(None, 1, cfg.params, cfg.detection, cfg.control)
+        assert str(refused.value) == cfg.problems[0]
 
 
 class TestSectionsApplied:

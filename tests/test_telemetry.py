@@ -407,12 +407,13 @@ class TestEncoder:
     @given(values=st.lists(encoder_doubles, min_size=1, max_size=60))
     def test_matches_percent_format(self, values):
         """Each row is '%.6f' % v and ',' right-aligned, NUL-padded, in a
-        16-byte slot unless some text is longer."""
-        encoded = telemetry._encode6(np.array(values))
+        16-byte slot unless some text is longer, and each length is the text's."""
+        encoded, lengths = telemetry._encode6(np.array(values))
         texts = [("%.6f," % v).encode() for v in values]
         width = max(16, *map(len, texts))
         assert encoded.shape == (len(values), width)
         assert [bytes(row) for row in encoded] == [t.rjust(width, b"\0") for t in texts]
+        assert lengths.tolist() == [len("%.6f," % v) for v in values]
 
 
 class TestAsRecorded:
@@ -491,8 +492,11 @@ def record_calls(draw):
         n = draw(st.one_of(st.just(1), st.integers(2, 600)))
         now = (start + np.arange(n)) * 1e-3
         pressure, inflation = random_values(rng, (n, m)), random_values(rng, (n, m))
-        for column in draw(st.sets(st.integers(0, 2 * m - 1))):  # columns holding one value
-            (pressure if column < m else inflation)[:, column % m] = random_values(rng, 1)
+        # columns that hold one value, keep one width, or ramp over 0 and 10
+        for make in (lambda: random_values(rng, 1), lambda: rng.uniform(1, 9, n),
+                     lambda: np.linspace(rng.uniform(-2, 0), rng.uniform(10, 12), n)):
+            for column in draw(st.sets(st.integers(0, 2 * m - 1))):
+                (pressure if column < m else inflation)[:, column % m] = make()
         for column in draw(st.sets(st.integers(0, 2 * m - 1))):  # held, then varying
             values = (pressure if column < m else inflation)[:, column % m]
             values[:draw(st.integers(0, n - 1))] = values[0]
@@ -510,18 +514,50 @@ def record_calls(draw):
     return layout, calls
 
 
+def assert_writes_the_reference(layout, calls):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with TelemetryWriter(path) as writer:
+            for now, rows, valves, phase, events in calls:
+                writer.record(now, rows, valves, phase, layout, events)
+        with open(path, "rb") as f:
+            assert f.read() == reference_text(calls, layout)
+
+
+def one_call(pressure, inflation, events=()):
+    """A layout of one module per column, and one record() call over the rows."""
+    n, m = pressure.shape
+    layout = SimpleNamespace(modules=[SimpleNamespace(id=i, kind="Compression")
+                                      for i in range(1, m + 1)])
+    now = np.arange(n) * 1e-3
+    rows = Rows(tuple(range(1, m + 1)), pressure, now, inflation, np.linspace(1.0, 2.0, n))
+    return layout, [(now, rows, {i: HOLD for i in range(1, m + 1)}, "L0:Grasp", list(events))]
+
+
 class TestWriterReference:
     @settings(max_examples=60, deadline=None)
     @given(drawn=record_calls())
     def test_matches_the_reference_writer(self, drawn):
-        layout, calls = drawn
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "t.csv")
-            with TelemetryWriter(path) as writer:
-                for now, rows, valves, phase, events in calls:
-                    writer.record(now, rows, valves, phase, layout, events)
-            with open(path, "rb") as f:
-                assert f.read() == reference_text(calls, layout)
+        assert_writes_the_reference(*drawn)
+
+    def test_columns_that_keep_their_width(self):
+        """Over 600 ticks (three write chunks) every column keeps one width,
+        so no slot holds a NUL."""
+        rng = np.random.default_rng(1)
+        pressure = np.column_stack([rng.uniform(1, 9, 600), rng.uniform(-9, -1, 600)])
+        inflation = np.column_stack([rng.uniform(10, 99, 600), rng.uniform(100, 999, 600)])
+        for column in (*pressure.T, *inflation.T):
+            assert len({len("%.6f" % v) for v in column.tolist()}) == 1
+        assert_writes_the_reference(*one_call(pressure, inflation, [(1, "baseline")]))
+
+    @pytest.mark.parametrize("fallback", [1e10, math.nan, -math.inf])
+    def test_one_fallback_value_in_a_narrow_column(self, fallback):
+        """A '%.6f' text longer (1e10) or shorter (nan) than the rest of its
+        column's, at the first tick, in the middle and at the last."""
+        rng = np.random.default_rng(2)
+        pressure = rng.uniform(1, 9, (600, 3))
+        pressure[[0, 300, 599], [0, 1, 2]] = fallback
+        assert_writes_the_reference(*one_call(pressure, rng.uniform(1, 9, (600, 3))))
 
     def test_nul_in_the_text_rejected(self, tmp_path, plant):
         with pytest.raises(ValueError, match="NUL"):
