@@ -16,11 +16,10 @@ before a run.
 
 from __future__ import annotations
 
-import bisect
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import itemgetter
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,25 +158,23 @@ class RunResult:
         return sum(1 for d in self.detections if d.contact)
 
 
-def _window_slope(trace: Sequence[tuple[float, float]], config: DetectionConfig, p_max: float):
+def _window_slope(trace: np.ndarray, config: DetectionConfig, p_max: float) -> float:
     """Least-squares pressure slope over the detection window.
 
-    trace must be in time order.  Returns (slope, samples_used).  Raises
-    ValueError when the trace does not cover the window or saturation leaves
-    too few samples.
+    trace is a (samples, 2) array of (s since onset, kPa) rows in time
+    order.  Raises ValueError when the trace does not cover the window or
+    saturation leaves too few samples.
     """
     w0 = config.window_start
     w1 = w0 + config.window_len
-    if not trace or trace[-1][0] < w1:
-        raise ValueError(
-            f"insufficient trace: window [{w0}, {w1}] s not covered "
-            f"(trace ends at {trace[-1][0]:.3f} s)" if trace else "insufficient trace: empty"
-        )
+    if not trace.size:
+        raise ValueError("insufficient trace: empty")
+    if trace[-1, 0] < w1:
+        raise ValueError(f"insufficient trace: window [{w0}, {w1}] s not covered "
+                         f"(trace ends at {trace[-1, 0]:.3f} s)")
     cutoff = config.saturation_fraction * p_max
-    lo = bisect.bisect_left(trace, w0, key=itemgetter(0))
-    hi = bisect.bisect_right(trace, w1, lo, key=itemgetter(0))
-    window = np.fromiter(chain.from_iterable(trace[lo:hi]), np.float64, 2 * (hi - lo))
-    t, p = window[0::2], window[1::2]
+    times = trace[:, 0]
+    t, p = trace[times.searchsorted(w0):times.searchsorted(w1, "right")].T
     saturated = np.flatnonzero(p >= cutoff)  # the first saturated sample ends the window
     n = int(saturated[0]) if saturated.size else len(t)
     if n < config.min_window_samples:
@@ -185,29 +182,28 @@ def _window_slope(trace: Sequence[tuple[float, float]], config: DetectionConfig,
             f"insufficient trace: only {n} usable samples in the window "
             f"(saturation cutoff {cutoff:.3f} kPa)"
         )
-    slope = float(np.polyfit(t[:n], p[:n], 1)[0])
-    return slope, n
+    return float(np.polyfit(t[:n], p[:n], 1)[0])
 
 
-def detect_contact(
-    module_id: int,
-    trace: Sequence[tuple[float, float]],
-    config: DetectionConfig,
-    p_max: float,
-) -> DetectionResult:
+def detect_contact(module_id: int, trace: Sequence[tuple[float, float]] | np.ndarray,
+                   config: DetectionConfig, p_max: float) -> DetectionResult:
     """Classify one probe inflation trace against the module's baseline.
 
     trace is (seconds since inflation onset, sensed kPa) pairs in time
-    order: the window's ends are found by bisection.  Deterministic for a
-    given trace.
+    order, as a sequence or a (samples, 2) array: the window's ends are
+    found by bisection.  Deterministic for a given trace.
 
     Raises:
-        ValueError: no baseline for the module, or the window is not covered.
+        ValueError: no baseline for the module, a trace of another shape,
+            or the window is not covered.
     """
     baseline = config.baseline_rates.get(module_id)
     if baseline is None:
         raise ValueError(f"no baseline for module {module_id}")
-    rate, _ = _window_slope(trace, config, p_max)
+    trace = np.asarray(trace, np.float64)
+    if trace.size and (trace.ndim != 2 or trace.shape[1] != 2):
+        raise ValueError(f"trace must be (samples, 2) pairs of (s, kPa), got shape {trace.shape}")
+    rate = _window_slope(trace, config, p_max)
     ratio = rate / baseline
     return DetectionResult(module_id, rate, baseline, ratio, ratio >= config.threshold_ratio_theta)
 
@@ -216,32 +212,32 @@ def detect_contact(
 
 
 def _advance_until(backend, module_id: int, stop: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   timeout: float, describe: str):
+                   timeout: float, describe: str, keep: bool = False) -> Optional[np.ndarray]:
     """Advance block by block to the first row where stop(time, kPa) holds.
 
     stop gets the rows' backend times and the module's sensed pressures and
-    returns a boolean mask.  Returns the times and pressures of the rows
-    passed over, the row it stopped at excluded.
+    returns a boolean mask.  With keep, returns the rows passed over, the
+    row it stopped at excluded, as one (rows, 2) array of (time, kPa);
+    without, it holds none of them.
 
     Raises:
         ControlFaultError: timeout has passed and stop has not held.
     """
     deadline = backend.now + timeout
-    times: list[float] = []
-    pressures: list[float] = []
+    passed = []
     while True:
         rows = backend.lookahead(BLOCK_TICKS)
         p = rows.pressure[:, rows.ids.index(module_id)]
         done = stop(rows.time, p)
         hits = np.flatnonzero(done | (rows.time >= deadline))
         j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
-        times += rows.time[:j].tolist()
-        pressures += p[:j].tolist()
+        if keep:
+            passed.append(np.column_stack((rows.time[:j], p[:j])))
         backend.advance(j)
         if hits.size:
             if not done[j]:
                 raise ControlFaultError(f"timeout: module {module_id} stalled {describe}")
-            return times, pressures
+            return np.concatenate(passed) if keep else None
 
 
 def calibrate_baseline(backend, module_id: int, params: PlantParams,
@@ -278,10 +274,10 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     cmd(INFLATE)
     t0 = backend.now
     w_end = detection.window_start + detection.window_len + params.dt
-    times, pressures = _advance_until(backend, module_id, lambda t, p: t - t0 > w_end,
-                                      ctl.phase_timeout_s, "inflating through the detection window")
-    trace = [(t - t0, p) for t, p in zip(times, pressures)]
-    slope, _ = _window_slope(trace, detection, params.P_max)
+    trace = _advance_until(backend, module_id, lambda t, p: t - t0 > w_end, ctl.phase_timeout_s,
+                           "inflating through the detection window", keep=True)
+    trace[:, 0] -= t0
+    slope = _window_slope(trace, detection, params.P_max)
     vent("after")
     cmd(HOLD)
 
@@ -411,9 +407,19 @@ class StationController:
             for mid, rate in sorted(self.det.baseline_rates.items()):
                 self._emit(mid, f"baseline module={mid} rate={rate:.6f}")
             self._enter(GRASP, 0)
-        self._probe_step(sensed)
-        if not self.done:
-            self._check_gate(sensed)
+        timed_out, window_over, gate_open = self._due(now, sensed)
+        if not self._probe_done:
+            self._sample(np.array([now]), sensed[self._probe_id - 1:self._probe_id])
+            if window_over:
+                self._classify_probe()
+        if timed_out:
+            gate = self._gate()
+            stalled = next((mid for mid, rises in gate if not self._holds(sensed[mid - 1], rises)),
+                           gate[-1][0])
+            self._fault(f"timeout in phase {self.phase_label()} stage {self.stage}: "
+                        f"module {stalled} stalled")
+        elif gate_open:
+            self._pass_gate()
         return dict(self._changed)
 
     def finish(self, outcome: str) -> None:
@@ -440,17 +446,17 @@ class StationController:
         self._probe_done = False
         self._set(pid, INFLATE)
 
-    def _probe_step(self, sensed: Sequence[float]) -> None:
-        if self._probe_done:
-            return
-        tau = self.now - self._probe_t0
-        self._probe_trace.append((tau, as_recorded([sensed[self._probe_id - 1]]).item()))
-        if tau < self.det.window_start + self.det.window_len:
-            return
+    def _sample(self, now: np.ndarray, kpa) -> None:
+        """Add the probe's sensed kPa at times now, as recorded, to its trace."""
+        self._probe_trace.append(np.column_stack((now - self._probe_t0, as_recorded(kpa))))
+
+    def _classify_probe(self) -> None:
+        """The probe window is over: classify the trace and vent the probe."""
         self._probe_done = True
         pid = self._probe_id
         try:
-            res = detect_contact(pid, self._probe_trace, self.det, self.params.P_max)
+            res = detect_contact(pid, np.concatenate(self._probe_trace), self.det,
+                                 self.params.P_max)
         except ValueError:
             self._emit(pid, f"detection aborted module={pid} reason=insufficient-trace")
             self.consec = 0
@@ -493,18 +499,20 @@ class StationController:
         """Whether a kPa, or each of an array, read as recorded passes a gate."""
         return pressure >= self._pass_hi if rises else pressure <= self._pass_lo
 
-    def _check_gate(self, sensed: Sequence[float]) -> None:
-        gate = self._gate()
-        if self.now - self.phase_start > self.ctl.phase_timeout_s:
-            stalled = next((mid for mid, rises in gate if not self._holds(sensed[mid - 1], rises)),
-                           gate[-1][0])
-            self._fault(
-                f"timeout in phase {self.phase_label()} stage {self.stage}: "
-                f"module {stalled} stalled"
-            )
-            return
-        if not all(self._holds(sensed[mid - 1], rises) for mid, rises in gate):
-            return
+    def _due(self, now, kpa):
+        """(timed out, probe window over, gate open) at time now, with module
+        mid's kPa in kpa[mid - 1]: floats for one tick, or arrays over a block
+        (then each result is one too, but window over is False while no probe
+        is measuring)."""
+        timed_out = now - self.phase_start > self.ctl.phase_timeout_s
+        window_over = (not self._probe_done
+                       and now - self._probe_t0 >= self.det.window_start + self.det.window_len)
+        gate_open = reduce(operator.and_, (self._holds(kpa[mid - 1], rises)
+                                           for mid, rises in self._gate()))
+        return timed_out, window_over, gate_open
+
+    def _pass_gate(self) -> None:
+        """The gate is open: act on it and move to the next stage."""
         key = (self.phase, self.stage)
         if key == (GRASP, 0):
             self._emit(0, f"grasped level={self.level}")
@@ -528,29 +536,18 @@ class StationController:
 
         Row 0 is the tick update() last ran on; now holds each row's time and
         sensed each row's pressures (rows as update() reads them), with
-        valves unchanged since row 0.  A later row needs update() when
-        its phase times out, its probe window ends or its gate opens.  The
-        rows before it change nothing but the probe trace, which gets their
-        (tau, kPa) samples here, as recorded.  Returns len(now) - 1 when no
-        row needs update() (the last row then goes through it), and 1 for a
-        single row.
+        valves unchanged since row 0.  A later row needs update() when _due
+        holds any of its three rules.  The rows before it change nothing but
+        the probe trace, which gets their samples here, as recorded.
+        Returns len(now) - 1 when no row needs update() (the last row then
+        goes through it), and 1 for a single row.
         """
         if len(now) < 2:
             return 1
-        t = now[1:]
-        stop = t - self.phase_start > self.ctl.phase_timeout_s
-        probing = not self._probe_done
-        if probing:
-            tau = t - self._probe_t0
-            stop |= tau >= self.det.window_start + self.det.window_len
-        gate = np.ones(len(t), dtype=bool)
-        for mid, rises in self._gate():
-            gate &= self._holds(sensed[1:, mid - 1], rises)
-        hits = np.flatnonzero(stop | gate)
+        hits = np.flatnonzero(reduce(operator.or_, self._due(now[1:], sensed[1:].T)))
         j = int(hits[0]) + 1 if hits.size else len(now) - 1
-        if probing:
-            p = as_recorded(sensed[1:j, self._probe_id - 1])
-            self._probe_trace.extend(zip(tau[:j - 1].tolist(), p.tolist()))
+        if not self._probe_done:
+            self._sample(now[1:j], sensed[1:j, self._probe_id - 1])
         return j
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
@@ -606,17 +603,19 @@ def gate_problems(control: ControlConfig, P_max: float) -> list[str]:
 
 
 def window_problems(detection: DetectionConfig, control: ControlConfig, dt: float) -> list[str]:
-    """The rule the detection window breaks, as a "detection: ..." problem (empty = valid).
+    """The rules the detection window breaks, as "detection: ..." problems (empty = valid).
 
     calibrate_baseline inflates a ring until window_start + window_len + dt
     has passed and gives up at phase_timeout_s, so the window must end
-    before the timeout.
+    before the timeout.  It and a probe hold the window's (s, kPa) samples,
+    16 bytes a tick, so the window spans at most 2**22 ticks (64 MiB).
     """
     end = detection.window_start + detection.window_len + dt
+    problems = _ticks_problems("detection: window_start + window_len + dt", end, dt, 22)
     if end < control.phase_timeout_s:
-        return []
+        return problems
     return [f"detection: window_start + window_len + dt must be below "
-            f"phase_timeout_s = {control.phase_timeout_s} s, got {end}"]
+            f"phase_timeout_s = {control.phase_timeout_s} s, got {end}", *problems]
 
 
 def timeout_problems(control: ControlConfig, dt: float) -> list[str]:
@@ -625,14 +624,14 @@ def timeout_problems(control: ControlConfig, dt: float) -> list[str]:
     return _ticks_problems("control: phase_timeout_s", control.phase_timeout_s, dt)
 
 
-def _ticks_problems(name: str, seconds: float, dt: float) -> list[str]:
-    """The problem of a span of seconds over 2**53 ticks of dt (empty = valid)."""
+def _ticks_problems(name: str, seconds: float, dt: float, log2_max: int = 53) -> list[str]:
+    """The problem of a span of seconds over 2**log2_max ticks of dt (empty = valid)."""
     # tick k is at k * dt: every k up to 2**53 is an exact double, so each
     # tick's time is rounded once
     ticks = seconds / dt
-    if ticks <= 2**53:
+    if ticks <= 2**log2_max:
         return []
-    count = "a finite number of" if ticks == math.inf else "at most 2**53"
+    count = "a finite number of" if ticks == math.inf else f"at most 2**{log2_max}"
     return [f"{name} must be {count} ticks (dt = {dt} s), got {seconds}"]
 
 

@@ -6,6 +6,7 @@ a single AC-n PASS/FAIL line (visible with -s, or in captured output).
 
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -230,8 +231,8 @@ def test_ac8_determinism_and_replay(tmp_path, capsys):
     failures = []
     if code_a != 0 or code_b != 0:
         failures.append(f"exit codes {code_a}, {code_b}")
-    bytes_a = open(a, "rb").read()
-    if bytes_a != open(b, "rb").read():
+    bytes_a, bytes_b = Path(a).read_bytes(), Path(b).read_bytes()
+    if bytes_a != bytes_b:
         failures.append("telemetry differs between identical runs")
     if len(bytes_a) == 0:
         failures.append("empty telemetry")

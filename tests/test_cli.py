@@ -235,7 +235,7 @@ class TestCalibrate:
         assert "module 1: 4.330000 kPa/s" in printed
         assert "module 3: 4.330000 kPa/s" in printed
         assert f"baselines written to {out}" in printed
-        assert open(out).read() == BASELINES_HEADER + "\n1,4.330000\n3,4.330000\n"
+        assert Path(out).read_text() == BASELINES_HEADER + "\n1,4.330000\n3,4.330000\n"
 
     def test_contaminated_calibration_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -272,7 +272,9 @@ class TestCalibrate:
         done = run_child(["calibrate", "--config", cfg, "--out", str(out)])
         assert done.returncode == 1, done.stderr
         assert done.stdout == ("FAIL detection: window_start + window_len + dt must be below "
-                               "phase_timeout_s = 10.0 s, got 1e+308\n")
+                               "phase_timeout_s = 10.0 s, got 1e+308\n"
+                               "FAIL detection: window_start + window_len + dt must be a finite "
+                               "number of ticks (dt = 0.001 s), got 1e+308\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("window_len, code", [(8.499, 1), (math.nextafter(8.499, 0.0), 0)],
@@ -299,7 +301,7 @@ class TestCalibrate:
         assert main(["calibrate", "--config", cfg, "--seed", "7", "--out", a]) == 0
         assert main(["calibrate", "--config", cfg, "--seed", "7", "--out", b]) == 0
         capsys.readouterr()
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 class TestRun:
@@ -378,23 +380,29 @@ class TestRun:
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg, *argv, "--out", str(telemetry)]) == 1
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-        # a tick that makes the run's tick count infinite makes the phase timeout's so too
-        timeout = [] if "0.001" in problem else [
+        # a tick that makes the run's tick count infinite makes the phase
+        # timeout's and the detection window's so too
+        tick = [] if "0.001" in problem else [
             "FAIL control: phase_timeout_s must be a finite number of ticks (dt = 1e-308 s), "
-            "got 10.0"]
-        assert fails == [*timeout,
+            "got 10.0",
+            "FAIL detection: window_start + window_len + dt must be a finite number of ticks "
+            "(dt = 1e-308 s), got 2.5"]
+        assert fails == [*tick,
                          f"FAIL run: duration_s must be a finite number of ticks {problem}"]
         assert not telemetry.exists()
 
     def test_tick_count_past_2_to_the_53_exits_1_at_once(self, tmp_path):
         """5e16 ticks is finite, and would run without end (a tick at which the
-        phase timeout is at most 2**53 ticks, so the run's is the one problem)."""
+        phase timeout is at most 2**53 ticks; the detection window is refused
+        too)."""
         telemetry = tmp_path / "t.csv"
         cfg = write_cfg(tmp_path, SMALL_RUN + "plant:\n  dt: 2.0e-15\n")
         done = run_child(["run", "--config", cfg, "--duration", "100", "--out", str(telemetry)],
                          timeout=30)
         assert done.returncode == 1, done.stderr
-        assert done.stdout == ("FAIL run: duration_s must be at most 2**53 ticks "
+        assert done.stdout == ("FAIL detection: window_start + window_len + dt must be at most "
+                               "2**22 ticks (dt = 2e-15 s), got 2.500000000000002\n"
+                               "FAIL run: duration_s must be at most 2**53 ticks "
                                "(dt = 2e-15 s), got 100.0\n")
         assert not telemetry.exists()
 
@@ -456,7 +464,7 @@ class TestSweep:
         assert main(["sweep", "--param", "N", "--range", "1:5:1", "--out", out]) == 0
         printed = capsys.readouterr().out
         assert "argmax N=3 d_c_over_r=0.864965" in printed
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "N,d_c_over_r"
         assert lines[1] == "1,0.000000"
         assert lines[3] == "3,0.864965"
@@ -467,7 +475,7 @@ class TestSweep:
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--param", "l", "--range", "40:42:1", "--out", out]) == 0
         printed = capsys.readouterr().out
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[2] == "41.000000,infeasible"
         assert lines[3] == "42.000000,infeasible"
         assert "argmax l=40.000000" in printed
@@ -520,28 +528,37 @@ class TestRefusedByEveryCommand:
         ["validate"], ["calibrate", "--out"], ["run", "--out"],
         ["sweep", "--param", "N", "--range", "3:5:1", "--out"],
     ], ids=["validate", "calibrate", "run", "sweep"])
-    @pytest.mark.parametrize("text, problem", [
-        ("station:\n  module_count: 1\n", "station: station needs at least one (C, L, C) triple"),
+    @pytest.mark.parametrize("text, problems", [
+        ("station:\n  module_count: 1\n", ["station: station needs at least one (C, L, C) triple"]),
         ("station:\n  modules:\n    - {kind: Compression}\n",
-         "station: station needs at least one (C, L, C) triple"),
+         ["station: station needs at least one (C, L, C) triple"]),
         ("control:\n  deflated_threshold_kPa: 20.0\n",
-         "control: deflated_threshold_kPa must be below the inflated gate "
-         "inflated_fraction * P_max = 14.25 kPa, got 20.0"),
+         ["control: deflated_threshold_kPa must be below the inflated gate "
+          "inflated_fraction * P_max = 14.25 kPa, got 20.0"]),
         ("plant:\n  dt: 2.0e-15\nrun:\n  duration_s: 100.0\n",
-         "run: duration_s must be at most 2**53 ticks (dt = 2e-15 s), got 100.0"),
+         ["detection: window_start + window_len + dt must be at most 2**22 ticks "
+          "(dt = 2e-15 s), got 2.500000000000002",
+          "run: duration_s must be at most 2**53 ticks (dt = 2e-15 s), got 100.0"]),
         ("detection:\n  window_len: 20.0\n",
-         "detection: window_start + window_len + dt must be below phase_timeout_s = 10.0 s, "
-         "got 21.501"),
+         ["detection: window_start + window_len + dt must be below phase_timeout_s = 10.0 s, "
+          "got 21.501"]),
         # 1e10 run ticks, but calibrate would wait up to 1e301 ticks
         ("plant:\n  dt: 1.0e-300\nrun:\n  duration_s: 1.0e-290\n",
-         "control: phase_timeout_s must be at most 2**53 ticks (dt = 1e-300 s), got 10.0"),
+         ["control: phase_timeout_s must be at most 2**53 ticks (dt = 1e-300 s), got 10.0",
+          "detection: window_start + window_len + dt must be at most 2**22 ticks "
+          "(dt = 1e-300 s), got 2.5"]),
+        # 2.5e9 window ticks, which calibrate and a probe would hold in memory
+        ("plant:\n  dt: 1.0e-9\n",
+         ["detection: window_start + window_len + dt must be at most 2**22 ticks "
+          "(dt = 1e-09 s), got 2.500000001"]),
     ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks",
-            "window past the timeout", "2**53 timeout ticks"])
-    def test_exits_1(self, tmp_path, command, text, problem):
+            "window past the timeout", "2**53 timeout ticks", "2**22 window ticks"])
+    def test_exits_1(self, tmp_path, command, text, problems):
         out = tmp_path / "out.csv"
         argv = [*command, str(out)] if command[-1] == "--out" else command
         done = run_child([*argv, "--config", write_cfg(tmp_path, text)], timeout=30)
-        assert (done.returncode, done.stdout, done.stderr) == (1, f"FAIL {problem}\n", "")
+        printed = "".join(f"FAIL {problem}\n" for problem in problems)
+        assert (done.returncode, done.stdout, done.stderr) == (1, printed, "")
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Config loading: defaults, the two failure channels, baseline files."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -192,10 +193,13 @@ class TestSemanticProblems:
     ])
     def test_tick_count_that_overflows_reported(self, tmp_path, text, problem):
         cfg = load_config(cfg_file(tmp_path, text))
-        # a tick that makes the run's tick count infinite makes the phase timeout's so too
-        timeout = [] if "0.001" in problem else [
-            "control: phase_timeout_s must be a finite number of ticks (dt = 1e-308 s), got 10.0"]
-        assert cfg.problems == [*timeout,
+        # a tick that makes the run's tick count infinite makes the phase
+        # timeout's and the detection window's so too
+        tick = [] if "0.001" in problem else [
+            "control: phase_timeout_s must be a finite number of ticks (dt = 1e-308 s), got 10.0",
+            "detection: window_start + window_len + dt must be a finite number of ticks "
+            "(dt = 1e-308 s), got 2.5"]
+        assert cfg.problems == [*tick,
                                 f"run: duration_s must be a finite number of ticks {problem}"]
 
     def test_integer_beyond_the_float_range_is_infinite(self, tmp_path):
@@ -245,6 +249,25 @@ class TestSemanticProblems:
         assert cfg.problems == ["detection: window_start + window_len + dt must be below "
                                 "phase_timeout_s = 3.0 s, got 3.01"]
 
+    def test_window_of_at_most_2_22_ticks(self, tmp_path):
+        """A probe and calibrate hold the window's samples: 2**22 ticks is
+        accepted, one tick more is not, and calibrate_baseline refuses it too."""
+        control = ControlConfig(phase_timeout_s=2.0 ** 23)
+        assert window_problems(DetectionConfig(window_start=0.0, window_len=2.0 ** 22 - 1),
+                               control, 1.0) == []
+        assert window_problems(DetectionConfig(window_start=0.0, window_len=2.0 ** 22),
+                               control, 1.0) == [
+            "detection: window_start + window_len + dt must be at most 2**22 ticks "
+            "(dt = 1.0 s), got 4194305.0"]
+        # the default window, 2,501 ticks of 1 ms, at a tick of 1 ns
+        cfg = load_config(cfg_file(tmp_path, "plant:\n  dt: 1.0e-9\n"))
+        assert cfg.problems == [
+            "detection: window_start + window_len + dt must be at most 2**22 ticks "
+            "(dt = 1e-09 s), got 2.500000001"]
+        with pytest.raises(ValueError) as refused:  # before it touches the backend
+            calibrate_baseline(None, 1, cfg.params, cfg.detection, cfg.control)
+        assert str(refused.value) == cfg.problems[0]
+
     def test_phase_timeout_of_at_most_2_53_ticks(self, tmp_path):
         """Each wait of calibrate ends by phase_timeout_s: the bound itself is
         accepted, the next double is not, and calibrate_baseline refuses it too."""
@@ -258,7 +281,9 @@ class TestSemanticProblems:
         cfg = load_config(cfg_file(tmp_path, "plant:\n  dt: 1.0e-300\n"
                                              "run:\n  duration_s: 1.0e-290\n"))
         assert cfg.problems == [
-            "control: phase_timeout_s must be at most 2**53 ticks (dt = 1e-300 s), got 10.0"]
+            "control: phase_timeout_s must be at most 2**53 ticks (dt = 1e-300 s), got 10.0",
+            "detection: window_start + window_len + dt must be at most 2**22 ticks "
+            "(dt = 1e-300 s), got 2.5"]
         with pytest.raises(ValueError) as refused:  # before it touches the backend
             calibrate_baseline(None, 1, cfg.params, cfg.detection, cfg.control)
         assert str(refused.value) == cfg.problems[0]
@@ -315,7 +340,7 @@ class TestBaselineFiles:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "baselines.csv")
         write_baselines(path, {3: 4.330000000000224, 1: 4.33})
-        content = open(path).read()
+        content = Path(path).read_text()
         assert content == BASELINES_HEADER + "\n1,4.330000\n3,4.330000\n"
         assert load_baselines(path) == {1: 4.33, 3: 4.33}
 

@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ class TestDetectContact:
         with pytest.raises(ValueError, match="insufficient trace"):
             detect_contact(5, [], self.config(), 15.0)
 
+    def test_trace_of_another_shape_rejected(self):
+        """(t, kPa, x) triples, or their flattened values, are not read as pairs."""
+        triples = [(k * DT, 4.33 * k * DT, 99.0) for k in range(2700)]
+        with pytest.raises(ValueError, match=r"^trace must be \(samples, 2\) .* got shape "
+                                             r"\(2700, 3\)$"):
+            detect_contact(5, triples, self.config(), 15.0)
+        with pytest.raises(ValueError, match=r"got shape \(8100,\)$"):
+            detect_contact(5, np.ravel(triples), self.config(), 15.0)
+
     def test_uncovered_window_rejected(self):
         with pytest.raises(ValueError, match="not covered"):
             detect_contact(5, linear_trace(4.33, until=2.0), self.config(), 15.0)
@@ -243,7 +253,8 @@ class TestDetectContact:
     )
     def test_window_takes_the_samples_of_a_full_scan(self, steps, pressures, edges, on_samples):
         """Bisection picks the samples that scanning the whole time-ordered
-        trace picks, so the slope keeps its bits."""
+        trace picks, so the slope keeps its bits, given the pairs as a list
+        or as an array."""
         tau, trace = 0.0, []
         for step, p in zip(steps, pressures):
             tau += step
@@ -262,13 +273,20 @@ class TestDetectContact:
             if t > w1 or p >= config.saturation_fraction * 15.0:
                 break
             samples.append((t, p))
-        try:
-            got = detect_contact(1, trace, config, 15.0).measured_rate
-        except ValueError:
+
+        def slope(given):
+            try:
+                return detect_contact(1, given, config, 15.0).measured_rate.hex()
+            except ValueError:
+                return None
+
+        got = slope(trace)
+        assert slope(np.array(trace)) == got
+        if got is None:
             assert trace[-1][0] < w1 or len(samples) < 2
             return
         ts, ps = np.array([t for t, _ in samples]), np.array([p for _, p in samples])
-        assert got.hex() == float(np.polyfit(ts, ps, 1)[0]).hex()
+        assert got == float(np.polyfit(ts, ps, 1)[0]).hex()
 
 
 class TestBlockingSchedules:
@@ -343,6 +361,23 @@ class TestCalibrateBaseline:
             calibrate_baseline(backend, 1, slow, DetectionConfig(),
                                ControlConfig(phase_timeout_s=5.0))
         assert backend.now == pytest.approx(2.501 + 5.0, abs=2e-3)
+
+    def test_vents_hold_no_samples(self, three_module_layout, material):
+        """Only the window's samples are kept: a 0.5 s window at dt = 1e-5 is
+        50,000 of them (0.8 MB), and the vent after it waits 1e6 ticks (16 MB
+        as (time, kPa) pairs) before it times out."""
+        slow = PlantParams(k_vent=0.01, dt=1e-5)
+        backend = sim_backend(three_module_layout, material, slow, with_object=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ControlFaultError, match="venting after calibration$"):
+                calibrate_baseline(backend, 1, slow, DetectionConfig(window_start=0.0,
+                                                                     window_len=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backend.now == pytest.approx(0.5 + 10.0, abs=1e-4)
+        assert peak < 8e6  # half the vent's pairs
 
     def test_window_past_the_timeout_is_refused(self, three_module_layout, material, params):
         """The window would end at 21.5 s, after the 10 s phase timeout: refused
@@ -466,7 +501,7 @@ class TestStationController:
         j = c.quiet_rows(times, sensed)
         assert 1 <= j <= 29
         assert not any(acts(i) for i in range(1, j))
-        assert c._probe_trace == ref._probe_trace
+        assert np.concatenate(c._probe_trace).tobytes() == np.concatenate(ref._probe_trace).tobytes()
         if j < 29:
             assert acts(j)
 

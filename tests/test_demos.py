@@ -34,3 +34,11 @@ def test_base_unit_demo_lifts_the_object_one_stroke(tmp_path):
     assert "object starts at z = 0.0 mm" in proc.stdout
     assert "object at z = 6.0 mm" in proc.stdout
     assert "drops: 0" in proc.stdout
+
+
+def test_contact_detection_demo_tells_the_two_objects_apart(tmp_path):
+    proc = run_demo(ROOT / "demos" / "02_contact_detection.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "r_o = 0.7r: slope 8.479 kPa/s, ratio 1.958, contact=True" in lines
+    assert "r_o = 0.4r: slope 4.330 kPa/s, ratio 1.000, contact=False" in lines
