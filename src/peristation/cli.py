@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -232,13 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; a standard output closed by its reader ends it with exit code 1."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    cfg = _prepare(args)
-    return cfg if isinstance(cfg, int) else args.func(args, cfg)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
+        cfg = _prepare(args)
+        code = cfg if isinstance(cfg, int) else args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # send the rest, the interpreter's flush at exit included, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .plant import (
     PlantParams,
     StationLayout,
     alternating_kinds,
+    contact_pressure,
     stack_modules,
     station_violations,
 )
@@ -285,7 +286,11 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     detection = _build_params("detection", DetectionConfig, sections, problems)
     control = _build_params("control", ControlConfig, sections, problems)
     if control is not None and params is not None:
-        problems.extend(gate_problems(control, params.P_max))
+        grip = math.inf  # with a valid object, the pressure at which a ring reaches it
+        if object_spec is not None and material is not None and not any(
+                p.startswith("object:") for p in problems):
+            grip = contact_pressure(geometry, material, params.P_max, object_spec.radius_r_o)
+        problems.extend(gate_problems(control, params.P_max, grip))
         problems.extend(timeout_problems(control, params.dt))
         if detection is not None:
             problems.extend(window_problems(detection, control, params.dt))

@@ -447,8 +447,12 @@ class StationController:
         self._set(pid, INFLATE)
 
     def _sample(self, now: np.ndarray, kpa) -> None:
-        """Add the probe's sensed kPa at times now, as recorded, to its trace."""
-        self._probe_trace.append(np.column_stack((now - self._probe_t0, as_recorded(kpa))))
+        """Add the probe's sensed kPa at times now, as recorded, to its trace:
+        only those from window_start on, the first that _window_slope reads."""
+        t = now - self._probe_t0
+        k = int(t.searchsorted(self.det.window_start))
+        if k < len(t):
+            self._probe_trace.append(np.column_stack((t[k:], as_recorded(kpa[k:]))))
 
     def _classify_probe(self) -> None:
         """The probe window is over: classify the trace and vent the probe."""
@@ -588,18 +592,24 @@ class StationController:
         self._enter(GRASP, 0)
 
 
-def gate_problems(control: ControlConfig, P_max: float) -> list[str]:
-    """The rule the two pressure gates break, as a "control: ..." problem (empty = valid).
+def gate_problems(control: ControlConfig, P_max: float, grip: float = math.inf) -> list[str]:
+    """The rule the pressure gates break, as a "control: ..." problem (empty = valid).
 
     The deflated gate must be below the inflated gate: otherwise a ring that
     reads the inflated gate passes the deflated one too, and a vent stage
-    can end with the ring still full.
+    can end with the ring still full.  It must also be below grip, the
+    pressure at which a ring reaches the object (plant.contact_pressure):
+    a ring vented only to the gate would still hold the object.
     """
     gate = control.inflated_fraction * P_max
-    if control.deflated_threshold_kPa < gate:
-        return []
-    return [f"control: deflated_threshold_kPa must be below the inflated gate "
-            f"inflated_fraction * P_max = {gate} kPa, got {control.deflated_threshold_kPa}"]
+    low = control.deflated_threshold_kPa
+    if low >= gate:
+        return [f"control: deflated_threshold_kPa must be below the inflated gate "
+                f"inflated_fraction * P_max = {gate} kPa, got {low}"]
+    if low >= grip:
+        return [f"control: deflated_threshold_kPa must be below the contact pressure "
+                f"{grip} kPa at which a ring reaches the object, got {low}"]
+    return []
 
 
 def window_problems(detection: DetectionConfig, control: ControlConfig, dt: float) -> list[str]:

@@ -19,10 +19,10 @@ Step order, per tick:
 Plant.trajectory runs this order over a whole block of ticks at once, one
 stretch of constant rates after another, and gives the same bits as
 stepping one tick at a time.  It keeps each module's states as one
-contiguous row and integrates only the rings that move: in a stretch a
-ring that holds or is pinned at a pressure bound keeps its bits exactly,
-and so do the lifts, the object and the contacts that nothing under them
-moves.
+contiguous row, filled once per call, and spends array operations only on
+what moves: the rings that move, the lifts above a moving stroke, the object
+when a supporter moves and the contacts whose reach flips or span moves.
+Any other contact is one comparison of Python floats per stretch.
 """
 
 from __future__ import annotations
@@ -224,6 +224,21 @@ def time_to_contact(
     return gap / d_max * params.P_max / params.k_free
 
 
+def contact_pressure(geometry: RingGeometry, material: SurrogateMaterial, P_max: float,
+                     radius_r_o: float) -> float:
+    """The least kPa at which a compression ring reaches an object of radius_r_o.
+
+    Decided by Plant.trajectory's own comparison, P / P_max * d_full >= gap,
+    bisected over doubles (it is monotone in P); inf if P_max falls short.
+    """
+    full = full_compression_inflation(geometry, material, P_max)
+    gap = geometry.inner_radius_r - radius_r_o
+    lo, hi = -1.0, P_max if full >= gap else math.inf  # hi reaches, lo does not
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        lo, hi = (lo, mid) if mid / P_max * full >= gap else (mid, hi)
+    return max(hi, 0.0)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States a plant would pass through under its current valves, not yet committed.
@@ -341,18 +356,22 @@ class Plant:
         integrated by cumulative sums that repeat the per-step float
         operations in the same order, and results are bit-identical to
         stepping one dt at a time.  Each module's states are one contiguous
-        row of (modules, rows) storage.  A stretch integrates only the rings
-        whose pressure can change (INFLATE below P_max, DEFLATE above 0) and
-        fills the others with their value: a step leaves a held ring's
-        pressure as it is and clips a pinned ring back to its bound, so
-        their bits cannot move.
+        row of (modules, rows) storage, filled once per call with row 0.
+        A stretch integrates only the rings whose pressure can change
+        (INFLATE below P_max, DEFLATE above 0, read as Python floats); a
+        step leaves a held ring's pressure as it is and clips a pinned ring
+        back to its bound, so their filled rows keep their bits.  A ring
+        that stops moving has reached its bound, and the stretch that moved
+        it wrote the bound through to the last row: a fill only rises and a
+        vent only falls, so a ring is clipped only if its last row passed it.
         Lifts and the object are recomputed only when a longitudinal ring
-        moves, and a ring's contact only where its inflation, lift or the
-        object moves; otherwise it is evaluated once, at the stretch's first
-        new row, never copied from the row before (row 0 may hold contacts
-        from before a drop moved the object).  A contact change ends a
-        stretch and the next one starts from its row.  The trajectory ends
-        after the first step that emits a "conflict" or "drop" event.
+        moves.  A ring's contact is an array over the stretch only where its
+        reach flips (it moves) or its span (its lift or the object) moves, else
+        one comparison of Python floats at the stretch's first new row, never
+        copied from the row before (row 0 may hold contacts from before a
+        drop moved the object).  A stretch ends at the first row where a
+        ring's contact flips, and a trajectory after the first step that
+        emits a "conflict" or "drop" event.
         """
         if n < 0:
             raise ValueError(f"steps must be >= 0, got {n}")
@@ -363,16 +382,13 @@ class Plant:
         obj = self.object
         comp = self._comp
         rows = n + 1
-        # one contiguous row per module; the Trajectory gets (rows, modules) views
-        P = np.empty((m, rows))
-        d = np.empty((m, rows))
-        lift = np.empty((m, rows))
+        # one contiguous row per module; the Trajectory gets (rows, modules) views.
+        # Every row starts as row 0, until a stretch moves it.
+        P, d, lift = (np.array(row0)[:, None].repeat(rows, axis=1)
+                      for row0 in (self._P, self._d, self._lift))
         contact = np.zeros((m, rows), dtype=bool)
-        z = np.empty(rows) if obj is not None else None
-        P[:, 0] = self._P
-        d[:, 0] = self._d
-        lift[:, 0] = self._lift
         contact[:, 0] = self._contact
+        z = np.empty(rows) if obj is not None else None
         if z is not None:
             z[0] = obj.z
         events: list[tuple[int, str]] = []
@@ -380,22 +396,19 @@ class Plant:
         while last < n and not events:
             seg = slice(last + 1, rows)
             hit0 = contact[:, last].tolist()
-            for a in (P, d, lift):
-                a[:, seg] = a[:, last, None]
+            P0 = P[:, last].tolist()
             # 1+2) pressures of the rings that can move under the valves and last
             # tick's contacts, then their inflations
-            moving = [i for i, v in enumerate(self._valve) if v == INFLATE and P[i, last] < P_max
-                      or v == DEFLATE and P[i, last] > 0.0]
+            moving = [i for i, v in enumerate(self._valve) if v == INFLATE and P0[i] < P_max
+                      or v == DEFLATE and P0[i] > 0.0]
             for i in moving:
                 Pi = P[i, last:]
                 Pi[1:] = (self._inc_vent if self._valve[i] == DEFLATE
                           else self._inc_contact if hit0[i] else self._inc_free)
                 np.add.accumulate(Pi, out=Pi)
-                if self._valve[i] == DEFLATE:  # a vent only falls and a fill only rises
-                    np.maximum(P[i, seg], 0.0, out=P[i, seg])
-                else:
-                    np.minimum(P[i, seg], P_max, out=P[i, seg])
-                di = np.divide(P[i, seg], P_max, out=d[i, seg])
+                if not 0.0 <= Pi[-1] <= P_max:  # a vent only falls and a fill only rises
+                    np.clip(Pi, 0.0, P_max, out=Pi)
+                di = np.divide(Pi[1:], P_max, out=d[i, seg])
                 di *= self._d_full[i]
             # 3) longitudinal strokes lift everything stacked above them
             low = min((i for i in moving if self._kind[i] == LONGITUDINAL), default=m)
@@ -405,7 +418,7 @@ class Plant:
                 else:
                     lift[i, seg] = lift[i - 1, seg]
             end = n  # last row this stretch keeps
-            conflict = flip = None
+            conflict = None
             if obj is not None:
                 # 4) the object rides its supporters from the previous tick
                 sup = [i for i in comp if hit0[i]]
@@ -423,20 +436,31 @@ class Plant:
                     np.add.accumulate(z[last:], out=z[last:])
                 else:
                     zs[:] = z[last]
-                # 5) contacts at the new configuration: the reach over the stretch if the
-                # ring moves, the span overlap if its lift or the object moves, else
-                # each at the stretch's first new row
+                # 5) contacts at the new configuration: arrays over the stretch where
+                # the reach flips or the span moves, else floats at its first new row
+                d1, lift1 = d[:, last + 1].tolist(), lift[:, last + 1].tolist()
+                z1 = z[last + 1].item()
+                flip = rows  # the first row where a contact flips
                 for i in comp:
                     mod = mods[i]
-                    c = d[i, seg if i in moving else last + 1] >= self._gap[i]
-                    if c.any():
-                        at = seg if rides or i > low else last + 1
-                        lo = mod.z_origin + lift[i, at]
-                        c = c & (z[at] < lo + mod.height_h) & (z[at] + obj.spec.length_L_o > lo)
+                    # a moving ring's inflation is monotone: its reach flips only
+                    # if its first and last rows differ
+                    c = d1[i] >= self._gap[i]
+                    if i in moving and c != (d[i, -1] >= self._gap[i]):
+                        c = d[i, seg] >= self._gap[i]
+                    if c is not False:  # within reach somewhere: the span decides
+                        spans = rides or i > low
+                        lo = mod.z_origin + (lift[i, seg] if spans else lift1[i])
+                        zi = z[seg] if spans else z1
+                        c = c & (zi < lo + mod.height_h) & (zi + obj.spec.length_L_o > lo)
                     contact[i, seg] = c
-                flips = np.flatnonzero((contact[:, seg] != contact[:, last, None]).any(axis=0))
-                if flips.size and last + 1 + int(flips[0]) <= end:
-                    end = flip = last + 1 + int(flips[0])
+                    if isinstance(c, np.ndarray):
+                        k = int(c.argmin() if hit0[i] else c.argmax())
+                        if c[k] != hit0[i]:
+                            flip = min(flip, last + 1 + k)
+                    elif c != hit0[i]:
+                        flip = last + 1
+                end = min(end, flip)
                 if end == conflict:
                     events.append(self._conflict_event(sup))
                 if end == flip and sup and not contact[:, end].any():

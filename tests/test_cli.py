@@ -110,6 +110,29 @@ class TestUsage:
             assert done.returncode == code
             assert ("config: OK" in done.stdout) == (code == 0), done.stdout
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # a write fails at once, or at the flush
+    @pytest.mark.parametrize("command", ["validate", "calibrate"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, command, unbuffered):
+        """A reader that has gone away (`peristation validate | head -0`) ends
+        the command with exit code 1, nothing on stderr, and a baselines file
+        that is complete or absent."""
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 3\n")
+        out = tmp_path / "baselines.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(peristation.__file__).parents[1]),
+               "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "peristation", command, "--config", cfg,
+                                   *(["--out", str(out)] if command == "calibrate" else [])],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+        if out.exists():
+            assert out.read_text() == BASELINES_HEADER + "\n1,4.330000\n3,4.330000\n"
+
 
 class TestValidate:
     def test_defaults_pass(self, capsys):
@@ -199,7 +222,26 @@ class TestValidate:
         (math.nextafter(14.25, 0.0), 0, "config: OK"),
     ], ids=["at", "just below"])
     def test_deflated_gate_below_the_inflated_gate(self, tmp_path, capsys, deflated, code, last):
-        """The default inflated gate is inflated_fraction * P_max = 0.95 * 15.0 = 14.25 kPa."""
+        """The default inflated gate is inflated_fraction * P_max = 0.95 * 15.0 = 14.25 kPa
+        (without an object, whose grip a gate that high could not release)."""
+        cfg = write_cfg(tmp_path, f"control:\n  deflated_threshold_kPa: {deflated!r}\n"
+                                  "object:\n  present: false\n")
+        assert main(["validate", "--config", cfg]) == code
+        assert capsys.readouterr().out.splitlines()[-1] == last
+
+    @pytest.mark.parametrize("deflated, code, last", [
+        (6.521739130434782, 1, "FAIL control: deflated_threshold_kPa must be below the "
+                               "contact pressure 6.521739130434782 kPa at which a ring "
+                               "reaches the object, got 6.521739130434782"),
+        (math.nextafter(6.521739130434782, 0.0), 0, "config: OK"),
+        (math.nextafter(14.25, 0.0), 1, "FAIL control: deflated_threshold_kPa must be below the "
+                                        "contact pressure 6.521739130434782 kPa at which a ring "
+                                        "reaches the object, got 14.249999999999998"),
+    ], ids=["at", "just below", "just below the inflated gate"])
+    def test_deflated_gate_below_the_contact_pressure(self, tmp_path, capsys, deflated, code,
+                                                      last):
+        """A ring vented only to the deflated gate must let the object go: the
+        nominal rings reach it from 7.5 / 17.25 * 15 kPa, as the plant compares."""
         cfg = write_cfg(tmp_path, f"control:\n  deflated_threshold_kPa: {deflated!r}\n")
         assert main(["validate", "--config", cfg]) == code
         assert capsys.readouterr().out.splitlines()[-1] == last
@@ -539,6 +581,9 @@ class TestRefusedByEveryCommand:
          ["detection: window_start + window_len + dt must be at most 2**22 ticks "
           "(dt = 2e-15 s), got 2.500000000000002",
           "run: duration_s must be at most 2**53 ticks (dt = 2e-15 s), got 100.0"]),
+        ("control:\n  deflated_threshold_kPa: 14.249999999999998\n",
+         ["control: deflated_threshold_kPa must be below the contact pressure "
+          "6.521739130434782 kPa at which a ring reaches the object, got 14.249999999999998"]),
         ("detection:\n  window_len: 20.0\n",
          ["detection: window_start + window_len + dt must be below phase_timeout_s = 10.0 s, "
           "got 21.501"]),
@@ -552,7 +597,8 @@ class TestRefusedByEveryCommand:
          ["detection: window_start + window_len + dt must be at most 2**22 ticks "
           "(dt = 1e-09 s), got 2.500000001"]),
     ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks",
-            "window past the timeout", "2**53 timeout ticks", "2**22 window ticks"])
+            "gate that cannot release", "window past the timeout", "2**53 timeout ticks",
+            "2**22 window ticks"])
     def test_exits_1(self, tmp_path, command, text, problems):
         out = tmp_path / "out.csv"
         argv = [*command, str(out)] if command[-1] == "--out" else command

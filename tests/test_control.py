@@ -59,6 +59,11 @@ def linear_trace(rate, intercept=0.0, until=2.6, clamp=None):
     return out
 
 
+def probe_trace(controller):
+    """A controller's probe trace as one (samples, 2) array, empty for none."""
+    return np.concatenate([np.empty((0, 2)), *controller._probe_trace])
+
+
 def sim_backend(layout, material, params, ror=0.7, length=75.0, z=0.0, with_object=True):
     obj = ObjectState(ObjectSpec(ror * 25.0, length), z) if with_object else None
     return SimulatedBackend(Plant(layout, obj, params, material))
@@ -501,7 +506,7 @@ class TestStationController:
         j = c.quiet_rows(times, sensed)
         assert 1 <= j <= 29
         assert not any(acts(i) for i in range(1, j))
-        assert np.concatenate(c._probe_trace).tobytes() == np.concatenate(ref._probe_trace).tobytes()
+        assert probe_trace(c).tobytes() == probe_trace(ref).tobytes()
         if j < 29:
             assert acts(j)
 

@@ -25,7 +25,7 @@ from peristation import (
     station_violations,
     time_to_contact,
 )
-from peristation.plant import VALVE_MODES, full_compression_inflation
+from peristation.plant import VALVE_MODES, contact_pressure, full_compression_inflation
 from tests.conftest import NOMINAL
 
 
@@ -277,6 +277,20 @@ class TestContactCheck:
             plant = make_plant(three_module_layout, material, params, obj)
             full(plant, 1)
             assert supporters(plant) == (frozenset({1}) if grips else frozenset())
+
+    @pytest.mark.parametrize("r_o", [17.5, 10.0, 7.75, 25.0 - math.nextafter(17.25, math.inf)])
+    def test_contact_pressure_is_the_least_that_reaches(self, three_module_layout, material,
+                                                        params, r_o):
+        """A filling ring grips on exactly the ticks at or above the contact
+        pressure (inf for an object too thin to reach)."""
+        kpa = contact_pressure(three_module_layout.modules[0].geometry, material, 15.0, r_o)
+        assert kpa == math.inf or math.nextafter(kpa, 0.0) / 15.0 * 17.25 < 25.0 - r_o
+        obj = ObjectState(ObjectSpec(r_o, 60.0), 0.0)  # in rings 1 and 3
+        plant = make_plant(three_module_layout, material, params, obj)
+        plant.set_valve(1, INFLATE)
+        traj = plant.trajectory(4000)  # to P_max
+        assert traj.pressure[-1, 0] == 15.0
+        assert (traj.contact[:, 0] == (traj.pressure[:, 0] >= kpa)).all()
 
     def test_span_overlap_must_be_positive(self, three_module_layout, material, params):
         # ring 3 spans [40, 60] mm; an object whose face merely touches it is not gripped
@@ -623,6 +637,21 @@ class TestKernelAgainstReference:
              schedule=[({0: DEFLATE, 1: INFLATE}, 10), ({1: HOLD}, 5),
                        ({0: INFLATE, 1: INFLATE, 2: INFLATE}, 400), ({1: DEFLATE}, 150),
                        ({0: DEFLATE, 2: DEFLATE}, 200)])
+    # ring 1 pins at P_max in the first stretch, and ring 3's grip starts a second one
+    # in which ring 1 keeps the rows that the first stretch wrote at the bound
+    @example(count=5, start=(30.0, 45.0), block=1024,
+             schedule=[({0: INFLATE}, 340), ({2: INFLATE}, 300)])
+    # ring 3 grips on the last tick before it vents, so it lets go at its stretch's
+    # first row and the object drops onto ring 1's top; the next call starts from row 0
+    # holding contacts from before the drop, and ring 1, in reach, holds still exactly
+    # at the edge of its span
+    @example(count=5, start=(115.0, 20.0), block=1024,
+             schedule=[({0: INFLATE}, 340), ({0: HOLD, 2: INFLATE}, 151), ({2: DEFLATE}, 100)])
+    # strokes 2, 4 and 6 lift ring 7 clear of the object's top, then vent while ring 7
+    # fills: its reach flips mid-stretch, where only its moving span says it grips
+    @example(count=9, start=(115.0, 20.0), block=1024,
+             schedule=[({1: INFLATE, 3: INFLATE, 5: INFLATE}, 400),
+                       ({1: DEFLATE, 3: DEFLATE, 5: DEFLATE}, 1), ({6: INFLATE}, 300)])
     def test_random_schedules_follow_the_reference(self, count, start, schedule, block):
         g = RingGeometry(**NOMINAL)
         mat = SurrogateMaterial(100.0, 0.45, calibrate_kappa(g, 100.0, 0.69, 15.0))
