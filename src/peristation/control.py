@@ -62,8 +62,10 @@ CYCLE = {
 }
 _NEXT = dict(zip(CYCLE, tuple(CYCLE)[1:]))  # the last stage completes the cycle
 
-# Most ticks run_station and calibrate_baseline advance in one block.  It
-# bounds the arrays and the telemetry text that one block holds in memory.
+# Most ticks calibrate_baseline advances in one block, and run_station in
+# one lookahead while its stage has no record (four times as many with one).
+# It bounds the arrays, and the telemetry text that one record() call holds
+# in memory.
 BLOCK_TICKS = 1024
 
 
@@ -673,13 +675,16 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     Returns the totally ordered event log and final object position (plant
     ground truth when the backend exposes it, dead reckoning otherwise).
 
-    Tick k is at k * dt.  After each update() the backend looks up to
-    BLOCK_TICKS ticks ahead, never past the duration limit; the controller
-    skips the rows that cannot change its state, the recorder gets them in
-    one call with the update tick's row, and the backend advances to the
-    first row that goes through update(), which gets that row of the
-    lookahead.  The backend must step at dt = params.dt, and its rows must
-    hold the layout's modules in order.
+    Tick k is at k * dt.  After each update() the backend looks ahead,
+    never past the duration limit: by the ticks the current (phase, stage)
+    took when it last ran, less those it has run, plus 32, at most
+    4 * BLOCK_TICKS; BLOCK_TICKS while the stage has no record or has run
+    past it.  The controller skips the rows that cannot change its state,
+    the recorder gets them with the update tick's row in calls of at most
+    BLOCK_TICKS ticks, and the backend advances to the first row that goes
+    through update(), which gets that row of the lookahead.  The backend
+    must step at dt = params.dt, and its rows must hold the layout's
+    modules in order.
 
     The controller decides on each sensed kPa as recorded, the double its
     6-decimal text reads back as: gates through recorded_threshold, the
@@ -688,10 +693,14 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
 
     Raises:
         ValueError: a duration that breaks the rule of duration_problems,
-            gates that break the rule of gate_problems, a backend at another
-            dt, or backend rows that are not the layout's.
+            gates that break the rule of gate_problems (with the plant's
+            grip, when the backend has a plant), a backend at another dt, or
+            backend rows that are not the layout's.
     """
+    plant = getattr(backend, "plant", None)
     problems = duration_problems(duration_s, params.dt)
+    if plant is not None:
+        problems += gate_problems(control, params.P_max, plant.grip)
     if problems:
         raise ValueError(problems[0])
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
@@ -699,7 +708,6 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     n_steps = int(round(duration_s / dt))
     if abs(backend.dt - dt) > 1e-12:
         raise ValueError(f"backend steps at fixed dt={backend.dt}, got {dt}")
-    plant = getattr(backend, "plant", None)
     rows = backend.lookahead(1)
     ids = tuple(mod.id for mod in layout.modules)
     if rows.ids != ids:
@@ -708,10 +716,15 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
                          f"backend modules {rows.ids} are not the layout's {ids}")
     events_log: list[tuple[float, int, str]] = []
     plant_events: list[tuple[int, str]] = []
+    took: dict[tuple[str, int], int] = {}  # ticks each (phase, stage) took when it last ran
+    stage, start = (controller.phase, controller.stage), 0
     k = j = 0
     while True:
         now = k * dt
         changed = controller.update(now, rows.pressure[j].tolist(), plant_events)
+        del rows  # done with the block: free it before the next lookahead
+        if (controller.phase, controller.stage) != stage:
+            took[stage], stage, start = k - start, (controller.phase, controller.stage), k
         if k == n_steps and not controller.done:
             controller.finish("duration limit reached")
         for mid in sorted(changed):
@@ -719,12 +732,16 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         tick_events = controller.take_events()
         for mid, text in tick_events:
             events_log.append((now, mid, text))
-        rows = backend.lookahead(1 if controller.done else min(BLOCK_TICKS, n_steps - k + 1))
+        left = took.get(stage, 0) - (k - start)
+        n = min(left + 32, 4 * BLOCK_TICKS) if left > 0 else BLOCK_TICKS
+        rows = backend.lookahead(1 if controller.done else min(n, n_steps - k + 1))
         times = np.arange(k, k + len(rows)) * dt
         j = 1 if controller.done else controller.quiet_rows(times, rows.pressure)
         if recorder is not None:
-            recorder.record(times[:j], rows.head(j), controller.valves,
-                            controller.phase_label(), layout, tick_events)
+            for a in range(0, j, BLOCK_TICKS):
+                b = min(a + BLOCK_TICKS, j)
+                recorder.record(times[a:b], rows.span(a, b), controller.valves,
+                                controller.phase_label(), layout, [] if a else tick_events)
         if controller.done:
             break
         backend.advance(j)

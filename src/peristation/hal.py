@@ -73,12 +73,12 @@ class Rows:
     def __len__(self) -> int:
         return len(self.time)
 
-    def head(self, n: int) -> "Rows":
-        """The first n rows."""
+    def span(self, a: int, b: int) -> "Rows":
+        """Rows a to b - 1."""
         truth = self.inflation is not None
-        return Rows(self.ids, self.pressure[:n], self.time[:n],
-                    self.inflation[:n] if truth else None,
-                    self.object_z[:n] if truth else None)
+        return Rows(self.ids, self.pressure[a:b], self.time[a:b],
+                    self.inflation[a:b] if truth else None,
+                    self.object_z[a:b] if truth else None)
 
 
 class ReplayMismatchError(ValueError):

@@ -303,6 +303,10 @@ class Plant:
         ])
         self._comp = [i for i, k in enumerate(self._kind) if k == COMPRESSION]
         self._gap = [m.geometry.inner_radius_r - obj.spec.radius_r_o if obj else 0.0 for m in self._mods]
+        # the least kPa at which some compression ring reaches the object; inf without one
+        self.grip = min((contact_pressure(g, material, params.P_max, obj.spec.radius_r_o)
+                         for g in {self._mods[i].geometry for i in self._comp} if obj),
+                        default=math.inf)
         ror = obj.spec.radius_r_o / self._mods[0].geometry.inner_radius_r if obj else 0.0
         # pressure change per step of an inflating or venting ring
         dt = params.dt

@@ -40,7 +40,7 @@ from peristation import (
     run_station,
 )
 from peristation.config import load_config
-from peristation.control import ADVANCE_RELEASE, CYCLE, REGRASP_BOTTOM
+from peristation.control import ADVANCE_RELEASE, BLOCK_TICKS, CYCLE, REGRASP_BOTTOM
 from peristation.telemetry import as_recorded
 from tests.conftest import NOMINAL, Row, log_of, read_rows
 
@@ -135,6 +135,25 @@ class TickRecorder:
         for i, t in enumerate(now):
             sensed = dict(zip(rows.ids, rows.pressure[i].tolist()))
             self.rows.append((t, sensed, dict(valves), texts if i == 0 else []))
+
+
+class CountingBackend(SimulatedBackend):
+    """A simulated backend that counts its lookaheads, the rows they return
+    and the rows it advances."""
+
+    def __init__(self, plant):
+        super().__init__(plant)
+        self.lookaheads = self.rows = self.advanced = 0
+
+    def lookahead(self, n):
+        rows = super().lookahead(n)
+        self.lookaheads += 1
+        self.rows += len(rows)
+        return rows
+
+    def advance(self, j):
+        super().advance(j)
+        self.advanced += j
 
 
 class OneRowBackend:
@@ -557,6 +576,34 @@ class TestRunStation:
         first_cycle = next(t for t, _, text in res.events if text.startswith("cycle=1 complete"))
         assert grasped < first_cycle
 
+    def test_a_deflated_gate_that_cannot_release_is_refused(self, five_module_layout, material,
+                                                            params):
+        """With a plant, the deflated gate must be below the plant's grip, as
+        validate states the rule.  One ulp under the inflated gate, a vented
+        ring still holds the object: the run ended "undetectable object"
+        after 3 cycles, with no fault."""
+        backend = sim_backend(five_module_layout, material, params)
+        with pytest.raises(ValueError) as e:
+            run_station(backend, five_module_layout, backend.plant.object.spec, 0.0, params,
+                        DetectionConfig(),
+                        ControlConfig(deflated_threshold_kPa=math.nextafter(14.25, 0.0)), 120.0)
+        assert str(e.value) == ("control: deflated_threshold_kPa must be below the contact "
+                                "pressure 6.521739130434782 kPa at which a ring reaches the "
+                                "object, got 14.249999999999998")
+        assert backend.now == 0.0
+
+    @pytest.mark.parametrize("ror", [0.7, 0.4], ids=["nominal", "thin"])
+    def test_gates_below_the_grip_run(self, five_module_layout, material, params, ror):
+        """The default gate, and one just below the grip, pass the plant's rule
+        on the benchmark's objects (r_o = 17.5 and 10 mm)."""
+        grip = sim_backend(five_module_layout, material, params, ror=ror).plant.grip
+        for deflated in (ControlConfig().deflated_threshold_kPa, math.nextafter(grip, 0.0)):
+            backend = sim_backend(five_module_layout, material, params, ror=ror)
+            res = run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                              params, DetectionConfig(),
+                              ControlConfig(deflated_threshold_kPa=deflated), 1.0)
+            assert res.sim_time_s == 1.0
+
     def test_thin_object_never_detected(self, five_module_layout, material, params):
         backend = sim_backend(five_module_layout, material, params, ror=0.4)
         res = run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
@@ -641,12 +688,17 @@ class TestBlockStepping:
            duration=st.floats(2.0, 40.0), timeout=st.sampled_from([10.0, 2.5]))
     @example(seed=0, sigma=0.05, radius=17.5, modules=5, duration=2.0, timeout=10.0)
     @example(seed=1, sigma=0.0, radius=17.5, modules=3, duration=20.0, timeout=2.5)
+    @example(seed=0, sigma=0.0, radius=17.5, modules=7, duration=20.0, timeout=10.0)
+    @example(seed=2, sigma=0.05, radius=17.5, modules=5, duration=27.0, timeout=10.0)
     def test_blocks_match_the_tick_by_tick_run(self, seed, sigma, radius, modules, duration,
                                                timeout):
         """Whole blocks and one tick at a time give the same result and the
         same telemetry bytes.  dt = 10 ms keeps the tick-by-tick reference
-        short.  The examples end a run mid-inflation, and time out the first
-        grasp (it needs about 3.3 s)."""
+        short.  The examples end a run mid-inflation, time out the first
+        grasp (it needs about 3.3 s), and run into a second cycle (from
+        about 14.7 s), whose lookaheads are sized from the first cycle's
+        stages: in the noisy one, its stages end 2 and 1 ticks before their
+        record and 1 and 6 ticks after it."""
         geometry = RingGeometry(**NOMINAL)
         material = SurrogateMaterial(100.0, 0.45, calibrate_kappa(geometry, 100.0, 0.69, 15.0))
         layout = build_station(geometry, modules, 20.0, 20.0)
@@ -667,6 +719,28 @@ class TestBlockStepping:
                     files.append(f.read())
         assert results[0] == results[1]
         assert files[0] == files[1]
+
+
+    def test_lookaheads_follow_the_stages(self, five_module_layout, material, params):
+        """Each lookahead is sized from the last duration of its stage: the
+        nominal run takes at most 60 lookaheads (92 at BLOCK_TICKS each) and
+        computes at most 1.3 rows per row it commits (1.51 at BLOCK_TICKS).
+        The recorder still gets at most BLOCK_TICKS ticks per call."""
+        backend = CountingBackend(sim_backend(five_module_layout, material, params).plant)
+        calls = []
+
+        class Sizes:
+            def record(self, now, rows, valves, phase, layout, events):
+                calls.append(len(now))
+
+        res = run_station(backend, five_module_layout, backend.plant.object.spec, 0.0, params,
+                          DetectionConfig(), ControlConfig(), 120.0, recorder=Sizes())
+        assert res.outcome == "object exited"
+        assert backend.advanced == 61067
+        assert backend.lookaheads <= 60
+        assert backend.rows <= 1.3 * backend.advanced
+        assert sum(calls) == backend.advanced + 1
+        assert max(calls) == BLOCK_TICKS
 
 
 class TestReplayEquivalence:

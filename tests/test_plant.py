@@ -282,11 +282,13 @@ class TestContactCheck:
     def test_contact_pressure_is_the_least_that_reaches(self, three_module_layout, material,
                                                         params, r_o):
         """A filling ring grips on exactly the ticks at or above the contact
-        pressure (inf for an object too thin to reach)."""
+        pressure (inf for an object too thin to reach), the plant's grip."""
         kpa = contact_pressure(three_module_layout.modules[0].geometry, material, 15.0, r_o)
         assert kpa == math.inf or math.nextafter(kpa, 0.0) / 15.0 * 17.25 < 25.0 - r_o
         obj = ObjectState(ObjectSpec(r_o, 60.0), 0.0)  # in rings 1 and 3
         plant = make_plant(three_module_layout, material, params, obj)
+        assert plant.grip == kpa
+        assert make_plant(three_module_layout, material, params, None).grip == math.inf
         plant.set_valve(1, INFLATE)
         traj = plant.trajectory(4000)  # to P_max
         assert traj.pressure[-1, 0] == 15.0
