@@ -9,6 +9,7 @@ CSV, sweep CSV).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -142,14 +143,13 @@ def cmd_run(args, cfg) -> int:
     obj = ObjectState(cfg.object_spec, cfg.initial_z) if cfg.object_spec else None
     backend = SimulatedBackend(Plant(cfg.layout, obj, cfg.params, cfg.material))
     out = args.out or cfg.output_path or "telemetry.csv"
-    try:
-        recorder = TelemetryWriter(out)
+    try:  # an output that cannot be opened, or that fills up during the run
+        with TelemetryWriter(out) as recorder:
+            result = run_station(backend, cfg.layout, cfg.object_spec, cfg.initial_z,
+                                 cfg.params, detection, cfg.control, cfg.duration_s,
+                                 recorder=recorder)
     except OSError as e:
         return _output_error(out, e)
-    with recorder:
-        result = run_station(backend, cfg.layout, cfg.object_spec, cfg.initial_z,
-                             cfg.params, detection, cfg.control, cfg.duration_s,
-                             recorder=recorder)
     drops = sum(1 for _, _, text in result.events if text.startswith("drop"))
     print(f"outcome: {result.outcome}")
     print(f"cycles: {result.cycles}")
@@ -197,6 +197,7 @@ def cmd_sweep(args, cfg) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state in the parser, so a process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peristation",

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import yaml
+from yaml import CollectionEndEvent, CollectionStartEvent
 
 from .control import (ControlConfig, DetectionConfig, duration_problems, gate_problems,
                       timeout_problems, window_problems)
@@ -42,6 +44,14 @@ from .plant import (
 
 class ConfigError(ValueError):
     """Configuration failed to parse or type-check."""
+
+
+# libyaml's loader where PyYAML has it; both share SafeConstructor and the resolver.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The deepest a config may nest; a valid one has 4 levels (root, section,
+# station.modules, module).  libyaml composes recursively in C and kills the
+# process on deeper text, so _parse first counts levels on the parser's events.
+MAX_NESTING = 16
 
 
 DEFAULT_GEOMETRY = {
@@ -215,6 +225,31 @@ def _build_layout(station: dict, geometry: RingGeometry, problems: list
     return None if violations else StationLayout(tuple(specs))
 
 
+def _parse(path: str):
+    """The YAML data in the file at path, refused past MAX_NESTING before it is composed.
+
+    The event parser, a state machine in both loaders, reads only as far as it
+    needs, so text that is not YAML (endless NULs) ends the read early.  The
+    data is then loaded from the text it read.
+    """
+    read = []
+    with open(path, "r", encoding="utf-8") as f:
+        def more(size=-1):
+            read.append(f.read(size))
+            return read[-1]
+        try:
+            level = 0
+            for ev in yaml.parse(SimpleNamespace(name=path, read=more), Loader=_LOADER):
+                level += isinstance(ev, CollectionStartEvent) - isinstance(ev, CollectionEndEvent)
+                if level > MAX_NESTING:
+                    raise ConfigError(f"{path}: nested deeper than {MAX_NESTING} levels")
+            return yaml.load("".join(read), Loader=_LOADER)
+        except yaml.YAMLError as e:
+            raise ConfigError(f"not valid YAML: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_config(path: Optional[str] = None) -> RunConfig:
     """Read a YAML config file (or None for all defaults) into a RunConfig.
 
@@ -222,18 +257,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         ConfigError: unreadable YAML, unknown sections/keys, wrong types,
             or an incomplete geometry section.
     """
-    data = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                data = yaml.safe_load(f)
-            except yaml.YAMLError as e:
-                raise ConfigError(f"not valid YAML: {e}") from None
-            except UnicodeDecodeError as e:
-                raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
-        if data is None:
-            data = {}
-    data = _mapping(data, "config root")
+    data = _mapping(None if path is None else _parse(path), "config root")
     unknown = sorted(set(data) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")

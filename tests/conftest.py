@@ -4,7 +4,9 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+import yaml
 
+import peristation.config as config_module
 import peristation.telemetry as telemetry_module
 
 from peristation import (
@@ -23,6 +25,37 @@ from peristation import (
     calibrate_kappa,
     run_station,
 )
+
+# The two YAML loaders load_config can read with: libyaml's, which it takes
+# where PyYAML has it, and the pure-Python fallback.
+LOADERS = [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                          reason="PyYAML built without libyaml")),
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+]
+
+
+@pytest.fixture(params=LOADERS)
+def loader(request, monkeypatch):
+    """Each YAML loader in turn, as the one load_config reads with."""
+    monkeypatch.setattr(config_module, "_LOADER", request.param)
+    return request.param
+
+
+@pytest.fixture(autouse=True, scope="class")
+def class_loader(request):
+    """A test class with a LOADER attribute reads every config with that loader.
+
+    A subclass that names the fallback runs its base class's tests again
+    under it, and the base class's tests keep their names.
+    """
+    loader = getattr(request.cls, "LOADER", None)
+    with pytest.MonkeyPatch.context() as mp:
+        if loader is not None:
+            mp.setattr(config_module, "_LOADER", loader)
+        yield
+
 
 # nominal ring: R=40, r=25, five 28.8 mm chambers spaced 12 mm, 2 mm walls
 NOMINAL = dict(

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, printed summaries, emitted files."""
 
 import contextlib
+import errno
 import io
 import math
 import os
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import peristation
 from peristation import TELEMETRY_HEADER, BASELINES_HEADER, ConfigError
-from peristation.cli import main, parse_range
+from peristation import cli
+from peristation.cli import build_parser, main, parse_range
 from peristation.config import (
     DEFAULT_CONTROL,
     DEFAULT_DETECTION,
@@ -48,12 +50,17 @@ CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,
          "from peristation.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-def run_child(argv, timeout=60):
+# CHILD, reading configs with the yaml loader that argv names first.
+LOADER_CHILD = ("import sys, yaml; from peristation import config; "
+                "config._LOADER = getattr(yaml, sys.argv.pop(1)); " + CHILD)
+
+
+def run_child(argv, timeout=60, code=CHILD):
     """The CLI in a child process, held to 1 GiB and killed after timeout s: an
     input that loops or grows without bound fails the test (TimeoutExpired, or a
     MemoryError traceback) instead of stalling the suite."""
     env = {**os.environ, "PYTHONPATH": str(Path(peristation.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -146,6 +153,15 @@ class TestValidate:
         cfg = write_cfg(tmp_path, "geometry: [unclosed")
         assert main(["validate", "--config", cfg]) == 2
         assert "config error:" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero here")
+    def test_endless_text_exits_2_at_its_first_character(self, loader):
+        """The loader reads a config as far as it parses, so a stream of NULs
+        ends at the first one (in a child, held to 1 GiB, in case it does not)."""
+        done = run_child([loader.__name__, "validate", "--config", "/dev/zero"],
+                         code=LOADER_CHILD)
+        assert (done.returncode, done.stderr) == (2, "")
+        assert done.stdout.startswith("config error: not valid YAML: unacceptable character #x0000")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "absent.yaml")]) == 2
@@ -561,6 +577,81 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+class TestOutputFailsDuringTheRun:
+    """A write that fails once the run has started is reported, exit 2, not a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("duration", ["0.05", "5"], ids=["at close", "during the run"])
+    def test_full_device_exits_2(self, capsys, duration):
+        # 5 s of the nominal run is more than the writer's 1 MiB buffer
+        assert main(["run", "--duration", duration, "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().out == "output error: /dev/full: No space left on device\n"
+
+    def test_writer_that_fails_part_way_exits_2(self, tmp_path, capsys, monkeypatch):
+        class FailingWriter(peristation.TelemetryWriter):
+            calls = 0
+
+            def record(self, *args):
+                FailingWriter.calls += 1
+                if FailingWriter.calls == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                super().record(*args)
+
+        monkeypatch.setattr(cli, "TelemetryWriter", FailingWriter)
+        out = tmp_path / "t.csv"
+        assert main(["run", "--duration", "5", "--out", str(out)]) == 2
+        assert FailingWriter.calls == 3
+        assert capsys.readouterr().out == f"output error: {out}: {os.strerror(errno.ENOSPC)}\n"
+
+
+class TestOneParser:
+    def test_a_reused_parser_answers_as_a_fresh_one(self, tmp_path, capsys):
+        """build_parser runs once per process, and what it built keeps no state
+        from one command to the next."""
+        calls = [["run", "--seed", "x"], ["validate"],
+                 ["run", "--duration", "1", "--out", str(tmp_path / "t.csv")],
+                 ["calibrate", "--out", str(tmp_path / "b.csv")], ["--help"]]
+
+        def answers(fresh: bool) -> list:
+            build_parser.cache_clear()
+            seen = []
+            for argv in calls:
+                if fresh:
+                    build_parser.cache_clear()
+                seen.append((main(argv), *capsys.readouterr()))
+            return seen
+
+        fresh = answers(fresh=True)
+        reused = answers(fresh=False)
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0]
+        assert reused == fresh
+
+
+class TestNestingRule:
+    """A config nested past config.MAX_NESTING is refused before it is built."""
+
+    @pytest.mark.parametrize("levels, printed", [
+        (16, "config error: config root: expected a mapping, got list\n"),
+        (17, "config error: {path}: nested deeper than 16 levels\n"),
+    ], ids=["16 levels", "17 levels"])
+    def test_validate_refuses_past_16_levels(self, tmp_path, capsys, loader, levels, printed):
+        path = write_cfg(tmp_path, "[" * levels + "]" * levels)
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().out == printed.format(path=path)
+
+    @pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000, "[" * 300_000],
+                             ids=["3000 nested", "300000 unbalanced"])
+    def test_deep_text_exits_2_without_a_traceback(self, tmp_path, loader, text):
+        """In a child, so that a loader that recursed on the text (a
+        RecursionError in PyYAML's, the process killed in libyaml's) fails
+        this test alone."""
+        path = write_cfg(tmp_path, text)
+        done = run_child([loader.__name__, "validate", "--config", path], code=LOADER_CHILD)
+        printed = f"config error: {path}: nested deeper than 16 levels\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, printed, "")
+
+
 class TestRefusedByEveryCommand:
     """A config that validate refuses, every command refuses: exit 1, the
     same FAIL line, no traceback and no output file (in a child process: a
@@ -632,6 +723,11 @@ class TestNonUtf8Input:
         assert printed.startswith(f"config error: {baselines}: ") and "utf-8" in printed
         assert not out.exists()
 
+
+class TestNonUtf8InputSafeLoader(TestNonUtf8Input):
+    LOADER = yaml.SafeLoader  # tests/conftest.py, class_loader
+
+
 def fuzz_values(default):
     """Non-finite, negative, zero, and half or twice the default, of its type."""
     return [math.nan, math.inf, -math.inf, -1, 0, type(default)(default * 0.5),
@@ -694,17 +790,29 @@ def check_config(config):
             assert code in (0, 1), config
 
 
+def combined_fuzz():
+    """The fuzz of combined field values, built anew for each class that runs
+    it: hypothesis runs a test function for one class only."""
+    @settings(max_examples=200, deadline=None)
+    @given(config=fuzzed_configs())
+    @example(config={"station": {"modules": [{"kind": "Compression"}]}})
+    def test_field_values_combined(self, config):
+        check_config(config)
+    return test_field_values_combined
+
+
 class TestConfigFuzz:
     def test_each_field_value_alone(self):
         for (section, key), values in FUZZ_FIELDS.items():
             for value in values:
                 check_config(fuzzed_config([(section, key, value)]))
 
-    @settings(max_examples=200, deadline=None)
-    @given(config=fuzzed_configs())
-    @example(config={"station": {"modules": [{"kind": "Compression"}]}})
-    def test_field_values_combined(self, config):
-        check_config(config)
+    test_field_values_combined = combined_fuzz()
+
+
+class TestConfigFuzzSafeLoader(TestConfigFuzz):
+    LOADER = yaml.SafeLoader
+    test_field_values_combined = combined_fuzz()
 
 
 # argv parts: each may be malformed text, non-finite, zero, negative or out of range

@@ -1,9 +1,13 @@
 """Config loading: defaults, the two failure channels, baseline files."""
 
+import json
 import math
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peristation import (
     COMPRESSION,
@@ -16,7 +20,8 @@ from peristation import (
     load_config,
     write_baselines,
 )
-from peristation.config import duration_problems
+from peristation import config
+from peristation.config import MAX_NESTING, duration_problems
 from peristation.control import calibrate_baseline, timeout_problems, window_problems
 
 
@@ -370,3 +375,121 @@ class TestBaselineFiles:
         with pytest.raises(ConfigError,
                            match=r"baselines line 5: module 1 already has a rate \(line 2\)"):
             load_baselines(str(path))
+
+
+# The pure-Python loader reads every config of the YAML-facing classes again
+# (tests/conftest.py, class_loader); the classes above read with the default.
+class TestDefaultsSafeLoader(TestDefaults):
+    LOADER = yaml.SafeLoader
+
+
+class TestStructuralErrorsSafeLoader(TestStructuralErrors):
+    LOADER = yaml.SafeLoader
+
+
+class TestSemanticProblemsSafeLoader(TestSemanticProblems):
+    LOADER = yaml.SafeLoader
+
+
+class TestSectionsAppliedSafeLoader(TestSectionsApplied):
+    LOADER = yaml.SafeLoader
+
+
+def nested(levels: int, block: bool) -> str:
+    """A document nested levels deep: flow sequences, or block mappings of one key k."""
+    if not block:
+        return "[" * levels + "]" * levels + "\n"
+    return "".join(f"{'  ' * i}k:\n" for i in range(levels - 1)) + "  " * (levels - 1) + "k: 1\n"
+
+
+class TestNestingRule:
+    @pytest.mark.parametrize("block, refusal", [
+        (False, "config root: expected a mapping, got list"),
+        (True, r"unknown section\(s\): k"),
+    ], ids=["flow", "block"])
+    def test_16_levels_pass_the_rule_and_17_do_not(self, tmp_path, loader, block, refusal):
+        assert MAX_NESTING == 16
+        with pytest.raises(ConfigError, match=f"^{refusal}$"):  # a later rule refuses it
+            load_config(cfg_file(tmp_path, nested(MAX_NESTING, block)))
+        path = cfg_file(tmp_path, nested(MAX_NESTING + 1, block))
+        with pytest.raises(ConfigError) as refused:
+            load_config(path)
+        assert str(refused.value) == f"{path}: nested deeper than 16 levels"
+
+    def test_a_config_has_4_levels(self, tmp_path, loader):
+        cfg = load_config(cfg_file(tmp_path, "station:\n  modules:\n    - {kind: Compression}\n"
+                                             "    - {kind: Longitudinal}\n"
+                                             "    - {kind: Compression, height: 10.0}\n"))
+        assert [m.height_h for m in cfg.layout.modules] == [20.0, 20.0, 10.0]
+
+
+# Spellings of the scalars a config holds, many of which YAML 1.1 reads
+# otherwise than JSON or a person would: 1.0e3 is a string but 1.0e+3 a
+# float, yes is true, 0o17 a string but 017 an octal, 1:30 an integer.
+SCALAR_TEXTS = [
+    "1.0e3", "1e3", "1.0e+3", "-1.5E-3", ".inf", "-.inf", "+.inf", ".nan", ".NaN", "1.", ".5",
+    "-0.0", "+12", "0x1f", "017", "0o17", "0b101", "1_000", "1:30", "190:20:30.15",
+    "true", "false", "True", "yes", "no", "on", "off", "y", "n", "null", "~", "Null", "",
+    "2001-12-14", "Compression", "Longitudinal", "'quoted'", '"a\\tb"', "!!float 1", "!!str 1",
+]
+# plain scalars from this alphabet may be numbers, words, or text that is not YAML
+PLAIN = st.text(alphabet="0123456789.eE+-_:xob aZ~#'", min_size=1, max_size=8)
+SCALARS = st.one_of(
+    st.sampled_from(SCALAR_TEXTS),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:e}".format),
+    PLAIN,
+    # double-quoted, with astral characters as themselves: libyaml refuses
+    # the surrogate escapes ("\\ud83d") that json.dumps would write for them
+    st.text(max_size=6).map(lambda s: json.dumps(s, ensure_ascii=False)),
+)
+
+
+@st.composite
+def config_texts(draw):
+    """A config-shaped YAML document: known sections and keys, each section
+    in block or flow style, with a station.modules list in some of them."""
+    lines = []
+    names = draw(st.lists(st.sampled_from(sorted(config._SECTIONS)), unique=True, max_size=4))
+    for name in names:
+        keys = draw(st.lists(st.sampled_from(sorted(config._SECTIONS[name])), unique=True,
+                             max_size=4))
+        values = {key: draw(SCALARS) for key in keys}
+        if name == "station" and "modules" in values and draw(st.booleans()):
+            values["modules"] = "[" + ", ".join(
+                f"{{kind: {draw(SCALARS)}, height: {draw(SCALARS)}}}"
+                for _ in range(draw(st.integers(0, 3)))) + "]"
+        if draw(st.booleans()):
+            lines.append(f"{name}: {{{', '.join(f'{k}: {v}' for k, v in values.items())}}}")
+        else:
+            lines.append(f"{name}:")
+            lines += [f"  {k}: {v}" for k, v in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+def read_with(loader, text):
+    """What a loader makes of text: the repr of its data, or YAMLError."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return "YAMLError"
+
+
+class TestLoaders:
+    def test_libyaml_where_pyyaml_has_it(self):
+        assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_refuses_a_surrogate_escape(self, tmp_path):
+        """The one difference between the loaders: PyYAML's reads the escape as a
+        lone surrogate, which no file name or output can encode."""
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(cfg_file(tmp_path, 'run: {output_path: "\\ud83d\\ude00.csv"}\n'))
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @settings(max_examples=300, deadline=None)
+    @given(text=config_texts())
+    @example(text="plant:\n  P_max: 1.0e3\n  dt: 1e3\n  k_free: .inf\n")
+    def test_both_loaders_read_the_same_data(self, text):
+        assert read_with(yaml.CSafeLoader, text) == read_with(yaml.SafeLoader, text), text
