@@ -414,6 +414,58 @@ class TestCalibrateBaseline:
         assert backend.now == 0.0
 
 
+class TestCalibrationTimeline:
+    """Calibration's commands, slopes and clock, pinned bit for bit on the
+    nominal config without an object: each command's (module, mode, tick),
+    each slope's float.hex() and the final backend clock."""
+
+    def calibrate(self, sigma, rings, pre_inflate=0):
+        cfg = load_config()
+        params = replace(cfg.params, noise_sigma=sigma, rng_seed=0)
+        backend = SimulatedBackend(Plant(cfg.layout, None, params, cfg.material))
+        if pre_inflate:
+            backend.set_valve(ValveCommand(rings[0], INFLATE, 0.0))
+            backend.advance(pre_inflate)
+        sent = []
+        send = backend.set_valve
+
+        def spy(cmd):
+            sent.append((cmd.module_id, cmd.mode, round(cmd.timestamp / params.dt)))
+            return send(cmd)
+
+        backend.set_valve = spy
+        slopes = [calibrate_baseline(backend, m, params, cfg.detection, cfg.control).hex()
+                  for m in rings]
+        return sent, slopes, backend.now.hex()
+
+    @staticmethod
+    def commands(ticks):
+        return [(m, mode, k) for m, ring_ticks in zip((1, 3, 5), ticks)
+                for mode, k in zip((INFLATE, DEFLATE, HOLD), ring_ticks)]
+
+    def test_noisy_rings(self):
+        assert self.calibrate(0.05, (1, 3, 5)) == (
+            self.commands(((0, 2502, 3361), (3361, 5862, 6725), (6725, 9227, 10087))),
+            ["0x1.1569fd1647daep+2", "0x1.15aae9e77626bp+2", "0x1.14c488ccffa27p+2"],
+            "0x1.42c8b439580b1p+3",
+        )
+
+    def test_noiseless_rings(self):
+        assert self.calibrate(0.0, (1, 3, 5)) == (
+            self.commands(((0, 2502, 3364), (3364, 5865, 6726), (6726, 9228, 10090))),
+            ["0x1.151eb851eb94ep+2", "0x1.151eb851eb0ddp+2", "0x1.151eb851ec1c5p+2"],
+            "0x1.42e147ae14758p+3",
+        )
+
+    def test_inflated_ring_vents_first(self):
+        """Ring 1 inflated for 2,000 ticks reads about 8.7 kPa, above the 0.5 kPa gate."""
+        assert self.calibrate(0.05, (1,), pre_inflate=2000) == (
+            [(1, DEFLATE, 2000), (1, INFLATE, 2665), (1, DEFLATE, 5166), (1, HOLD, 6079)],
+            ["0x1.15728d447477cp+2"],
+            "0x1.850e560418ad2p+2",
+        )
+
+
 class TestStationController:
     def controller(self, layout, detection=None, control=None, obj=ObjectSpec(17.5, 75.0)):
         return StationController(
