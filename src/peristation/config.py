@@ -17,6 +17,7 @@ Two failure channels, matching the CLI exit codes:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 from typing import Optional
@@ -321,8 +322,14 @@ def load_config(path: Optional[str] = None) -> RunConfig:
 
     run = sections["run"]
     problems.extend(duration_problems(run["duration_s"], params and params.dt))
-    if run["output_path"] is not None and not isinstance(run["output_path"], str):
-        raise ConfigError(f"run.output_path: expected a path string, got {run['output_path']!r}")
+    out = run["output_path"]
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"run.output_path: expected a path string, got {out!r}")
+    try:  # open() names the file by these bytes, which a NUL would end early
+        if out is not None and b"\0" in os.fsencode(out):
+            raise ValueError("embedded null byte")
+    except ValueError as e:  # UnicodeEncodeError too
+        raise ConfigError(f"run.output_path: cannot name a file ({e}), got {out!r}") from None
 
     return RunConfig(
         geometry=geometry,

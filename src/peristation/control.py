@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -213,35 +213,6 @@ def detect_contact(module_id: int, trace: Sequence[tuple[float, float]] | np.nda
 # -- blocking calibration -----------------------------------------------------
 
 
-def _advance_until(backend, module_id: int, stop: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   timeout: float, describe: str, keep: bool = False) -> Optional[np.ndarray]:
-    """Advance block by block to the first row where stop(time, kPa) holds.
-
-    stop gets the rows' backend times and the module's sensed pressures and
-    returns a boolean mask.  With keep, returns the rows passed over, the
-    row it stopped at excluded, as one (rows, 2) array of (time, kPa);
-    without, it holds none of them.
-
-    Raises:
-        ControlFaultError: timeout has passed and stop has not held.
-    """
-    deadline = backend.now + timeout
-    passed = []
-    while True:
-        rows = backend.lookahead(BLOCK_TICKS)
-        p = rows.pressure[:, rows.ids.index(module_id)]
-        done = stop(rows.time, p)
-        hits = np.flatnonzero(done | (rows.time >= deadline))
-        j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
-        if keep:
-            passed.append(np.column_stack((rows.time[:j], p[:j])))
-        backend.advance(j)
-        if hits.size:
-            if not done[j]:
-                raise ControlFaultError(f"timeout: module {module_id} stalled {describe}")
-            return np.concatenate(passed) if keep else None
-
-
 def calibrate_baseline(backend, module_id: int, params: PlantParams,
                        detection: DetectionConfig,
                        control: Optional[ControlConfig] = None) -> float:
@@ -252,7 +223,8 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     ring's span; a slope above theta times the free rate is rejected as
     contaminated.  Time is the backend's clock, and ticks advance in blocks.
     Each of the three waits raises ControlFaultError once the control's
-    phase_timeout_s has passed.
+    phase_timeout_s has passed.  Only the inflation keeps its samples, the
+    row that ends it left out.
 
     Raises:
         ValueError: a timeout or a window that breaks timeout_problems or window_problems.
@@ -262,26 +234,31 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     if problems:
         raise ValueError(problems[0])
     lo = ctl.deflated_threshold_kPa
-
-    def cmd(mode: str) -> None:
-        backend.set_valve(ValveCommand(module_id, mode, backend.now))
-
-    def vent(when: str) -> None:
-        cmd(DEFLATE)
-        _advance_until(backend, module_id, lambda t, p: p <= lo, ctl.phase_timeout_s,
-                       f"venting {when} calibration")
-
-    if backend.read_pressure(module_id)[0] > lo:
-        vent("before")
-    cmd(INFLATE)
-    t0 = backend.now
     w_end = detection.window_start + detection.window_len + params.dt
-    trace = _advance_until(backend, module_id, lambda t, p: t - t0 > w_end, ctl.phase_timeout_s,
-                           "inflating through the detection window", keep=True)
-    trace[:, 0] -= t0
-    slope = _window_slope(trace, detection, params.P_max)
-    vent("after")
-    cmd(HOLD)
+    waits = [(INFLATE, "inflating through the detection window"),
+             (DEFLATE, "venting after calibration")]
+    if backend.read_pressure(module_id)[0] > lo:
+        waits.insert(0, (DEFLATE, "venting before calibration"))
+    for mode, what in waits:
+        backend.set_valve(ValveCommand(module_id, mode, backend.now))
+        t0 = backend.now
+        trace = []
+        while True:
+            rows = backend.lookahead(BLOCK_TICKS)
+            p = rows.pressure[:, rows.ids.index(module_id)]
+            done = rows.time - t0 > w_end if mode == INFLATE else p <= lo
+            hits = np.flatnonzero(done | (rows.time >= t0 + ctl.phase_timeout_s))
+            j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
+            if mode == INFLATE:
+                trace.append(np.column_stack((rows.time[:j] - t0, p[:j])))
+            backend.advance(j)
+            if hits.size:
+                break
+        if not done[j]:
+            raise ControlFaultError(f"timeout: module {module_id} stalled {what}")
+        if mode == INFLATE:
+            slope = _window_slope(np.concatenate(trace), detection, params.P_max)
+    backend.set_valve(ValveCommand(module_id, HOLD, backend.now))
 
     if slope > detection.threshold_ratio_theta * params.k_free:
         raise CalibrationError(
@@ -620,14 +597,20 @@ def window_problems(detection: DetectionConfig, control: ControlConfig, dt: floa
     calibrate_baseline inflates a ring until window_start + window_len + dt
     has passed and gives up at phase_timeout_s, so the window must end
     before the timeout.  It and a probe hold the window's (s, kPa) samples,
-    16 bytes a tick, so the window spans at most 2**22 ticks (64 MiB).
+    16 bytes a tick, so the window spans at most 2**22 ticks (64 MiB).  The
+    window holds at most floor(window_len / dt) + 1 samples, so
+    min_window_samples can ask no more.
     """
     end = detection.window_start + detection.window_len + dt
     problems = _ticks_problems("detection: window_start + window_len + dt", end, dt, 22)
-    if end < control.phase_timeout_s:
-        return problems
-    return [f"detection: window_start + window_len + dt must be below "
-            f"phase_timeout_s = {control.phase_timeout_s} s, got {end}", *problems]
+    if end >= control.phase_timeout_s:
+        problems.insert(0, f"detection: window_start + window_len + dt must be below "
+                           f"phase_timeout_s = {control.phase_timeout_s} s, got {end}")
+    ticks = detection.window_len / dt
+    if detection.min_window_samples - 1 > ticks:  # an int and a float compare exactly
+        problems.append(f"detection: min_window_samples must be at most floor(window_len / dt)"
+                        f" + 1 = {math.floor(ticks) + 1}, got {detection.min_window_samples}")
+    return problems
 
 
 def timeout_problems(control: ControlConfig, dt: float) -> list[str]:

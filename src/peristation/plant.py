@@ -135,6 +135,8 @@ def station_violations(modules: Sequence[ModuleSpec]) -> list[str]:
         return ["station must contain at least one module"]
     if len(modules) < 3:  # the smallest unit that can move an object
         violations.append("station needs at least one (C, L, C) triple")
+    if len(modules) > MAX_MODULES:
+        violations.append(f"station must have at most {MAX_MODULES} modules, got {len(modules)}")
     ids = [m.id for m in modules]
     if ids != list(range(1, len(modules) + 1)):
         violations.append("module ids must be contiguous from 1")

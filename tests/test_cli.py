@@ -306,10 +306,13 @@ class TestCalibrate:
         assert not (tmp_path / "baselines.csv").exists()
 
     def test_window_too_short_for_the_fit_exits_1(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "station:\n  module_count: 3\ndetection:\n  window_len: 0.005\n")
+        """A window that starts at 3.39 s, as the ring nears saturation, keeps
+        4 samples below the cutoff, fewer than min_window_samples."""
+        cfg = write_cfg(tmp_path, "station:\n  module_count: 3\ndetection:\n  window_start: 3.39\n")
         out = str(tmp_path / "baselines.csv")
         assert main(["calibrate", "--config", cfg, "--out", out]) == 1
-        assert "calibration failed: insufficient trace" in capsys.readouterr().out
+        assert capsys.readouterr().out == ("calibration failed: insufficient trace: only 4 usable "
+                                           "samples in the window (saturation cutoff 14.700 kPa)\n")
         assert not (tmp_path / "baselines.csv").exists()
 
     def test_slow_vent_exits_1(self, tmp_path, capsys):
@@ -687,9 +690,15 @@ class TestRefusedByEveryCommand:
         ("plant:\n  dt: 1.0e-9\n",
          ["detection: window_start + window_len + dt must be at most 2**22 ticks "
           "(dt = 1e-09 s), got 2.500000001"]),
+        ("station:\n  modules:\n" + "    - {kind: Compression}\n    - {kind: Longitudinal}\n" * 5000
+         + "    - {kind: Compression}\n",
+         ["station: station must have at most 9999 modules, got 10001"]),
+        ("detection:\n  min_window_samples: 1002\n",
+         ["detection: min_window_samples must be at most floor(window_len / dt) + 1 = 1001, "
+          "got 1002"]),
     ], ids=["one module", "one-ring list", "gates out of order", "2**53 ticks",
             "gate that cannot release", "window past the timeout", "2**53 timeout ticks",
-            "2**22 window ticks"])
+            "2**22 window ticks", "10001-module list", "more samples than a window holds"])
     def test_exits_1(self, tmp_path, command, text, problems):
         out = tmp_path / "out.csv"
         argv = [*command, str(out)] if command[-1] == "--out" else command
@@ -697,6 +706,25 @@ class TestRefusedByEveryCommand:
         printed = "".join(f"FAIL {problem}\n" for problem in problems)
         assert (done.returncode, done.stdout, done.stderr) == (1, printed, "")
         assert not out.exists()
+
+
+class TestOutputPathThatNamesNoFile:
+    """A run.output_path that open() cannot take is a config error: exit 2,
+    no traceback and no file.  libyaml refuses the surrogate escapes itself;
+    the pure-Python loader reads them as two lone surrogates."""
+
+    @pytest.mark.parametrize("command", [["validate"], ["run"]])
+    @pytest.mark.parametrize("path", [r"a\0b.csv", r"\ud83d\ude00.csv"],
+                             ids=["NUL", "surrogates"])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, loader, command, path):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("run:\n", f'run:\n  output_path: "{path}"\n'))
+        assert main([*command, "--config", cfg]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith("config error: ")
+        if loader is yaml.SafeLoader or path.startswith("a"):
+            assert printed.startswith("config error: run.output_path: cannot name a file (")
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
 
 
 class TestNonUtf8Input:

@@ -273,6 +273,22 @@ class TestSemanticProblems:
             calibrate_baseline(None, 1, cfg.params, cfg.detection, cfg.control)
         assert str(refused.value) == cfg.problems[0]
 
+    def test_min_window_samples_the_window_can_hold(self, tmp_path):
+        """The default 1 s window of 1 ms ticks holds at most 1,001 samples:
+        1,001 is accepted, 1,002 is not, and calibrate_baseline refuses it too."""
+        assert load_config(cfg_file(tmp_path, "detection:\n  min_window_samples: 1001\n")
+                           ).problems == []
+        cfg = load_config(cfg_file(tmp_path, "detection:\n  min_window_samples: 1002\n"))
+        assert cfg.problems == ["detection: min_window_samples must be at most "
+                                "floor(window_len / dt) + 1 = 1001, got 1002"]
+        with pytest.raises(ValueError) as refused:  # before it touches the backend
+            calibrate_baseline(None, 1, cfg.params, cfg.detection, cfg.control)
+        assert str(refused.value) == cfg.problems[0]
+        # a tick too small for the window to count its samples does not fail the rule
+        assert window_problems(DetectionConfig(), ControlConfig(), 5e-324) == [
+            "detection: window_start + window_len + dt must be a finite number of ticks "
+            "(dt = 5e-324 s), got 2.5"]
+
     def test_phase_timeout_of_at_most_2_53_ticks(self, tmp_path):
         """Each wait of calibrate ends by phase_timeout_s: the bound itself is
         accepted, the next double is not, and calibrate_baseline refuses it too."""

@@ -25,7 +25,8 @@ from peristation import (
     station_violations,
     time_to_contact,
 )
-from peristation.plant import VALVE_MODES, contact_pressure, full_compression_inflation
+from peristation.plant import (MAX_MODULES, VALVE_MODES, contact_pressure,
+                               full_compression_inflation, stack_modules)
 from tests.conftest import NOMINAL
 
 
@@ -158,6 +159,16 @@ class TestStationRules:
         )
         with pytest.raises(ValueError, match="invalid station"):
             StationLayout(mods)
+
+    def test_at_most_max_modules(self, geometry):
+        """The bound holds for any module list, not only for a module count."""
+        kinds = [(COMPRESSION if i % 2 == 0 else LONGITUDINAL, 1.0)
+                 for i in range(MAX_MODULES + 2)]
+        assert station_violations(stack_modules(geometry, kinds[:MAX_MODULES])) == []
+        mods = stack_modules(geometry, kinds)
+        assert station_violations(mods) == ["station must have at most 9999 modules, got 10001"]
+        with pytest.raises(ValueError, match="at most 9999 modules"):
+            StationLayout(tuple(mods))
 
 
 class TestPlantParams:
