@@ -252,6 +252,7 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
             if mode == INFLATE:
                 trace.append(np.column_stack((rows.time[:j] - t0, p[:j])))
             backend.advance(j)
+            del rows, p  # free the block before the next lookahead
             if hits.size:
                 break
         if not done[j]:
@@ -731,6 +732,7 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         plant_events = backend.drain_events()
         k += j
         if j == len(rows):  # a one-row lookahead: the new tick is not in it
+            del rows
             rows, j = backend.lookahead(1), 0
 
     if plant is not None and plant.object is not None:

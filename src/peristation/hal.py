@@ -181,6 +181,7 @@ class SimulatedBackend(_Backend):
         self._traj = None
 
     def _rows(self, n: int) -> Rows:
+        self._traj = None  # let go of the stale block, so the plant can reuse it
         traj = self._traj = self.plant.trajectory(n - 1)
         sensed = traj.pressure + self._noise_rows(len(traj)) if self._sigma > 0.0 else traj.pressure
         z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
@@ -303,21 +304,24 @@ def _tick_times(mids: np.ndarray, times: np.ndarray, m: int, dt: float) -> np.nd
     ids = mids[:m].tolist()
     if len(set(ids)) < m:
         raise ValueError(f"recording is not a tick grid: tick 0: module ids {ids} repeat a module")
+    # each check reduces its whole comparison with one .all(), cheaper than a
+    # reduction per tick, and looks for the first bad tick only when that fails
     n = len(mids) // m
-    bad = np.flatnonzero((mids[:n * m].reshape(n, m) != mids[:m]).any(axis=1))
-    if bad.size or n * m < len(mids):  # a bad tick, or a short last one
+    same = mids[:n * m].reshape(n, m) == mids[:m]
+    if n * m < len(mids) or not same.all():  # a bad tick, or a short last one
+        bad = np.flatnonzero(~same.all(axis=1))
         k = int(bad[0]) if bad.size else n
         raise ValueError(f"recording is not a tick grid: tick {k}: module ids "
                          f"{mids[k * m:(k + 1) * m].tolist()} are not the first tick's {ids}")
     grid = times.reshape(n, m)
-    split = np.flatnonzero((grid != grid[:, :1]).any(axis=1))
-    if split.size:
-        k = int(split[0])
+    together = grid == grid[:, :1]
+    if not together.all():
+        k = int(np.flatnonzero(~together.all(axis=1))[0])
         raise ValueError(f"recording is not a tick grid: tick {k}: rows at {grid[k].tolist()} s")
     t = grid[:, 0].copy()
-    off = np.flatnonzero(~(np.abs(t - np.arange(n) * dt) <= _TIME_TOLERANCE))
-    if off.size:
-        k = int(off[0])
+    on_time = np.abs(t - np.arange(n) * dt) <= _TIME_TOLERANCE
+    if not on_time.all():
+        k = int(np.flatnonzero(~on_time)[0])
         raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "
                          f"not at {k * dt} s")
     return t

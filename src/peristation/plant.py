@@ -28,6 +28,7 @@ Any other contact is one comparison of Python floats per stretch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -249,7 +250,9 @@ class Trajectory:
     i steps; the arrays have one column per module, in layout order.  The
     per-module arrays are transposed views of (modules, rows) storage, so
     each module's column is contiguous.  Plant.trajectory builds one and
-    Plant.commit moves the plant to a row.
+    Plant.commit moves the plant to a row.  The storage is the plant's, and
+    the plant writes its next trajectory into it once no view of it is alive:
+    a trajectory, or any view of its arrays, keeps its bits while it is held.
     """
 
     start: int  # the plant's state count when the trajectory was computed
@@ -295,6 +298,9 @@ class Plant:
         self._contact = [False] * n
         self._lift = [0.0] * n  # current rise of each module above rest
         self._state = 0  # counts commits and valve changes; a trajectory is valid for one
+        # trajectory() storage: rows of pressure, inflation, lift and object z; of contact
+        self._floats = np.empty((3 * n + 1, 0))
+        self._bools = np.empty((n, 0), dtype=bool)
 
         # Full-pressure displacement per module, fixed by geometry/material;
         # displacement is linear in pressure below it.
@@ -362,7 +368,11 @@ class Plant:
         integrated by cumulative sums that repeat the per-step float
         operations in the same order, and results are bit-identical to
         stepping one dt at a time.  Each module's states are one contiguous
-        row of (modules, rows) storage, filled once per call with row 0.
+        row of (modules, rows) storage, filled once per call with row 0.  The
+        plant keeps one float block (pressure, inflation, lift, object z) and
+        one bool block (contact), grown to the most rows asked for, and writes
+        into each while no view of the last trajectory's is alive (its
+        reference count says so); while one is, the call takes fresh memory.
         A stretch integrates only the rings whose pressure can change
         (INFLATE below P_max, DEFLATE above 0, read as Python floats); a
         step leaves a held ring's pressure as it is and clips a pinned ring
@@ -390,11 +400,13 @@ class Plant:
         rows = n + 1
         # one contiguous row per module; the Trajectory gets (rows, modules) views.
         # Every row starts as row 0, until a stretch moves it.
-        P, d, lift = (np.array(row0)[:, None].repeat(rows, axis=1)
-                      for row0 in (self._P, self._d, self._lift))
-        contact = np.zeros((m, rows), dtype=bool)
+        floats = self._storage("_floats", 3 * m + 1, rows, np.float64)
+        floats[:3 * m] = np.array(self._P + self._d + self._lift)[:, None]
+        P, d, lift = floats[:m], floats[m:2 * m], floats[2 * m:3 * m]
+        contact = self._storage("_bools", m, rows, bool)
+        contact[:] = False
         contact[:, 0] = self._contact
-        z = np.empty(rows) if obj is not None else None
+        z = floats[3 * m] if obj is not None else None
         if z is not None:
             z[0] = obj.z
         events: list[tuple[int, str]] = []
@@ -480,6 +492,16 @@ class Plant:
         k = last + 1
         return Trajectory(self._state, P[:, :k].T, d[:, :k].T, lift[:, :k].T, contact[:, :k].T,
                           z[:k] if z is not None else None, time, tuple(events))
+
+    def _storage(self, name: str, height: int, rows: int, dtype) -> np.ndarray:
+        """(height, rows) of the plant's storage `name`, grown to rows if short,
+        or fresh memory while a view of the storage is alive: while anything
+        but the attribute and getrefcount's argument refers to it."""
+        if sys.getrefcount(getattr(self, name)) > 2:
+            return np.empty((height, rows), dtype)
+        if getattr(self, name).shape[1] < rows:
+            setattr(self, name, np.empty((height, rows), dtype))
+        return getattr(self, name)[:, :rows]
 
     def _conflict_event(self, sup: list[int]) -> tuple[int, str]:
         ids = [self._mods[i].id for i in sup]

@@ -126,6 +126,11 @@ Row = namedtuple("Row", "time_s module_id kind pressure_kPa valve inflation_mm o
 CODED = ("kind", "valve", "phase")
 
 
+def data_address(a: np.ndarray) -> int:
+    """Where an array's first element lies in memory."""
+    return a.__array_interface__["data"][0]
+
+
 def read_rows(path) -> list:
     """Reference telemetry parser: one Row per non-blank line."""
     rows = []

@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from peristation import (
@@ -19,7 +20,7 @@ from peristation import (
     ValveCommand,
     read_telemetry,
 )
-from tests.conftest import Row, log_of, read_rows
+from tests.conftest import Row, data_address, log_of, read_rows
 
 
 @pytest.fixture
@@ -222,6 +223,30 @@ class TestSimulatedBackend(BackendContract):
         assert rows_match(blocks.lookahead(10), 40)
         blocks.advance(60)  # past the lookahead
         assert (blocks.now, [blocks.read_pressure(mid)[0] for mid in (1, 2, 3)]) == reads[100]
+
+    def test_noiseless_rows_held_across_lookaheads_keep_their_bits(self, backend):
+        backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+        rows = backend.lookahead(100)
+        bits = [a.tobytes() for a in (rows.pressure, rows.time, rows.inflation, rows.object_z)]
+        backend.advance(40)
+        backend.set_valve(ValveCommand(2, INFLATE, backend.now))
+        later = backend.lookahead(100)
+        assert not np.shares_memory(later.pressure, rows.pressure)
+        assert [a.tobytes() for a in (rows.pressure, rows.time, rows.inflation,
+                                      rows.object_z)] == bits
+
+    def test_released_rows_leave_their_memory_to_the_next_lookahead(self, backend):
+        """The backend lets go of its last trajectory too, with or without an advance."""
+        backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+        rows = backend.lookahead(100)
+        address = data_address(rows.pressure)
+        del rows
+        rows = backend.lookahead(100)
+        assert data_address(rows.pressure) == address
+        backend.advance(40)
+        del rows
+        taker = np.empty((10, 100))  # takes the storage's memory, had the plant freed it
+        assert data_address(backend.lookahead(100).pressure) == address != data_address(taker)
 
     def test_drain_events_collects_then_clears(self, three_module_layout, material, params):
         obj = ObjectState(ObjectSpec(17.5, 30.0), 45.0)

@@ -1,7 +1,9 @@
 """Plant dynamics: stacking rules, rate/inflation laws, motion, drops, conflicts."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from peristation import (
 )
 from peristation.plant import (MAX_MODULES, VALVE_MODES, contact_pressure,
                                full_compression_inflation, stack_modules)
-from tests.conftest import NOMINAL
+from tests.conftest import NOMINAL, data_address
 
 
 def make_plant(layout, material, params, obj=None):
@@ -588,14 +590,26 @@ class ReferencePlant:
                 [x.hex() for x in self.lift], self.z.hex(), self.contact)
 
 
-def kernel_and_reference_rows(layout, material, params, obj, schedule, block):
+def trajectory_bits(traj):
+    """Every array of a trajectory, as bytes."""
+    return [a.tobytes() for a in (traj.pressure, traj.inflation, traj.lift, traj.contact,
+                                  traj.object_z, traj.time) if a is not None]
+
+
+def kernel_and_reference_rows(layout, material, params, obj, schedule, block, hold=(False,)):
     """Run a schedule of ({module_id: mode}, ticks) steps through Plant, in
     trajectories of at most block steps, and through ReferencePlant; returns
-    both as per-tick (row with floats as hex, event texts) lists."""
+    both as per-tick (row with floats as hex, event texts) lists.
+
+    hold says, trajectory by trajectory in turn, whether it is kept to the
+    end, where its arrays must still hold the bits they came with, or let go
+    of before the next one, so that the plant writes that one into its storage.
+    """
     plant = Plant(layout, ObjectState(obj.spec, obj.z), params, material)
     ref = ReferencePlant(layout, material, params, obj)
     valves = [HOLD] * len(layout.modules)
-    got, want = [], []
+    got, want, held = [], [], []
+    holds = itertools.cycle(hold)
     for commands, ticks in schedule:
         for mid, mode in commands.items():
             plant.set_valve(mid, mode)
@@ -610,6 +624,11 @@ def kernel_and_reference_rows(layout, material, params, obj, schedule, block):
                                  [x.hex() for x in traj.lift[k].tolist()],
                                  traj.object_z[k].item().hex(), traj.contact[k].tolist())))
             got[-1][0].extend(text for _, text in plant.commit(traj, len(traj) - 1))
+            if next(holds):
+                held.append((traj, trajectory_bits(traj)))
+            del traj
+    for traj, bits in held:
+        assert trajectory_bits(traj) == bits
     return got, want
 
 
@@ -645,27 +664,31 @@ class TestKernelAgainstReference:
             st.dictionaries(st.integers(0, 8), st.sampled_from(VALVE_MODES), max_size=3),
             st.integers(1, 300)), min_size=1, max_size=6),
         block=st.sampled_from([1, 7, 64, 1024]),
+        hold=st.lists(st.booleans(), min_size=1, max_size=8),
     )
-    @example(count=9, start=(30.0, 22.0), block=64,  # every path, as in the test above
+    # every path, as in the test above, with every other trajectory kept
+    @example(count=9, start=(30.0, 22.0), block=64, hold=[True, False],
              schedule=[({0: DEFLATE, 1: INFLATE}, 10), ({1: HOLD}, 5),
                        ({0: INFLATE, 1: INFLATE, 2: INFLATE}, 400), ({1: DEFLATE}, 150),
                        ({0: DEFLATE, 2: DEFLATE}, 200)])
     # ring 1 pins at P_max in the first stretch, and ring 3's grip starts a second one
     # in which ring 1 keeps the rows that the first stretch wrote at the bound
-    @example(count=5, start=(30.0, 45.0), block=1024,
+    @example(count=5, start=(30.0, 45.0), block=1024, hold=[False],
              schedule=[({0: INFLATE}, 340), ({2: INFLATE}, 300)])
     # ring 3 grips on the last tick before it vents, so it lets go at its stretch's
     # first row and the object drops onto ring 1's top; the next call starts from row 0
     # holding contacts from before the drop, and ring 1, in reach, holds still exactly
     # at the edge of its span
-    @example(count=5, start=(115.0, 20.0), block=1024,
+    @example(count=5, start=(115.0, 20.0), block=1024, hold=[False],
              schedule=[({0: INFLATE}, 340), ({0: HOLD, 2: INFLATE}, 151), ({2: DEFLATE}, 100)])
     # strokes 2, 4 and 6 lift ring 7 clear of the object's top, then vent while ring 7
     # fills: its reach flips mid-stretch, where only its moving span says it grips
-    @example(count=9, start=(115.0, 20.0), block=1024,
+    @example(count=9, start=(115.0, 20.0), block=1024, hold=[False],
              schedule=[({1: INFLATE, 3: INFLATE, 5: INFLATE}, 400),
                        ({1: DEFLATE, 3: DEFLATE, 5: DEFLATE}, 1), ({6: INFLATE}, 300)])
-    def test_random_schedules_follow_the_reference(self, count, start, schedule, block):
+    # hold keeps trajectories alive or lets them go at random, so the kernel writes
+    # into fresh memory or into its storage, and a kept one must keep its bits
+    def test_random_schedules_follow_the_reference(self, count, start, schedule, block, hold):
         g = RingGeometry(**NOMINAL)
         mat = SurrogateMaterial(100.0, 0.45, calibrate_kappa(g, 100.0, 0.69, 15.0))
         params = PlantParams(dt=0.01)  # coarse ticks, so rings pin within a schedule
@@ -673,8 +696,44 @@ class TestKernelAgainstReference:
         steps = [({mid % count + 1: mode for mid, mode in commands.items()}, ticks)
                  for commands, ticks in schedule]
         got, want = kernel_and_reference_rows(build_station(g, count, 20.0, 20.0), mat,
-                                              params, obj, steps, block)
+                                              params, obj, steps, block, hold)
         assert got == want
+
+
+class TestTrajectoryStorage:
+    """Plant.trajectory writes into the plant's storage while no view of it is alive."""
+
+    def test_a_released_trajectory_leaves_its_memory_to_the_next(self, five_module_layout,
+                                                                 material, params):
+        plant = make_plant(five_module_layout, material, params,
+                           ObjectState(ObjectSpec(17.5, 30.0), 22.0))
+        plant.set_valve(1, INFLATE)
+        traj = plant.trajectory(100)
+        address = data_address(traj.pressure)
+        plant.commit(traj, 60)
+        del traj
+        taker = np.empty((16, 101))  # takes the storage's memory, had the plant freed it
+        assert data_address(plant.trajectory(100).pressure) == address
+        assert data_address(plant.trajectory(20).pressure) == address != data_address(taker)
+
+    @pytest.mark.parametrize("kept", ["trajectory", "pressure", "contact", "object_z"])
+    def test_a_held_trajectory_keeps_its_bits(self, five_module_layout, material, params, kept):
+        """A trajectory, or one view of its storage, held across the next lookahead."""
+        plant = make_plant(five_module_layout, material, params,
+                           ObjectState(ObjectSpec(17.5, 30.0), 22.0))
+        plant.set_valve(3, INFLATE)
+        traj = plant.trajectory(1500)  # ring 3 grips, and its rate changes
+        held = traj if kept == "trajectory" else getattr(traj, kept)
+        bits = trajectory_bits(traj)
+        plant.commit(traj, 1000)
+        del traj
+        plant.set_valve(2, INFLATE)  # the stroke lifts ring 3 and the object with it
+        nxt = plant.trajectory(1500)
+        assert nxt.object_z[-1] > nxt.object_z[0]
+        if kept == "trajectory":
+            assert trajectory_bits(held) == bits
+        else:
+            assert held.tobytes() in bits
 
 
 class TestPlantProperties:
