@@ -14,6 +14,7 @@ import collections
 import functools
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -163,18 +164,37 @@ def _encode6(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
+def _without_truncation(path, flags):
+    """open()'s opener: its flags and mode, less O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 class TelemetryWriter:
     """Streams rows to a CSV file in timestamp order, encoded as UTF-8.
 
     Pressure is the sensed value the controller acted on; inflation and
     object z are plant ground truth, which is why recording requires the
     simulated backend.
+
+    An existing file is written over in place (its cached pages reused, not
+    freed and allocated again) and cut at close() to the bytes written, even
+    when the last flush fails, so a run ending on an exception or a full
+    disk leaves only its own rows; a device or a FIFO is never cut.  A
+    process killed outright can leave the old file's tail after its last
+    flushed block; read_telemetry or ReplayBackend refuses it where the seam
+    breaks a line or the tick grid.
     """
 
     def __init__(self, path):
         self.path = path
-        self._f = open(path, "wb", buffering=1 << 20)
-        self._f.write(TELEMETRY_HEADER.encode() + b"\n")
+        self._f = open(path, "wb", buffering=1 << 20, opener=_without_truncation)
+        self._cut = False
+        try:
+            self._cut = stat.S_ISREG(os.fstat(self._f.fileno()).st_mode)
+            self._f.write(TELEMETRY_HEADER.encode() + b"\n")
+        except BaseException:
+            self.close()
+            raise
         self._buf = np.empty(0, np.uint8)  # reused by _write
 
     def record(self, now, rows, valves, phase, layout, events):
@@ -252,7 +272,15 @@ class TelemetryWriter:
             self._f.write(buf[:d - c].tobytes().replace(b"\0", b""))
 
     def close(self):
-        self._f.close()
+        """Flush, cut a regular file at the bytes the OS took, and close; once."""
+        if self._f.closed:
+            return
+        with self._f:  # closes the file on every path
+            try:
+                self._f.flush()
+            finally:
+                if self._cut:
+                    os.ftruncate(self._f.fileno(), self._f.raw.tell())
 
     def __enter__(self):
         return self

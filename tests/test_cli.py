@@ -5,6 +5,7 @@ import errno
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -53,6 +54,13 @@ CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,
 # CHILD, reading configs with the yaml loader that argv names first.
 LOADER_CHILD = ("import sys, yaml; from peristation import config; "
                 "config._LOADER = getattr(yaml, sys.argv.pop(1)); " + CHILD)
+
+
+# CHILD, with files held to the size that argv names first; a write past it
+# fails with EFBIG instead of ending the process on SIGXFSZ.
+FSIZE_CHILD = ("import resource, signal, sys; sys.dont_write_bytecode = True; "
+               "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); limit = int(sys.argv.pop(1)); "
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)); " + CHILD)
 
 
 def run_child(argv, timeout=60, code=CHILD):
@@ -580,6 +588,19 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+def fresh_run(tmp_path, capsys, duration):
+    """The bytes of `run --duration duration` to a new file."""
+    fresh = tmp_path / f"fresh-{duration}.csv"
+    assert main(["run", "--duration", duration, "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    return fresh.read_bytes()
+
+
+def old_file(path, fresh):
+    """A file at path longer than the fresh run's, of bytes no recording holds."""
+    path.write_bytes(b"#" * (len(fresh) + 4096))
+
+
 class TestOutputFailsDuringTheRun:
     """A write that fails once the run has started is reported, exit 2, not a traceback."""
 
@@ -590,21 +611,95 @@ class TestOutputFailsDuringTheRun:
         assert main(["run", "--duration", duration, "--out", "/dev/full"]) == 2
         assert capsys.readouterr().out == "output error: /dev/full: No space left on device\n"
 
-    def test_writer_that_fails_part_way_exits_2(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def failing_writer(error):
+        """A TelemetryWriter whose third record() call raises error, having
+        noted how many bytes the first two wrote."""
         class FailingWriter(peristation.TelemetryWriter):
             calls = 0
 
             def record(self, *args):
                 FailingWriter.calls += 1
                 if FailingWriter.calls == 3:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    FailingWriter.written = self._f.tell()
+                    raise error
                 super().record(*args)
 
+        return FailingWriter
+
+    def test_writer_that_fails_part_way_exits_2(self, tmp_path, capsys, monkeypatch):
+        fresh = fresh_run(tmp_path, capsys, "5")
+        FailingWriter = self.failing_writer(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
         monkeypatch.setattr(cli, "TelemetryWriter", FailingWriter)
         out = tmp_path / "t.csv"
+        old_file(out, fresh)
         assert main(["run", "--duration", "5", "--out", str(out)]) == 2
         assert FailingWriter.calls == 3
         assert capsys.readouterr().out == f"output error: {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert out.read_bytes() == fresh[:FailingWriter.written]
+
+    def test_interrupt_leaves_the_rows_written(self, tmp_path, capsys, monkeypatch):
+        fresh = fresh_run(tmp_path, capsys, "5")
+        FailingWriter = self.failing_writer(KeyboardInterrupt())
+        monkeypatch.setattr(cli, "TelemetryWriter", FailingWriter)
+        out = tmp_path / "t.csv"
+        old_file(out, fresh)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--duration", "5", "--out", str(out)])
+        assert out.read_bytes() == fresh[:FailingWriter.written]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file size limit here")
+    @pytest.mark.parametrize("duration, limit", [("0.05", 1000), ("5", (1 << 20) + 1000)],
+                             ids=["at close", "during the run"])
+    def test_file_size_limit_cuts_at_the_bytes_written(self, tmp_path, capsys, duration, limit):
+        """In a child held to limit bytes per file: a write that the OS takes
+        in part and then refuses (EFBIG) over a longer file leaves the bytes
+        it took and none of the old file's."""
+        fresh = fresh_run(tmp_path, capsys, duration)
+        assert len(fresh) > limit
+        out = tmp_path / "t.csv"
+        old_file(out, fresh)
+        done = run_child([str(limit), "run", "--duration", duration, "--out", str(out)],
+                         code=FSIZE_CHILD)
+        printed = f"output error: {out}: {os.strerror(errno.EFBIG)}\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, printed, "")
+        assert out.read_bytes() == fresh[:limit]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null here")
+    def test_null_device_exits_0(self, capsys):
+        assert main(["run", "--duration", "5", "--out", "/dev/null"]) == 0
+        assert capsys.readouterr().out.endswith("telemetry: /dev/null\n")
+
+
+class TestOutputWrittenInPlace:
+    """run writes over an existing --out from byte 0 and cuts it to the run's
+    length: the same bytes as a fresh run, in the same file."""
+
+    def test_short_run_over_the_full_run(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["run", "--out", str(out)]) == 0
+        full = out.read_bytes()
+        fresh = fresh_run(tmp_path, capsys, "5")
+        assert len(fresh) < len(full)
+        assert main(["run", "--duration", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_link_is_written_through(self, tmp_path, capsys, link):
+        fresh = fresh_run(tmp_path, capsys, "5")
+        target, out = tmp_path / "target.csv", tmp_path / "out.csv"
+        old_file(target, fresh)
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        if link == "symlink":
+            out.symlink_to(target)
+        else:
+            os.link(target, out)
+        assert main(["run", "--duration", "5", "--out", str(out)]) == 0
+        assert out.is_symlink() == (link == "symlink")
+        assert os.stat(out).st_ino == target.stat().st_ino == inode
+        assert target.read_bytes() == out.read_bytes() == fresh
+        assert target.stat().st_mode & 0o777 == 0o640
 
 
 class TestOneParser:

@@ -1,5 +1,6 @@
 """Telemetry round-trip and format guarantees."""
 
+import errno
 import math
 import os
 import re
@@ -23,9 +24,12 @@ from peristation import (
     ObjectState,
     Plant,
     Rows,
+    SimulatedBackend,
     TelemetryLog,
     TelemetryWriter,
+    load_config,
     read_telemetry,
+    run_station,
 )
 from tests.conftest import (Row, assert_reads_as, assert_same_log, column, counting_blocks,
                             read_rows)
@@ -82,6 +86,67 @@ class TestWriter:
             with pytest.raises(ValueError, match="ground truth"):
                 writer.record([0.0], Rows((), np.empty((1, 0)), np.zeros(1)), {}, "L0:Grasp",
                               None, [])
+
+
+def nominal_run(path, duration_s=None):
+    """The nominal scenario recorded to path, for its configured duration or duration_s."""
+    cfg = load_config()
+    backend = SimulatedBackend(Plant(cfg.layout, ObjectState(cfg.object_spec, cfg.initial_z),
+                                     cfg.params, cfg.material))
+    with TelemetryWriter(path) as writer:
+        run_station(backend, cfg.layout, cfg.object_spec, cfg.initial_z, cfg.params,
+                    cfg.detection, cfg.control, duration_s or cfg.duration_s, recorder=writer)
+    return path.read_bytes()
+
+
+class TestWriteInPlace:
+    """The writer writes over an existing file from byte 0 and cuts a regular
+    file at close to the bytes it wrote."""
+
+    def test_short_run_over_a_long_one_is_a_fresh_run(self, tmp_path):
+        over = tmp_path / "over.csv"
+        full = nominal_run(over)
+        inode = over.stat().st_ino
+        fresh = nominal_run(tmp_path / "fresh.csv", 5.0)
+        assert len(fresh) < len(full)
+        assert nominal_run(over, 5.0) == fresh
+        assert over.stat().st_ino == inode
+
+    def test_close_twice(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"#" * 4096)
+        writer = TelemetryWriter(path)
+        writer.close()
+        writer.close()
+        assert path.read_text() == TELEMETRY_HEADER + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_close_that_fails_closes_once(self):
+        writer = TelemetryWriter("/dev/full")
+        with pytest.raises(OSError) as raised:
+            writer.close()
+        assert raised.value.errno == errno.ENOSPC
+        assert writer._f.closed
+        writer.close()  # does nothing
+
+    @pytest.mark.parametrize("fails", ["fstat", "header"])
+    def test_open_that_fails_closes_the_file(self, tmp_path, monkeypatch, fails):
+        opened = []
+
+        def keep(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(telemetry, "open", keep, raising=False)
+        if fails == "fstat":
+            def fstat(fd):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            monkeypatch.setattr(telemetry.os, "fstat", fstat)
+        else:  # a header that cannot be encoded
+            monkeypatch.setattr(telemetry, "TELEMETRY_HEADER", "\ud800")
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            TelemetryWriter(tmp_path / "t.csv")
+        assert [f.closed for f in opened] == [True]
 
 
 class TestReader:
