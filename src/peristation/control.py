@@ -7,9 +7,9 @@ from completed strokes.  Nothing here reads plant ground truth, so the same
 controller runs identically against the simulated and replay backends.
 
 The transport cycle's stages, their commands and their gates are one
-table, CYCLE.  StationController steps through it once per tick, with
-probe scheduling, multi-level promotion and termination handling, and
-run_station drives it against a backend.  The one blocking
+table, CYCLE.  StationController steps through it a block of ticks at a
+time, with probe scheduling, multi-level promotion and termination
+handling, and run_station drives it against a backend.  The one blocking
 helper, calibrate_baseline, measures a single ring's free-inflation rate
 before a run.
 """
@@ -273,7 +273,7 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
 
 
 class StationController:
-    """Phase machine for one station, advanced once per tick by update().
+    """Phase machine for one station: scan() finds the tick to act on, update() acts.
 
     Design rules:
       - update() owns all transitions; at most one gate fires per tick.
@@ -333,6 +333,8 @@ class StationController:
         self._probe_t0 = 0.0
         self._probe_trace: Optional[list] = None
         self._probe_done = True
+        # the row of a block that scan() starts at, and what fires on the tick to act on
+        self._first, self._rules = 0, None
 
     # -- small helpers -------------------------------------------------------
 
@@ -366,13 +368,13 @@ class StationController:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def update(self, now: float, sensed: Sequence[float],
-               plant_events: Sequence[tuple[int, str]] = ()) -> dict[int, str]:
-        """One controller tick: ingest events and pressures, emit changed valves.
-
-        sensed is the tick's row of kPa in layout order: module mid reads sensed[mid - 1].
-        Each kPa is read as recorded (see run_station).
-        """
+    def update(self, now: float, sensed: Optional[Sequence[float]] = None,
+               plant_events: Sequence[tuple[int, str]] = (), final: bool = False) -> dict[int, str]:
+        """Act on the tick at time now, returning the valves changed: on its
+        plant events (a drop faults the run), then on its rules, as scan()
+        found them or as they fire on sensed (kPa in layout order, module mid
+        at sensed[mid - 1], as recorded); with neither, the next scan() starts
+        on it.  A final tick with rules ends the run at the duration limit."""
         self._changed = {}
         if self.done:
             return {}
@@ -381,26 +383,29 @@ class StationController:
             self._emit(mid, text)
             if text.startswith("drop"):
                 self._fault(f"object lost at phase {self.phase_label()}")
-                return dict(self._changed)
+                return self._changed
         if not self._entered:
             self._entered = True
             for mid, rate in sorted(self.det.baseline_rates.items()):
                 self._emit(mid, f"baseline module={mid} rate={rate:.6f}")
             self._enter(GRASP, 0)
-        timed_out, window_over, gate_open = self._due(now, sensed)
-        if not self._probe_done:
-            self._sample(np.array([now]), sensed[self._probe_id - 1:self._probe_id])
+        if sensed is not None:  # the tick is row 0 of a block of its own
+            self._first = 0
+            self.scan(np.array([now]), np.array([sensed], np.float64))
+        rules, self._rules = self._rules, None
+        self._first = int(rules is not None)
+        if rules is not None:
+            stalled, window_over, gate_open = rules
             if window_over:
                 self._classify_probe()
-        if timed_out:
-            gate = self._gate()
-            stalled = next((mid for mid, rises in gate if not self._holds(sensed[mid - 1], rises)),
-                           gate[-1][0])
-            self._fault(f"timeout in phase {self.phase_label()} stage {self.stage}: "
-                        f"module {stalled} stalled")
-        elif gate_open:
-            self._pass_gate()
-        return dict(self._changed)
+            if stalled is not None:
+                self._fault(f"timeout in phase {self.phase_label()} stage {self.stage}: "
+                            f"module {stalled} stalled")
+            elif gate_open:
+                self._pass_gate()
+            if final:
+                self.finish("duration limit reached")
+        return self._changed
 
     def finish(self, outcome: str) -> None:
         if not self.done:
@@ -425,14 +430,6 @@ class StationController:
         self._probe_trace = []
         self._probe_done = False
         self._set(pid, INFLATE)
-
-    def _sample(self, now: np.ndarray, kpa) -> None:
-        """Add the probe's sensed kPa at times now, as recorded, to its trace:
-        only those from window_start on, the first that _window_slope reads."""
-        t = now - self._probe_t0
-        k = int(t.searchsorted(self.det.window_start))
-        if k < len(t):
-            self._probe_trace.append(np.column_stack((t[k:], as_recorded(kpa[k:]))))
 
     def _classify_probe(self) -> None:
         """The probe window is over: classify the trace and vent the probe."""
@@ -483,18 +480,6 @@ class StationController:
         """Whether a kPa, or each of an array, read as recorded passes a gate."""
         return pressure >= self._pass_hi if rises else pressure <= self._pass_lo
 
-    def _due(self, now, kpa):
-        """(timed out, probe window over, gate open) at time now, with module
-        mid's kPa in kpa[mid - 1]: floats for one tick, or arrays over a block
-        (then each result is one too, but window over is False while no probe
-        is measuring)."""
-        timed_out = now - self.phase_start > self.ctl.phase_timeout_s
-        window_over = (not self._probe_done
-                       and now - self._probe_t0 >= self.det.window_start + self.det.window_len)
-        gate_open = reduce(operator.and_, (self._holds(kpa[mid - 1], rises)
-                                           for mid, rises in self._gate()))
-        return timed_out, window_over, gate_open
-
     def _pass_gate(self) -> None:
         """The gate is open: act on it and move to the next stage."""
         key = (self.phase, self.stage)
@@ -515,24 +500,32 @@ class StationController:
         else:
             self._cycle_complete()
 
-    def quiet_rows(self, now: np.ndarray, sensed: np.ndarray) -> int:
-        """How many rows update() can skip: the index of the first that needs it.
-
-        Row 0 is the tick update() last ran on; now holds each row's time and
-        sensed each row's pressures (rows as update() reads them), with
-        valves unchanged since row 0.  A later row needs update() when _due
-        holds any of its three rules.  The rows before it change nothing but
-        the probe trace, which gets their samples here, as recorded.
-        Returns len(now) - 1 when no row needs update() (the last row then
-        goes through it), and 1 for a single row.
-        """
-        if len(now) < 2:
+    def scan(self, now: np.ndarray, sensed: np.ndarray) -> int:
+        """The row j of a block that update() acts on next: the first on which
+        the stage times out, the probe window ends or the gate opens, else
+        the last.  Row 0 is the current tick; now and sensed hold each row's
+        time and kPa in layout order, as recorded, under unchanged valves.
+        The scan starts at row 1 once update() has acted on row 0's rules,
+        else at row 0 (none left: returns 1), and samples the probe to j."""
+        if self._first == len(now):
             return 1
-        hits = np.flatnonzero(reduce(operator.or_, self._due(now[1:], sensed[1:].T)))
-        j = int(hits[0]) + 1 if hits.size else len(now) - 1
+        t, kpa = now[self._first:], sensed[self._first:]
+        gate = self._gate()
+        fires = [t - self.phase_start > self.ctl.phase_timeout_s, reduce(
+            operator.and_, (self._holds(kpa[:, mid - 1], rises) for mid, rises in gate))]
         if not self._probe_done:
-            self._sample(now[1:j], sensed[1:j, self._probe_id - 1])
-        return j
+            fires.append(t - self._probe_t0 >= self.det.window_start + self.det.window_len)
+        hits = np.flatnonzero(reduce(operator.or_, fires))
+        i = int(hits[0]) if hits.size else len(t) - 1
+        if not self._probe_done:  # only samples from window_start on, the first fitted
+            tau = t[:i + 1] - self._probe_t0
+            k = int(tau.searchsorted(self.det.window_start))
+            self._probe_trace.append(np.column_stack(
+                (tau[k:], as_recorded(kpa[k:i + 1, self._probe_id - 1]))))
+        stalled = next((mid for mid, rises in gate if not self._holds(kpa[i, mid - 1], rises)),
+                       gate[-1][0]) if fires[0][i] else None
+        self._rules = stalled, len(fires) > 2 and bool(fires[2][i]), bool(fires[1][i])
+        return self._first + i
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
         """After one more stroke, can the bottom ring still reach the object?"""
@@ -659,16 +652,15 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     Returns the totally ordered event log and final object position (plant
     ground truth when the backend exposes it, dead reckoning otherwise).
 
-    Tick k is at k * dt.  After each update() the backend looks ahead,
-    never past the duration limit: by the ticks the current (phase, stage)
-    took when it last ran, less those it has run, plus 32, at most
+    Tick k is at k * dt.  After each update() the backend looks ahead, never
+    past the duration limit: by the ticks the current (phase, stage) took
+    when it last ran, less those it has run, plus 32, at most
     4 * BLOCK_TICKS; BLOCK_TICKS while the stage has no record or has run
-    past it.  The controller skips the rows that cannot change its state,
-    the recorder gets them with the update tick's row in calls of at most
-    BLOCK_TICKS ticks, and the backend advances to the first row that goes
-    through update(), which gets that row of the lookahead.  The backend
-    must step at dt = params.dt, and its rows must hold the layout's
-    modules in order.
+    past it.  scan() finds row j, the first that the controller acts on,
+    the recorder gets the rows before it in calls of at most BLOCK_TICKS
+    ticks, and the backend advances j rows; update() then acts on the new
+    tick, plant events first.  The backend must step at dt = params.dt,
+    and its rows must hold the layout's modules in order.
 
     The controller decides on each sensed kPa as recorded, the double its
     6-decimal text reads back as: gates through recorded_threshold, the
@@ -692,48 +684,41 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     n_steps = int(round(duration_s / dt))
     if abs(backend.dt - dt) > 1e-12:
         raise ValueError(f"backend steps at fixed dt={backend.dt}, got {dt}")
-    rows = backend.lookahead(1)
     ids = tuple(mod.id for mod in layout.modules)
-    if rows.ids != ids:
-        missing = sorted(set(ids) - set(rows.ids))
+    if (got := backend.lookahead(1).ids) != ids:
+        missing = sorted(set(ids) - set(got))
         raise ValueError(f"no such endpoint: module {missing[0]}" if missing else
-                         f"backend modules {rows.ids} are not the layout's {ids}")
+                         f"backend modules {got} are not the layout's {ids}")
     events_log: list[tuple[float, int, str]] = []
     plant_events: list[tuple[int, str]] = []
     took: dict[tuple[str, int], int] = {}  # ticks each (phase, stage) took when it last ran
     stage, start = (controller.phase, controller.stage), 0
-    k = j = 0
+    k = 0
     while True:
         now = k * dt
-        changed = controller.update(now, rows.pressure[j].tolist(), plant_events)
-        del rows  # done with the block: free it before the next lookahead
+        changed = controller.update(now, plant_events=plant_events, final=k == n_steps)
         if (controller.phase, controller.stage) != stage:
             took[stage], stage, start = k - start, (controller.phase, controller.stage), k
-        if k == n_steps and not controller.done:
-            controller.finish("duration limit reached")
         for mid in sorted(changed):
             backend.set_valve(ValveCommand(mid, changed[mid], now))
-        tick_events = controller.take_events()
-        for mid, text in tick_events:
-            events_log.append((now, mid, text))
         left = took.get(stage, 0) - (k - start)
         n = min(left + 32, 4 * BLOCK_TICKS) if left > 0 else BLOCK_TICKS
         rows = backend.lookahead(1 if controller.done else min(n, n_steps - k + 1))
         times = np.arange(k, k + len(rows)) * dt
-        j = 1 if controller.done else controller.quiet_rows(times, rows.pressure)
+        j = 1 if controller.done else controller.scan(times, rows.pressure)
+        tick_events = controller.take_events() if j else []  # on j = 0, kept for its row
+        events_log += [(now, mid, text) for mid, text in tick_events]
         if recorder is not None:
             for a in range(0, j, BLOCK_TICKS):
                 b = min(a + BLOCK_TICKS, j)
                 recorder.record(times[a:b], rows.span(a, b), controller.valves,
                                 controller.phase_label(), layout, [] if a else tick_events)
+        del rows  # done with the block: free it before the next lookahead
         if controller.done:
             break
         backend.advance(j)
         plant_events = backend.drain_events()
         k += j
-        if j == len(rows):  # a one-row lookahead: the new tick is not in it
-            del rows
-            rows, j = backend.lookahead(1), 0
 
     if plant is not None and plant.object is not None:
         final_z = plant.object.z

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,24 +62,29 @@ class Rows:
 
     pressure has one column per module id in ids.  inflation and object_z
     are plant ground truth (object_z is 0.0 without an object), None when
-    the backend has none.
+    the backend has none; inflation is truth, or inflate(truth), when read.
     """
 
     ids: tuple[int, ...]
     pressure: np.ndarray  # (rows, len(ids)) sensed kPa
     time: np.ndarray  # (rows,) backend clock, s
-    inflation: Optional[np.ndarray] = None  # (rows, len(ids)) mm
+    truth: Optional[np.ndarray] = None  # (rows, len(ids)) mm, or true kPa with inflate
     object_z: Optional[np.ndarray] = None  # (rows,) mm
+    inflate: Optional[Callable[[np.ndarray], np.ndarray]] = None  # kPa to mm
 
     def __len__(self) -> int:
         return len(self.time)
 
+    @cached_property
+    def inflation(self) -> Optional[np.ndarray]:  # (rows, len(ids)) mm
+        return self.truth if self.inflate is None else self.inflate(self.truth)
+
     def span(self, a: int, b: int) -> "Rows":
         """Rows a to b - 1."""
-        truth = self.inflation is not None
+        truth = self.truth is not None
         return Rows(self.ids, self.pressure[a:b], self.time[a:b],
-                    self.inflation[a:b] if truth else None,
-                    self.object_z[a:b] if truth else None)
+                    self.truth[a:b] if truth else None,
+                    self.object_z[a:b] if truth else None, self.inflate)
 
 
 class ReplayMismatchError(ValueError):
@@ -185,7 +191,7 @@ class SimulatedBackend(_Backend):
         traj = self._traj = self.plant.trajectory(n - 1)
         sensed = traj.pressure + self._noise_rows(len(traj)) if self._sigma > 0.0 else traj.pressure
         z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
-        return Rows(self._ids, sensed, traj.time, traj.inflation, z)
+        return Rows(self._ids, sensed, traj.time, traj.pressure, z, self.plant.inflation)
 
     def _commit(self, j: int) -> None:
         while j > 0:

@@ -8,13 +8,12 @@ noise lives in the hardware layer, not here: the plant is the ground truth.
 Step order, per tick:
   1. pressures integrate under the commanded valves (contact state from the
      previous tick selects the inflation rate),
-  2. membrane inflations follow from the new pressures,
-  3. longitudinal strokes lift every module stacked above them,
-  4. the object moves rigidly with its supporters (conflicting supporter
+  2. longitudinal strokes (inflations) lift every module stacked above them,
+  3. the object moves rigidly with its supporters (conflicting supporter
      motion emits a "conflict" event; the object follows the lowest),
-  5. contacts and supporters are recomputed; losing all supporters while
-     held emits a "drop" event and the object falls to the highest module
-     still able to carry it.
+  4. contacts and supporters are recomputed, a ring reaching the object at
+     its contact_pressure; losing all supporters while held emits a "drop"
+     event and the object falls to the highest module still able to carry it.
 
 Plant.trajectory runs this order over a whole block of ticks at once, one
 stretch of constant rates after another, and gives the same bits as
@@ -23,6 +22,7 @@ contiguous row, filled once per call, and spends array operations only on
 what moves: the rings that move, the lifts above a moving stroke, the object
 when a supporter moves and the contacts whose reach flips or span moves.
 Any other contact is one comparison of Python floats per stretch.
+Inflation (Plant.inflation) is not stepped: it is computed when read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -231,8 +232,8 @@ def contact_pressure(geometry: RingGeometry, material: SurrogateMaterial, P_max:
                      radius_r_o: float) -> float:
     """The least kPa at which a compression ring reaches an object of radius_r_o.
 
-    Decided by Plant.trajectory's own comparison, P / P_max * d_full >= gap,
-    bisected over doubles (it is monotone in P); inf if P_max falls short.
+    The least double P whose inflation closes the gap, P / P_max * d_full >=
+    gap (monotone in P), bisected; inf if P_max falls short.
     """
     full = full_compression_inflation(geometry, material, P_max)
     gap = geometry.inner_radius_r - radius_r_o
@@ -252,20 +253,24 @@ class Trajectory:
     each module's column is contiguous.  Plant.trajectory builds one and
     Plant.commit moves the plant to a row.  The storage is the plant's, and
     the plant writes its next trajectory into it once no view of it is alive:
-    a trajectory, or any view of its arrays, keeps its bits while it is held.
+    a held trajectory or view keeps its bits, inflation (computed when read) too.
     """
 
     start: int  # the plant's state count when the trajectory was computed
     pressure: np.ndarray  # (rows, modules) kPa
-    inflation: np.ndarray  # (rows, modules) mm
     lift: np.ndarray  # (rows, modules) mm, rise of each module above rest
     contact: np.ndarray  # (rows, modules) bool
     object_z: Optional[np.ndarray]  # (rows,) mm; None without an object
     time: np.ndarray  # (rows,) s
     events: tuple  # (module_id, text) events of the step into the last row
+    inflate: Callable[[np.ndarray], np.ndarray]  # kPa to mm: Plant.inflation
 
     def __len__(self) -> int:
         return len(self.time)
+
+    @cached_property
+    def inflation(self) -> np.ndarray:  # (rows, modules) mm
+        return self.inflate(self.pressure)
 
 
 class Plant:
@@ -294,12 +299,11 @@ class Plant:
         self._kind = [m.kind for m in self._mods]
         self._P = [0.0] * n
         self._valve = [HOLD] * n
-        self._d = [0.0] * n
         self._contact = [False] * n
         self._lift = [0.0] * n  # current rise of each module above rest
         self._state = 0  # counts commits and valve changes; a trajectory is valid for one
-        # trajectory() storage: rows of pressure, inflation, lift and object z; of contact
-        self._floats = np.empty((3 * n + 1, 0))
+        # trajectory() storage: rows of pressure, lift and object z; of contact
+        self._floats = np.empty((2 * n + 1, 0))
         self._bools = np.empty((n, 0), dtype=bool)
 
         # Full-pressure displacement per module, fixed by geometry/material;
@@ -310,11 +314,11 @@ class Plant:
             for m in self._mods
         ])
         self._comp = [i for i, k in enumerate(self._kind) if k == COMPRESSION]
-        self._gap = [m.geometry.inner_radius_r - obj.spec.radius_r_o if obj else 0.0 for m in self._mods]
-        # the least kPa at which some compression ring reaches the object; inf without one
-        self.grip = min((contact_pressure(g, material, params.P_max, obj.spec.radius_r_o)
-                         for g in {self._mods[i].geometry for i in self._comp} if obj),
-                        default=math.inf)
+        # the least kPa at which each compression ring reaches the object; inf without one
+        reach = {g: contact_pressure(g, material, params.P_max, obj.spec.radius_r_o)
+                 for g in {self._mods[i].geometry for i in self._comp} if obj}
+        self._reach = [reach.get(m.geometry, math.inf) for m in self._mods]
+        self.grip = min(reach.values(), default=math.inf)
         ror = obj.spec.radius_r_o / self._mods[0].geometry.inner_radius_r if obj else 0.0
         # pressure change per step of an inflating or venting ring
         dt = params.dt
@@ -329,6 +333,10 @@ class Plant:
             raise ValueError(f"no such module: {module_id}")
         self._valve[module_id - 1] = mode
         self._state += 1
+
+    def inflation(self, pressure: np.ndarray) -> np.ndarray:
+        """Each module's inflation (mm) at the kPa in pressure's columns."""
+        return pressure / self.params.P_max * self._d_full
 
     # -- integration --------------------------------------------------------
 
@@ -352,7 +360,6 @@ class Plant:
         if row == 0:
             return []
         self._P = traj.pressure[row].tolist()
-        self._d = traj.inflation[row].tolist()
         self._lift = traj.lift[row].tolist()
         self._contact = traj.contact[row].tolist()
         self.time = traj.time[row].item()
@@ -369,8 +376,8 @@ class Plant:
         operations in the same order, and results are bit-identical to
         stepping one dt at a time.  Each module's states are one contiguous
         row of (modules, rows) storage, filled once per call with row 0.  The
-        plant keeps one float block (pressure, inflation, lift, object z) and
-        one bool block (contact), grown to the most rows asked for, and writes
+        plant keeps one float block (pressure, lift, object z) and one bool
+        block (contact), grown to the most rows asked for, and writes
         into each while no view of the last trajectory's is alive (its
         reference count says so); while one is, the call takes fresh memory.
         A stretch integrates only the rings whose pressure can change
@@ -380,12 +387,13 @@ class Plant:
         that stops moving has reached its bound, and the stretch that moved
         it wrote the bound through to the last row: a fill only rises and a
         vent only falls, so a ring is clipped only if its last row passed it.
-        Lifts and the object are recomputed only when a longitudinal ring
-        moves.  A ring's contact is an array over the stretch only where its
-        reach flips (it moves) or its span (its lift or the object) moves, else
-        one comparison of Python floats at the stretch's first new row, never
-        copied from the row before (row 0 may hold contacts from before a
-        drop moved the object).  A stretch ends at the first row where a
+        A moving stroke goes straight into the lift row above it, and lifts
+        and the object are recomputed only when one moves.  A ring's contact
+        is an array over the stretch only where its reach (pressure against
+        contact_pressure) flips or its span (its lift or the object) moves,
+        else one comparison of Python floats at the stretch's first new row,
+        never copied from the row before (row 0 may hold contacts from before
+        a drop moved the object).  A stretch ends at the first row where a
         ring's contact flips, and a trajectory after the first step that
         emits a "conflict" or "drop" event.
         """
@@ -400,13 +408,13 @@ class Plant:
         rows = n + 1
         # one contiguous row per module; the Trajectory gets (rows, modules) views.
         # Every row starts as row 0, until a stretch moves it.
-        floats = self._storage("_floats", 3 * m + 1, rows, np.float64)
-        floats[:3 * m] = np.array(self._P + self._d + self._lift)[:, None]
-        P, d, lift = floats[:m], floats[m:2 * m], floats[2 * m:3 * m]
+        floats = self._storage("_floats", 2 * m + 1, rows, np.float64)
+        floats[:2 * m] = np.array(self._P + self._lift)[:, None]
+        P, lift = floats[:m], floats[m:2 * m]
         contact = self._storage("_bools", m, rows, bool)
         contact[:] = False
         contact[:, 0] = self._contact
-        z = floats[3 * m] if obj is not None else None
+        z = floats[2 * m] if obj is not None else None
         if z is not None:
             z[0] = obj.z
         events: list[tuple[int, str]] = []
@@ -415,8 +423,8 @@ class Plant:
             seg = slice(last + 1, rows)
             hit0 = contact[:, last].tolist()
             P0 = P[:, last].tolist()
-            # 1+2) pressures of the rings that can move under the valves and last
-            # tick's contacts, then their inflations
+            # 1) pressures of the rings that can move under the valves and last
+            # tick's contacts
             moving = [i for i, v in enumerate(self._valve) if v == INFLATE and P0[i] < P_max
                       or v == DEFLATE and P0[i] > 0.0]
             for i in moving:
@@ -426,19 +434,20 @@ class Plant:
                 np.add.accumulate(Pi, out=Pi)
                 if not 0.0 <= Pi[-1] <= P_max:  # a vent only falls and a fill only rises
                     np.clip(Pi, 0.0, P_max, out=Pi)
-                di = np.divide(Pi[1:], P_max, out=d[i, seg])
-                di *= self._d_full[i]
-            # 3) longitudinal strokes lift everything stacked above them
+            # 2) longitudinal strokes lift everything stacked above them
             low = min((i for i in moving if self._kind[i] == LONGITUDINAL), default=m)
             for i in range(low + 1, m):
-                if self._kind[i - 1] == LONGITUDINAL:
-                    np.add(lift[i - 1, seg], d[i - 1, seg], out=lift[i, seg])
-                else:
+                if self._kind[i - 1] != LONGITUDINAL:
                     lift[i, seg] = lift[i - 1, seg]
+                else:  # plus its stroke, P / P_max of the full stroke, straight into the row
+                    d = (np.divide(P[i - 1, seg], P_max, out=lift[i, seg]) if i - 1 in moving
+                         else P0[i - 1] / P_max)
+                    d *= self._d_full[i - 1]
+                    np.add(lift[i - 1, seg], d, out=lift[i, seg])
             end = n  # last row this stretch keeps
             conflict = None
             if obj is not None:
-                # 4) the object rides its supporters from the previous tick
+                # 3) the object rides its supporters from the previous tick
                 sup = [i for i in comp if hit0[i]]
                 zs = z[seg]
                 rides = bool(sup) and sup[-1] > low  # a supporter rises or sinks
@@ -454,18 +463,18 @@ class Plant:
                     np.add.accumulate(z[last:], out=z[last:])
                 else:
                     zs[:] = z[last]
-                # 5) contacts at the new configuration: arrays over the stretch where
+                # 4) contacts at the new configuration: arrays over the stretch where
                 # the reach flips or the span moves, else floats at its first new row
-                d1, lift1 = d[:, last + 1].tolist(), lift[:, last + 1].tolist()
+                P1, lift1 = P[:, last + 1].tolist(), lift[:, last + 1].tolist()
                 z1 = z[last + 1].item()
                 flip = rows  # the first row where a contact flips
                 for i in comp:
                     mod = mods[i]
-                    # a moving ring's inflation is monotone: its reach flips only
+                    # a moving ring's pressure is monotone: its reach flips only
                     # if its first and last rows differ
-                    c = d1[i] >= self._gap[i]
-                    if i in moving and c != (d[i, -1] >= self._gap[i]):
-                        c = d[i, seg] >= self._gap[i]
+                    c = P1[i] >= self._reach[i]
+                    if i in moving and c != (P[i, -1] >= self._reach[i]):
+                        c = P[i, seg] >= self._reach[i]
                     if c is not False:  # within reach somewhere: the span decides
                         spans = rides or i > low
                         lo = mod.z_origin + (lift[i, seg] if spans else lift1[i])
@@ -482,16 +491,15 @@ class Plant:
                 if end == conflict:
                     events.append(self._conflict_event(sup))
                 if end == flip and sup and not contact[:, end].any():
-                    # 6) drop on held -> unsupported
-                    events.append((0, self._drop(z, d, lift, end)))
+                    events.append((0, self._drop(z, P, lift, end)))  # held -> unsupported
             last = end
         time = np.empty(last + 1)
         time[0] = self.time
         time[1:] = params.dt
         np.add.accumulate(time, out=time)
         k = last + 1
-        return Trajectory(self._state, P[:, :k].T, d[:, :k].T, lift[:, :k].T, contact[:, :k].T,
-                          z[:k] if z is not None else None, time, tuple(events))
+        return Trajectory(self._state, P[:, :k].T, lift[:, :k].T, contact[:, :k].T,
+                          z[:k] if z is not None else None, time, tuple(events), self.inflation)
 
     def _storage(self, name: str, height: int, rows: int, dtype) -> np.ndarray:
         """(height, rows) of the plant's storage `name`, grown to rows if short,
@@ -507,13 +515,13 @@ class Plant:
         ids = [self._mods[i].id for i in sup]
         return (0, f"conflict supporters={'+'.join(map(str, ids))} following={ids[0]}")
 
-    def _drop(self, z: np.ndarray, d: np.ndarray, lift: np.ndarray, row: int) -> str:
+    def _drop(self, z: np.ndarray, P: np.ndarray, lift: np.ndarray, row: int) -> str:
         """Land the object of a trajectory row on the highest ring still able to carry it."""
         oz = z[row].item()
         land = 0.0
         for i in self._comp:
             mod = self._mods[i]
-            if d[i, row].item() < self._gap[i]:
+            if P[i, row].item() < self._reach[i]:
                 continue
             top = mod.z_origin + lift[i, row].item() + mod.height_h
             if top <= oz and top > land:

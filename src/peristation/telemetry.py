@@ -227,8 +227,9 @@ class TelemetryWriter:
         slots = iter([column[:, w - width:] for column, width in zip(encoded, widths)])
         fields = [next(slots) if v else "%.6f," % x
                   for v, x in zip(varies.tolist(), columns[:, 0].tolist())]
-        self._write(fields, 0, 1, valves, phase, layout, texts)
-        self._write(fields, 1, n, valves, phase, layout, {})
+        first = 1 if texts else 0  # a first tick with events gets a template of its own
+        self._write(fields, 0, first, valves, phase, layout, texts)
+        self._write(fields, first, n, valves, phase, layout, {})
 
     def _write(self, fields, a, b, valves, phase, layout, texts):
         """Write ticks a to b - 1 of a record() call, each with the events in texts.

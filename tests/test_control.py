@@ -64,6 +64,14 @@ def probe_trace(controller):
     return np.concatenate([np.empty((0, 2)), *controller._probe_trace])
 
 
+def decision(controller, now=None, sensed=None):
+    """A controller's state, after it updates at now when now is given,
+    with the valves it changed and the events it emitted."""
+    changed = {} if now is None else controller.update(now, sensed)
+    return (changed, controller.take_events(), controller.phase, controller.stage,
+            controller.level, controller.done, dict(controller.valves))
+
+
 def sim_backend(layout, material, params, ror=0.7, length=75.0, z=0.0, with_object=True):
     obj = ObjectState(ObjectSpec(ror * 25.0, length), z) if with_object else None
     return SimulatedBackend(Plant(layout, obj, params, material))
@@ -542,10 +550,12 @@ class TestStationController:
     @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 1)])
     @example(gate=(REGRASP_BOTTOM, 0), timeout_back=0, probe_back=None, spikes=[(7, 1, 10)])
     @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 7)])
-    def test_quiet_rows_stop_where_update_acts(self, gate, timeout_back, probe_back, spikes):
-        """quiet_rows skips exactly the rows on which update() would change
-        nothing but the probe trace, gates read exactly at their thresholds
-        included."""
+    def test_scan_stops_where_update_acts(self, gate, timeout_back, probe_back, spikes):
+        """scan() stops on the first row on which a tick-by-tick update()
+        changes more than the probe trace, gates read exactly at their
+        thresholds included.  update() on that row, with what scan() found,
+        takes the tick-by-tick decisions and leaves the same probe trace
+        bytes."""
         layout = build_station(RingGeometry(**NOMINAL), 5, 20.0, 20.0)
         c = self.controller(layout)
         c.update(0.0, self.zeros(layout))
@@ -567,24 +577,53 @@ class TestStationController:
             sensed[row, mid - 1] = levels[level]
         times = np.arange(k0, k0 + 30) * DT
         ref = copy.deepcopy(c)
+        quiet = decision(ref)
 
-        def acts(i):
-            state = (ref.phase, ref.stage, ref.level, ref.done, dict(ref.valves))
-            changed = ref.update(times[i].item(), sensed[i].tolist())
-            return bool(changed or ref.take_events()) or state != (
-                ref.phase, ref.stage, ref.level, ref.done, dict(ref.valves))
-
-        j = c.quiet_rows(times, sensed)
+        j = c.scan(times, sensed)
         assert 1 <= j <= 29
-        assert not any(acts(i) for i in range(1, j))
+        assert all(decision(ref, times[i].item(), sensed[i].tolist()) == quiet
+                   for i in range(1, j))
+        want = decision(ref, times[j].item(), sensed[j].tolist())
+        assert decision(c, times[j].item()) == want
         assert probe_trace(c).tobytes() == probe_trace(ref).tobytes()
         if j < 29:
-            assert acts(j)
+            assert want != quiet
 
-    def test_quiet_rows_of_one_row(self, five_module_layout):
+    def test_a_drop_on_the_row_that_ends_the_probe_window_faults(self, five_module_layout):
+        """A plant drop that comes with row j, on which the probe window is
+        over, faults the run, as tick by tick: the probe is not classified."""
+        c = self.controller(five_module_layout)
+        c.update(0.0, self.zeros(five_module_layout))  # the grasp, probing ring 5 from 0 s
+        ref = copy.deepcopy(c)
+        times = np.arange(3000) * DT
+        sensed = np.full((3000, 5), 5.0)
+        j = c.scan(times, sensed)
+        assert times[j - 1] < 2.5 <= times[j]  # window_start + window_len
+        drop = [(0, "drop to_z=0.000000")]
+        for i in range(1, j):
+            ref.update(times[i].item(), sensed[i].tolist())
+        ref.update(times[j].item(), sensed[j].tolist(), drop)
+        c.update(times[j].item(), None, drop)
+        for run in (c, ref):
+            assert run.outcome == "fault"
+            assert run.faults == ["object lost at phase L0:Grasp"]
+            assert run.detections == []
+            assert not any("detection" in text for _, text in run.take_events())
+            assert run.update(times[j].item() + DT, sensed[j].tolist()) == {}
+
+    def test_scan_of_one_row_acted_on(self, five_module_layout):
+        """A one-row lookahead holds no row to scan: the backend advances one
+        tick, update() acts on its plant events alone, and the next scan
+        starts at that tick's row 0."""
         c = self.controller(five_module_layout)
         c.update(0.0, self.zeros(five_module_layout))
-        assert c.quiet_rows(np.zeros(1), np.zeros((1, 5))) == 1
+        c.take_events()
+        assert c.scan(np.zeros(1), np.zeros((1, 5))) == 1
+        assert c.update(DT) == {}
+        assert c.take_events() == [] and c.phase_label() == "L0:Grasp"
+        assert c.scan(np.array([DT]), np.full((1, 5), 15.0)) == 0  # the grasp gate opens
+        assert c.update(DT) == {1: DEFLATE}
+        assert c.phase_label() == "L0:AdvanceRelease"
 
     def test_station_without_triple_rejected(self, geometry, material):
         with pytest.raises(ValueError, match="triple"):
@@ -793,6 +832,56 @@ class TestBlockStepping:
         assert backend.rows <= 1.3 * backend.advanced
         assert sum(calls) == backend.advanced + 1
         assert max(calls) == BLOCK_TICKS
+
+
+class TestInflationOnRead:
+    """Inflation is computed from the plant's true pressures, by its one law
+    (Plant.inflation), only where something reads it."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Each (true kPa, mm) pair that Plant.inflation computes."""
+        calls, law = [], Plant.inflation
+
+        def inflation(plant, pressure):
+            out = law(plant, pressure)
+            calls.append((pressure, out))
+            return out
+
+        monkeypatch.setattr(Plant, "inflation", inflation)
+        return calls
+
+    def test_a_run_without_a_recorder_computes_none(self, computed, five_module_layout,
+                                                     material):
+        params = PlantParams(noise_sigma=0.05, rng_seed=3)
+        backend = sim_backend(five_module_layout, material, params)
+        res = run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                          params, DetectionConfig(), ControlConfig(), 120.0)
+        assert res.outcome == "object exited"
+        assert computed == []
+
+    def test_calibration_computes_none(self, computed, three_module_layout, material, params):
+        backend = sim_backend(three_module_layout, material, params, with_object=False)
+        calibrate_baseline(backend, 1, params, DetectionConfig())
+        assert computed == []
+
+    def test_a_recorder_computes_the_rows_it_records(self, computed, five_module_layout,
+                                                     material, tmp_path):
+        """One row computed per tick recorded, each from the plant's pressures
+        (not the noisy sensed ones) and recorded as computed."""
+        params = PlantParams(noise_sigma=0.05, rng_seed=3)
+        backend = sim_backend(five_module_layout, material, params)
+        path = tmp_path / "t.csv"
+        with TelemetryWriter(path) as writer:
+            run_station(backend, five_module_layout, backend.plant.object.spec, 0.0, params,
+                        DetectionConfig(), ControlConfig(), 20.0, recorder=writer)
+        log = read_telemetry(str(path))
+        rows = log.module_id != 0
+        sensed, recorded = (a[rows].reshape(-1, 5) for a in (log.pressure_kPa, log.inflation_mm))
+        true, mm = (np.concatenate(a) for a in zip(*computed))
+        assert len(mm) == len(recorded) == 20001
+        assert (as_recorded(mm.ravel()) == recorded.ravel()).all()
+        assert (as_recorded(true.ravel()) != sensed.ravel()).any()
 
 
 class TestReplayEquivalence:

@@ -235,6 +235,25 @@ class TestSimulatedBackend(BackendContract):
         assert [a.tobytes() for a in (rows.pressure, rows.time, rows.inflation,
                                       rows.object_z)] == bits
 
+    def test_inflation_read_late_keeps_its_bits(self, three_module_layout, material, params):
+        """Held rows and trajectories compute inflation from the pressures
+        they hold: read after the plant has moved on and computed other
+        trajectories, it has the bits of one read at once."""
+        early, late = (SimulatedBackend(Plant(three_module_layout, None, params, material))
+                       for _ in range(2))
+        for backend in (early, late):
+            backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+            backend.set_valve(ValveCommand(2, INFLATE, 0.0))
+        want = early.lookahead(100).inflation.tobytes()
+        traj_want = early.plant.trajectory(50).inflation.tobytes()
+        rows, traj = late.lookahead(100), late.plant.trajectory(50)
+        late.advance(40)
+        late.set_valve(ValveCommand(2, DEFLATE, late.now))
+        late.lookahead(100)
+        late.advance(30)
+        assert rows.inflation.tobytes() == want
+        assert traj.inflation.tobytes() == traj_want
+
     def test_released_rows_leave_their_memory_to_the_next_lookahead(self, backend):
         """The backend lets go of its last trajectory too, with or without an advance."""
         backend.set_valve(ValveCommand(1, INFLATE, 0.0))

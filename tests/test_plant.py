@@ -27,6 +27,7 @@ from peristation import (
     station_violations,
     time_to_contact,
 )
+from peristation.geometry import InfeasibleGeometryError, solve_chamber_length
 from peristation.plant import (MAX_MODULES, VALVE_MODES, contact_pressure,
                                full_compression_inflation, stack_modules)
 from tests.conftest import NOMINAL, data_address
@@ -294,10 +295,14 @@ class TestContactCheck:
     @pytest.mark.parametrize("r_o", [17.5, 10.0, 7.75, 25.0 - math.nextafter(17.25, math.inf)])
     def test_contact_pressure_is_the_least_that_reaches(self, three_module_layout, material,
                                                         params, r_o):
-        """A filling ring grips on exactly the ticks at or above the contact
-        pressure (inf for an object too thin to reach), the plant's grip."""
+        """The kernel's reach rule: a filling ring grips on exactly the ticks
+        at or above the contact pressure (inf for an object too thin to
+        reach), the plant's grip, which are the ticks on which its inflation
+        closes the gap; one double below the contact pressure, it does not."""
+        gap = 25.0 - r_o
         kpa = contact_pressure(three_module_layout.modules[0].geometry, material, 15.0, r_o)
-        assert kpa == math.inf or math.nextafter(kpa, 0.0) / 15.0 * 17.25 < 25.0 - r_o
+        assert kpa == math.inf or (math.nextafter(kpa, 0.0) / 15.0 * 17.25
+                                   < gap <= kpa / 15.0 * 17.25)
         obj = ObjectState(ObjectSpec(r_o, 60.0), 0.0)  # in rings 1 and 3
         plant = make_plant(three_module_layout, material, params, obj)
         assert plant.grip == kpa
@@ -306,6 +311,33 @@ class TestContactCheck:
         traj = plant.trajectory(4000)  # to P_max
         assert traj.pressure[-1, 0] == 15.0
         assert (traj.contact[:, 0] == (traj.pressure[:, 0] >= kpa)).all()
+        assert (traj.contact[:, 0] == (traj.inflation[:, 0] >= gap)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(R=st.floats(10.0, 80.0), r_fraction=st.floats(0.2, 0.95), spacing=st.floats(0.0, 10.0),
+           t=st.floats(0.5, 5.0), N=st.integers(2, 12), E=st.floats(10.0, 1000.0),
+           ratio=st.floats(0.05, 1.5), P_max=st.floats(1.0, 100.0),
+           r_o_fraction=st.floats(0.0, 1.0), P_fraction=st.floats(0.0, 1.0))
+    def test_reach_is_a_pressure_threshold(self, R, r_fraction, spacing, t, N, E, ratio, P_max,
+                                           r_o_fraction, P_fraction):
+        """P >= contact_pressure holds exactly when P / P_max * d_full >= gap,
+        the ring's inflation against the gap, for P in [0, P_max]: the
+        contact pressure itself, the doubles on either side of it and any
+        other."""
+        r = R * r_fraction
+        try:
+            s = solve_chamber_length(R, r, spacing, N)
+        except InfeasibleGeometryError:
+            return
+        g = RingGeometry(R, r, 1.5, spacing, t, s, N)
+        material = SurrogateMaterial(E, 0.45, calibrate_kappa(g, E, ratio, P_max))
+        r_o = r * r_o_fraction
+        full, gap = full_compression_inflation(g, material, P_max), r - r_o
+        kpa = contact_pressure(g, material, P_max, r_o)
+        for P in (kpa, math.nextafter(kpa, -math.inf), math.nextafter(kpa, math.inf),
+                  P_fraction * P_max):
+            if 0.0 <= P <= P_max:
+                assert (P >= kpa) == (P / P_max * full >= gap), P
 
     def test_span_overlap_must_be_positive(self, three_module_layout, material, params):
         # ring 3 spans [40, 60] mm; an object whose face merely touches it is not gripped
