@@ -436,8 +436,9 @@ class StationController:
         self._probe_done = True
         pid = self._probe_id
         try:
-            res = detect_contact(pid, np.concatenate(self._probe_trace), self.det,
-                                 self.params.P_max)
+            trace = np.concatenate(self._probe_trace)
+            trace[:, 1] = as_recorded(trace[:, 1])  # one call a probe, not one a block
+            res = detect_contact(pid, trace, self.det, self.params.P_max)
         except ValueError:
             self._emit(pid, f"detection aborted module={pid} reason=insufficient-trace")
             self.consec = 0
@@ -500,31 +501,42 @@ class StationController:
         else:
             self._cycle_complete()
 
+    def _timed_out(self, t):
+        """Whether the stage has timed out at a time s, or at each of an array."""
+        return t - self.phase_start > self.ctl.phase_timeout_s
+
+    def _window_over(self, t):
+        """Whether the probe window is over at a time s, or at each of an array."""
+        end = self.det.window_start + self.det.window_len
+        return not self._probe_done and t - self._probe_t0 >= end
+
     def scan(self, now: np.ndarray, sensed: np.ndarray) -> int:
         """The row j of a block that update() acts on next: the first on which
         the stage times out, the probe window ends or the gate opens, else
         the last.  Row 0 is the current tick; now and sensed hold each row's
         time and kPa in layout order, as recorded, under unchanged valves.
+        now must not decrease: a time rule fires in the block only if it
+        fires on the last row, so only then is it computed over the block.
         The scan starts at row 1 once update() has acted on row 0's rules,
         else at row 0 (none left: returns 1), and samples the probe to j."""
         if self._first == len(now):
             return 1
         t, kpa = now[self._first:], sensed[self._first:]
         gate = self._gate()
-        fires = [t - self.phase_start > self.ctl.phase_timeout_s, reduce(
-            operator.and_, (self._holds(kpa[:, mid - 1], rises) for mid, rises in gate))]
-        if not self._probe_done:
-            fires.append(t - self._probe_t0 >= self.det.window_start + self.det.window_len)
-        hits = np.flatnonzero(reduce(operator.or_, fires))
-        i = int(hits[0]) if hits.size else len(t) - 1
+        opens = reduce(operator.and_, (self._holds(kpa[:, mid - 1], rises) for mid, rises in gate))
+        # now never falls, so a time rule that the last row fails fires on no row
+        fires = reduce(operator.or_, [rule(t) for rule in (self._timed_out, self._window_over)
+                                      if rule(t[-1])], opens)
+        i = int(fires.argmax())
+        if not fires[i]:
+            i = len(t) - 1
         if not self._probe_done:  # only samples from window_start on, the first fitted
             tau = t[:i + 1] - self._probe_t0
             k = int(tau.searchsorted(self.det.window_start))
-            self._probe_trace.append(np.column_stack(
-                (tau[k:], as_recorded(kpa[k:i + 1, self._probe_id - 1]))))
+            self._probe_trace.append(np.column_stack((tau[k:], kpa[k:i + 1, self._probe_id - 1])))
         stalled = next((mid for mid, rises in gate if not self._holds(kpa[i, mid - 1], rises)),
-                       gate[-1][0]) if fires[0][i] else None
-        self._rules = stalled, len(fires) > 2 and bool(fires[2][i]), bool(fires[1][i])
+                       gate[-1][0]) if self._timed_out(t[i]) else None
+        self._rules = stalled, bool(self._window_over(t[i])), bool(opens[i])
         return self._first + i
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
@@ -664,8 +676,9 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
 
     The controller decides on each sensed kPa as recorded, the double its
     6-decimal text reads back as: gates through recorded_threshold, the
-    probe trace through as_recorded.  A replay reads those doubles from the
-    file, so it takes the live run's decisions by construction.
+    probe trace through as_recorded when it is classified.  A replay reads
+    those doubles from the file, so it takes the live run's decisions by
+    construction.
 
     Raises:
         ValueError: a duration that breaks the rule of duration_problems,

@@ -227,11 +227,10 @@ class ReplayBackend(_Backend):
     """
 
     def __init__(self, log: TelemetryLog, dt: float):
-        mids = log.module_id
-        rows = np.flatnonzero(mids)
-        if not rows.size:
+        rows = log.module_id != 0
+        mids = log.module_id[rows]
+        if not mids.size:
             raise ValueError("recording contains no module samples")
-        mids = mids[rows]
         again = np.flatnonzero(mids[1:] == mids[0])
         m = int(again[0]) + 1 if again.size else len(mids)
         super().__init__(tuple(mids[:m].tolist()), dt)
@@ -276,9 +275,10 @@ class ReplayBackend(_Backend):
 
     def _commit(self, j: int) -> None:
         k = self._k
-        bad = np.argwhere(self._valve[k:k + j] != self._mode)
-        if bad.size:
-            tick, col = (k + bad[0, 0]).item(), bad[0, 1].item()
+        bad = self._valve[k:k + j] != self._mode
+        if bad.any():
+            i, col = np.argwhere(bad)[0].tolist()
+            tick = k + i
             self.mismatches += 1
             raise ReplayMismatchError(
                 f"recording diverges from the commands: tick {tick} module {self._ids[col]} "
@@ -305,7 +305,7 @@ def _tick_times(mids: np.ndarray, times: np.ndarray, m: int, dt: float) -> np.nd
     Raises:
         ValueError: naming the first tick whose module ids repeat one or are
             not the first tick's, in order, whose rows are not at one time,
-            or whose time is not k * dt.
+            or whose time is not k * dt or is before the tick before it.
     """
     ids = mids[:m].tolist()
     if len(set(ids)) < m:
@@ -330,4 +330,11 @@ def _tick_times(mids: np.ndarray, times: np.ndarray, m: int, dt: float) -> np.nd
         k = int(np.flatnonzero(~on_time)[0])
         raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "
                          f"not at {k * dt} s")
+    # that slack lets a tick's time fall below the last one's when dt is under 1 us
+    # (2 ns on a file's 6-decimal times); the controller needs time that never falls
+    falls = t[1:] < t[:-1]
+    if falls.any():
+        k = int(np.flatnonzero(falls)[0]) + 1
+        raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "
+                         f"before tick {k - 1} at {t[k - 1]} s")
     return t

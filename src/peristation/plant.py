@@ -386,7 +386,8 @@ class Plant:
         back to its bound, so their filled rows keep their bits.  A ring
         that stops moving has reached its bound, and the stretch that moved
         it wrote the bound through to the last row: a fill only rises and a
-        vent only falls, so a ring is clipped only if its last row passed it.
+        vent only falls, so a ring is clipped only if its last row passed a
+        bound, and only to that bound (np.maximum to 0, np.minimum to P_max).
         A moving stroke goes straight into the lift row above it, and lifts
         and the object are recomputed only when one moves.  A ring's contact
         is an array over the stretch only where its reach (pressure against
@@ -432,8 +433,11 @@ class Plant:
                 Pi[1:] = (self._inc_vent if self._valve[i] == DEFLATE
                           else self._inc_contact if hit0[i] else self._inc_free)
                 np.add.accumulate(Pi, out=Pi)
-                if not 0.0 <= Pi[-1] <= P_max:  # a vent only falls and a fill only rises
-                    np.clip(Pi, 0.0, P_max, out=Pi)
+                # a vent only falls and a fill only rises: one bound can bind
+                if Pi[-1] < 0.0:
+                    np.maximum(Pi, 0.0, out=Pi)
+                elif Pi[-1] > P_max:
+                    np.minimum(Pi, P_max, out=Pi)
             # 2) longitudinal strokes lift everything stacked above them
             low = min((i for i in moving if self._kind[i] == LONGITUDINAL), default=m)
             for i in range(low + 1, m):

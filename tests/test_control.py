@@ -541,8 +541,11 @@ class TestStationController:
         assert "detection aborted module=5 reason=insufficient-trace" in texts
 
     @settings(max_examples=100, deadline=None)
-    @given(gate=st.sampled_from(sorted(CYCLE)), timeout_back=st.sampled_from([0, 9990, 10000]),
-           probe_back=st.sampled_from([None, 0, 2490, 2500]),
+    # with k0 = 20000 and 30 rows, the timeout fires from row 10 (9990), on the
+    # last row only (9972) or just after the block (9971); the probe window likewise
+    @given(gate=st.sampled_from(sorted(CYCLE)),
+           timeout_back=st.sampled_from([0, 9971, 9972, 9990, 10000]),
+           probe_back=st.sampled_from([None, 0, 2470, 2471, 2490, 2500]),
            spikes=st.lists(st.tuples(st.integers(1, 29), st.integers(1, 5), st.integers(0, 10)),
                            max_size=4))
     # a gate reading exactly its threshold, rising and falling, then its recorded edge
@@ -550,6 +553,12 @@ class TestStationController:
     @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 1)])
     @example(gate=(REGRASP_BOTTOM, 0), timeout_back=0, probe_back=None, spikes=[(7, 1, 10)])
     @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=None, spikes=[(9, 1, 7)])
+    # each time rule firing inside the block, on its last row only, and just after it
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=9990, probe_back=2490, spikes=[])
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=9972, probe_back=None, spikes=[])
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=9971, probe_back=None, spikes=[])
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=2471, spikes=[])
+    @example(gate=(ADVANCE_RELEASE, 0), timeout_back=0, probe_back=2470, spikes=[])
     def test_scan_stops_where_update_acts(self, gate, timeout_back, probe_back, spikes):
         """scan() stops on the first row on which a tick-by-tick update()
         changes more than the probe trace, gates read exactly at their

@@ -335,6 +335,14 @@ class TestReplayBackend(BackendContract):
         with pytest.raises(ValueError, match=f"does not tick at dt={dt}: {re.escape(bad)}"):
             ReplayBackend(log_of(rows), dt)
 
+    def test_recording_whose_time_falls_rejected(self):
+        """Inside the slack of k * dt a tick can be recorded before the tick
+        before it when dt is under 1 us; scan() needs time that never falls."""
+        rows = [sample(t, mid, 1.0, HOLD) for t in (0.0, 3e-7, 1e-7) for mid in (1, 2)]
+        with pytest.raises(ValueError, match=re.escape(
+                "does not tick at dt=1e-09: tick 2 is at 1e-07 s, before tick 1 at 3e-07 s")):
+            ReplayBackend(log_of(rows), 1e-9)
+
     def test_lookahead_repeats_the_tick_reads(self, recording):
         """On a recording, a lookahead's rows are the reads of the ticks it
         covers, up to the end of the recording."""
