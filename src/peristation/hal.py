@@ -224,6 +224,11 @@ class ReplayBackend(_Backend):
     raise EndOfRecordingError past the end.  The module rows (module_id 0
     rows are station events) become the grid once, here; the first tick
     ends where its first module id comes round again.
+
+    It keeps three copies of the log's module rows: the pressure grid, the
+    valve-code grid and each tick's time.  Building them holds one masked
+    column at a time beside them: the module ids are checked and dropped
+    before the time column is copied.
     """
 
     def __init__(self, log: TelemetryLog, dt: float):
@@ -231,11 +236,13 @@ class ReplayBackend(_Backend):
         mids = log.module_id[rows]
         if not mids.size:
             raise ValueError("recording contains no module samples")
-        again = np.flatnonzero(mids[1:] == mids[0])
-        m = int(again[0]) + 1 if again.size else len(mids)
+        again = mids[1:] == mids[0]  # where the first module id comes round again
+        m = int(again.argmax()) + 1 if again.any() else len(mids)
         super().__init__(tuple(mids[:m].tolist()), dt)
+        _check_tick_ids(mids, m)
+        del mids, again  # checked: the grids are built one masked column at a time
         self.mismatches = 0
-        self._time = _tick_times(mids, log.time_s[rows], m, dt)
+        self._time = _tick_times(log.time_s[rows], m, dt)
         self._pressure = log.pressure_kPa[rows].reshape(-1, m)
         codes, table = log.codes("valve")
         self._valve = codes[rows].reshape(-1, m)  # recorded valve of each grid cell, as a code
@@ -299,19 +306,19 @@ class ReplayBackend(_Backend):
 _TIME_TOLERANCE = 5e-7 + 1e-9
 
 
-def _tick_times(mids: np.ndarray, times: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """The time of each tick of a recording's module rows, m rows a tick.
+# Each check here and in _tick_times reduces its whole comparison with one
+# .all(), cheaper than a reduction per tick, and looks for the first bad tick
+# only when that fails.
+def _check_tick_ids(mids: np.ndarray, m: int) -> None:
+    """Check that a recording's module rows are ticks of the first tick's m module ids.
 
     Raises:
         ValueError: naming the first tick whose module ids repeat one or are
-            not the first tick's, in order, whose rows are not at one time,
-            or whose time is not k * dt or is before the tick before it.
+            not the first tick's, in order.
     """
     ids = mids[:m].tolist()
     if len(set(ids)) < m:
         raise ValueError(f"recording is not a tick grid: tick 0: module ids {ids} repeat a module")
-    # each check reduces its whole comparison with one .all(), cheaper than a
-    # reduction per tick, and looks for the first bad tick only when that fails
     n = len(mids) // m
     same = mids[:n * m].reshape(n, m) == mids[:m]
     if n * m < len(mids) or not same.all():  # a bad tick, or a short last one
@@ -319,13 +326,27 @@ def _tick_times(mids: np.ndarray, times: np.ndarray, m: int, dt: float) -> np.nd
         k = int(bad[0]) if bad.size else n
         raise ValueError(f"recording is not a tick grid: tick {k}: module ids "
                          f"{mids[k * m:(k + 1) * m].tolist()} are not the first tick's {ids}")
+
+
+def _tick_times(times: np.ndarray, m: int, dt: float) -> np.ndarray:
+    """The time of each tick of a recording's module rows, m rows a tick,
+    from rows that _check_tick_ids passed.
+
+    Raises:
+        ValueError: naming the first tick whose rows are not at one time, or
+            whose time is not k * dt or is before the tick before it.
+    """
+    n = len(times) // m
     grid = times.reshape(n, m)
     together = grid == grid[:, :1]
     if not together.all():
         k = int(np.flatnonzero(~together.all(axis=1))[0])
         raise ValueError(f"recording is not a tick grid: tick {k}: rows at {grid[k].tolist()} s")
     t = grid[:, 0].copy()
-    on_time = np.abs(t - np.arange(n) * dt) <= _TIME_TOLERANCE
+    off = np.arange(n, dtype=np.float64)
+    off *= dt
+    np.subtract(t, off, out=off)  # each tick's time less k * dt, in one array
+    on_time = np.abs(off, out=off) <= _TIME_TOLERANCE
     if not on_time.all():
         k = int(np.flatnonzero(~on_time)[0])
         raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "

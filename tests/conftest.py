@@ -1,5 +1,6 @@
 import contextlib
 import threading
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -192,6 +193,21 @@ def assert_same_log(a, b):
                 assert x.tolist() == y.tolist(), name
             else:
                 assert x.tobytes() == y.tobytes(), name
+
+
+def log_nbytes(log) -> int:
+    """The bytes of a TelemetryLog's arrays, each coded column's codes included."""
+    return sum(log.codes(name)[0].nbytes if name in CODED else getattr(log, name).nbytes
+               for name in Row._fields)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager

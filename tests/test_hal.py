@@ -20,7 +20,7 @@ from peristation import (
     ValveCommand,
     read_telemetry,
 )
-from tests.conftest import Row, data_address, log_of, read_rows
+from tests.conftest import Row, data_address, log_of, read_rows, traced_peak
 
 
 @pytest.fixture
@@ -327,6 +327,15 @@ class TestReplayBackend(BackendContract):
         rows = [sample(k * 1e-3, mid, 1.0, HOLD) for k, ids in ticks for mid in ids]
         with pytest.raises(ValueError, match=re.escape(bad)):
             ReplayBackend(log_of(rows), 1e-3)
+
+    def test_grids_hold_one_column_copy_at_a_time(self, recording):
+        """Beyond the log, building the backend holds at most its grids
+        (pressure, valve codes and tick times) and one more copy of a
+        column's module rows."""
+        log = read_telemetry(recording)
+        backend, peak = traced_peak(ReplayBackend, log, PlantParams().dt)
+        column = backend._pressure.nbytes
+        assert peak <= column + backend._valve.nbytes + backend._time.nbytes + column
 
     @pytest.mark.parametrize("dt, bad", [(5e-4, "tick 1 is at 0.001 s, not at 0.0005 s"),
                                          (2e-3, "tick 1 is at 0.001 s, not at 0.002 s")])

@@ -32,7 +32,7 @@ from peristation import (
     run_station,
 )
 from tests.conftest import (Row, assert_reads_as, assert_same_log, column, counting_blocks,
-                            read_rows)
+                            log_nbytes, read_rows, traced_peak)
 
 
 @pytest.fixture
@@ -332,6 +332,46 @@ class TestDecoder:
             assert codes.dtype == np.uint8 and table.dtype == object
             assert {type(v) for v in table.tolist()} == {str}
         assert log.event.dtype == object
+
+    @pytest.mark.parametrize("by_line", [False, True], ids=["fast", "by line"])
+    def test_codes_widen_when_a_later_block_passes_256_strings(self, recording, by_line):
+        """The first block's few strings are coded in uint8; a later block
+        (decoded by position, or by line) brings 300 more phases, and the
+        codes already read are widened to uint16 with their values: the
+        three columns share one table, so all three widen."""
+        small = read_telemetry(recording)
+        with open(recording, "a") as f:
+            f.write("\n" * by_line + "".join(
+                f"99.000000,1,Compression,1.000000,Hold,0.000000,0.000000,L9:phase{i},\n"
+                for i in range(300)))
+        with counting_blocks() as counts:
+            log = read_telemetry(recording)
+        assert_reads_as(log, read_rows(recording))
+        assert counts["by line"] == by_line and counts["fast"] > 1
+        for name in ("kind", "valve", "phase"):
+            (codes, table), (before, table_before) = log.codes(name), small.codes(name)
+            assert before.dtype == np.uint8 and codes.dtype == np.uint16
+            assert np.array_equal(codes[:len(before)], before)
+            assert table[:len(table_before)].tolist() == table_before.tolist()
+        assert len(log.codes("phase")[1]) > 256
+
+
+class TestReadMemory:
+    def test_a_read_holds_a_bound_beyond_the_log(self, recording, small_blocks):
+        """Beyond the log, a read holds the blocks in flight and the workers'
+        temporaries: a bound set by the block size (64 KiB here, so that
+        it is small beside the log), not by the rows.  The recording and
+        one four times as long stay under the same bound."""
+        head, body = recording.read_bytes().split(b"\n", 1)
+        longer = recording.with_name("longer.csv")
+        longer.write_bytes(head + b"\n" + body * 4)
+        read_telemetry(recording)  # a first read imports the thread pool
+        extra = {}
+        for path in (recording, longer):
+            log, peak = traced_peak(read_telemetry, path)
+            extra[path.name] = peak - log_nbytes(log)
+        assert len(log) == 4 * len(read_rows(recording)) > 100_000
+        assert max(extra.values()) < 32 * telemetry._BATCH_BYTES, extra
 
 
 def insert_line(path, line, past: int = 3 << 19) -> int:
