@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import require_finite
-from .hal import ValveCommand
+from .hal import ValveCommand, same_dt
 from .plant import (
     COMPRESSION,
     DEFLATE,
@@ -245,12 +245,12 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
         trace = []
         while True:
             rows = backend.lookahead(BLOCK_TICKS)
-            p = rows.pressure[:, rows.ids.index(module_id)]
-            done = rows.time - t0 > w_end if mode == INFLATE else p <= lo
-            hits = np.flatnonzero(done | (rows.time >= t0 + ctl.phase_timeout_s))
+            p, t = rows.pressure[:, rows.ids.index(module_id)], rows.time
+            done = t - t0 > w_end if mode == INFLATE else p <= lo
+            hits = np.flatnonzero(done | (t >= t0 + ctl.phase_timeout_s))
             j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
             if mode == INFLATE:
-                trace.append(np.column_stack((rows.time[:j] - t0, p[:j])))
+                trace.append(np.column_stack((t[:j] - t0, p[:j])))
             backend.advance(j)
             del rows, p  # free the block before the next lookahead
             if hits.size:
@@ -391,7 +391,8 @@ class StationController:
             self._enter(GRASP, 0)
         if sensed is not None:  # the tick is row 0 of a block of its own
             self._first = 0
-            self.scan(np.array([now]), np.array([sensed], np.float64))
+            self._scan(np.array([sensed], np.float64), lambda r: now,
+                       lambda a, b: np.full(b - a, now))
         rules, self._rules = self._rules, None
         self._first = int(rules is not None)
         if rules is not None:
@@ -510,34 +511,49 @@ class StationController:
         end = self.det.window_start + self.det.window_len
         return not self._probe_done and t - self._probe_t0 >= end
 
-    def scan(self, now: np.ndarray, sensed: np.ndarray) -> int:
+    def scan(self, k0: int, sensed: np.ndarray) -> int:
         """The row j of a block that update() acts on next: the first on which
         the stage times out, the probe window ends or the gate opens, else
-        the last.  Row 0 is the current tick; now and sensed hold each row's
-        time and kPa in layout order, as recorded, under unchanged valves.
-        now must not decrease: a time rule fires in the block only if it
-        fires on the last row, so only then is it computed over the block.
-        The scan starts at row 1 once update() has acted on row 0's rules,
-        else at row 0 (none left: returns 1), and samples the probe to j."""
-        if self._first == len(now):
+        the last.  Row 0 is the current tick, tick k0, and sensed holds each
+        row's kPa in layout order, as recorded, under unchanged valves.  Row
+        r is at (k0 + r) * dt: an int below 2**53 converts exactly, so a
+        Python float has the bits of np.arange(k0, k0 + n) * dt.  Time never
+        falls, so a time rule fires in the block only if it fires on the last
+        row; only then, or when the probe samples (its window has started by
+        the last row), are the block's times computed.  The scan starts at
+        row 1 once update() has acted on row 0's rules, else at row 0 (none
+        left: returns 1), and samples the probe to j."""
+        dt = self.params.dt
+        return self._scan(sensed, lambda r: (k0 + r) * dt,
+                          lambda a, b: np.arange(k0 + a, k0 + b) * dt)
+
+    def _scan(self, sensed: np.ndarray, at, times) -> int:
+        """scan() with row r at at(r), and rows a to b - 1 at times(a, b)."""
+        first, n = self._first, len(sensed)
+        if first == n:
             return 1
-        t, kpa = now[self._first:], sensed[self._first:]
+        kpa = sensed[first:]
         gate = self._gate()
         opens = reduce(operator.and_, (self._holds(kpa[:, mid - 1], rises) for mid, rises in gate))
-        # now never falls, so a time rule that the last row fails fires on no row
-        fires = reduce(operator.or_, [rule(t) for rule in (self._timed_out, self._window_over)
-                                      if rule(t[-1])], opens)
+        # time never falls, so a time rule that the last row fails fires on no row
+        last = at(n - 1)
+        rules = [rule for rule in (self._timed_out, self._window_over) if rule(last)]
+        # the probe keeps only samples from window_start on, the first fitted
+        samples = not self._probe_done and last - self._probe_t0 >= self.det.window_start
+        t = times(first, n) if rules or samples else None
+        fires = reduce(operator.or_, [rule(t) for rule in rules], opens)
         i = int(fires.argmax())
         if not fires[i]:
-            i = len(t) - 1
-        if not self._probe_done:  # only samples from window_start on, the first fitted
+            i = n - 1 - first
+        if samples:
             tau = t[:i + 1] - self._probe_t0
             k = int(tau.searchsorted(self.det.window_start))
             self._probe_trace.append(np.column_stack((tau[k:], kpa[k:i + 1, self._probe_id - 1])))
+        ti = at(first + i)
         stalled = next((mid for mid, rises in gate if not self._holds(kpa[i, mid - 1], rises)),
-                       gate[-1][0]) if self._timed_out(t[i]) else None
-        self._rules = stalled, bool(self._window_over(t[i])), bool(opens[i])
-        return self._first + i
+                       gate[-1][0]) if self._timed_out(ti) else None
+        self._rules = stalled, bool(self._window_over(ti)), bool(opens[i])
+        return first + i
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
         """After one more stroke, can the bottom ring still reach the object?"""
@@ -668,11 +684,13 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     past the duration limit: by the ticks the current (phase, stage) took
     when it last ran, less those it has run, plus 32, at most
     4 * BLOCK_TICKS; BLOCK_TICKS while the stage has no record or has run
-    past it.  scan() finds row j, the first that the controller acts on,
-    the recorder gets the rows before it in calls of at most BLOCK_TICKS
-    ticks, and the backend advances j rows; update() then acts on the new
-    tick, plant events first.  The backend must step at dt = params.dt,
-    and its rows must hold the layout's modules in order.
+    past it.  scan(k, ...) finds row j, the first that the controller acts
+    on, the recorder gets the rows before it, and their times, in calls of
+    at most BLOCK_TICKS ticks, and the backend advances j rows; update()
+    then acts on the new tick, plant events first.  No time is computed
+    beyond those: not the backend's clock, nor the times of its rows.  The
+    backend must step at dt = params.dt (to a relative 1e-9), and its rows
+    must hold the layout's modules in order.
 
     The controller decides on each sensed kPa as recorded, the double its
     6-decimal text reads back as: gates through recorded_threshold, the
@@ -695,7 +713,7 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
     dt = params.dt
     n_steps = int(round(duration_s / dt))
-    if abs(backend.dt - dt) > 1e-12:
+    if not same_dt(backend.dt, dt):
         raise ValueError(f"backend steps at fixed dt={backend.dt}, got {dt}")
     ids = tuple(mod.id for mod in layout.modules)
     if (got := backend.lookahead(1).ids) != ids:
@@ -717,11 +735,11 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
         left = took.get(stage, 0) - (k - start)
         n = min(left + 32, 4 * BLOCK_TICKS) if left > 0 else BLOCK_TICKS
         rows = backend.lookahead(1 if controller.done else min(n, n_steps - k + 1))
-        times = np.arange(k, k + len(rows)) * dt
-        j = 1 if controller.done else controller.scan(times, rows.pressure)
+        j = 1 if controller.done else controller.scan(k, rows.pressure)
         tick_events = controller.take_events() if j else []  # on j = 0, kept for its row
         events_log += [(now, mid, text) for mid, text in tick_events]
         if recorder is not None:
+            times = np.arange(k, k + j) * dt
             for a in range(0, j, BLOCK_TICKS):
                 b = min(a + BLOCK_TICKS, j)
                 recorder.record(times[a:b], rows.span(a, b), controller.valves,

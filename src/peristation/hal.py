@@ -63,17 +63,25 @@ class Rows:
     pressure has one column per module id in ids.  inflation and object_z
     are plant ground truth (object_z is 0.0 without an object), None when
     the backend has none; inflation is truth, or inflate(truth), when read.
+    time is clock, or clock() when read: the simulated backend's rows sum
+    the plant's clock only then (the trajectory keeps the sum), and len()
+    and span() do not read it.
     """
 
     ids: tuple[int, ...]
     pressure: np.ndarray  # (rows, len(ids)) sensed kPa
-    time: np.ndarray  # (rows,) backend clock, s
+    clock: np.ndarray | Callable[[], np.ndarray]  # (rows,) backend clock, s, or its maker
     truth: Optional[np.ndarray] = None  # (rows, len(ids)) mm, or true kPa with inflate
     object_z: Optional[np.ndarray] = None  # (rows,) mm
     inflate: Optional[Callable[[np.ndarray], np.ndarray]] = None  # kPa to mm
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self.pressure)
+
+    @property
+    def time(self) -> np.ndarray:  # (rows,) backend clock, s
+        clock = self.clock
+        return clock if isinstance(clock, np.ndarray) else clock()
 
     @cached_property
     def inflation(self) -> Optional[np.ndarray]:  # (rows, len(ids)) mm
@@ -82,9 +90,14 @@ class Rows:
     def span(self, a: int, b: int) -> "Rows":
         """Rows a to b - 1."""
         truth = self.truth is not None
-        return Rows(self.ids, self.pressure[a:b], self.time[a:b],
+        return Rows(self.ids, self.pressure[a:b], lambda: self.time[a:b],
                     self.truth[a:b] if truth else None,
                     self.object_z[a:b] if truth else None, self.inflate)
+
+
+def same_dt(a: float, b: float) -> bool:
+    """Whether two tick lengths are one: equal to a relative 1e-9, at any scale."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
 
 
 class ReplayMismatchError(ValueError):
@@ -144,7 +157,7 @@ class _Backend:
         self._commit(j)
 
     def tick(self, dt: float) -> float:
-        if abs(dt - self.dt) > 1e-12:
+        if not same_dt(dt, self.dt):
             raise ValueError(f"backend steps at fixed dt={self.dt}, got {dt}")
         self.advance(1)
         return self.now
@@ -191,7 +204,7 @@ class SimulatedBackend(_Backend):
         traj = self._traj = self.plant.trajectory(n - 1)
         sensed = traj.pressure + self._noise_rows(len(traj)) if self._sigma > 0.0 else traj.pressure
         z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
-        return Rows(self._ids, sensed, traj.time, traj.pressure, z, self.plant.inflation)
+        return Rows(self._ids, sensed, lambda: traj.time, traj.pressure, z, self.plant.inflation)
 
     def _commit(self, j: int) -> None:
         while j > 0:

@@ -22,7 +22,9 @@ contiguous row, filled once per call, and spends array operations only on
 what moves: the rings that move, the lifts above a moving stroke, the object
 when a supporter moves and the contacts whose reach flips or span moves.
 Any other contact is one comparison of Python floats per stretch.
-Inflation (Plant.inflation) is not stepped: it is computed when read.
+Inflation (Plant.inflation) is not stepped: it is computed when read, and so
+is time (summed_clock): the plant counts its steps, and sums dt over them
+only when its clock or a trajectory's times are read.
 """
 
 from __future__ import annotations
@@ -243,6 +245,15 @@ def contact_pressure(geometry: RingGeometry, material: SurrogateMaterial, P_max:
     return max(hi, 0.0)
 
 
+def summed_clock(seconds: float, dt: float, steps: int) -> np.ndarray:
+    """A clock's readings from seconds on, after 0 to steps more steps of dt,
+    dt added one step at a time: the one rule of every plant time reading."""
+    time = np.empty(steps + 1)
+    time.fill(dt)
+    time[0] = seconds
+    return np.add.accumulate(time, out=time)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States a plant would pass through under its current valves, not yet committed.
@@ -254,6 +265,7 @@ class Trajectory:
     Plant.commit moves the plant to a row.  The storage is the plant's, and
     the plant writes its next trajectory into it once no view of it is alive:
     a held trajectory or view keeps its bits, inflation (computed when read) too.
+    time is summed from the plant's clock at row 0 when first read.
     """
 
     start: int  # the plant's state count when the trajectory was computed
@@ -261,16 +273,27 @@ class Trajectory:
     lift: np.ndarray  # (rows, modules) mm, rise of each module above rest
     contact: np.ndarray  # (rows, modules) bool
     object_z: Optional[np.ndarray]  # (rows,) mm; None without an object
-    time: np.ndarray  # (rows,) s
+    clock: tuple[float, int, float]  # row 0's clock: seconds read, steps since, dt
     events: tuple  # (module_id, text) events of the step into the last row
     inflate: Callable[[np.ndarray], np.ndarray]  # kPa to mm: Plant.inflation
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self.pressure)
 
     @cached_property
     def inflation(self) -> np.ndarray:  # (rows, modules) mm
         return self.inflate(self.pressure)
+
+    @property
+    def time(self) -> np.ndarray:  # (rows,) s
+        # cached by hand: before Python 3.12 cached_property takes a lock on
+        # a first read, and calibration reads one trajectory's times a lookahead
+        time = self.__dict__.get("_time")
+        if time is None:
+            seconds, steps, dt = self.clock
+            time = summed_clock(seconds, dt, steps + len(self.pressure) - 1)
+            time = self.__dict__["_time"] = time[steps:] if steps else time
+        return time
 
 
 class Plant:
@@ -292,7 +315,7 @@ class Plant:
         self.layout = layout
         self.params = params
         self.object = obj
-        self.time = 0.0
+        self._seconds, self._steps = 0.0, 0  # the clock: its last reading, and steps since
 
         self._mods = list(layout.modules)
         n = len(self._mods)
@@ -326,6 +349,14 @@ class Plant:
         self._inc_contact = params.contact_rate(ror) * dt
         self._inc_vent = -(params.k_vent * dt)
 
+    @property
+    def time(self) -> float:
+        """The clock, s: dt summed step by step over every committed step."""
+        if self._steps:
+            self._seconds = summed_clock(self._seconds, self.params.dt, self._steps)[-1].item()
+            self._steps = 0
+        return self._seconds
+
     def set_valve(self, module_id: int, mode: str) -> None:
         if mode not in VALVE_MODES:
             raise ValueError(f"unknown valve mode {mode!r}")
@@ -348,6 +379,8 @@ class Plant:
         """Move the plant to row `row` of a trajectory computed from its current state.
 
         Returns the trajectory's events when row is its last row, else none.
+        The clock counts the row's steps, or reads the row's time if the
+        trajectory's times were read.
 
         Raises:
             ValueError: the plant changed since the trajectory was computed,
@@ -362,7 +395,11 @@ class Plant:
         self._P = traj.pressure[row].tolist()
         self._lift = traj.lift[row].tolist()
         self._contact = traj.contact[row].tolist()
-        self.time = traj.time[row].item()
+        time = traj.__dict__.get("_time")
+        if time is not None:
+            self._seconds, self._steps = time[row].item(), 0
+        else:
+            self._steps += row
         if self.object is not None:
             self.object.z = traj.object_z[row].item()
         self._state += 1
@@ -497,13 +534,10 @@ class Plant:
                 if end == flip and sup and not contact[:, end].any():
                     events.append((0, self._drop(z, P, lift, end)))  # held -> unsupported
             last = end
-        time = np.empty(last + 1)
-        time[0] = self.time
-        time[1:] = params.dt
-        np.add.accumulate(time, out=time)
         k = last + 1
         return Trajectory(self._state, P[:, :k].T, lift[:, :k].T, contact[:, :k].T,
-                          z[:k] if z is not None else None, time, tuple(events), self.inflation)
+                          z[:k] if z is not None else None,
+                          (self._seconds, self._steps, params.dt), tuple(events), self.inflation)
 
     def _storage(self, name: str, height: int, rows: int, dtype) -> np.ndarray:
         """(height, rows) of the plant's storage `name`, grown to rows if short,

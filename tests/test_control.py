@@ -39,8 +39,10 @@ from peristation import (
     read_telemetry,
     run_station,
 )
+from peristation import plant as plant_module
 from peristation.config import load_config
 from peristation.control import ADVANCE_RELEASE, BLOCK_TICKS, CYCLE, REGRASP_BOTTOM
+from peristation.plant import summed_clock
 from peristation.telemetry import as_recorded
 from tests.conftest import NOMINAL, Row, log_of, read_rows
 
@@ -588,7 +590,7 @@ class TestStationController:
         ref = copy.deepcopy(c)
         quiet = decision(ref)
 
-        j = c.scan(times, sensed)
+        j = c.scan(k0, sensed)
         assert 1 <= j <= 29
         assert all(decision(ref, times[i].item(), sensed[i].tolist()) == quiet
                    for i in range(1, j))
@@ -606,7 +608,7 @@ class TestStationController:
         ref = copy.deepcopy(c)
         times = np.arange(3000) * DT
         sensed = np.full((3000, 5), 5.0)
-        j = c.scan(times, sensed)
+        j = c.scan(0, sensed)
         assert times[j - 1] < 2.5 <= times[j]  # window_start + window_len
         drop = [(0, "drop to_z=0.000000")]
         for i in range(1, j):
@@ -627,10 +629,10 @@ class TestStationController:
         c = self.controller(five_module_layout)
         c.update(0.0, self.zeros(five_module_layout))
         c.take_events()
-        assert c.scan(np.zeros(1), np.zeros((1, 5))) == 1
+        assert c.scan(0, np.zeros((1, 5))) == 1
         assert c.update(DT) == {}
         assert c.take_events() == [] and c.phase_label() == "L0:Grasp"
-        assert c.scan(np.array([DT]), np.full((1, 5), 15.0)) == 0  # the grasp gate opens
+        assert c.scan(1, np.full((1, 5), 15.0)) == 0  # the grasp gate opens
         assert c.update(DT) == {1: DEFLATE}
         assert c.phase_label() == "L0:AdvanceRelease"
 
@@ -755,11 +757,41 @@ class TestRunStation:
             run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
                         params, DetectionConfig(), ControlConfig(), 0.0)
 
-    def test_plant_stepping_at_another_dt_rejected(self, five_module_layout, material, params):
-        backend = sim_backend(five_module_layout, material, params)
-        with pytest.raises(ValueError, match="fixed dt=0.001, got 0.002"):
-            run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
-                        PlantParams(dt=2e-3), DetectionConfig(), ControlConfig(), 1.0)
+    def test_runs_sum_no_clock(self, five_module_layout, material, params, monkeypatch,
+                               tmp_path):
+        """run_station reads time as k * dt: with or without a recorder it sums
+        no plant clock.  Calibration reads the clock, and sums the steps of
+        each lookahead once, none twice."""
+        summed = []
+
+        def counting(seconds, dt, steps):
+            summed.append(steps)
+            return summed_clock(seconds, dt, steps)
+
+        def run(recorder=None):
+            backend = sim_backend(five_module_layout, material, params)
+            return run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                               params, DetectionConfig(), ControlConfig(max_cycles=1), 20.0,
+                               recorder=recorder)
+
+        monkeypatch.setattr(plant_module, "summed_clock", counting)
+        assert run().cycles == 1
+        with TelemetryWriter(tmp_path / "run.csv") as writer:
+            assert run(writer).cycles == 1
+        assert summed == []
+        backend = CountingBackend(Plant(five_module_layout, None, params, material))
+        calibrate_baseline(backend, 1, params, DetectionConfig())
+        assert summed and sum(summed) <= backend.rows - backend.lookaheads
+
+    def test_plant_stepping_at_another_dt_rejected(self, five_module_layout, material):
+        # dts compare relatively: two under 1e-12 s are not one
+        for dt, other in [(1e-3, 2e-3), (1e-13, 2e-13)]:
+            backend = sim_backend(five_module_layout, material, PlantParams(dt=dt))
+            with pytest.raises(ValueError, match=f"fixed dt={dt}, got {other}"):
+                run_station(backend, five_module_layout, backend.plant.object.spec, 0.0,
+                            PlantParams(dt=other), DetectionConfig(), ControlConfig(),
+                            1000 * dt)
+            assert backend.now == 0.0
 
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_nonfinite_duration_rejected(self, five_module_layout, material, params, duration):
@@ -947,6 +979,14 @@ class TestReplayEquivalence:
                 run_station(ReplayBackend(log, params.dt), five_module_layout,
                             backend.plant.object.spec, 0.0, replace(params, dt=dt),
                             DetectionConfig(), ControlConfig(), 120.0)
+        # dts compare relatively: a recording at 1e-13 s (every tick at 0.0 in the
+        # file) is not one at 2e-13 s
+        tiny = ReplayBackend(log_of([Row(0.0, mid, "Compression", 0.0, HOLD, 0.0, 0.0,
+                                         "L0:Grasp", "") for _ in range(3) for mid in
+                                     range(1, 6)]), 1e-13)
+        with pytest.raises(ValueError, match="backend steps at fixed dt=1e-13, got 2e-13"):
+            run_station(tiny, five_module_layout, backend.plant.object.spec, 0.0,
+                        replace(params, dt=2e-13), DetectionConfig(), ControlConfig(), 1e-10)
 
     def test_valve_change_a_tick_early_rejected(self, three_module_layout, material, params,
                                                 tmp_path):

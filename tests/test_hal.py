@@ -117,6 +117,14 @@ class BackendContract:
         assert backend.now == 0.0  # no tick was taken
         assert backend.tick(1e-3) == backend.now == 0.001
 
+    def test_tiny_dts_compare_relatively(self, backend_at):
+        """dts under 1e-12 s are not all one: at 1e-13 s a tick of 2e-13 s is refused."""
+        backend = backend_at(1e-13)
+        with pytest.raises(ValueError, match=re.escape("backend steps at fixed dt=1e-13, got 2e-13")):
+            backend.tick(2e-13)
+        assert backend.now == 0.0  # no tick was taken
+        backend.tick(1e-13)
+
     def test_lookahead_and_advance_reject_bad_counts(self, backend):
         with pytest.raises(ValueError, match="n >= 1"):
             backend.lookahead(0)
@@ -126,6 +134,11 @@ class BackendContract:
 
 
 class TestSimulatedBackend(BackendContract):
+    @pytest.fixture
+    def backend_at(self, three_module_layout, material):
+        return lambda dt: SimulatedBackend(Plant(three_module_layout, None, PlantParams(dt=dt),
+                                                 material))
+
     def test_noise_free_read_is_plant_truth(self, backend):
         backend.plant.set_valve(1, INFLATE)
         backend.tick(1e-3)
@@ -286,6 +299,12 @@ class TestReplayBackend(BackendContract):
     @pytest.fixture
     def backend(self):
         return replay_fixture()
+
+    @pytest.fixture
+    def backend_at(self):
+        """A recording of three ticks at dt, its times rounded as a file's."""
+        return lambda dt: ReplayBackend(log_of([sample(round(k * dt, 6), mid, 1.0, HOLD)
+                                                for k in range(3) for mid in (1, 2)]), dt)
 
     def test_reads_return_the_recording(self):
         backend = replay_fixture()

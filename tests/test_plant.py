@@ -21,7 +21,9 @@ from peristation import (
     PlantParams,
     RingGeometry,
     StationLayout,
+    SimulatedBackend,
     SurrogateMaterial,
+    ValveCommand,
     build_station,
     calibrate_kappa,
     station_violations,
@@ -730,6 +732,88 @@ class TestKernelAgainstReference:
         got, want = kernel_and_reference_rows(build_station(g, count, 20.0, 20.0), mat,
                                               params, obj, steps, block, hold)
         assert got == want
+
+
+def per_step_clock(dt, steps):
+    """The clock after 0 to steps steps: dt added one step at a time, in Python floats."""
+    clock = [0.0]
+    for _ in range(steps):
+        clock.append(clock[-1] + dt)
+    return clock
+
+
+def hexes(times):
+    return [t.hex() for t in times]
+
+
+class TestStepCountClock:
+    """The plant's clock counts steps and sums dt only where it is read.
+    Every reading equals dt added one step at a time, bit for bit, whichever
+    readings came before it and whichever were skipped."""
+
+    # (operation, steps, row or ticks, which clocks to read as bits)
+    OPS = st.lists(st.tuples(st.sampled_from(["valve", "look"]), st.integers(0, 400),
+                             st.integers(0, 400), st.integers(0, 7)), max_size=25)
+    DTS = st.sampled_from([1e-3, 0.01, 0.7, 1e-13])
+
+    @staticmethod
+    def plant(dt, sigma=0.0):
+        g = RingGeometry(**NOMINAL)
+        mat = SurrogateMaterial(100.0, 0.45, calibrate_kappa(g, 100.0, 0.69, 15.0))
+        return Plant(build_station(g, 5, 20.0, 20.0), ObjectState(ObjectSpec(17.5, 30.0), 22.0),
+                     PlantParams(dt=dt, noise_sigma=sigma), mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dt=DTS, ops=OPS)
+    # unread commits, then a trajectory read before its commit, one read after
+    # it, and a clock read after a commit of unread steps
+    @example(dt=1e-3, ops=[("look", 300, 300, 0), ("look", 300, 200, 1), ("valve", 0, 0, 4),
+                           ("look", 300, 300, 2), ("look", 10, 5, 4)])
+    def test_plant_and_trajectory_readings(self, dt, ops):
+        plant = self.plant(dt)
+        clock = per_step_clock(dt, 400 * len(ops))
+        k = 0
+        for op, a, b, reads in ops:
+            if op == "valve":
+                plant.set_valve(a % 5 + 1, VALVE_MODES[b % 3])
+            else:
+                traj = plant.trajectory(a)
+                row = b % len(traj)
+                if reads & 1:  # before the commit, which then takes the row's time
+                    assert hexes(traj.time.tolist()) == hexes(clock[k:k + len(traj)])
+                plant.commit(traj, row)
+                if reads & 2:  # only after it, which added the row's steps
+                    assert hexes(traj.time.tolist()) == hexes(clock[k:k + len(traj)])
+                k += row
+            if reads & 4:
+                assert plant.time.hex() == clock[k].hex()
+        assert plant.time.hex() == clock[k].hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(dt=DTS, sigma=st.sampled_from([0.0, 0.05]), ops=OPS)
+    @example(dt=1e-3, sigma=0.05, ops=[("look", 300, 300, 0), ("look", 300, 200, 3),
+                                       ("valve", 0, 0, 4), ("look", 300, 900, 2),
+                                       ("look", 10, 5, 4)])
+    def test_backend_readings(self, dt, sigma, ops):
+        backend = SimulatedBackend(self.plant(dt, sigma))
+        clock = per_step_clock(dt, 400 * len(ops))
+        k = 0
+        for op, a, b, reads in ops:
+            if op == "valve":
+                backend.set_valve(ValveCommand(a % 5 + 1, VALVE_MODES[b % 3], 0.0))
+            else:
+                rows = backend.lookahead(a + 1)
+                n = len(rows)
+                if reads & 1:
+                    assert hexes(rows.time.tolist()) == hexes(clock[k:k + n])
+                if reads & 2:  # a span's times, read alone or after the block's
+                    lo = b % n
+                    assert hexes(rows.span(lo, n).time.tolist()) == hexes(clock[k + lo:k + n])
+                backend.advance(b)  # within the lookahead or past it
+                k += b
+            if reads & 4:
+                assert backend.now.hex() == backend.plant.time.hex() == clock[k].hex()
+        assert backend.now.hex() == clock[k].hex()
 
 
 class TestTrajectoryStorage:
