@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 from typing import Optional
@@ -53,6 +54,9 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # station.modules, module).  libyaml composes recursively in C and kills the
 # process on deeper text, so _parse first counts levels on the parser's events.
 MAX_NESTING = 16
+# A number with an exponent; YAML 1.1 reads 1e6, 1.0e6 and 1e+6 as text, and
+# 1.0e+6, with a digit, a dot and a signed exponent, as a number
+_EXPONENT = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 DEFAULT_GEOMETRY = {
@@ -151,7 +155,9 @@ def _merge(section: str, raw: dict, defaults: dict, require_all: bool = False) -
 
 def _num(section: str, key: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section}.{key}: expected a number, got {v!r}")
+        hint = isinstance(v, str) and _EXPONENT.fullmatch(v) and yaml.safe_load(v) == v
+        raise ConfigError(f"{section}.{key}: expected a number, got {v!r}"
+                          + (" (write a number with an exponent as 1.0e+6)" if hint else ""))
     try:
         return float(v)
     except OverflowError:  # an integer beyond the float range

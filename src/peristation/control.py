@@ -35,6 +35,7 @@ from .plant import (
     PlantParams,
     StationLayout,
     ObjectSpec,
+    summed_clock,
 )
 from .telemetry import as_recorded, recorded_threshold
 
@@ -221,10 +222,11 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     Vents the ring, inflates it through the detection window, regresses the
     slope, and vents back.  The caller must ensure no object sits in the
     ring's span; a slope above theta times the free rate is rejected as
-    contaminated.  Time is the backend's clock, and ticks advance in blocks.
-    Each of the three waits raises ControlFaultError once the control's
-    phase_timeout_s has passed.  Only the inflation keeps its samples, the
-    row that ends it left out.
+    contaminated.  Ticks advance in blocks.  Time is the backend's clock,
+    read once, with dt summed over each block's rows (summed_clock); a block
+    of one row that advances a tick reads it again.  Each of the three waits
+    raises ControlFaultError once the control's phase_timeout_s has passed.
+    Only the inflation keeps its samples, the row that ends it left out.
 
     Raises:
         ValueError: a timeout or a window that breaks timeout_problems or window_problems.
@@ -237,21 +239,24 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     w_end = detection.window_start + detection.window_len + params.dt
     waits = [(INFLATE, "inflating through the detection window"),
              (DEFLATE, "venting after calibration")]
-    if backend.read_pressure(module_id)[0] > lo:
+    p, now = backend.read_pressure(module_id)
+    if p > lo:
         waits.insert(0, (DEFLATE, "venting before calibration"))
     for mode, what in waits:
-        backend.set_valve(ValveCommand(module_id, mode, backend.now))
-        t0 = backend.now
+        backend.set_valve(ValveCommand(module_id, mode, now))
+        t0 = now
         trace = []
         while True:
             rows = backend.lookahead(BLOCK_TICKS)
-            p, t = rows.pressure[:, rows.ids.index(module_id)], rows.time
+            p = rows.pressure[:, rows.ids.index(module_id)]
+            t = summed_clock(now, backend.dt, len(rows) - 1)
             done = t - t0 > w_end if mode == INFLATE else p <= lo
             hits = np.flatnonzero(done | (t >= t0 + ctl.phase_timeout_s))
             j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
             if mode == INFLATE:
                 trace.append(np.column_stack((t[:j] - t0, p[:j])))
             backend.advance(j)
+            now = t[j].item() if j < len(t) else backend.now
             del rows, p  # free the block before the next lookahead
             if hits.size:
                 break
@@ -259,7 +264,7 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
             raise ControlFaultError(f"timeout: module {module_id} stalled {what}")
         if mode == INFLATE:
             slope = _window_slope(np.concatenate(trace), detection, params.P_max)
-    backend.set_valve(ValveCommand(module_id, HOLD, backend.now))
+    backend.set_valve(ValveCommand(module_id, HOLD, now))
 
     if slope > detection.threshold_ratio_theta * params.k_free:
         raise CalibrationError(

@@ -63,25 +63,16 @@ class Rows:
     pressure has one column per module id in ids.  inflation and object_z
     are plant ground truth (object_z is 0.0 without an object), None when
     the backend has none; inflation is truth, or inflate(truth), when read.
-    time is clock, or clock() when read: the simulated backend's rows sum
-    the plant's clock only then (the trajectory keeps the sum), and len()
-    and span() do not read it.
     """
 
     ids: tuple[int, ...]
     pressure: np.ndarray  # (rows, len(ids)) sensed kPa
-    clock: np.ndarray | Callable[[], np.ndarray]  # (rows,) backend clock, s, or its maker
     truth: Optional[np.ndarray] = None  # (rows, len(ids)) mm, or true kPa with inflate
     object_z: Optional[np.ndarray] = None  # (rows,) mm
     inflate: Optional[Callable[[np.ndarray], np.ndarray]] = None  # kPa to mm
 
     def __len__(self) -> int:
         return len(self.pressure)
-
-    @property
-    def time(self) -> np.ndarray:  # (rows,) backend clock, s
-        clock = self.clock
-        return clock if isinstance(clock, np.ndarray) else clock()
 
     @cached_property
     def inflation(self) -> Optional[np.ndarray]:  # (rows, len(ids)) mm
@@ -90,8 +81,7 @@ class Rows:
     def span(self, a: int, b: int) -> "Rows":
         """Rows a to b - 1."""
         truth = self.truth is not None
-        return Rows(self.ids, self.pressure[a:b], lambda: self.time[a:b],
-                    self.truth[a:b] if truth else None,
+        return Rows(self.ids, self.pressure[a:b], self.truth[a:b] if truth else None,
                     self.object_z[a:b] if truth else None, self.inflate)
 
 
@@ -204,7 +194,7 @@ class SimulatedBackend(_Backend):
         traj = self._traj = self.plant.trajectory(n - 1)
         sensed = traj.pressure + self._noise_rows(len(traj)) if self._sigma > 0.0 else traj.pressure
         z = traj.object_z if traj.object_z is not None else np.zeros(len(traj))
-        return Rows(self._ids, sensed, lambda: traj.time, traj.pressure, z, self.plant.inflation)
+        return Rows(self._ids, sensed, traj.pressure, z, self.plant.inflation)
 
     def _commit(self, j: int) -> None:
         while j > 0:
@@ -261,7 +251,7 @@ class ReplayBackend(_Backend):
         self._valve = codes[rows].reshape(-1, m)  # recorded valve of each grid cell, as a code
         self._modes = list(table)  # valve modes by code; commanded modes join the recorded ones
         self._mode = np.full(m, self._code(HOLD))  # each module's last commanded mode
-        self._pressure.flags.writeable = self._time.flags.writeable = False  # lookahead shares them
+        self._pressure.flags.writeable = False  # lookahead shares it
         self._k = 0
 
     def _code(self, mode: str) -> int:
@@ -291,7 +281,7 @@ class ReplayBackend(_Backend):
     def _rows(self, n: int) -> Rows:
         k = self._current()
         ticks = slice(k, k + n)
-        return Rows(self._ids, self._pressure[ticks], self._time[ticks])
+        return Rows(self._ids, self._pressure[ticks])
 
     def _commit(self, j: int) -> None:
         k = self._k

@@ -24,7 +24,7 @@ when a supporter moves and the contacts whose reach flips or span moves.
 Any other contact is one comparison of Python floats per stretch.
 Inflation (Plant.inflation) is not stepped: it is computed when read, and so
 is time (summed_clock): the plant counts its steps, and sums dt over them
-only when its clock or a trajectory's times are read.
+only when its clock is read.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -247,7 +246,7 @@ def contact_pressure(geometry: RingGeometry, material: SurrogateMaterial, P_max:
 
 def summed_clock(seconds: float, dt: float, steps: int) -> np.ndarray:
     """A clock's readings from seconds on, after 0 to steps more steps of dt,
-    dt added one step at a time: the one rule of every plant time reading."""
+    dt added one step at a time: the plant's clock, and calibration's tick times."""
     time = np.empty(steps + 1)
     time.fill(dt)
     time[0] = seconds
@@ -264,8 +263,7 @@ class Trajectory:
     each module's column is contiguous.  Plant.trajectory builds one and
     Plant.commit moves the plant to a row.  The storage is the plant's, and
     the plant writes its next trajectory into it once no view of it is alive:
-    a held trajectory or view keeps its bits, inflation (computed when read) too.
-    time is summed from the plant's clock at row 0 when first read.
+    a held trajectory or view keeps its bits.
     """
 
     start: int  # the plant's state count when the trajectory was computed
@@ -273,27 +271,10 @@ class Trajectory:
     lift: np.ndarray  # (rows, modules) mm, rise of each module above rest
     contact: np.ndarray  # (rows, modules) bool
     object_z: Optional[np.ndarray]  # (rows,) mm; None without an object
-    clock: tuple[float, int, float]  # row 0's clock: seconds read, steps since, dt
     events: tuple  # (module_id, text) events of the step into the last row
-    inflate: Callable[[np.ndarray], np.ndarray]  # kPa to mm: Plant.inflation
 
     def __len__(self) -> int:
         return len(self.pressure)
-
-    @cached_property
-    def inflation(self) -> np.ndarray:  # (rows, modules) mm
-        return self.inflate(self.pressure)
-
-    @property
-    def time(self) -> np.ndarray:  # (rows,) s
-        # cached by hand: before Python 3.12 cached_property takes a lock on
-        # a first read, and calibration reads one trajectory's times a lookahead
-        time = self.__dict__.get("_time")
-        if time is None:
-            seconds, steps, dt = self.clock
-            time = summed_clock(seconds, dt, steps + len(self.pressure) - 1)
-            time = self.__dict__["_time"] = time[steps:] if steps else time
-        return time
 
 
 class Plant:
@@ -379,8 +360,7 @@ class Plant:
         """Move the plant to row `row` of a trajectory computed from its current state.
 
         Returns the trajectory's events when row is its last row, else none.
-        The clock counts the row's steps, or reads the row's time if the
-        trajectory's times were read.
+        The clock counts the row's steps.
 
         Raises:
             ValueError: the plant changed since the trajectory was computed,
@@ -395,11 +375,7 @@ class Plant:
         self._P = traj.pressure[row].tolist()
         self._lift = traj.lift[row].tolist()
         self._contact = traj.contact[row].tolist()
-        time = traj.__dict__.get("_time")
-        if time is not None:
-            self._seconds, self._steps = time[row].item(), 0
-        else:
-            self._steps += row
+        self._steps += row
         if self.object is not None:
             self.object.z = traj.object_z[row].item()
         self._state += 1
@@ -536,8 +512,7 @@ class Plant:
             last = end
         k = last + 1
         return Trajectory(self._state, P[:, :k].T, lift[:, :k].T, contact[:, :k].T,
-                          z[:k] if z is not None else None,
-                          (self._seconds, self._steps, params.dt), tuple(events), self.inflation)
+                          z[:k] if z is not None else None, tuple(events))
 
     def _storage(self, name: str, height: int, rows: int, dtype) -> np.ndarray:
         """(height, rows) of the plant's storage `name`, grown to rows if short,

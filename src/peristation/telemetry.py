@@ -635,10 +635,8 @@ def read_telemetry(path) -> TelemetryLog:
     of a sequential read; it parses a by-line block itself, so line
     numbers, and which of two bad lines is reported, are too; and it
     copies the values into the result's columns.  Beyond the result, a
-    read holds the blocks in flight and each worker's temporaries (3.6-3.9
-    MiB a 1 MiB block), which do not grow with the rows: a 23.4 MB
-    recording of 304,697 rows peaks 11.6-12.1 MiB above its 14.8 MiB log
-    (tracemalloc, two workers).
+    read holds the blocks in flight and each worker's temporaries, which
+    do not grow with the rows.
 
     Raises:
         ValueError: wrong header or malformed row.

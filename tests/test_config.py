@@ -21,6 +21,7 @@ from peristation import (
     write_baselines,
 )
 from peristation import config
+from peristation.cli import main
 from peristation.config import MAX_NESTING, duration_problems
 from peristation.control import calibrate_baseline, timeout_problems, window_problems
 
@@ -32,6 +33,16 @@ def cfg_file(tmp_path, text):
 
 
 class TestDefaults:
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        """README's Configuration section states every default in one YAML
+        block: loaded as a config, it is the config of no file."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("\n## Configuration\n"):]
+        block = section[section.index("```yaml\n") + 8:section.index("\n```\n")]
+        cfg = load_config(cfg_file(tmp_path, block))
+        assert cfg.problems == []
+        assert cfg == load_config(None)
+
     def test_no_file_is_the_nominal_scenario(self):
         cfg = load_config(None)
         assert cfg.problems == []
@@ -83,7 +94,7 @@ class TestStructuralErrors:
         with pytest.raises(ConfigError, match="geometry: missing required field chamber_count_N"):
             load_config(cfg_file(tmp_path, "geometry:\n  outer_radius_R: 40.0\n"))
 
-    def test_wrong_scalar_types(self, tmp_path):
+    def test_wrong_scalar_types(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="plant.P_max: expected a number"):
             load_config(cfg_file(tmp_path, "plant:\n  P_max: fast\n"))
         with pytest.raises(ConfigError, match="plant.P_max: expected a number"):
@@ -92,6 +103,17 @@ class TestStructuralErrors:
             load_config(cfg_file(tmp_path, "station:\n  module_count: 2.5\n"))
         with pytest.raises(ConfigError, match="object.present: expected true/false"):
             load_config(cfg_file(tmp_path, "object:\n  present: 1\n"))
+        # YAML 1.1 reads an exponent as a number only after a dot and with a sign
+        for text in ("1e6", "1.0e6", "1e+6", "-.5E-3"):
+            cfg = cfg_file(tmp_path, f"object: {{initial_z: {text}}}\n")
+            assert main(["validate", "--config", cfg]) == 2
+            assert capsys.readouterr().out == (
+                f"config error: object.initial_z: expected a number, got '{text}' "
+                "(write a number with an exponent as 1.0e+6)\n")
+        assert load_config(cfg_file(tmp_path, "object: {initial_z: 1.0e+6}\n")).initial_z == 1e6
+        with pytest.raises(ConfigError, match=r"^object.initial_z: expected a number, "
+                                              r"got '1.0e\+6'$"):  # quoted: text, and no hint
+            load_config(cfg_file(tmp_path, "object: {initial_z: '1.0e+6'}\n"))
 
     def test_every_field_typed_where_it_is_not_used(self, tmp_path):
         with pytest.raises(ConfigError, match="station.module_count: expected an integer"):

@@ -39,7 +39,7 @@ from peristation import (
     read_telemetry,
     run_station,
 )
-from peristation import plant as plant_module
+from peristation import control as control_module, plant as plant_module
 from peristation.config import load_config
 from peristation.control import ADVANCE_RELEASE, BLOCK_TICKS, CYCLE, REGRASP_BOTTOM
 from peristation.plant import summed_clock
@@ -90,7 +90,7 @@ class SensedTrace(SimulatedBackend):
 
     def lookahead(self, n):
         rows = super().lookahead(n)
-        first = round(rows.time[0] / self.dt)
+        first = round(self.now / self.dt)
         if len(self.pressure) < first + n:
             self.pressure = np.resize(self.pressure, (2 * (first + n), self.pressure.shape[1]))
         self.pressure[first:first + n] = rows.pressure
@@ -476,6 +476,36 @@ class TestCalibrationTimeline:
         )
 
 
+class TestOneRowCalibration:
+    """The HAL lets a backend return the current tick alone: calibration on
+    one sends the same commands at the same times, fits the same slopes and
+    leaves the same clock as on whole blocks, bit for bit."""
+
+    @staticmethod
+    def calibrate(sigma, wrap):
+        cfg = load_config()
+        params = replace(cfg.params, noise_sigma=sigma, rng_seed=0)
+        inner = SimulatedBackend(Plant(cfg.layout, None, params, cfg.material))
+        sent = []
+        send = inner.set_valve
+
+        def spy(cmd):
+            sent.append((cmd.module_id, cmd.mode, cmd.timestamp.hex()))
+            return send(cmd)
+
+        inner.set_valve = spy
+        backend = wrap(inner)
+        slopes = [calibrate_baseline(backend, m, params, cfg.detection, cfg.control).hex()
+                  for m in (1, 3, 5)]
+        return sent, slopes, backend.now.hex()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_one_row_blocks_match_whole_blocks(self, sigma):
+        blocks = self.calibrate(sigma, lambda b: b)
+        assert len(blocks[0]) == 9
+        assert self.calibrate(sigma, OneRowBackend) == blocks
+
+
 class TestStationController:
     def controller(self, layout, detection=None, control=None, obj=ObjectSpec(17.5, 75.0)):
         return StationController(
@@ -775,6 +805,7 @@ class TestRunStation:
                                recorder=recorder)
 
         monkeypatch.setattr(plant_module, "summed_clock", counting)
+        monkeypatch.setattr(control_module, "summed_clock", counting)
         assert run().cycles == 1
         with TelemetryWriter(tmp_path / "run.csv") as writer:
             assert run(writer).cycles == 1

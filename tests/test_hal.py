@@ -226,7 +226,8 @@ class TestSimulatedBackend(BackendContract):
             ticked.tick(1e-3)
 
         def rows_match(look, k):
-            return list(zip(look.time.tolist(), look.pressure.tolist())) == reads[k:k + len(look)]
+            return (blocks.now, look.pressure.tolist()) == (
+                reads[k][0], [sensed for _, sensed in reads[k:k + len(look)]])
 
         assert rows_match(blocks.lookahead(30), 0)
         blocks.advance(20)  # the noise of ticks 20 to 29 stays drawn
@@ -240,13 +241,12 @@ class TestSimulatedBackend(BackendContract):
     def test_noiseless_rows_held_across_lookaheads_keep_their_bits(self, backend):
         backend.set_valve(ValveCommand(1, INFLATE, 0.0))
         rows = backend.lookahead(100)
-        bits = [a.tobytes() for a in (rows.pressure, rows.time, rows.inflation, rows.object_z)]
+        bits = [a.tobytes() for a in (rows.pressure, rows.inflation, rows.object_z)]
         backend.advance(40)
         backend.set_valve(ValveCommand(2, INFLATE, backend.now))
         later = backend.lookahead(100)
         assert not np.shares_memory(later.pressure, rows.pressure)
-        assert [a.tobytes() for a in (rows.pressure, rows.time, rows.inflation,
-                                      rows.object_z)] == bits
+        assert [a.tobytes() for a in (rows.pressure, rows.inflation, rows.object_z)] == bits
 
     def test_inflation_read_late_keeps_its_bits(self, three_module_layout, material, params):
         """Held rows and trajectories compute inflation from the pressures
@@ -258,14 +258,14 @@ class TestSimulatedBackend(BackendContract):
             backend.set_valve(ValveCommand(1, INFLATE, 0.0))
             backend.set_valve(ValveCommand(2, INFLATE, 0.0))
         want = early.lookahead(100).inflation.tobytes()
-        traj_want = early.plant.trajectory(50).inflation.tobytes()
+        traj_want = early.plant.inflation(early.plant.trajectory(50).pressure).tobytes()
         rows, traj = late.lookahead(100), late.plant.trajectory(50)
         late.advance(40)
         late.set_valve(ValveCommand(2, DEFLATE, late.now))
         late.lookahead(100)
         late.advance(30)
         assert rows.inflation.tobytes() == want
-        assert traj.inflation.tobytes() == traj_want
+        assert late.plant.inflation(traj.pressure).tobytes() == traj_want
 
     def test_released_rows_leave_their_memory_to_the_next_lookahead(self, backend):
         """The backend lets go of its last trajectory too, with or without an advance."""
@@ -383,8 +383,8 @@ class TestReplayBackend(BackendContract):
         while True:
             look = backend.lookahead(700)
             assert not look.pressure.flags.writeable  # a view of the grid
+            assert backend.now == ticked.now
             for i in range(len(look)):
-                assert look.time[i] == ticked.now
                 assert look.pressure[i].tolist() == [ticked.read_pressure(mid)[0]
                                                      for mid in look.ids]
                 try:

@@ -31,7 +31,7 @@ from peristation import (
 )
 from peristation.geometry import InfeasibleGeometryError, solve_chamber_length
 from peristation.plant import (MAX_MODULES, VALVE_MODES, contact_pressure,
-                               full_compression_inflation, stack_modules)
+                               full_compression_inflation, stack_modules, summed_clock)
 from tests.conftest import NOMINAL, data_address
 
 
@@ -55,7 +55,7 @@ def pressure(plant, module_id):
 
 
 def inflation(plant, module_id):
-    return plant.trajectory(0).inflation[0, module_id - 1].item()
+    return plant.inflation(plant.trajectory(0).pressure)[0, module_id - 1].item()
 
 
 def span(plant, module_id):
@@ -313,7 +313,7 @@ class TestContactCheck:
         traj = plant.trajectory(4000)  # to P_max
         assert traj.pressure[-1, 0] == 15.0
         assert (traj.contact[:, 0] == (traj.pressure[:, 0] >= kpa)).all()
-        assert (traj.contact[:, 0] == (traj.inflation[:, 0] >= gap)).all()
+        assert (traj.contact[:, 0] == (plant.inflation(traj.pressure)[:, 0] >= gap)).all()
 
     @settings(max_examples=300, deadline=None)
     @given(R=st.floats(10.0, 80.0), r_fraction=st.floats(0.2, 0.95), spacing=st.floats(0.0, 10.0),
@@ -516,9 +516,11 @@ class TestPlantIntegration:
             while left:
                 traj = block.trajectory(left)
                 n = len(traj) - 1
+                time = summed_clock(block.time, params.dt, n)
+                mm = block.inflation(traj.pressure)
                 for i in range(1, n + 1):
-                    blocked.append(([], traj.time[i].item(), traj.pressure[i].tolist(),
-                                    traj.inflation[i].tolist(), traj.object_z[i].item(),
+                    blocked.append(([], time[i].item(), traj.pressure[i].tolist(),
+                                    mm[i].tolist(), traj.object_z[i].item(),
                                     frozenset(k + 1 for k in range(5) if traj.contact[i, k])))
                 blocked[-1][0].extend(block.commit(traj, n))
                 left -= n
@@ -528,8 +530,9 @@ class TestPlantIntegration:
         assert {frozenset(), frozenset({1, 3})} <= {row[5] for row in stepped}
         assert blocked == stepped
         now, then = block.trajectory(0), single.trajectory(0)
-        for name in ("pressure", "inflation", "lift", "contact", "object_z", "time"):
+        for name in ("pressure", "lift", "contact", "object_z"):
             assert getattr(now, name).tolist() == getattr(then, name).tolist(), name
+        assert block.time == single.time
 
     def test_set_valve_rejects_bad_input(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
@@ -626,8 +629,8 @@ class ReferencePlant:
 
 def trajectory_bits(traj):
     """Every array of a trajectory, as bytes."""
-    return [a.tobytes() for a in (traj.pressure, traj.inflation, traj.lift, traj.contact,
-                                  traj.object_z, traj.time) if a is not None]
+    return [a.tobytes() for a in (traj.pressure, traj.lift, traj.contact, traj.object_z)
+            if a is not None]
 
 
 def kernel_and_reference_rows(layout, material, params, obj, schedule, block, hold=(False,)):
@@ -651,10 +654,12 @@ def kernel_and_reference_rows(layout, material, params, obj, schedule, block, ho
         want += [(ref.step(valves), ref.row()) for _ in range(ticks)]
         while len(got) < len(want):
             traj = plant.trajectory(min(block, len(want) - len(got)))
+            time = summed_clock(plant.time, params.dt, len(traj) - 1)
+            mm = plant.inflation(traj.pressure)
             for k in range(1, len(traj)):
-                got.append(([], (traj.time[k].item().hex(),
+                got.append(([], (time[k].item().hex(),
                                  [x.hex() for x in traj.pressure[k].tolist()],
-                                 [x.hex() for x in traj.inflation[k].tolist()],
+                                 [x.hex() for x in mm[k].tolist()],
                                  [x.hex() for x in traj.lift[k].tolist()],
                                  traj.object_z[k].item().hex(), traj.contact[k].tolist())))
             got[-1][0].extend(text for _, text in plant.commit(traj, len(traj) - 1))
@@ -748,8 +753,9 @@ def hexes(times):
 
 class TestStepCountClock:
     """The plant's clock counts steps and sums dt only where it is read.
-    Every reading equals dt added one step at a time, bit for bit, whichever
-    readings came before it and whichever were skipped."""
+    Every reading, and each block's times summed from one (summed_clock, as
+    calibration sums them), equals dt added one step at a time, bit for bit,
+    whichever readings came before it and whichever were skipped."""
 
     # (operation, steps, row or ticks, which clocks to read as bits)
     OPS = st.lists(st.tuples(st.sampled_from(["valve", "look"]), st.integers(0, 400),
@@ -765,8 +771,8 @@ class TestStepCountClock:
 
     @settings(max_examples=60, deadline=None)
     @given(dt=DTS, ops=OPS)
-    # unread commits, then a trajectory read before its commit, one read after
-    # it, and a clock read after a commit of unread steps
+    # unread commits, then a block's times summed before its commit, a clock
+    # read between a trajectory and its commit, and one after a commit of unread steps
     @example(dt=1e-3, ops=[("look", 300, 300, 0), ("look", 300, 200, 1), ("valve", 0, 0, 4),
                            ("look", 300, 300, 2), ("look", 10, 5, 4)])
     def test_plant_and_trajectory_readings(self, dt, ops):
@@ -777,13 +783,15 @@ class TestStepCountClock:
             if op == "valve":
                 plant.set_valve(a % 5 + 1, VALVE_MODES[b % 3])
             else:
+                if reads & 1:  # the block's times, summed from a reading before it
+                    time = summed_clock(plant.time, dt, a).tolist()
                 traj = plant.trajectory(a)
                 row = b % len(traj)
-                if reads & 1:  # before the commit, which then takes the row's time
-                    assert hexes(traj.time.tolist()) == hexes(clock[k:k + len(traj)])
+                if reads & 1:
+                    assert hexes(time[:len(traj)]) == hexes(clock[k:k + len(traj)])
+                if reads & 2:  # a reading while the trajectory waits for its commit
+                    assert plant.time.hex() == clock[k].hex()
                 plant.commit(traj, row)
-                if reads & 2:  # only after it, which added the row's steps
-                    assert hexes(traj.time.tolist()) == hexes(clock[k:k + len(traj)])
                 k += row
             if reads & 4:
                 assert plant.time.hex() == clock[k].hex()
@@ -804,11 +812,11 @@ class TestStepCountClock:
             else:
                 rows = backend.lookahead(a + 1)
                 n = len(rows)
-                if reads & 1:
-                    assert hexes(rows.time.tolist()) == hexes(clock[k:k + n])
-                if reads & 2:  # a span's times, read alone or after the block's
-                    lo = b % n
-                    assert hexes(rows.span(lo, n).time.tolist()) == hexes(clock[k + lo:k + n])
+                if reads & 1:  # the rows' times, summed from the clock as calibration does
+                    assert hexes(summed_clock(backend.now, dt, n - 1).tolist()) == hexes(
+                        clock[k:k + n])
+                if reads & 2:  # a reading while the rows wait for the advance
+                    assert backend.plant.time.hex() == clock[k].hex()
                 backend.advance(b)  # within the lookahead or past it
                 k += b
             if reads & 4:
@@ -873,15 +881,16 @@ class TestPlantProperties:
             left = 25
             while left:
                 traj = plant.trajectory(left)
+                mm = plant.inflation(traj.pressure)
                 for k in range(1, len(traj)):  # every state the steps pass through
                     for i, m in enumerate(layout.modules):
                         P = traj.pressure[k, i]
                         assert 0.0 <= P <= params.P_max
                         full = 17.25 if m.kind == COMPRESSION else 6.0
-                        assert traj.inflation[k, i] == (P / params.P_max) * full
+                        assert mm[k, i] == (P / params.P_max) * full
                         if traj.contact[k, i]:  # a supporter
                             assert m.kind == COMPRESSION
-                            assert traj.inflation[k, i] >= 25.0 - 17.5
+                            assert mm[k, i] >= 25.0 - 17.5
                             lo = m.z_origin + traj.lift[k, i]
                             z = traj.object_z[k]
                             assert z < lo + m.height_h and z + 75.0 > lo

@@ -44,8 +44,8 @@ def plant(three_module_layout, material, params):
 def record_one(path, plant, events=()):
     ids = (1, 2, 3)
     sensed = [1.25, 0.0, 0.004330999999]
-    rows = Rows(ids, np.array([sensed]), np.array([plant.time]),
-                plant.trajectory(0).inflation, np.array([plant.object.z]))
+    rows = Rows(ids, np.array([sensed]), plant.inflation(plant.trajectory(0).pressure),
+                np.array([plant.object.z]))
     valves = {1: INFLATE, 2: HOLD, 3: HOLD}
     with TelemetryWriter(path) as writer:
         writer.record([0.001], rows, valves, "L0:Grasp", plant.layout, list(events))
@@ -84,7 +84,7 @@ class TestWriter:
     def test_recording_needs_a_plant(self, tmp_path):
         with TelemetryWriter(tmp_path / "t.csv") as writer:
             with pytest.raises(ValueError, match="ground truth"):
-                writer.record([0.0], Rows((), np.empty((1, 0)), np.zeros(1)), {}, "L0:Grasp",
+                writer.record([0.0], Rows((), np.empty((1, 0))), {}, "L0:Grasp",
                               None, [])
 
 
@@ -613,7 +613,7 @@ def record_calls(draw):
             st.sampled_from(["grasped level=0", "drop 5% over", "probe %s %d %%", "détection ✓"]),
         ), max_size=4))
         valves = {i: draw(st.sampled_from([HOLD, INFLATE])) for i in range(1, m + 1)}
-        calls.append((now, Rows(tuple(range(1, m + 1)), pressure, now, inflation, object_z),
+        calls.append((now, Rows(tuple(range(1, m + 1)), pressure, inflation, object_z),
                       valves, draw(st.sampled_from(["L0:Grasp", "L1:Advance%"])), events))
         start += n
     return layout, calls
@@ -635,7 +635,7 @@ def one_call(pressure, inflation, events=()):
     layout = SimpleNamespace(modules=[SimpleNamespace(id=i, kind="Compression")
                                       for i in range(1, m + 1)])
     now = np.arange(n) * 1e-3
-    rows = Rows(tuple(range(1, m + 1)), pressure, now, inflation, np.linspace(1.0, 2.0, n))
+    rows = Rows(tuple(range(1, m + 1)), pressure, inflation, np.linspace(1.0, 2.0, n))
     return layout, [(now, rows, {i: HOLD for i in range(1, m + 1)}, "L0:Grasp", list(events))]
 
 
