@@ -142,11 +142,14 @@ def _encode6(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fast text's length; the rest go through '%.6f'.
     """
     digits, fast = _digits6(x)
-    digits *= fast
-    slow = np.flatnonzero(~fast)
-    texts = [("%.6f," % v).encode() for v in x[slow].tolist()]
+    texts = []
+    if not fast.all():
+        digits *= fast
+        slow = np.flatnonzero(~fast)
+        texts = [("%.6f," % v).encode() for v in x[slow].tolist()]
     w = max([16, *map(len, texts)])
-    out = np.zeros((len(x), w), np.uint8)
+    # the two words fill a row of 16 bytes: only a wider one needs its NULs
+    out = (np.zeros if w > 16 else np.empty)((len(x), w), np.uint8)
     words = out[:, w - 16:].view("<u8")
     head = digits // 1_000_000
     digits -= head * 1_000_000  # the six decimals
@@ -159,10 +162,19 @@ def _encode6(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.take(_HEAD_LEN, head, mode="clip")
     np.take(_DEC, hi, out=words[:, 1], mode="clip")
     words[:, 1] |= np.take(_DEC, digits, mode="clip") << np.uint64(24) | _POINT_COMMA
-    out[slow] = np.frombuffer(b"".join(t.rjust(w, b"\0") for t in texts),
-                              np.uint8).reshape(len(slow), w)
-    lengths[slow] = list(map(len, texts))
+    if texts:
+        out[slow] = np.frombuffer(b"".join(t.rjust(w, b"\0") for t in texts),
+                                  np.uint8).reshape(len(slow), w)
+        lengths[slow] = list(map(len, texts))
     return out, lengths
+
+
+def _slot_dtype(offsets: tuple, widths: tuple, itemsize: int) -> np.dtype:
+    """A structured dtype of itemsize bytes with a void field of each width
+    at each offset, in that order."""
+    return np.dtype({"names": [f"f{i}" for i in range(len(widths))],
+                     "formats": [f"V{width}" for width in widths],
+                     "offsets": offsets, "itemsize": itemsize})
 
 
 def _without_truncation(path, flags):
@@ -208,14 +220,25 @@ class TelemetryWriter:
         A float column that holds one value over the ticks (the same bits:
         a held valve, a saturated ring, an object at rest) is written as
         text once; the others are encoded in one _encode6 call, and each
-        gets a slot as wide as its widest text in the call.
+        gets a slot as wide as its widest text in the call.  A call of no
+        ticks writes nothing.
+
+        Raises:
+            ValueError: rows without plant truth, now and rows of other
+                lengths, or events with no tick.
         """
         if rows.inflation is None:
             raise ValueError("recording requires plant ground truth")
+        n = len(rows)
+        if len(now) != n:
+            raise ValueError(f"{len(now)} tick times for {n} rows")
+        if not n:
+            if events:
+                raise ValueError(f"events with no tick to write them at: {list(events)!r}")
+            return
         texts = {}
         for mid, text in events:
             texts.setdefault(mid, []).append(text)
-        n = len(rows.object_z)
         columns = np.empty((2 + 2 * len(layout.modules), n))
         columns[0], columns[1] = now, rows.object_z
         columns[2::2], columns[3::2] = rows.pressure.T, rows.inflation.T
@@ -223,26 +246,33 @@ class TelemetryWriter:
         varies = (bits != bits[:, :1]).any(axis=1)  # so 0.0 and -0.0 differ
         encoded, lengths = _encode6(columns[varies].ravel())
         w = encoded.shape[1]
-        encoded = encoded.reshape(-1, n, w)
         widths = lengths.reshape(-1, n).max(axis=1).tolist()
-        slots = iter([column[:, w - width:] for column, width in zip(encoded, widths)])
+        # row k of items: the encoded bytes from tick k's text in the first
+        # column on, so its text in column j lies j * n * w bytes further
+        items = np.ndarray((n, max(encoded.nbytes - (n - 1) * w, 0)), np.uint8, encoded,
+                           strides=(w, 1))
+        # column j's slot in a row of items: where its widest text starts, and its width
+        slots = iter([((j * n + 1) * w - width, width) for j, width in enumerate(widths)])
         fields = [next(slots) if v else "%.6f," % x
                   for v, x in zip(varies.tolist(), columns[:, 0].tolist())]
         first = 1 if texts else 0  # a first tick with events gets a template of its own
-        self._write(fields, 0, first, valves, phase, layout, texts)
-        self._write(fields, first, n, valves, phase, layout, {})
+        self._write(fields, items, 0, first, valves, phase, layout, texts)
+        self._write(fields, items, first, n, valves, phase, layout, {})
 
-    def _write(self, fields, a, b, valves, phase, layout, texts):
+    def _write(self, fields, items, a, b, valves, phase, layout, texts):
         """Write ticks a to b - 1 of a record() call, each with the events in texts.
 
         fields holds the time, object z and each module's pressure and
-        inflation: a text, or an encoded column's (ticks, width) texts.  A
-        tick's rows become one template with a NUL slot per encoded column,
-        put into each row of a reused buffer once; each chunk of ticks then
-        fills the slots.  A chunk whose slots all hold texts of their full
-        width holds no NUL and is written as it is; from any other the
-        NULs are dropped (bytes.replace, which jumps between them).  A NUL
-        in the text would be dropped with them, so it raises ValueError.
+        inflation: a text, or an encoded column's slot in a row of items
+        (row k holds tick k's texts) as (byte offset, width).  A tick's rows
+        become one template with a NUL slot per encoded field, put into
+        each row of a reused buffer once.  The template and a row of items
+        are each seen as a structured dtype with one field per slot
+        (_slot_dtype), so one assignment fills every slot of a chunk of
+        ticks.  A chunk whose slots all hold texts of their full width
+        holds no NUL and is written as it is; from any other the NULs are
+        dropped (bytes.replace, which jumps between them).  A NUL in the
+        text would be dropped with them, so it raises ValueError.
         """
         if a >= b:
             return
@@ -253,11 +283,11 @@ class TelemetryWriter:
                        z, f"{phase},{';'.join(texts.get(mod.id, ()))}\n"]
         for text in texts.get(0, ()):
             pieces += [time, "0,-,0.000000,-,0.000000,", z, f"{phase},{text}\n"]
-        template, slots = bytearray(), []  # slots: (byte offset, encoded column)
+        template, slots = bytearray(), []  # slots: (row offset, item offset, width)
         for piece in pieces:
             if not isinstance(piece, str):
-                slots.append((len(template), piece))
-                piece = "\0" * piece.shape[1]
+                slots.append((len(template), *piece))
+                piece = "\0" * piece[1]
             elif "\0" in piece:
                 raise ValueError(f"telemetry text holds a NUL byte: {piece!r}")
             template += piece.encode()
@@ -266,10 +296,14 @@ class TelemetryWriter:
             self._buf = np.empty(size, np.uint8)
         buf = self._buf[:size].reshape(-1, len(template))
         buf[:] = np.frombuffer(template, np.uint8)
+        if slots:
+            at, offsets, widths = zip(*slots)
+            dst = buf.view(_slot_dtype(at, widths, len(template)))[:, 0]
+            src = items.view(_slot_dtype(offsets, widths, items.shape[1]))[:, 0]
         for c in range(a, b, _WRITE_TICKS):
             d = min(c + _WRITE_TICKS, b)
-            for at, column in slots:
-                buf[:d - c, at:at + column.shape[1]] = column[c:d]
+            if slots:
+                dst[:d - c] = src[c:d]
             # replace gives back the chunk itself when it holds no NUL
             self._f.write(buf[:d - c].tobytes().replace(b"\0", b""))
 

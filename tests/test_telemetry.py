@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import peristation.telemetry as telemetry
@@ -41,15 +41,22 @@ def plant(three_module_layout, material, params):
     return Plant(three_module_layout, obj, params, material)
 
 
+VALVES = {1: INFLATE, 2: HOLD, 3: HOLD}
+
+
 def record_one(path, plant, events=()):
     ids = (1, 2, 3)
     sensed = [1.25, 0.0, 0.004330999999]
     rows = Rows(ids, np.array([sensed]), plant.inflation(plant.trajectory(0).pressure),
                 np.array([plant.object.z]))
-    valves = {1: INFLATE, 2: HOLD, 3: HOLD}
     with TelemetryWriter(path) as writer:
-        writer.record([0.001], rows, valves, "L0:Grasp", plant.layout, list(events))
+        writer.record([0.001], rows, VALVES, "L0:Grasp", plant.layout, list(events))
     return path
+
+
+def three_rows(n):
+    """n ticks of rows for three modules."""
+    return Rows((1, 2, 3), np.full((n, 3), 1.25), np.zeros((n, 3)), np.zeros(n))
 
 
 class TestWriter:
@@ -86,6 +93,28 @@ class TestWriter:
             with pytest.raises(ValueError, match="ground truth"):
                 writer.record([0.0], Rows((), np.empty((1, 0))), {}, "L0:Grasp",
                               None, [])
+
+    @pytest.mark.parametrize("times, ticks", [(1, 3), (3, 2)])
+    def test_tick_times_and_rows_of_other_lengths_rejected(self, tmp_path, plant, times, ticks):
+        """One time for three rows would broadcast to three rows at that time."""
+        path = tmp_path / "t.csv"
+        with TelemetryWriter(path) as writer:
+            with pytest.raises(ValueError, match=f"^{times} tick times for {ticks} rows$"):
+                writer.record(np.full(times, 0.5), three_rows(ticks), VALVES, "L0:Grasp",
+                              plant.layout, [])
+        assert path.read_bytes() == (TELEMETRY_HEADER + "\n").encode()
+
+    def test_no_ticks_write_nothing(self, tmp_path, plant):
+        path = tmp_path / "t.csv"
+        with TelemetryWriter(path) as writer:
+            writer.record(np.empty(0), three_rows(0), VALVES, "L0:Grasp", plant.layout, [])
+        assert path.read_bytes() == (TELEMETRY_HEADER + "\n").encode()
+
+    def test_events_with_no_ticks_rejected(self, tmp_path, plant):
+        with TelemetryWriter(tmp_path / "t.csv") as writer:
+            with pytest.raises(ValueError, match="no tick"):
+                writer.record(np.empty(0), three_rows(0), VALVES, "L0:Grasp", plant.layout,
+                              [(0, "grasped level=0")])
 
 
 def nominal_run(path, duration_s=None):
@@ -587,7 +616,7 @@ def random_values(rng, shape) -> np.ndarray:
 @st.composite
 def record_calls(draw):
     """A layout and a run of record() calls: (now, rows, valves, phase, events)."""
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 9))
     layout = SimpleNamespace(modules=[
         SimpleNamespace(id=i, kind="Compression" if i % 2 else "Longitudinal")
         for i in range(1, m + 1)])
@@ -629,21 +658,56 @@ def assert_writes_the_reference(layout, calls):
             assert f.read() == reference_text(calls, layout)
 
 
-def one_call(pressure, inflation, events=()):
-    """A layout of one module per column, and one record() call over the rows."""
+def one_call(pressure, inflation, events=(), now=None, object_z=None):
+    """A layout of one module per column, and one record() call over the rows:
+    by default tick k at k ms and object z rising from 1 to 2."""
     n, m = pressure.shape
     layout = SimpleNamespace(modules=[SimpleNamespace(id=i, kind="Compression")
                                       for i in range(1, m + 1)])
-    now = np.arange(n) * 1e-3
-    rows = Rows(tuple(range(1, m + 1)), pressure, inflation, np.linspace(1.0, 2.0, n))
+    now = np.arange(n) * 1e-3 if now is None else now
+    object_z = np.linspace(1.0, 2.0, n) if object_z is None else object_z
+    rows = Rows(tuple(range(1, m + 1)), pressure, inflation, object_z)
     return layout, [(now, rows, {i: HOLD for i in range(1, m + 1)}, "L0:Grasp", list(events))]
+
+
+def in_sequence(*drawn):
+    """one_call results of one layout as one run of calls."""
+    return drawn[0][0], [call for _, calls in drawn for call in calls]
 
 
 class TestWriterReference:
     @settings(max_examples=60, deadline=None)
     @given(drawn=record_calls())
+    # every column holds one value over three chunks, the time too: no slot to fill
+    @example(drawn=one_call(np.full((600, 2), 3.5), np.full((600, 2), -0.0),
+                            now=np.full(600, 0.25), object_z=np.full(600, 12.5)))
+    # a tick with events alone (no slot), no ticks, then a call over two chunks
+    @example(drawn=in_sequence(
+        one_call(np.ones((1, 9)), np.zeros((1, 9)), [(0, "grasped level=0"), (9, "probe")]),
+        one_call(np.ones((0, 9)), np.zeros((0, 9))),
+        one_call(np.linspace(-1.0, 11.0, 300)[:, None].repeat(9, 1),
+                 np.full((300, 9), 50.0), [(9, "drop 5% over")])))
+    # two calls of one slot layout whose texts step by different lengths
+    @example(drawn=in_sequence(*[one_call(np.linspace(1, 2, 2 * n).reshape(n, 2),
+                                          np.linspace(50, 60, 2 * n).reshape(n, 2))
+                                 for n in (300, 40)]))
+    # a fallback text at the first tick of a chunk widens every row of the call
+    # (ticks 1 to 299 go in chunks from 1 and 257: the first tick has a template of its own)
+    @example(drawn=one_call(np.r_[np.full(257, 1.5), 1e10, np.full(42, 2.5)][:, None],
+                            np.full((300, 1), 7.0), [(1, "baseline")]))
     def test_matches_the_reference_writer(self, drawn):
         assert_writes_the_reference(*drawn)
+
+    def test_all_fast_call_over_three_chunks(self):
+        """A call whose every value the tables encode, over three chunks, with
+        first-tick events for module 0 and the last module."""
+        rng = np.random.default_rng(3)
+        pressure, inflation = rng.uniform(-20, 20, (700, 4)), rng.uniform(0, 999, (700, 4))
+        layout, calls = one_call(pressure, inflation, [(0, "grasped level=0"), (4, "probe")])
+        now, rows = calls[0][:2]
+        values = np.concatenate([now, rows.object_z, pressure.ravel(), inflation.ravel()])
+        assert telemetry._digits6(values)[1].all()
+        assert_writes_the_reference(layout, calls)
 
     def test_columns_that_keep_their_width(self):
         """Over 600 ticks (three write chunks) every column keeps one width,
