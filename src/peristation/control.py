@@ -162,11 +162,12 @@ class RunResult:
 
 
 def _window_slope(trace: np.ndarray, config: DetectionConfig, p_max: float) -> float:
-    """Least-squares pressure slope over the detection window.
+    """Least-squares pressure slope over the detection window, by _fit_slope.
 
     trace is a (samples, 2) array of (s since onset, kPa) rows in time
-    order.  Raises ValueError when the trace does not cover the window or
-    saturation leaves too few samples.
+    order.  Deterministic for a given trace, on every machine.  Raises
+    ValueError when the trace does not cover the window, saturation leaves
+    too few samples, or _fit_slope refuses the samples left.
     """
     w0 = config.window_start
     w1 = w0 + config.window_len
@@ -177,15 +178,34 @@ def _window_slope(trace: np.ndarray, config: DetectionConfig, p_max: float) -> f
                          f"(trace ends at {trace[-1, 0]:.3f} s)")
     cutoff = config.saturation_fraction * p_max
     times = trace[:, 0]
-    t, p = trace[times.searchsorted(w0):times.searchsorted(w1, "right")].T
-    saturated = np.flatnonzero(p >= cutoff)  # the first saturated sample ends the window
-    n = int(saturated[0]) if saturated.size else len(t)
+    window = trace[times.searchsorted(w0):times.searchsorted(w1, "right")]
+    saturated = np.flatnonzero(window[:, 1] >= cutoff)  # the first saturated sample ends it
+    n = int(saturated[0]) if saturated.size else len(window)
     if n < config.min_window_samples:
         raise ValueError(
             f"insufficient trace: only {n} usable samples in the window "
             f"(saturation cutoff {cutoff:.3f} kPa)"
         )
-    return float(np.polyfit(t[:n], p[:n], 1)[0])
+    return _fit_slope(window[:n])
+
+
+def _fit_slope(samples: np.ndarray) -> float:
+    """The least-squares slope of (s, kPa) rows in closed form:
+    sum((t - t_mean) * (p - p_mean)) / sum((t - t_mean)**2).
+
+    Element-wise products and numpy's pairwise sums only, with no BLAS or
+    LAPACK call (np.polyfit, np.dot, @), whose kernel the CPU selects: the
+    slope's bits depend on the samples alone.  Raises ValueError on a
+    non-finite sample or samples that share one time.
+    """
+    if not np.isfinite(samples).all():
+        raise ValueError("insufficient trace: a sample in the window is not finite")
+    t, p = samples.T
+    tc = t - t.mean()
+    spread = np.sum(tc * tc)
+    if not spread > 0:
+        raise ValueError(f"insufficient trace: the window's {len(t)} samples share one time")
+    return float(np.sum(tc * (p - p.mean())) / spread)
 
 
 def detect_contact(module_id: int, trace: Sequence[tuple[float, float]] | np.ndarray,
@@ -194,11 +214,12 @@ def detect_contact(module_id: int, trace: Sequence[tuple[float, float]] | np.nda
 
     trace is (seconds since inflation onset, sensed kPa) pairs in time
     order, as a sequence or a (samples, 2) array: the window's ends are
-    found by bisection.  Deterministic for a given trace.
+    found by bisection.  Deterministic for a given trace, on every machine:
+    the slope is a closed-form fit (_fit_slope) with no BLAS or LAPACK call.
 
     Raises:
         ValueError: no baseline for the module, a trace of another shape,
-            or the window is not covered.
+            or a window that is not covered or gives no slope.
     """
     baseline = config.baseline_rates.get(module_id)
     if baseline is None:
