@@ -394,17 +394,17 @@ class StationController:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def update(self, now: float, sensed: Optional[Sequence[float]] = None,
+    def update(self, k: int, sensed: Optional[Sequence[float]] = None,
                plant_events: Sequence[tuple[int, str]] = (), final: bool = False) -> dict[int, str]:
-        """Act on the tick at time now, returning the valves changed: on its
-        plant events (a drop faults the run), then on its rules, as scan()
-        found them or as they fire on sensed (kPa in layout order, module mid
-        at sensed[mid - 1], as recorded); with neither, the next scan() starts
-        on it.  A final tick with rules ends the run at the duration limit."""
+        """Act on tick k, an index at now = k * dt (a float raises TypeError
+        unless the run is done), and return the valves changed: on its plant
+        events (a drop faults the run), then on its rules, as scan() found or
+        scan(k, [sensed]) finds them, else the next scan() starts on it.  A
+        final tick with rules ends the run at the duration limit."""
         self._changed = {}
         if self.done:
             return {}
-        self.now = now
+        self.now = operator.index(k) * self.params.dt
         for mid, text in plant_events:
             self._emit(mid, text)
             if text.startswith("drop"):
@@ -417,8 +417,7 @@ class StationController:
             self._enter(GRASP, 0)
         if sensed is not None:  # the tick is row 0 of a block of its own
             self._first = 0
-            self._scan(np.array([sensed], np.float64), lambda r: now,
-                       lambda a, b: np.full(b - a, now))
+            self.scan(k, np.array([sensed], np.float64))
         rules, self._rules = self._rules, None
         self._first = int(rules is not None)
         if rules is not None:
@@ -542,31 +541,27 @@ class StationController:
         the stage times out, the probe window ends or the gate opens, else
         the last.  Row 0 is the current tick, tick k0, and sensed holds each
         row's kPa in layout order, as recorded, under unchanged valves.  Row
-        r is at (k0 + r) * dt: an int below 2**53 converts exactly, so a
-        Python float has the bits of np.arange(k0, k0 + n) * dt.  Time never
-        falls, so a time rule fires in the block only if it fires on the last
-        row; only then, or when the probe samples (its window has started by
-        the last row), are the block's times computed.  The scan starts at
-        row 1 once update() has acted on row 0's rules, else at row 0 (none
-        left: returns 1), and samples the probe to j."""
-        dt = self.params.dt
-        return self._scan(sensed, lambda r: (k0 + r) * dt,
-                          lambda a, b: np.arange(k0 + a, k0 + b) * dt)
-
-    def _scan(self, sensed: np.ndarray, at, times) -> int:
-        """scan() with row r at at(r), and rows a to b - 1 at times(a, b)."""
+        r is at (k0 + r) * dt, the controller's one time rule (update(k) sets
+        now = k * dt): an int below 2**53 converts exactly, so a Python float
+        has the bits of np.arange(k0, k0 + n) * dt.  Time never falls, so a
+        time rule fires in the block only if it fires on the last row; only
+        then, or when the probe samples (its window has started by the last
+        row), are the block's times computed.  The scan starts at row 1 once
+        update() has acted on row 0's rules, else at row 0 (none left:
+        returns 1), and samples the probe to j."""
         first, n = self._first, len(sensed)
         if first == n:
             return 1
+        dt = self.params.dt
         kpa = sensed[first:]
         gate = self._gate()
         opens = reduce(operator.and_, (self._holds(kpa[:, mid - 1], rises) for mid, rises in gate))
         # time never falls, so a time rule that the last row fails fires on no row
-        last = at(n - 1)
+        last = (k0 + n - 1) * dt
         rules = [rule for rule in (self._timed_out, self._window_over) if rule(last)]
         # the probe keeps only samples from window_start on, the first fitted
         samples = not self._probe_done and last - self._probe_t0 >= self.det.window_start
-        t = times(first, n) if rules or samples else None
+        t = np.arange(k0 + first, k0 + n) * dt if rules or samples else None
         fires = reduce(operator.or_, [rule(t) for rule in rules], opens)
         i = int(fires.argmax())
         if not fires[i]:
@@ -575,7 +570,7 @@ class StationController:
             tau = t[:i + 1] - self._probe_t0
             k = int(tau.searchsorted(self.det.window_start))
             self._probe_trace.append(np.column_stack((tau[k:], kpa[k:i + 1, self._probe_id - 1])))
-        ti = at(first + i)
+        ti = (k0 + first + i) * dt
         stalled = next((mid for mid, rises in gate if not self._holds(kpa[i, mid - 1], rises)),
                        gate[-1][0]) if self._timed_out(ti) else None
         self._rules = stalled, bool(self._window_over(ti)), bool(opens[i])
@@ -706,17 +701,17 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     Returns the totally ordered event log and final object position (plant
     ground truth when the backend exposes it, dead reckoning otherwise).
 
-    Tick k is at k * dt.  After each update() the backend looks ahead, never
-    past the duration limit: by the ticks the current (phase, stage) took
-    when it last ran, less those it has run, plus 32, at most
+    Tick k is at k * dt, the controller's now after update(k), which stamps
+    commands and events.  After each update() the backend looks ahead,
+    never past the duration limit: by the ticks the current (phase, stage)
+    took when it last ran, less those it has run, plus 32, at most
     4 * BLOCK_TICKS; BLOCK_TICKS while the stage has no record or has run
     past it.  scan(k, ...) finds row j, the first that the controller acts
     on, the recorder gets the rows before it, and their times, in calls of
     at most BLOCK_TICKS ticks, and the backend advances j rows; update()
-    then acts on the new tick, plant events first.  No time is computed
-    beyond those: not the backend's clock, nor the times of its rows.  The
-    backend must step at dt = params.dt (to a relative 1e-9), and its rows
-    must hold the layout's modules in order.
+    then acts on the new tick, plant events first.  The backend's clock is
+    never read.  The backend must step at dt = params.dt (to a relative
+    1e-9), and its rows must hold the layout's modules in order.
 
     The controller decides on each sensed kPa as recorded, the double its
     6-decimal text reads back as: gates through recorded_threshold, the
@@ -737,10 +732,9 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     if problems:
         raise ValueError(problems[0])
     controller = StationController(layout, object_spec, initial_z, params, detection, control)
-    dt = params.dt
-    n_steps = int(round(duration_s / dt))
-    if not same_dt(backend.dt, dt):
-        raise ValueError(f"backend steps at fixed dt={backend.dt}, got {dt}")
+    n_steps = int(round(duration_s / params.dt))
+    if not same_dt(backend.dt, params.dt):
+        raise ValueError(f"backend steps at fixed dt={backend.dt}, got {params.dt}")
     ids = tuple(mod.id for mod in layout.modules)
     if (got := backend.lookahead(1).ids) != ids:
         missing = sorted(set(ids) - set(got))
@@ -752,20 +746,19 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     stage, start = (controller.phase, controller.stage), 0
     k = 0
     while True:
-        now = k * dt
-        changed = controller.update(now, plant_events=plant_events, final=k == n_steps)
+        changed = controller.update(k, plant_events=plant_events, final=k == n_steps)
         if (controller.phase, controller.stage) != stage:
             took[stage], stage, start = k - start, (controller.phase, controller.stage), k
         for mid in sorted(changed):
-            backend.set_valve(ValveCommand(mid, changed[mid], now))
+            backend.set_valve(ValveCommand(mid, changed[mid], controller.now))
         left = took.get(stage, 0) - (k - start)
         n = min(left + 32, 4 * BLOCK_TICKS) if left > 0 else BLOCK_TICKS
         rows = backend.lookahead(1 if controller.done else min(n, n_steps - k + 1))
         j = 1 if controller.done else controller.scan(k, rows.pressure)
         tick_events = controller.take_events() if j else []  # on j = 0, kept for its row
-        events_log += [(now, mid, text) for mid, text in tick_events]
+        events_log += [(controller.now, mid, text) for mid, text in tick_events]
         if recorder is not None:
-            times = np.arange(k, k + j) * dt
+            times = np.arange(k, k + j) * params.dt
             for a in range(0, j, BLOCK_TICKS):
                 b = min(a + BLOCK_TICKS, j)
                 recorder.record(times[a:b], rows.span(a, b), controller.valves,
@@ -782,11 +775,11 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     else:
         final_z = controller.z_est
     return RunResult(
-        outcome=controller.outcome or "duration limit reached",
+        outcome=controller.outcome,
         cycles=controller.cycles,
         detections=tuple(controller.detections),
         faults=tuple(controller.faults),
         final_z=final_z,
-        sim_time_s=now,
+        sim_time_s=controller.now,
         events=tuple(events_log),
     )

@@ -219,9 +219,7 @@ def _vary(base: RingGeometry, parameter: str, value: float) -> RingGeometry:
             base.outer_radius_R, base.inner_radius_r, value, base.chamber_count_N
         )
         return replace(base, chamber_spacing_l=value, chamber_length_s=s)
-    if parameter == "t":
-        return replace(base, wall_thickness_t=value)
-    raise ValueError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEP_PARAMETERS}")
+    return replace(base, wall_thickness_t=value)  # "t": sweep() has checked the name
 
 
 def sweep(

@@ -223,15 +223,15 @@ class ReplayBackend(_Backend):
     verifies that on each tick it commits every module's recorded valve is
     its last commanded mode (HOLD, the plant's initial mode, before any
     command); either raises ReplayMismatchError on a late, early, missing or
-    wrong command.  advance and tick move to later recorded instants and
-    raise EndOfRecordingError past the end.  The module rows (module_id 0
+    wrong command.  advance and tick move to later ticks and raise
+    EndOfRecordingError past the end; now is tick k's k * dt, the live
+    controller's time, not its recorded text.  The module rows (module_id 0
     rows are station events) become the grid once, here; the first tick
     ends where its first module id comes round again.
 
-    It keeps three copies of the log's module rows: the pressure grid, the
-    valve-code grid and each tick's time.  Building them holds one masked
-    column at a time beside them: the module ids are checked and dropped
-    before the time column is copied.
+    It keeps two copies of the log's module rows: the pressure grid and the
+    valve-code grid.  Building them holds one masked column at a time beside
+    them: the module ids, then the times, are checked and dropped first.
     """
 
     def __init__(self, log: TelemetryLog, dt: float):
@@ -245,7 +245,7 @@ class ReplayBackend(_Backend):
         _check_tick_ids(mids, m)
         del mids, again  # checked: the grids are built one masked column at a time
         self.mismatches = 0
-        self._time = _tick_times(log.time_s[rows], m, dt)
+        _check_tick_times(log.time_s[rows], m, dt)
         self._pressure = log.pressure_kPa[rows].reshape(-1, m)
         codes, table = log.codes("valve")
         self._valve = codes[rows].reshape(-1, m)  # recorded valve of each grid cell, as a code
@@ -260,13 +260,13 @@ class ReplayBackend(_Backend):
         return self._modes.index(mode)
 
     def _current(self) -> int:
-        if self._k >= len(self._time):
+        if self._k >= len(self._pressure):
             raise EndOfRecordingError("end of recording")
         return self._k
 
     @property
     def now(self) -> float:
-        return self._time[self._current()].item()
+        return self._current() * self.dt
 
     def _command(self, cmd: ValveCommand, col: int) -> None:
         code, recorded = self._code(cmd.mode), self._valve[self._current(), col]
@@ -295,8 +295,8 @@ class ReplayBackend(_Backend):
                 f"recorded {self._modes[self._valve[tick, col]]}, "
                 f"last commanded {self._modes[self._mode[col]]}"
             )
-        if k + j >= len(self._time):
-            self._k = len(self._time)
+        if k + j >= len(self._pressure):
+            self._k = len(self._pressure)
             raise EndOfRecordingError("end of recording")
         self._k += j
 
@@ -309,9 +309,9 @@ class ReplayBackend(_Backend):
 _TIME_TOLERANCE = 5e-7 + 1e-9
 
 
-# Each check here and in _tick_times reduces its whole comparison with one
-# .all(), cheaper than a reduction per tick, and looks for the first bad tick
-# only when that fails.
+# Each check here and in _check_tick_times reduces its whole comparison with
+# one .all(), cheaper than a reduction per tick, and looks for the first bad
+# tick only when that fails.
 def _check_tick_ids(mids: np.ndarray, m: int) -> None:
     """Check that a recording's module rows are ticks of the first tick's m module ids.
 
@@ -331,9 +331,9 @@ def _check_tick_ids(mids: np.ndarray, m: int) -> None:
                          f"{mids[k * m:(k + 1) * m].tolist()} are not the first tick's {ids}")
 
 
-def _tick_times(times: np.ndarray, m: int, dt: float) -> np.ndarray:
-    """The time of each tick of a recording's module rows, m rows a tick,
-    from rows that _check_tick_ids passed.
+def _check_tick_times(times: np.ndarray, m: int, dt: float) -> None:
+    """Check that a recording's module rows, m rows a tick, from rows that
+    _check_tick_ids passed, are at one time a tick, k * dt for tick k.
 
     Raises:
         ValueError: naming the first tick whose rows are not at one time, or
@@ -345,7 +345,7 @@ def _tick_times(times: np.ndarray, m: int, dt: float) -> np.ndarray:
     if not together.all():
         k = int(np.flatnonzero(~together.all(axis=1))[0])
         raise ValueError(f"recording is not a tick grid: tick {k}: rows at {grid[k].tolist()} s")
-    t = grid[:, 0].copy()
+    t = grid[:, 0]
     off = np.arange(n, dtype=np.float64)
     off *= dt
     np.subtract(t, off, out=off)  # each tick's time less k * dt, in one array
@@ -355,10 +355,9 @@ def _tick_times(times: np.ndarray, m: int, dt: float) -> np.ndarray:
         raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "
                          f"not at {k * dt} s")
     # that slack lets a tick's time fall below the last one's when dt is under 1 us
-    # (2 ns on a file's 6-decimal times); the controller needs time that never falls
+    # (2 ns on a file's 6-decimal times), which no run's k * dt ever records
     falls = t[1:] < t[:-1]
     if falls.any():
         k = int(np.flatnonzero(falls)[0]) + 1
         raise ValueError(f"recording does not tick at dt={dt}: tick {k} is at {t[k]} s, "
                          f"before tick {k - 1} at {t[k - 1]} s")
-    return t

@@ -66,10 +66,10 @@ def probe_trace(controller):
     return np.concatenate([np.empty((0, 2)), *controller._probe_trace])
 
 
-def decision(controller, now=None, sensed=None):
-    """A controller's state, after it updates at now when now is given,
+def decision(controller, k=None, sensed=None):
+    """A controller's state, after it updates on tick k when k is given,
     with the valves it changed and the events it emitted."""
-    changed = {} if now is None else controller.update(now, sensed)
+    changed = {} if k is None else controller.update(k, sensed)
     return (changed, controller.take_events(), controller.phase, controller.stage,
             controller.level, controller.done, dict(controller.valves))
 
@@ -560,7 +560,7 @@ class TestStationController:
 
     def test_first_update_grasps_and_probes(self, five_module_layout):
         c = self.controller(five_module_layout)
-        changed = c.update(0.0, self.zeros(five_module_layout))
+        changed = c.update(0, self.zeros(five_module_layout))
         assert changed == {1: INFLATE, 3: INFLATE, 5: INFLATE}
         texts = [text for _, text in c.take_events()]
         assert texts == [
@@ -571,16 +571,28 @@ class TestStationController:
         assert c.phase_label() == "L0:Grasp"
         assert c.take_events() == []  # drained
 
+    def test_update_takes_the_tick_index(self, five_module_layout):
+        """update() reads time only as a tick index k, at k * dt: a float,
+        which it would have read as seconds, raises TypeError, and a numpy
+        integer is an index."""
+        c = self.controller(five_module_layout)
+        with pytest.raises(TypeError):
+            c.update(0.001, self.zeros(five_module_layout))
+        changed = c.update(np.int64(0), self.zeros(five_module_layout))
+        assert changed == {1: INFLATE, 3: INFLATE, 5: INFLATE}
+        c.update(np.int64(9), self.zeros(five_module_layout))
+        assert type(c.now) is float and c.now.hex() == (9 * DT).hex()
+
     def test_unchanged_valves_not_reemitted(self, five_module_layout):
         c = self.controller(five_module_layout)
-        c.update(0.0, self.zeros(five_module_layout))
-        assert c.update(DT, self.zeros(five_module_layout)) == {}
+        c.update(0, self.zeros(five_module_layout))
+        assert c.update(1, self.zeros(five_module_layout)) == {}
 
     def test_drop_event_faults_the_run(self, five_module_layout):
         c = self.controller(five_module_layout)
-        c.update(0.0, self.zeros(five_module_layout))
+        c.update(0, self.zeros(five_module_layout))
         c.take_events()
-        changed = c.update(DT, self.zeros(five_module_layout), [(0, "drop to_z=0.000000")])
+        changed = c.update(1, self.zeros(five_module_layout), [(0, "drop to_z=0.000000")])
         assert changed == {}
         assert c.done and c.outcome == "fault"
         assert c.faults == ["object lost at phase L0:Grasp"]
@@ -589,9 +601,9 @@ class TestStationController:
 
     def test_done_controller_is_inert(self, five_module_layout):
         c = self.controller(five_module_layout)
-        c.update(0.0, self.zeros(five_module_layout))
+        c.update(0, self.zeros(five_module_layout))
         c.finish("cycle budget reached")
-        assert c.update(DT, self.zeros(five_module_layout)) == {}
+        assert c.update(1, self.zeros(five_module_layout)) == {}
         assert c.outcome == "cycle budget reached"
 
     def test_saturated_probe_trace_aborts_detection(self, five_module_layout):
@@ -601,7 +613,7 @@ class TestStationController:
         for k in range(2502):
             if c.done:
                 break
-            c.update(k * DT, sensed)
+            c.update(k, sensed)
             texts += [text for _, text in c.take_events()]
         assert "detection aborted module=5 reason=insufficient-trace" in texts
 
@@ -632,7 +644,7 @@ class TestStationController:
         bytes."""
         layout = build_station(RingGeometry(**NOMINAL), 5, 20.0, 20.0)
         c = self.controller(layout)
-        c.update(0.0, self.zeros(layout))
+        c.update(0, self.zeros(layout))
         c.take_events()
         k0 = 20000
         c.phase, c.stage = gate
@@ -649,16 +661,14 @@ class TestStationController:
         sensed = np.full((30, 5), 5.0)
         for row, mid, level in spikes:
             sensed[row, mid - 1] = levels[level]
-        times = np.arange(k0, k0 + 30) * DT
         ref = copy.deepcopy(c)
         quiet = decision(ref)
 
         j = c.scan(k0, sensed)
         assert 1 <= j <= 29
-        assert all(decision(ref, times[i].item(), sensed[i].tolist()) == quiet
-                   for i in range(1, j))
-        want = decision(ref, times[j].item(), sensed[j].tolist())
-        assert decision(c, times[j].item()) == want
+        assert all(decision(ref, k0 + i, sensed[i].tolist()) == quiet for i in range(1, j))
+        want = decision(ref, k0 + j, sensed[j].tolist())
+        assert decision(c, k0 + j) == want
         assert probe_trace(c).tobytes() == probe_trace(ref).tobytes()
         if j < 29:
             assert want != quiet
@@ -667,7 +677,7 @@ class TestStationController:
         """A plant drop that comes with row j, on which the probe window is
         over, faults the run, as tick by tick: the probe is not classified."""
         c = self.controller(five_module_layout)
-        c.update(0.0, self.zeros(five_module_layout))  # the grasp, probing ring 5 from 0 s
+        c.update(0, self.zeros(five_module_layout))  # the grasp, probing ring 5 from 0 s
         ref = copy.deepcopy(c)
         times = np.arange(3000) * DT
         sensed = np.full((3000, 5), 5.0)
@@ -675,28 +685,28 @@ class TestStationController:
         assert times[j - 1] < 2.5 <= times[j]  # window_start + window_len
         drop = [(0, "drop to_z=0.000000")]
         for i in range(1, j):
-            ref.update(times[i].item(), sensed[i].tolist())
-        ref.update(times[j].item(), sensed[j].tolist(), drop)
-        c.update(times[j].item(), None, drop)
+            ref.update(i, sensed[i].tolist())
+        ref.update(j, sensed[j].tolist(), drop)
+        c.update(j, None, drop)
         for run in (c, ref):
             assert run.outcome == "fault"
             assert run.faults == ["object lost at phase L0:Grasp"]
             assert run.detections == []
             assert not any("detection" in text for _, text in run.take_events())
-            assert run.update(times[j].item() + DT, sensed[j].tolist()) == {}
+            assert run.update(j + 1, sensed[j].tolist()) == {}
 
     def test_scan_of_one_row_acted_on(self, five_module_layout):
         """A one-row lookahead holds no row to scan: the backend advances one
         tick, update() acts on its plant events alone, and the next scan
         starts at that tick's row 0."""
         c = self.controller(five_module_layout)
-        c.update(0.0, self.zeros(five_module_layout))
+        c.update(0, self.zeros(five_module_layout))
         c.take_events()
         assert c.scan(0, np.zeros((1, 5))) == 1
-        assert c.update(DT) == {}
+        assert c.update(1) == {}
         assert c.take_events() == [] and c.phase_label() == "L0:Grasp"
         assert c.scan(1, np.full((1, 5), 15.0)) == 0  # the grasp gate opens
-        assert c.update(DT) == {1: DEFLATE}
+        assert c.update(1) == {1: DEFLATE}
         assert c.phase_label() == "L0:AdvanceRelease"
 
     def test_station_without_triple_rejected(self, geometry, material):

@@ -9,6 +9,8 @@ from peristation import (
     DEFLATE,
     HOLD,
     INFLATE,
+    ControlConfig,
+    DetectionConfig,
     EndOfRecordingError,
     ObjectSpec,
     ObjectState,
@@ -17,8 +19,10 @@ from peristation import (
     ReplayBackend,
     ReplayMismatchError,
     SimulatedBackend,
+    TelemetryWriter,
     ValveCommand,
     read_telemetry,
+    run_station,
 )
 from tests.conftest import Row, data_address, log_of, read_rows, traced_peak
 
@@ -349,12 +353,12 @@ class TestReplayBackend(BackendContract):
 
     def test_grids_hold_one_column_copy_at_a_time(self, recording):
         """Beyond the log, building the backend holds at most its grids
-        (pressure, valve codes and tick times) and one more copy of a
-        column's module rows."""
+        (pressure and valve codes) and one more copy of a column's module
+        rows."""
         log = read_telemetry(recording)
         backend, peak = traced_peak(ReplayBackend, log, PlantParams().dt)
         column = backend._pressure.nbytes
-        assert peak <= column + backend._valve.nbytes + backend._time.nbytes + column
+        assert peak <= column + backend._valve.nbytes + column
 
     @pytest.mark.parametrize("dt, bad", [(5e-4, "tick 1 is at 0.001 s, not at 0.0005 s"),
                                          (2e-3, "tick 1 is at 0.001 s, not at 0.002 s")])
@@ -401,6 +405,25 @@ class TestReplayBackend(BackendContract):
         assert looked > 1000
         with pytest.raises(EndOfRecordingError):
             backend.lookahead(1)
+
+    def test_now_is_the_tick_index_times_dt(self, five_module_layout, material, params,
+                                            tmp_path):
+        """A replay's clock is the live controller's, k * dt at tick k, and
+        not the recorded text: tick 9 is recorded as 0.009000, which reads
+        back as 0.009, where 9 * 1e-3 is 0.009000000000000001."""
+        obj = ObjectState(ObjectSpec(17.5, 75.0), 0.0)
+        live = SimulatedBackend(Plant(five_module_layout, obj, params, material))
+        path = tmp_path / "nominal.csv"
+        with TelemetryWriter(path) as writer:
+            run_station(live, five_module_layout, obj.spec, 0.0, params, DetectionConfig(),
+                        ControlConfig(), 0.05, recorder=writer)
+        log = read_telemetry(path)
+        assert log.time_s[log.module_id != 0][9 * 5] == 0.009 != 9 * 1e-3
+        backend = ReplayBackend(log, params.dt)
+        command_recorded(backend, recorded_valves(path), 0)
+        backend.advance(9)
+        assert backend.now.hex() == (9 * 1e-3).hex()
+        assert backend.tick(1e-3) == 10 * 1e-3
 
     def test_matching_command_accepted(self):
         backend = replay_fixture()
