@@ -161,14 +161,15 @@ class SimulatedBackend(_Backend):
     generator, so a fixed seed reproduces the byte-identical sensed stream
     regardless of who reads what and in what blocks.  A lookahead draws the
     noise of its ticks ahead; what advance does not use stays buffered for
-    the ticks it belongs to.
+    the ticks it belongs to.  Without noise (noise_sigma 0) no generator is
+    built, so a noiseless run never imports numpy.random.
     """
 
     def __init__(self, plant: Plant):
         super().__init__(tuple(m.id for m in plant.layout.modules), plant.params.dt)
         self.plant = plant
         self._sigma = plant.params.noise_sigma
-        self._rng = np.random.default_rng(plant.params.rng_seed)
+        self._rng = np.random.default_rng(plant.params.rng_seed) if self._sigma > 0.0 else None
         self._noise = np.empty((0, len(self._ids)))  # drawn noise; row 0 is the current tick's
         self._traj = None  # the last lookahead's trajectory, while it stays valid
         self._pending_events: list[tuple[int, str]] = []

@@ -157,11 +157,13 @@ def _encode6(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     digits -= hi * 1000  # the last three
     head *= 2
     head += np.signbit(x)  # the sign and integer digits' entry in _HEAD
-    # every index is in its table, and "clip" takes them without a check
-    np.take(_HEAD, head, out=words[:, 0], mode="clip")
+    # every index is in its table, and "clip" takes them without a check, each
+    # into a fresh array: a take into a strided column copies through a temporary
+    words[:, 0] = np.take(_HEAD, head, mode="clip")
     lengths = np.take(_HEAD_LEN, head, mode="clip")
-    np.take(_DEC, hi, out=words[:, 1], mode="clip")
-    words[:, 1] |= np.take(_DEC, digits, mode="clip") << np.uint64(24) | _POINT_COMMA
+    dec = np.take(_DEC, digits, mode="clip") << np.uint64(24)
+    dec |= np.take(_DEC, hi, mode="clip")
+    words[:, 1] = dec | _POINT_COMMA
     if texts:
         out[slow] = np.frombuffer(b"".join(t.rjust(w, b"\0") for t in texts),
                                   np.uint8).reshape(len(slow), w)

@@ -726,6 +726,42 @@ class TestOneParser:
         assert reused == fresh
 
 
+# CHILD, printing as its last line whether numpy.random was imported.
+IMPORTS_CHILD = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from peristation.cli import main; code = main(sys.argv[1:]); "
+                 "print('numpy.random' in sys.modules); sys.exit(code)")
+
+
+class TestNoiselessImports:
+    """A noiseless command builds no noise generator, so it never imports
+    numpy.random (which numpy 1.x imports with numpy itself)."""
+
+    @pytest.fixture(scope="class")
+    def numpy_loads_it(self):
+        done = subprocess.run([sys.executable, "-c",
+                               "import numpy, sys; print('numpy.random' in sys.modules)"],
+                              capture_output=True, text=True, timeout=60, check=True)
+        return done.stdout.strip() == "True"
+
+    def loaded(self, argv) -> bool:
+        done = run_child(argv, code=IMPORTS_CHILD)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize("argv", [["validate"], ["calibrate", "--out", "b.csv"],
+                                      ["run", "--duration", "1", "--out", "t.csv"]],
+                             ids=lambda argv: argv[0])
+    def test_default_config(self, tmp_path, numpy_loads_it, argv):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert self.loaded(argv) is numpy_loads_it
+
+    def test_a_noisy_run_loads_it(self, tmp_path):
+        cfg = write_cfg(tmp_path, "plant: {noise_sigma: 0.05}\n")
+        assert self.loaded(["run", "--config", cfg, "--duration", "1",
+                            "--out", str(tmp_path / "t.csv")])
+
+
 class TestNestingRule:
     """A config nested past config.MAX_NESTING is refused before it is built."""
 

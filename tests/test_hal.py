@@ -242,6 +242,42 @@ class TestSimulatedBackend(BackendContract):
         blocks.advance(60)  # past the lookahead
         assert (blocks.now, [blocks.read_pressure(mid)[0] for mid in (1, 2, 3)]) == reads[100]
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.0])
+    def test_sensed_rows_are_the_seeded_stream_tick_by_tick(self, three_module_layout, material,
+                                                             sigma):
+        """The noise of tick k is row k of one default_rng(seed) draw of
+        (ticks, modules) normals: tick-major, in module order, whatever
+        lookaheads and advances read it.  Without noise the sensed rows are
+        the plant's rows, the same bits."""
+        seed = 13
+        backend = noisy_backend(three_module_layout, material, sigma, seed)
+        stream = np.random.default_rng(seed).normal(0.0, 0.05, (200, 3))
+        k = 0  # the current tick
+
+        def check(n):
+            rows = backend.lookahead(n)
+            want = rows.truth + stream[k:k + n] if sigma else rows.truth
+            assert len(rows) == n
+            assert rows.pressure.tobytes() == want.tobytes()
+
+        def advance(j):
+            nonlocal k
+            backend.advance(j)
+            k += j
+
+        backend.set_valve(ValveCommand(1, INFLATE, 0.0))
+        check(30)
+        advance(20)  # partly into the lookahead
+        check(20)
+        advance(5)
+        check(1)
+        backend.set_valve(ValveCommand(2, INFLATE, backend.now))  # voids the lookahead
+        check(10)
+        advance(60)  # past the lookahead
+        check(50)
+        advance(50)
+        check(60)
+
     def test_noiseless_rows_held_across_lookaheads_keep_their_bits(self, backend):
         backend.set_valve(ValveCommand(1, INFLATE, 0.0))
         rows = backend.lookahead(100)
