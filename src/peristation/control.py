@@ -35,7 +35,6 @@ from .plant import (
     PlantParams,
     StationLayout,
     ObjectSpec,
-    summed_clock,
 )
 from .telemetry import as_recorded, recorded_threshold
 
@@ -235,6 +234,15 @@ def detect_contact(module_id: int, trace: Sequence[tuple[float, float]] | np.nda
 # -- blocking calibration -----------------------------------------------------
 
 
+def summed_clock(seconds: float, dt: float, steps: int) -> np.ndarray:
+    """A clock's readings from seconds on, after 0 to steps more steps of dt,
+    dt added one step at a time: calibration's tick times."""
+    time = np.empty(steps + 1)
+    time.fill(dt)
+    time[0] = seconds
+    return np.add.accumulate(time, out=time)
+
+
 def calibrate_baseline(backend, module_id: int, params: PlantParams,
                        detection: DetectionConfig,
                        control: Optional[ControlConfig] = None) -> float:
@@ -243,10 +251,10 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     Vents the ring, inflates it through the detection window, regresses the
     slope, and vents back.  The caller must ensure no object sits in the
     ring's span; a slope above theta times the free rate is rejected as
-    contaminated.  Ticks advance in blocks.  Time is the backend's clock,
-    read once, with dt summed over each block's rows (summed_clock); a block
-    of one row that advances a tick reads it again.  Each of the three waits
-    raises ControlFaultError once the control's phase_timeout_s has passed.
+    contaminated.  Ticks advance in blocks; commands are stamped with the
+    backend's now.  The fit and the three waits read now once, and sum dt
+    over each block's rows, one step past a block of one row (summed_clock).
+    Each wait raises ControlFaultError once phase_timeout_s has passed.
     Only the inflation keeps its samples, the row that ends it left out.
 
     Raises:
@@ -260,24 +268,25 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
     w_end = detection.window_start + detection.window_len + params.dt
     waits = [(INFLATE, "inflating through the detection window"),
              (DEFLATE, "venting after calibration")]
-    p, now = backend.read_pressure(module_id)
+    p, clock = backend.read_pressure(module_id)
     if p > lo:
         waits.insert(0, (DEFLATE, "venting before calibration"))
     for mode, what in waits:
-        backend.set_valve(ValveCommand(module_id, mode, now))
-        t0 = now
+        backend.set_valve(ValveCommand(module_id, mode, backend.now))
+        t0 = clock
         trace = []
         while True:
             rows = backend.lookahead(BLOCK_TICKS)
             p = rows.pressure[:, rows.ids.index(module_id)]
-            t = summed_clock(now, backend.dt, len(rows) - 1)
-            done = t - t0 > w_end if mode == INFLATE else p <= lo
-            hits = np.flatnonzero(done | (t >= t0 + ctl.phase_timeout_s))
-            j = int(hits[0]) if hits.size else max(len(rows) - 1, 1)
+            t = summed_clock(clock, backend.dt, max(len(p) - 1, 1))
+            tp = t[:len(p)]
+            done = tp - t0 > w_end if mode == INFLATE else p <= lo
+            hits = np.flatnonzero(done | (tp >= t0 + ctl.phase_timeout_s))
+            j = int(hits[0]) if hits.size else len(t) - 1
             if mode == INFLATE:
                 trace.append(np.column_stack((t[:j] - t0, p[:j])))
             backend.advance(j)
-            now = t[j].item() if j < len(t) else backend.now
+            clock = t[j].item()
             del rows, p  # free the block before the next lookahead
             if hits.size:
                 break
@@ -285,7 +294,7 @@ def calibrate_baseline(backend, module_id: int, params: PlantParams,
             raise ControlFaultError(f"timeout: module {module_id} stalled {what}")
         if mode == INFLATE:
             slope = _window_slope(np.concatenate(trace), detection, params.P_max)
-    backend.set_valve(ValveCommand(module_id, HOLD, now))
+    backend.set_valve(ValveCommand(module_id, HOLD, backend.now))
 
     if slope > detection.threshold_ratio_theta * params.k_free:
         raise CalibrationError(
@@ -342,8 +351,8 @@ class StationController:
         self.level = 0
         self.phase = GRASP
         self.stage = 0
-        self.phase_start = 0.0
-        self.now = 0.0
+        self._k = 0  # the current tick
+        self._phase_k = 0  # the tick the current phase began on
         self.cycles = 0
         self.cycles_at_level = 0
         self.consec = 0
@@ -356,7 +365,7 @@ class StationController:
         self.done = False
         self.outcome: Optional[str] = None
         self._probe_id: Optional[int] = None
-        self._probe_t0 = 0.0
+        self._probe_k = 0  # the probe's onset tick
         self._probe_trace: Optional[list] = None
         self._probe_done = True
         # the row of a block that scan() starts at, and what fires on the tick to act on
@@ -384,6 +393,10 @@ class StationController:
     def _emit(self, module_id: int, text: str) -> None:
         self._events.append((module_id, text))
 
+    @property
+    def now(self) -> float:  # the current tick's time
+        return self._k * self.params.dt
+
     def phase_label(self) -> str:
         return f"L{self.level}:{self.phase}"
 
@@ -404,7 +417,7 @@ class StationController:
         self._changed = {}
         if self.done:
             return {}
-        self.now = operator.index(k) * self.params.dt
+        self._k = operator.index(k)
         for mid, text in plant_events:
             self._emit(mid, text)
             if text.startswith("drop"):
@@ -452,7 +465,7 @@ class StationController:
         if pid is None:
             return
         self._probe_id = pid
-        self._probe_t0 = self.now
+        self._probe_k = self._k
         self._probe_trace = []
         self._probe_done = False
         self._set(pid, INFLATE)
@@ -491,7 +504,7 @@ class StationController:
         """Make (phase, stage) current and send its commands."""
         self.phase, self.stage = phase, stage
         if stage == 0:
-            self.phase_start = self.now
+            self._phase_k = self._k
         triple = self._triple()
         for pos, mode in CYCLE[phase, stage][0]:
             self._set(triple[pos], mode)
@@ -527,28 +540,28 @@ class StationController:
         else:
             self._cycle_complete()
 
-    def _timed_out(self, t):
-        """Whether the stage has timed out at a time s, or at each of an array."""
-        return t - self.phase_start > self.ctl.phase_timeout_s
+    def _timed_out(self, k):
+        """Whether the phase has timed out at tick k, or at each of an array."""
+        return (k - self._phase_k) * self.params.dt > self.ctl.phase_timeout_s
 
-    def _window_over(self, t):
-        """Whether the probe window is over at a time s, or at each of an array."""
+    def _window_over(self, k):
+        """Whether the probe window is over at tick k, or at each of an array."""
         end = self.det.window_start + self.det.window_len
-        return not self._probe_done and t - self._probe_t0 >= end
+        return not self._probe_done and (k - self._probe_k) * self.params.dt >= end
 
     def scan(self, k0: int, sensed: np.ndarray) -> int:
         """The row j of a block that update() acts on next: the first on which
-        the stage times out, the probe window ends or the gate opens, else
+        the phase times out, the probe window ends or the gate opens, else
         the last.  Row 0 is the current tick, tick k0, and sensed holds each
-        row's kPa in layout order, as recorded, under unchanged valves.  Row
-        r is at (k0 + r) * dt, the controller's one time rule (update(k) sets
-        now = k * dt): an int below 2**53 converts exactly, so a Python float
-        has the bits of np.arange(k0, k0 + n) * dt.  Time never falls, so a
-        time rule fires in the block only if it fires on the last row; only
-        then, or when the probe samples (its window has started by the last
-        row), are the block's times computed.  The scan starts at row 1 once
-        update() has acted on row 0's rules, else at row 0 (none left:
-        returns 1), and samples the probe to j."""
+        row's kPa in layout order, as recorded, under unchanged valves.  The
+        time rules count ticks: tick k is (k - k_ref) * dt after the phase's
+        start tick or the probe's onset tick k_ref, one multiply of an int
+        below 2**53, so a span of ticks is the same time wherever it starts.
+        Time never falls, so a time rule fires in the block only if it fires
+        on the last row; only then, or when the probe samples (its window has
+        started by the last row), are the block's ticks built.  The scan
+        starts at row 1 once update() has acted on row 0's rules, else at
+        row 0 (none left: returns 1), and samples the probe to j."""
         first, n = self._first, len(sensed)
         if first == n:
             return 1
@@ -557,23 +570,23 @@ class StationController:
         gate = self._gate()
         opens = reduce(operator.and_, (self._holds(kpa[:, mid - 1], rises) for mid, rises in gate))
         # time never falls, so a time rule that the last row fails fires on no row
-        last = (k0 + n - 1) * dt
+        last = k0 + n - 1
         rules = [rule for rule in (self._timed_out, self._window_over) if rule(last)]
         # the probe keeps only samples from window_start on, the first fitted
-        samples = not self._probe_done and last - self._probe_t0 >= self.det.window_start
-        t = np.arange(k0 + first, k0 + n) * dt if rules or samples else None
-        fires = reduce(operator.or_, [rule(t) for rule in rules], opens)
+        samples = not self._probe_done and (last - self._probe_k) * dt >= self.det.window_start
+        ks = np.arange(k0 + first, k0 + n) if rules or samples else None
+        fires = reduce(operator.or_, [rule(ks) for rule in rules], opens)
         i = int(fires.argmax())
         if not fires[i]:
             i = n - 1 - first
         if samples:
-            tau = t[:i + 1] - self._probe_t0
+            tau = (ks[:i + 1] - self._probe_k) * dt
             k = int(tau.searchsorted(self.det.window_start))
             self._probe_trace.append(np.column_stack((tau[k:], kpa[k:i + 1, self._probe_id - 1])))
-        ti = (k0 + first + i) * dt
+        ki = k0 + first + i
         stalled = next((mid for mid, rises in gate if not self._holds(kpa[i, mid - 1], rises)),
-                       gate[-1][0]) if self._timed_out(ti) else None
-        self._rules = stalled, bool(self._window_over(ti)), bool(opens[i])
+                       gate[-1][0]) if self._timed_out(ki) else None
+        self._rules = stalled, bool(self._window_over(ki)), bool(opens[i])
         return first + i
 
     def _regrasp_feasible(self, bottom_id: int) -> bool:
@@ -709,7 +722,7 @@ def run_station(backend, layout: StationLayout, object_spec: Optional[ObjectSpec
     past it.  scan(k, ...) finds row j, the first that the controller acts
     on, the recorder gets the rows before it, and their times, in calls of
     at most BLOCK_TICKS ticks, and the backend advances j rows; update()
-    then acts on the new tick, plant events first.  The backend's clock is
+    then acts on the new tick, plant events first.  The backend's now is
     never read.  The backend must step at dt = params.dt (to a relative
     1e-9), and its rows must hold the layout's modules in order.
 

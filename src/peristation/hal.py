@@ -20,12 +20,13 @@ and two operations act on the current tick:
   - read_pressure: one module's sensed pressure and the current time;
   - set_valve: command one module's valve, which voids a lookahead.
 
-tick (advance by one) is a thin form of advance, and dt is the fixed time
-between ticks.  The controller owns the backend and serializes all calls.
-Both backends inherit read_pressure, tick and every argument check from one
-base class, so they accept and refuse the same calls: an unknown module or
-mode, a command older than its module's last accepted one, a tick at
-another dt, lookahead(n < 1) and advance(j < 0).
+tick (advance by one) is a thin form of advance, dt is the fixed time
+between ticks and now is k * dt at tick k.  The controller owns the
+backend and serializes all calls.  Both backends inherit now,
+read_pressure, tick and every argument check from one base class, so they
+accept and refuse the same calls: an unknown module or mode, a command
+older than its module's last accepted one, a tick at another dt,
+lookahead(n < 1) and advance(j < 0).
 
 A recording replays only as a grid of ticks x modules: every tick holds one
 row per module, in the first tick's order and at one time, and tick k is at
@@ -101,10 +102,10 @@ class EndOfRecordingError(ValueError):
 class _Backend:
     """The contract both backends share, with every argument check it makes.
 
-    A backend passes its module ids and dt here and implements now,
+    A backend passes its module ids and dt here and implements
     drain_events and three hooks, called only with checked arguments:
-    _rows(n) gives a lookahead's rows, _commit(j) commits j ticks and
-    _command(cmd, col) acts on a command for the module in column col.
+    _rows(n) gives a lookahead's rows, _commit(j) commits j ticks, adding
+    them to _k, and _command(cmd, col) acts on a command for column col.
     """
 
     def __init__(self, ids: tuple[int, ...], dt: float):
@@ -114,6 +115,11 @@ class _Backend:
         self._ids = ids
         self._cols = {mid: i for i, mid in enumerate(ids)}
         self._last_cmd_t: dict[int, float] = {}  # each module's last accepted timestamp
+        self._k = 0  # the current tick
+
+    @property
+    def now(self) -> float:
+        return self._k * self.dt
 
     def _col(self, module_id: int) -> int:
         if module_id not in self._cols:
@@ -182,10 +188,6 @@ class SimulatedBackend(_Backend):
             self._noise = np.concatenate((self._noise, draw))
         return self._noise[:n]
 
-    @property
-    def now(self) -> float:
-        return self.plant.time
-
     def _command(self, cmd: ValveCommand, col: int) -> None:
         self.plant.set_valve(cmd.module_id, cmd.mode)
         self._traj = None
@@ -204,6 +206,7 @@ class SimulatedBackend(_Backend):
                 traj = self.plant.trajectory(j)
             i = min(j, len(traj) - 1)
             self._pending_events.extend(self.plant.commit(traj, i))
+            self._k += i
             self._traj = None
             if self._sigma > 0.0:
                 self._noise_rows(i)  # the committed ticks' noise stays drawn in order
@@ -253,7 +256,6 @@ class ReplayBackend(_Backend):
         self._modes = list(table)  # valve modes by code; commanded modes join the recorded ones
         self._mode = np.full(m, self._code(HOLD))  # each module's last commanded mode
         self._pressure.flags.writeable = False  # lookahead shares it
-        self._k = 0
 
     def _code(self, mode: str) -> int:
         if mode not in self._modes:
@@ -266,7 +268,7 @@ class ReplayBackend(_Backend):
         return self._k
 
     @property
-    def now(self) -> float:
+    def now(self) -> float:  # refused past the end of the recording
         return self._current() * self.dt
 
     def _command(self, cmd: ValveCommand, col: int) -> None:

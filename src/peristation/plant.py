@@ -18,13 +18,13 @@ Step order, per tick:
 Plant.trajectory runs this order over a whole block of ticks at once, one
 stretch of constant rates after another, and gives the same bits as
 stepping one tick at a time.  It keeps each module's states as one
-contiguous row, filled once per call, and spends array operations only on
-what moves: the rings that move, the lifts above a moving stroke, the object
-when a supporter moves and the contacts whose reach flips or span moves.
-Any other contact is one comparison of Python floats per stretch.
-Inflation (Plant.inflation) is not stepped: it is computed when read, and so
-is time (summed_clock): the plant counts its steps, and sums dt over them
-only when its clock is read.
+contiguous row and fills every module's row once per call; each stretch
+then integrates only the rings that move, lifts only above a moving stroke
+and moves the object only when a supporter moves, while it decides every
+Compression ring's contact in a Python loop: as an array only where the
+ring's reach flips or its span moves, else as one comparison of Python
+floats.  Inflation (Plant.inflation) is not stepped but computed when
+read, and the plant keeps no clock.
 """
 
 from __future__ import annotations
@@ -244,15 +244,6 @@ def contact_pressure(geometry: RingGeometry, material: SurrogateMaterial, P_max:
     return max(hi, 0.0)
 
 
-def summed_clock(seconds: float, dt: float, steps: int) -> np.ndarray:
-    """A clock's readings from seconds on, after 0 to steps more steps of dt,
-    dt added one step at a time: the plant's clock, and calibration's tick times."""
-    time = np.empty(steps + 1)
-    time.fill(dt)
-    time[0] = seconds
-    return np.add.accumulate(time, out=time)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """States a plant would pass through under its current valves, not yet committed.
@@ -283,7 +274,9 @@ class Plant:
     trajectory(n) integrates up to n steps under the current valves without
     changing the plant, and commit() moves the plant to one of its rows;
     step() is the two with n = 1.  The current state is row 0 of any
-    trajectory.  A single logical owner must serialize these calls.
+    trajectory.  The plant holds states, not time: it counts no steps, and a
+    tick's time is its backend's tick index times dt.  A single logical
+    owner must serialize these calls.
     """
 
     def __init__(
@@ -296,7 +289,6 @@ class Plant:
         self.layout = layout
         self.params = params
         self.object = obj
-        self._seconds, self._steps = 0.0, 0  # the clock: its last reading, and steps since
 
         self._mods = list(layout.modules)
         n = len(self._mods)
@@ -330,14 +322,6 @@ class Plant:
         self._inc_contact = params.contact_rate(ror) * dt
         self._inc_vent = -(params.k_vent * dt)
 
-    @property
-    def time(self) -> float:
-        """The clock, s: dt summed step by step over every committed step."""
-        if self._steps:
-            self._seconds = summed_clock(self._seconds, self.params.dt, self._steps)[-1].item()
-            self._steps = 0
-        return self._seconds
-
     def set_valve(self, module_id: int, mode: str) -> None:
         if mode not in VALVE_MODES:
             raise ValueError(f"unknown valve mode {mode!r}")
@@ -360,7 +344,6 @@ class Plant:
         """Move the plant to row `row` of a trajectory computed from its current state.
 
         Returns the trajectory's events when row is its last row, else none.
-        The clock counts the row's steps.
 
         Raises:
             ValueError: the plant changed since the trajectory was computed,
@@ -375,7 +358,6 @@ class Plant:
         self._P = traj.pressure[row].tolist()
         self._lift = traj.lift[row].tolist()
         self._contact = traj.contact[row].tolist()
-        self._steps += row
         if self.object is not None:
             self.object.z = traj.object_z[row].item()
         self._state += 1

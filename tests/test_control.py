@@ -6,6 +6,7 @@ from dataclasses import replace
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,10 +40,9 @@ from peristation import (
     read_telemetry,
     run_station,
 )
-from peristation import control as control_module, plant as plant_module
+from peristation import control as control_module
 from peristation.config import load_config
-from peristation.control import ADVANCE_RELEASE, BLOCK_TICKS, CYCLE, REGRASP_BOTTOM
-from peristation.plant import summed_clock
+from peristation.control import ADVANCE_RELEASE, BLOCK_TICKS, CYCLE, REGRASP_BOTTOM, summed_clock
 from peristation.telemetry import as_recorded
 from tests.conftest import NOMINAL, Row, log_of, read_rows
 
@@ -72,6 +72,29 @@ def decision(controller, k=None, sensed=None):
     changed = {} if k is None else controller.update(k, sensed)
     return (changed, controller.take_events(), controller.phase, controller.stage,
             controller.level, controller.done, dict(controller.valves))
+
+
+def fitted_window(k0, dt=DT, window_start=1.5, window_len=1.0):
+    """The sample counts that a probe with its onset on tick k0 fits, on a
+    3 kPa/s rise from onset, below saturation: the first update() grasps and
+    probes, then scan() and update() take blocks of 1024 rows until the
+    window is over."""
+    layout = build_station(RingGeometry(**NOMINAL), 5, 20.0, 20.0)
+    c = StationController(layout, ObjectSpec(17.5, 75.0), 0.0, PlantParams(dt=dt),
+                          DetectionConfig(window_start=window_start, window_len=window_len),
+                          ControlConfig())
+    fitted = []
+    fit = control_module._fit_slope
+    with mock.patch.object(control_module, "_fit_slope",
+                           lambda samples: fitted.append(len(samples)) or fit(samples)):
+        c.update(k0)
+        k = k0
+        while not c._probe_done:
+            sensed = np.zeros((1024, 5))
+            sensed[:, 4] = (np.arange(k, k + 1024) - k0) * dt * 3.0
+            k += c.scan(k, sensed)
+            c.update(k)
+    return fitted
 
 
 def sim_backend(layout, material, params, ror=0.7, length=75.0, z=0.0, with_object=True):
@@ -490,14 +513,14 @@ class TestCalibrationTimeline:
         assert self.calibrate(0.05, (1, 3, 5)) == (
             self.commands(((0, 2502, 3361), (3361, 5862, 6725), (6725, 9227, 10087))),
             ["0x1.1569fd1647db0p+2", "0x1.15aae9e776268p+2", "0x1.14c488ccffa27p+2"],
-            "0x1.42c8b439580b1p+3",
+            (10087 * 1e-3).hex(),
         )
 
     def test_noiseless_rings(self):
         assert self.calibrate(0.0, (1, 3, 5)) == (
             self.commands(((0, 2502, 3364), (3364, 5865, 6726), (6726, 9228, 10090))),
             ["0x1.151eb851eb94ep+2", "0x1.151eb851eb0dcp+2", "0x1.151eb851ec1c6p+2"],
-            "0x1.42e147ae14758p+3",
+            (10090 * 1e-3).hex(),
         )
 
     def test_inflated_ring_vents_first(self):
@@ -505,8 +528,26 @@ class TestCalibrationTimeline:
         assert self.calibrate(0.05, (1,), pre_inflate=2000) == (
             [(1, DEFLATE, 2000), (1, INFLATE, 2665), (1, DEFLATE, 5166), (1, HOLD, 6079)],
             ["0x1.15728d447477cp+2"],
-            "0x1.850e560418ad2p+2",
+            (6079 * 1e-3).hex(),
         )
+
+    def test_a_ring_calibrates_again(self):
+        """Ring 1 three times in a row on one backend, then ring 3: every call
+        returns, and every command is stamped with the backend's now."""
+        cfg = load_config()
+        backend = SimulatedBackend(Plant(cfg.layout, None, cfg.params, cfg.material))
+        stamps = []
+        send = backend.set_valve
+
+        def spy(cmd):
+            stamps.append((cmd.timestamp.hex(), backend.now.hex()))
+            return send(cmd)
+
+        backend.set_valve = spy
+        for m in (1, 1, 1, 3):
+            calibrate_baseline(backend, m, cfg.params, cfg.detection, cfg.control)
+        assert len(stamps) == 12
+        assert all(sent == now for sent, now in stamps)
 
 
 class TestOneRowCalibration:
@@ -617,9 +658,14 @@ class TestStationController:
             texts += [text for _, text in c.take_events()]
         assert "detection aborted module=5 reason=insufficient-trace" in texts
 
+    # The row on which each time rule fires, with k0 = 20000 and 30 rows, the
+    # scan starting at row 1 (None: on no row).  The rules count ticks: the
+    # timeout fires after 10,000 ticks, (k - phase start) * dt > 10 s, and
+    # the probe window ends on tick 2,500 after onset, (k - onset) * dt >= 2.5 s.
+    TIMEOUT_ROW = {0: None, 9971: None, 9972: 29, 9990: 11, 10000: 1}
+    PROBE_ROW = {None: None, 0: None, 2470: None, 2471: 29, 2490: 10, 2500: 1}
+
     @settings(max_examples=100, deadline=None)
-    # with k0 = 20000 and 30 rows, the timeout fires from row 10 (9990), on the
-    # last row only (9972) or just after the block (9971); the probe window likewise
     @given(gate=st.sampled_from(sorted(CYCLE)),
            timeout_back=st.sampled_from([0, 9971, 9972, 9990, 10000]),
            probe_back=st.sampled_from([None, 0, 2470, 2471, 2490, 2500]),
@@ -641,18 +687,19 @@ class TestStationController:
         changes more than the probe trace, gates read exactly at their
         thresholds included.  update() on that row, with what scan() found,
         takes the tick-by-tick decisions and leaves the same probe trace
-        bytes."""
+        bytes.  Without spikes no gate opens, and the scan stops on the row
+        where the first time rule fires, as pinned."""
         layout = build_station(RingGeometry(**NOMINAL), 5, 20.0, 20.0)
         c = self.controller(layout)
         c.update(0, self.zeros(layout))
         c.take_events()
         k0 = 20000
         c.phase, c.stage = gate
-        c.phase_start = (k0 - timeout_back) * DT
+        c._phase_k = k0 - timeout_back
         if probe_back is None:
             c._probe_done = True
         else:
-            c._probe_t0 = (k0 - probe_back) * DT
+            c._probe_k = k0 - probe_back
         # the gates, then the raw values at which a recorded value passes them
         levels = [0.0, c.gate_lo, math.nextafter(c.gate_lo, 1.0), 5.0,
                   math.nextafter(c.gate_hi, 0.0), c.gate_hi, 15.0,
@@ -672,6 +719,23 @@ class TestStationController:
         assert probe_trace(c).tobytes() == probe_trace(ref).tobytes()
         if j < 29:
             assert want != quiet
+        if not spikes:
+            fired = [row for row in (self.TIMEOUT_ROW[timeout_back], self.PROBE_ROW[probe_back])
+                     if row is not None]
+            assert j == min(fired, default=29)
+
+    @pytest.mark.parametrize("k0", [0, 2, 2600])
+    def test_probe_window_holds_its_samples_at_any_onset(self, k0):
+        """The default window, 1 s at dt = 1e-3, fits floor(window_len / dt) + 1
+        samples whatever tick the probe starts on (times since onset that
+        are differences of k * dt fitted 1,000 at k0 = 2 and 999 at 2,600)."""
+        assert fitted_window(k0) == [1001]
+
+    @settings(max_examples=40, deadline=None)
+    @given(k0=st.integers(0, 2**20), dt=st.sampled_from([1e-3, 5e-4, 2e-3]),
+           window=st.sampled_from([(1.5, 1.0), (0.0, 0.5), (0.3, 2.2), (2.0, 0.75)]))
+    def test_probe_window_does_not_depend_on_its_onset(self, k0, dt, window):
+        assert fitted_window(k0, dt, *window) == fitted_window(0, dt, *window)
 
     def test_a_drop_on_the_row_that_ends_the_probe_window_faults(self, five_module_layout):
         """A plant drop that comes with row j, on which the probe window is
@@ -855,8 +919,8 @@ class TestRunStation:
     def test_runs_sum_no_clock(self, five_module_layout, material, params, monkeypatch,
                                tmp_path):
         """run_station reads time as k * dt: with or without a recorder it sums
-        no plant clock.  Calibration reads the clock, and sums the steps of
-        each lookahead once, none twice."""
+        no clock.  Calibration sums the steps of each lookahead once, none
+        twice."""
         summed = []
 
         def counting(seconds, dt, steps):
@@ -869,7 +933,6 @@ class TestRunStation:
                                params, DetectionConfig(), ControlConfig(max_cycles=1), 20.0,
                                recorder=recorder)
 
-        monkeypatch.setattr(plant_module, "summed_clock", counting)
         monkeypatch.setattr(control_module, "summed_clock", counting)
         assert run().cycles == 1
         with TelemetryWriter(tmp_path / "run.csv") as writer:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from peristation import (
     DEFLATE,
@@ -18,13 +20,19 @@ from peristation import (
     PlantParams,
     ReplayBackend,
     ReplayMismatchError,
+    RingGeometry,
     SimulatedBackend,
+    SurrogateMaterial,
     TelemetryWriter,
     ValveCommand,
+    build_station,
+    calibrate_kappa,
+    load_config,
     read_telemetry,
     run_station,
 )
-from tests.conftest import Row, data_address, log_of, read_rows, traced_peak
+from peristation.plant import VALVE_MODES
+from tests.conftest import NOMINAL, Row, data_address, log_of, read_rows, traced_peak
 
 
 @pytest.fixture
@@ -148,7 +156,7 @@ class TestSimulatedBackend(BackendContract):
         backend.tick(1e-3)
         value, t = backend.read_pressure(1)
         assert value == backend.plant.trajectory(0).pressure[0, 0]
-        assert t == backend.plant.time == pytest.approx(1e-3)
+        assert t == backend.now == 1e-3
 
     def test_endpoints_expose_both_capabilities(self, backend):
         assert backend.lookahead(1).ids == (1, 2, 3)
@@ -556,3 +564,73 @@ class TestReplayBackend(BackendContract):
             if k < 4:
                 replay.tick(1e-3)
         assert replay.mismatches == 0
+
+
+@pytest.fixture(scope="module")
+def nominal_recording(tmp_path_factory):
+    """The default config, noiseless with the nominal object, run for 2 s and
+    recorded: (config, path)."""
+    cfg = load_config()
+    backend = SimulatedBackend(Plant(cfg.layout, ObjectState(cfg.object_spec, cfg.initial_z),
+                                     cfg.params, cfg.material))
+    path = tmp_path_factory.mktemp("nominal") / "run.csv"
+    with TelemetryWriter(path) as writer:
+        run_station(backend, cfg.layout, cfg.object_spec, cfg.initial_z, cfg.params,
+                    cfg.detection, cfg.control, 2.0, recorder=writer)
+    return cfg, path
+
+
+class TestOneClock:
+    """Every backend's now is the current tick k times dt, k * dt, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(steps=st.lists(st.integers(0, 700), max_size=8))
+    @example(steps=[1] * 12)  # the plant's summed clock left k * dt at tick 10
+    @example(steps=[700, 700, 700])  # the last one cut at the last recorded tick
+    def test_live_and_replay_read_k_dt(self, nominal_recording, steps):
+        """A live backend of the recorded config and the replay of its
+        recording, advanced by the same steps with the recorded valves sent."""
+        cfg, path = nominal_recording
+        valves = recorded_valves(path)
+        live = SimulatedBackend(Plant(cfg.layout, ObjectState(cfg.object_spec, cfg.initial_z),
+                                      cfg.params, cfg.material))
+        replay = ReplayBackend(read_telemetry(path), cfg.params.dt)
+        k = 0
+        for backend in (live, replay):
+            command_recorded(backend, valves, 0)
+        for j in steps:
+            j = min(j, len(valves) - 1 - k)
+            for backend in (live, replay):
+                advance_recorded(backend, valves, k, j)
+            k += j
+            for backend in (live, replay):
+                assert backend.now.hex() == (k * cfg.params.dt).hex()
+        assert replay.mismatches == 0
+
+    # (operation, steps, row or ticks)
+    OPS = st.lists(st.tuples(st.sampled_from(["valve", "look"]), st.integers(0, 400),
+                             st.integers(0, 400)), max_size=25)
+    DTS = st.sampled_from([1e-3, 0.01, 0.7, 1e-13])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dt=DTS, sigma=st.sampled_from([0.0, 0.05]), ops=OPS)
+    # unread rows, a lookahead that a valve voids, and advances within and past a lookahead
+    @example(dt=1e-3, sigma=0.05, ops=[("look", 300, 300), ("look", 300, 200), ("valve", 0, 0),
+                                       ("look", 300, 900), ("look", 10, 5)])
+    def test_simulated_now_is_k_dt(self, dt, sigma, ops):
+        """After any lookaheads, advances and valve changes."""
+        g = RingGeometry(**NOMINAL)
+        mat = SurrogateMaterial(100.0, 0.45, calibrate_kappa(g, 100.0, 0.69, 15.0))
+        backend = SimulatedBackend(Plant(build_station(g, 5, 20.0, 20.0),
+                                         ObjectState(ObjectSpec(17.5, 30.0), 22.0),
+                                         PlantParams(dt=dt, noise_sigma=sigma), mat))
+        k = 0
+        for op, a, b in ops:
+            if op == "valve":
+                backend.set_valve(ValveCommand(a % 5 + 1, VALVE_MODES[b % 3], backend.now))
+            else:
+                backend.lookahead(a + 1)
+                assert backend.now.hex() == (k * dt).hex()
+                backend.advance(b)  # within the lookahead or past it
+                k += b
+            assert backend.now.hex() == (k * dt).hex()

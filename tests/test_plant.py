@@ -21,9 +21,7 @@ from peristation import (
     PlantParams,
     RingGeometry,
     StationLayout,
-    SimulatedBackend,
     SurrogateMaterial,
-    ValveCommand,
     build_station,
     calibrate_kappa,
     station_violations,
@@ -31,7 +29,7 @@ from peristation import (
 )
 from peristation.geometry import InfeasibleGeometryError, solve_chamber_length
 from peristation.plant import (MAX_MODULES, VALVE_MODES, contact_pressure,
-                               full_compression_inflation, stack_modules, summed_clock)
+                               full_compression_inflation, stack_modules)
 from tests.conftest import NOMINAL, data_address
 
 
@@ -395,7 +393,6 @@ class TestPlantIntegration:
         advance(plant, 1500)
         assert pressure(plant, 1) == 6.49500000000018
         assert inflation(plant, 1) == (6.49500000000018 / 15.0) * 17.25
-        assert plant.time == pytest.approx(1.5)
 
     def test_hold_freezes_pressure_exactly(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
@@ -502,24 +499,23 @@ class TestPlantIntegration:
                     ({2: INFLATE}, 100),  # the stroke lifts 3 but not 1: conflict
                     ({1: DEFLATE, 3: DEFLATE}, 2000)]  # both let go: drop
         ids = range(1, 6)
-        stepped, blocked = [], []  # (events, time, P, d, z, supporters) per tick
+        stepped, blocked = [], []  # (events, P, d, z, supporters) per tick
         for commands, ticks in schedule:
             for mid, mode in commands.items():
                 single.set_valve(mid, mode)
                 block.set_valve(mid, mode)
             for _ in range(ticks):
                 events = single.step()
-                stepped.append((events, single.time, [pressure(single, i) for i in ids],
+                stepped.append((events, [pressure(single, i) for i in ids],
                                 [inflation(single, i) for i in ids], single.object.z,
                                 supporters(single)))
             left = ticks
             while left:
                 traj = block.trajectory(left)
                 n = len(traj) - 1
-                time = summed_clock(block.time, params.dt, n)
                 mm = block.inflation(traj.pressure)
                 for i in range(1, n + 1):
-                    blocked.append(([], time[i].item(), traj.pressure[i].tolist(),
+                    blocked.append(([], traj.pressure[i].tolist(),
                                     mm[i].tolist(), traj.object_z[i].item(),
                                     frozenset(k + 1 for k in range(5) if traj.contact[i, k])))
                 blocked[-1][0].extend(block.commit(traj, n))
@@ -527,12 +523,11 @@ class TestPlantIntegration:
         texts = [text for events, *_ in stepped for _, text in events]
         assert "conflict supporters=1+3 following=1" in texts
         assert any(text.startswith("drop") for text in texts)
-        assert {frozenset(), frozenset({1, 3})} <= {row[5] for row in stepped}
+        assert {frozenset(), frozenset({1, 3})} <= {row[4] for row in stepped}
         assert blocked == stepped
         now, then = block.trajectory(0), single.trajectory(0)
         for name in ("pressure", "lift", "contact", "object_z"):
             assert getattr(now, name).tolist() == getattr(then, name).tolist(), name
-        assert block.time == single.time
 
     def test_set_valve_rejects_bad_input(self, three_module_layout, material, params):
         plant = make_plant(three_module_layout, material, params)
@@ -553,16 +548,17 @@ class TestPlantIntegration:
         plant.commit(traj, 5)
         with pytest.raises(ValueError, match="trajectory is stale"):
             plant.commit(traj, 10)
-        assert plant.time == pytest.approx(5e-3)
+        assert plant.trajectory(0).pressure.tolist() == traj.pressure[5:6].tolist()
 
     @pytest.mark.parametrize("row", [-1, 11, 50])
     def test_commit_rejects_a_row_outside_the_trajectory(self, three_module_layout, material,
                                                          params, row):
         plant = make_plant(three_module_layout, material, params)
+        plant.set_valve(1, INFLATE)
         traj = plant.trajectory(10)
         with pytest.raises(ValueError, match=f"row {row} outside a trajectory of 11 rows"):
             plant.commit(traj, row)
-        assert plant.time == 0.0
+        assert plant.trajectory(0).pressure.tolist() == traj.pressure[:1].tolist()
         plant.commit(traj, 10)  # the refusals left the trajectory valid
 
 
@@ -581,7 +577,7 @@ class ReferencePlant:
                                              / self.mods[0].geometry.inner_radius_r)
         n = len(self.mods)
         self.P, self.d, self.lift, self.contact = [0.0] * n, [0.0] * n, [0.0] * n, [False] * n
-        self.z, self.time = obj.z, 0.0
+        self.z = obj.z
 
     def step(self, valves):
         """One tick under valves (a mode per module); returns its event texts."""
@@ -619,11 +615,10 @@ class ReferencePlant:
                     land = top
             self.z = land
             events.append(f"drop to_z={land:.6f}")
-        self.time = self.time + p.dt
         return events
 
     def row(self):
-        return (self.time.hex(), [x.hex() for x in self.P], [x.hex() for x in self.d],
+        return ([x.hex() for x in self.P], [x.hex() for x in self.d],
                 [x.hex() for x in self.lift], self.z.hex(), self.contact)
 
 
@@ -654,11 +649,9 @@ def kernel_and_reference_rows(layout, material, params, obj, schedule, block, ho
         want += [(ref.step(valves), ref.row()) for _ in range(ticks)]
         while len(got) < len(want):
             traj = plant.trajectory(min(block, len(want) - len(got)))
-            time = summed_clock(plant.time, params.dt, len(traj) - 1)
             mm = plant.inflation(traj.pressure)
             for k in range(1, len(traj)):
-                got.append(([], (time[k].item().hex(),
-                                 [x.hex() for x in traj.pressure[k].tolist()],
+                got.append(([], ([x.hex() for x in traj.pressure[k].tolist()],
                                  [x.hex() for x in mm[k].tolist()],
                                  [x.hex() for x in traj.lift[k].tolist()],
                                  traj.object_z[k].item().hex(), traj.contact[k].tolist())))
@@ -690,9 +683,9 @@ class TestKernelAgainstReference:
         assert "drop to_z=0.000000" in texts
         rows = [row for _, row in want]
         zero, full = (0.0).hex(), (15.0).hex()
-        assert rows[99][1][0] == zero and rows[5149][1][0] == rows[5149][1][2] == full
-        assert rows[99][1][1] == rows[149][1][1] != zero
-        assert any(not a[5][0] and b[5][0] and a[4] != b[4] for a, b in zip(rows, rows[1:]))
+        assert rows[99][0][0] == zero and rows[5149][0][0] == rows[5149][0][2] == full
+        assert rows[99][0][1] == rows[149][0][1] != zero
+        assert any(not a[4][0] and b[4][0] and a[3] != b[3] for a, b in zip(rows, rows[1:]))
         assert got == want
 
     @settings(max_examples=40, deadline=None)
@@ -737,91 +730,6 @@ class TestKernelAgainstReference:
         got, want = kernel_and_reference_rows(build_station(g, count, 20.0, 20.0), mat,
                                               params, obj, steps, block, hold)
         assert got == want
-
-
-def per_step_clock(dt, steps):
-    """The clock after 0 to steps steps: dt added one step at a time, in Python floats."""
-    clock = [0.0]
-    for _ in range(steps):
-        clock.append(clock[-1] + dt)
-    return clock
-
-
-def hexes(times):
-    return [t.hex() for t in times]
-
-
-class TestStepCountClock:
-    """The plant's clock counts steps and sums dt only where it is read.
-    Every reading, and each block's times summed from one (summed_clock, as
-    calibration sums them), equals dt added one step at a time, bit for bit,
-    whichever readings came before it and whichever were skipped."""
-
-    # (operation, steps, row or ticks, which clocks to read as bits)
-    OPS = st.lists(st.tuples(st.sampled_from(["valve", "look"]), st.integers(0, 400),
-                             st.integers(0, 400), st.integers(0, 7)), max_size=25)
-    DTS = st.sampled_from([1e-3, 0.01, 0.7, 1e-13])
-
-    @staticmethod
-    def plant(dt, sigma=0.0):
-        g = RingGeometry(**NOMINAL)
-        mat = SurrogateMaterial(100.0, 0.45, calibrate_kappa(g, 100.0, 0.69, 15.0))
-        return Plant(build_station(g, 5, 20.0, 20.0), ObjectState(ObjectSpec(17.5, 30.0), 22.0),
-                     PlantParams(dt=dt, noise_sigma=sigma), mat)
-
-    @settings(max_examples=60, deadline=None)
-    @given(dt=DTS, ops=OPS)
-    # unread commits, then a block's times summed before its commit, a clock
-    # read between a trajectory and its commit, and one after a commit of unread steps
-    @example(dt=1e-3, ops=[("look", 300, 300, 0), ("look", 300, 200, 1), ("valve", 0, 0, 4),
-                           ("look", 300, 300, 2), ("look", 10, 5, 4)])
-    def test_plant_and_trajectory_readings(self, dt, ops):
-        plant = self.plant(dt)
-        clock = per_step_clock(dt, 400 * len(ops))
-        k = 0
-        for op, a, b, reads in ops:
-            if op == "valve":
-                plant.set_valve(a % 5 + 1, VALVE_MODES[b % 3])
-            else:
-                if reads & 1:  # the block's times, summed from a reading before it
-                    time = summed_clock(plant.time, dt, a).tolist()
-                traj = plant.trajectory(a)
-                row = b % len(traj)
-                if reads & 1:
-                    assert hexes(time[:len(traj)]) == hexes(clock[k:k + len(traj)])
-                if reads & 2:  # a reading while the trajectory waits for its commit
-                    assert plant.time.hex() == clock[k].hex()
-                plant.commit(traj, row)
-                k += row
-            if reads & 4:
-                assert plant.time.hex() == clock[k].hex()
-        assert plant.time.hex() == clock[k].hex()
-
-    @settings(max_examples=60, deadline=None)
-    @given(dt=DTS, sigma=st.sampled_from([0.0, 0.05]), ops=OPS)
-    @example(dt=1e-3, sigma=0.05, ops=[("look", 300, 300, 0), ("look", 300, 200, 3),
-                                       ("valve", 0, 0, 4), ("look", 300, 900, 2),
-                                       ("look", 10, 5, 4)])
-    def test_backend_readings(self, dt, sigma, ops):
-        backend = SimulatedBackend(self.plant(dt, sigma))
-        clock = per_step_clock(dt, 400 * len(ops))
-        k = 0
-        for op, a, b, reads in ops:
-            if op == "valve":
-                backend.set_valve(ValveCommand(a % 5 + 1, VALVE_MODES[b % 3], 0.0))
-            else:
-                rows = backend.lookahead(a + 1)
-                n = len(rows)
-                if reads & 1:  # the rows' times, summed from the clock as calibration does
-                    assert hexes(summed_clock(backend.now, dt, n - 1).tolist()) == hexes(
-                        clock[k:k + n])
-                if reads & 2:  # a reading while the rows wait for the advance
-                    assert backend.plant.time.hex() == clock[k].hex()
-                backend.advance(b)  # within the lookahead or past it
-                k += b
-            if reads & 4:
-                assert backend.now.hex() == backend.plant.time.hex() == clock[k].hex()
-        assert backend.now.hex() == clock[k].hex()
 
 
 class TestTrajectoryStorage:
