@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import stat
+import threading
 
 import numpy as np
 
@@ -36,11 +37,12 @@ class TelemetryLog:
     time_s, pressure_kPa, inflation_mm and object_z_mm are float64 arrays and
     module_id is an int64 array.  kind, valve and phase are codes into a
     small table of shared strings, which codes(name) gives.  event is an
-    object array.  len() is the number of rows.
+    object array, "" where a row holds no event; a log that read_telemetry
+    made builds it on its first read.  len() is the number of rows.
     """
 
     __slots__ = ("time_s", "module_id", "pressure_kPa", "inflation_mm", "object_z_mm",
-                 "event", "_coded")
+                 "_event", "_coded")
 
     def __init__(self, time_s, module_id, kind, pressure_kPa, valve, inflation_mm,
                  object_z_mm, phase, event):
@@ -50,12 +52,22 @@ class TelemetryLog:
         self.pressure_kPa = np.asarray(pressure_kPa, np.float64)
         self.inflation_mm = np.asarray(inflation_mm, np.float64)
         self.object_z_mm = np.asarray(object_z_mm, np.float64)
-        self.event = np.asarray(event, object)
+        self._event = event if isinstance(event, _Events) else np.asarray(event, object)
         self._coded = dict(zip(_CODED, (kind, valve, phase)))
         lengths = {len(c) for c in (self.time_s, self.module_id, self.pressure_kPa,
-                                    self.inflation_mm, self.object_z_mm, self.event)}
+                                    self.inflation_mm, self.object_z_mm)}
+        if not isinstance(event, _Events):  # read_telemetry's events fit its rows
+            lengths.add(len(self._event))
         if len(lengths | {len(codes) for codes, _ in self._coded.values()}) > 1:
             raise ValueError(f"expected {len(_COLUMNS)} columns of equal length")
+
+    @property
+    def event(self) -> np.ndarray:
+        if isinstance(self._event, _Events):
+            blocks, self._event = self._event, np.full(len(self), "", object)
+            for rows, texts in blocks:
+                self._event[rows] = texts
+        return self._event
 
     def codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """A string column ("kind", "valve" or "phase") as (codes, table)."""
@@ -63,6 +75,11 @@ class TelemetryLog:
 
     def __len__(self) -> int:
         return len(self.time_s)
+
+
+class _Events(list):
+    """An event column as read_telemetry keeps it: per block with an event,
+    the rows that hold one and their texts."""
 
 
 _NL, _CR, _COMMA, _MINUS, _DOT = b"\n\r,-."
@@ -328,11 +345,10 @@ class TelemetryWriter:
         return False
 
 
-# Bytes read per block: a block of whole lines is decoded at once, so this
-# bounds the temporaries alive at a time while keeping the per-block
-# overhead negligible.  A block's new strings join the shared table in
-# the order of their buckets (_code_fields), so it also fixes that order.
-_BATCH_BYTES = 1 << 20
+# Bytes of the file per block: a block's whole lines are decoded at once, so
+# this bounds the temporaries alive at a time while keeping the per-block
+# overhead negligible.
+_BATCH_BYTES = 1 << 19
 
 # About the fewest bytes in a line the writer writes: a recording's size
 # over it is the first guess at its row count (a low guess costs a resize).
@@ -344,10 +360,10 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = min(2, os.cpu_count() or 1)
 
-# Around each block, so that every field's byte windows lie inside it: a
-# number reads the 16 bytes before its end, a string the 24 from its
-# start.  '0' is no separator.
-_PAD = b"0" * 24
+# Bytes of buffer around each block, so that every field's byte windows lie
+# inside it: a number reads the 16 bytes before its end, a string the 24
+# from its start.  A window's bytes outside its field are masked off.
+_PAD = 24
 _ZEROS = 0x3030303030303030  # eight ASCII '0', one per byte of a word
 # _TOP[k] keeps the last k characters (the top k bytes) of a word
 _TOP = np.array([((1 << 8 * k) - 1) << 8 * (8 - k) for k in range(9)], np.uint64)
@@ -513,10 +529,11 @@ _FLOATS = [_COLUMNS.index(name) for name in
 _STRINGS = [_COLUMNS.index(name) for name in _CODED]
 
 
-def _decode_block(buf: bytes):
+def _decode_block(buf: bytearray, start: int, end: int):
     r"""Decode a block of whole lines by byte position, or None to parse it by line.
 
-    buf is the block as _blocks gives it, between two _PADs.  The fast
+    buf[start:end] is the block, each line ending in a newline, with
+    _PAD bytes of buf, of any value, before and after it.  The fast
     path takes a block whose every line holds exactly 8 commas, no
     carriage return, UTF-8 strings, and numbers of the form the writer
     writes (time_s, pressure_kPa, inflation_mm and object_z_mm
@@ -528,18 +545,19 @@ def _decode_block(buf: bytes):
         order.  The string columns are codes into that table; the event
         column is (rows, texts), the rows that hold an event and their texts.
     """
-    if b"\r" in buf:
+    if buf.find(b"\r", start, end) >= 0:
         return None
     a = np.frombuffer(buf, np.uint8)
-    at = a == _NL
+    body = a[start:end]
+    at = body == _NL
     n = np.count_nonzero(at)  # lines
-    at |= a == _COMMA
+    at |= body == _COMMA
     at = np.flatnonzero(at)
     # every separator, after one before the first field: field j of line r
     # lies between sep[9 * r + j] and sep[9 * r + j + 1]
     sep = np.empty(len(at) + 1, np.int32 if len(buf) < 1 << 31 else np.intp)
-    sep[0] = len(_PAD) - 1
-    sep[1:] = at
+    sep[0] = start - 1
+    np.add(at, start, out=sep[1:], casting="unsafe")
     del at
     # 9 separators a line, every 9th a newline: so the other 8 are commas
     if len(sep) != 9 * n + 1 or not (a[sep[9::9]] == _NL).all():
@@ -551,37 +569,59 @@ def _decode_block(buf: bytes):
         return None
     table = {}
     try:
-        strings = _code_fields(buf, before[:, _STRINGS].T.ravel() + 1,
-                               after[:, _STRINGS].T.ravel(), table)
+        codes = _code_fields(buf, before[:, _STRINGS].ravel() + 1, after[:, _STRINGS].ravel(),
+                             table)
         events = np.flatnonzero(after[:, 8] - before[:, 8] > 1)
         texts = [buf[before[r, 8] + 1:after[r, 8]].decode() for r in events.tolist()]
     except UnicodeDecodeError:
         return None  # the by-line parse names the line
-    if strings is None:
+    if codes is None:
         return None
     columns = [None] * len(_COLUMNS)
     columns[1], columns[8] = module_id, (events, texts)
     for j, column in zip(_FLOATS, x.reshape(n, len(_FLOATS)).T):
         columns[j] = column
-    for j, column in zip(_STRINGS, strings.reshape(len(_STRINGS), n)):
+    for j, column in zip(_STRINGS, codes.reshape(n, len(_STRINGS)).T):
         columns[j] = column
     return columns, list(table)
 
 
-def _blocks(f):
-    """The rest of a binary file in blocks of whole lines, each ending in a
-    newline and put between two _PADs, so that every field's byte windows
-    lie inside it.  Each is copied once from the bytes read."""
-    rest = b""
-    while chunk := f.read(_BATCH_BYTES):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield b"".join((_PAD, rest, memoryview(chunk)[:cut], _PAD))
-            rest = chunk[cut:]
-        else:
-            rest += chunk
-    if rest:
-        yield b"".join((_PAD, rest, b"\n", _PAD))
+class _Blocks:
+    """A recording's body as blocks, each read and decoded on a worker thread.
+
+    Block i holds the lines that start in [body + i * size, body + (i + 1)
+    * size), body being where the header ends.  A thread reads a block
+    into its own buffer, which it reuses from block to block; so no
+    block's bytes pass through the calling thread.
+    """
+
+    def __init__(self, path, body: int, size: int):
+        self.path, self.body, self.size = path, body, size
+        self._local = threading.local()
+
+    def decode(self, i: int):
+        """Block i: its _decode_block result, or its bytes where that is
+        None, to be parsed line by line."""
+        local, pad, size = self._local, _PAD, self.size
+        if not hasattr(local, "buf"):
+            local.buf = bytearray(size + 1 + 2 * pad)
+        buf = local.buf
+        with open(self.path, "rb") as f:
+            # from the byte before the range: a line starts after a newline,
+            # unless the file ends there
+            f.seek(self.body + i * size - 1)
+            n = f.readinto(memoryview(buf)[pad:pad + size + 1])
+            start = buf.find(b"\n", pad, pad + min(n - 1, size)) + 1
+            if not start:
+                return b""  # no line starts in the range
+            end = pad + n
+            if buf[end - 1] != _NL:  # the last line runs on past the range, or ends the file
+                rest = f.readline().rstrip(b"\n") + b"\n"
+                buf.extend(bytes(max(end + len(rest) + pad - len(buf), 0)))
+                buf[end:end + len(rest)] = rest
+                end += len(rest)
+        decoded = _decode_block(buf, start, end)
+        return bytes(memoryview(buf)[start:end]) if decoded is None else decoded
 
 
 class _Reading:
@@ -593,38 +633,50 @@ class _Reading:
     is copied into it once and no array a worker made outlives its block.
     The codes are held in the least dtype that holds every code: widened,
     once the table passes 256 or 65,536 strings, before the block that
-    passed it is copied in.  Events are kept as the rows that hold one and
-    their texts, and become a column once, at the end.
+    passed it is copied in.  The table lists the strings in the order that
+    they first appear, row by row, so it does not depend on where blocks
+    end.  Events are kept as the rows that hold one and their texts.
     """
 
     def __init__(self, rows: int):
         self.arrays = [np.empty(rows, dtype) for dtype in _DTYPES[:-1]]
-        self.events = []  # (rows, texts) per block with an event
+        self.events = _Events()  # (rows, texts) per block with an event
         self.rows = 0
         self.table = {}  # the distinct kind, valve and phase strings -> their codes
         self.lineno = 2
 
-    def take(self, block: bytes, decoded):
-        """Add the next block: its _decode_block result, or its lines parsed
-        one by one where that is None."""
+    def take(self, block):
+        """Add the next block: its _decode_block result, or its bytes to
+        parse line by line."""
         table = self.table
-        if decoded is None:
-            text = block[len(_PAD):-len(_PAD)].splitlines(keepends=True)
-            columns = list(zip(*_checked_rows(text, self.lineno))) or [()] * len(_COLUMNS)
-            for j in _STRINGS:
-                columns[j] = [table.setdefault(v, len(table)) for v in columns[j]]
-            rows = [r for r, v in enumerate(columns[-1]) if v]
-            columns[-1] = rows, [columns[-1][r] for r in rows]
-            self.lineno += len(text)
+        if isinstance(block, bytes):
+            lines = block.splitlines(keepends=True)
+            rows = _checked_rows(lines, self.lineno)
+            codes = [table.setdefault(row[j], len(table)) for row in rows for j in _STRINGS]
+            columns = list(zip(*rows)) or [()] * len(_COLUMNS)
+            for k, j in enumerate(_STRINGS):
+                columns[j] = codes[k::len(_STRINGS)]
+            events = [r for r, v in enumerate(columns[-1]) if v]
+            columns[-1] = events, [columns[-1][r] for r in events]
+            self.lineno += len(lines)
+            lut = None
         else:
-            columns, strings = decoded
-            lut = [table.setdefault(v, len(table)) for v in strings]
+            columns, strings = block
+            lut = [table.get(v) for v in strings]
+            new = [c for c, code in enumerate(lut) if code is None]
+            if len(new) > 1:  # the block's new strings join in the order they first appear
+                fields = np.column_stack([columns[j] for j in _STRINGS]).ravel()  # row by row
+                first = np.full(len(strings), len(fields))
+                np.minimum.at(first, fields, np.arange(len(fields)))
+                new.sort(key=first.__getitem__)
+            for c in new:
+                lut[c] = table.setdefault(strings[c], len(table))
             self.lineno += len(columns[0])
         small = np.min_scalar_type(max(len(table) - 1, 0))  # the least dtype to hold every code
         if small != self.arrays[_STRINGS[0]].dtype:
             for j in _STRINGS:
                 self.arrays[j] = self.arrays[j].astype(small)
-        if decoded is not None:
+        if lut is not None:
             lut = np.array(lut, small)
             for j in _STRINGS:
                 columns[j] = lut[columns[j]]
@@ -642,10 +694,7 @@ class _Reading:
         """The recording read."""
         for array in self.arrays:
             array.resize(self.rows, refcheck=False)
-        event = np.full(self.rows, "", object)
-        for rows, texts in self.events:
-            event[rows] = texts
-        columns = [*self.arrays, event]
+        columns = [*self.arrays, self.events]
         strings = np.array(list(self.table), object)
         for j in _STRINGS:
             columns[j] = (columns[j], strings)
@@ -655,43 +704,50 @@ class _Reading:
 def read_telemetry(path) -> TelemetryLog:
     """Parse a telemetry CSV into a TelemetryLog.
 
-    The file is read in blocks of whole lines.  A block of lines as the
-    writer writes them is decoded by byte position into typed columns
+    The path must name a regular file: any other (a directory, a FIFO, a
+    device) is refused before it is opened, so a read never blocks on a
+    pipe.  The body is read in blocks of whole lines.  A block of lines as
+    the writer writes them is decoded by byte position into typed columns
     (_decode_block); the numbers get the bits float() and int() would
     give.  Any other block (a blank line, commas inside the event text, a
     number such as 1e3, +1.0 or 1_0.5, bytes that are not UTF-8) is
     parsed line by line, which skips blank lines and names the first
     malformed line.  The kind, valve and phase columns are codes into one
-    table of shared strings.
+    table of shared strings, in the order of their first appearance.
 
-    Blocks are decoded on min(2, usable CPUs) worker threads, with at most
-    one block more than workers in flight.  This thread takes the results
-    in file order (_Reading.take): it maps each block's string codes into
-    the shared table in that order, so the table and the codes are those
-    of a sequential read; it parses a by-line block itself, so line
-    numbers, and which of two bad lines is reported, are too; and it
-    copies the values into the result's columns.  Beyond the result, a
-    read holds the blocks in flight and each worker's temporaries, which
-    do not grow with the rows.
+    Blocks are read and decoded on min(2, usable CPUs) worker threads
+    (_Blocks), with at most one block more than workers in flight.  This
+    thread takes the results in file order (_Reading.take): it maps each
+    block's string codes into the shared table, so the table and the
+    codes are those of a sequential read; it parses a by-line block
+    itself, so line numbers, and which of two bad lines is reported, are
+    too; and it copies the values into the result's columns.  Beyond the
+    result, a read holds the decoded blocks in flight and each worker's
+    buffer and temporaries, which do not grow with the rows.  The event
+    column is built on its first read.
 
     Raises:
-        ValueError: wrong header or malformed row.
+        ValueError: not a regular file, wrong header or malformed row.
     """
     # imported on the first read: it loads logging, which runs that read no
     # telemetry need not
     from concurrent.futures import ThreadPoolExecutor
 
-    with open(path, "rb") as f, ThreadPoolExecutor(_WORKERS) as pool:
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"not a regular file: {os.fsdecode(path)!r}")
+    with open(path, "rb") as f:
         header = f.readline().decode(errors="replace").rstrip("\n")
         if header != TELEMETRY_HEADER:
             raise ValueError(f"unrecognized telemetry header: {header!r}")
-        reading = _Reading(os.fstat(f.fileno()).st_size // _LINE_BYTES)
-        window = collections.deque()  # (block, future) per block in flight, in file order
-        for block in _blocks(f):
-            window.append((block, pool.submit(_decode_block, block)))
+        body, size = f.tell(), os.fstat(f.fileno()).st_size
+    reading = _Reading(size // _LINE_BYTES)
+    blocks = _Blocks(path, body, _BATCH_BYTES)
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        window = collections.deque()  # a future per block in flight, in file order
+        for i in range(-(-(size - body) // blocks.size)):
+            window.append(pool.submit(blocks.decode, i))
             if len(window) > _WORKERS:
-                block, decoded = window.popleft()
-                reading.take(block, decoded.result())
-        for block, decoded in window:
-            reading.take(block, decoded.result())
+                reading.take(window.popleft().result())
+        for decoded in window:
+            reading.take(decoded.result())
     return reading.log()

@@ -196,9 +196,10 @@ def assert_same_log(a, b):
 
 
 def log_nbytes(log) -> int:
-    """The bytes of a TelemetryLog's arrays, each coded column's codes included."""
+    """The bytes of a TelemetryLog's typed columns, each coded column's codes
+    included: not the event column, which is built when first read."""
     return sum(log.codes(name)[0].nbytes if name in CODED else getattr(log, name).nbytes
-               for name in Row._fields)
+               for name in Row._fields if name != "event")
 
 
 def traced_peak(f, *args):
@@ -217,8 +218,8 @@ def counting_blocks():
     decode = telemetry_module._decode_block
     lock = threading.Lock()  # blocks are decoded on worker threads
 
-    def counted(lines):
-        decoded = decode(lines)
+    def counted(*block):
+        decoded = decode(*block)
         with lock:
             counts["fast" if decoded is not None else "by line"] += 1
         return decoded

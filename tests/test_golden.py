@@ -9,11 +9,15 @@ import hashlib
 import json
 from pathlib import Path
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import peristation.telemetry as telemetry
 
-from peristation import read_telemetry
+from peristation import (ReplayBackend, TelemetryLog, load_baselines, load_config, read_telemetry,
+                         run_station)
 from peristation.cli import main
 from tests.conftest import assert_reads_as, assert_same_log, counting_blocks, read_rows
 
@@ -63,11 +67,12 @@ def test_noisy_seed0_recording_decodes_by_byte_position(noisy_seed0):
     assert counts["fast"] > 1 and counts["by line"] == 0
 
 
-# The noisy recording's string table, in the order that 1 MiB blocks give
-# it: each block's new strings in the order of their buckets.
-NOISY_SEED0_STRINGS = ["Inflate", "L0:Grasp", "Hold", "L0:AdvanceRelease", "Deflate",
-                       "Longitudinal", "-", "Compression", "L0:RegraspBottom", "L0:ResetTop",
-                       "L1:Grasp", "L1:AdvanceRelease", "L1:RegraspBottom", "L1:ResetTop"]
+# The noisy recording's string table: the strings in the order that they
+# first appear, row by row (kind, valve, phase), which no block boundary
+# and neither decode path changes.
+NOISY_SEED0_STRINGS = ["Compression", "Inflate", "L0:Grasp", "Longitudinal", "Hold", "Deflate",
+                       "L0:AdvanceRelease", "-", "L0:RegraspBottom", "L0:ResetTop", "L1:Grasp",
+                       "L1:AdvanceRelease", "L1:RegraspBottom", "L1:ResetTop"]
 
 
 def test_noisy_seed0_recording_reads_alike_on_one_worker_and_two(noisy_seed0, monkeypatch):
@@ -79,3 +84,39 @@ def test_noisy_seed0_recording_reads_alike_on_one_worker_and_two(noisy_seed0, mo
     assert_same_log(read_telemetry(noisy_seed0), two)
     for name in ("kind", "valve", "phase"):
         assert two.codes(name)[1].tolist() == NOISY_SEED0_STRINGS
+
+
+def test_noisy_seed0_recording_reads_alike_at_any_block_size(noisy_seed0, monkeypatch):
+    """Blocks of 64 KiB, 512 KiB and 1 MiB, each on one worker and on two,
+    give one TelemetryLog: the table's order does not depend on where
+    blocks end."""
+    logs = []
+    for size in (1 << 16, 1 << 19, 1 << 20):
+        for workers in (1, 2):
+            monkeypatch.setattr(telemetry, "_BATCH_BYTES", size)
+            monkeypatch.setattr(telemetry, "_WORKERS", workers)
+            logs.append(read_telemetry(noisy_seed0))
+    for log in logs[1:]:
+        assert_same_log(logs[0], log)
+    assert logs[0].codes("phase")[1].tolist() == NOISY_SEED0_STRINGS
+
+
+def test_noisy_seed0_replay_builds_no_event_column(noisy_seed0):
+    """A replay reads no event: after the backend is built and the run
+    replayed, the log's dense event column has not been built.  Read, it
+    holds the reference rows' events."""
+    cfg = load_config(noisy_seed0.with_name("noisy.yaml"))
+    detection = replace(cfg.detection, baseline_rates=load_baselines(
+        noisy_seed0.with_name("b.csv")))
+    log = read_telemetry(noisy_seed0)
+    backend = ReplayBackend(log, cfg.params.dt)
+    result = run_station(backend, cfg.layout, cfg.object_spec, cfg.initial_z, cfg.params,
+                         detection, cfg.control, cfg.duration_s)
+    assert result.outcome == "object exited" and backend.mismatches == 0
+    assert not isinstance(log._event, np.ndarray)
+    assert log.event.tolist() == [row.event for row in read_rows(noisy_seed0)]
+    assert isinstance(log._event, np.ndarray)
+    columns = [log.time_s, log.module_id, log.codes("kind"), log.pressure_kPa,
+               log.codes("valve"), log.inflation_mm, log.object_z_mm, log.codes("phase")]
+    with pytest.raises(ValueError, match="columns of equal length"):
+        TelemetryLog(*columns, log.event[:-1])

@@ -219,6 +219,18 @@ class TestReader:
         )
         assert len(read_telemetry(ok)) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo here")
+    def test_fifo_refused_without_blocking(self, tmp_path):
+        """A FIFO with no writer would block open(); it is refused before."""
+        fifo = tmp_path / "t.csv"
+        os.mkfifo(fifo)
+        with pytest.raises(ValueError, match=f"^not a regular file: {re.escape(repr(str(fifo)))}$"):
+            read_telemetry(fifo)
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(ValueError, match=f"not a regular file: {re.escape(repr(str(tmp_path)))}"):
+            read_telemetry(tmp_path)
+
 
 class TestTelemetryLog:
     def test_every_field_round_trips(self, tmp_path, plant):
@@ -385,22 +397,111 @@ class TestDecoder:
         assert len(log.codes("phase")[1]) > 256
 
 
+def writer_line(k: int, event: str = "") -> str:
+    """A line as the writer writes it, its values and length set by k."""
+    return (f"{k / 1000:.6f},{k % 5 + 1},{('Compression', 'Longitudinal')[k % 2]},"
+            f"{k * 0.37:.6f},{('Hold', 'Inflate')[k % 3 % 2]},{k * 0.11:.6f},{-k * 0.05:.6f},"
+            f"L{k % 2}:Grasp,{event}\n")
+
+
+SHORT_ROW = "0.001000,1,Compression\n"
+
+ks = st.integers(0, 10**7)
+lines = st.one_of(
+    st.builds(writer_line, ks),
+    st.builds(writer_line, ks, st.text("ab;", min_size=1, max_size=30)),
+    st.builds(writer_line, ks, st.just("x" * 5000)),  # longer than any block
+    st.builds(lambda k: writer_line(k).replace("\n", "\r\n"), ks),
+    st.just("\n"),
+    st.just(SHORT_ROW),
+)
+
+
+class TestBlockBoundaries:
+    @settings(max_examples=150, deadline=None)
+    @given(body=st.lists(lines, max_size=40), size=st.integers(64, 4096),
+           final_newline=st.booleans(), exact=st.booleans(), workers=st.sampled_from([1, 2]))
+    # lines that straddle blocks of 64 bytes
+    @example(body=[writer_line(k) for k in range(20)], size=64, final_newline=True,
+             exact=False, workers=2)
+    # a line longer than a block, between two that are not
+    @example(body=[writer_line(1), writer_line(2, "x" * 5000), writer_line(3)], size=1000,
+             final_newline=True, exact=False, workers=2)
+    # no final newline
+    @example(body=[writer_line(k) for k in range(30)], size=256, final_newline=False,
+             exact=False, workers=2)
+    # only the header
+    @example(body=[], size=64, final_newline=True, exact=False, workers=2)
+    # a body of exactly four blocks of 512 bytes, with and without its final newline
+    @example(body=[writer_line(k) for k in range(20)], size=512, final_newline=True,
+             exact=True, workers=2)
+    @example(body=[writer_line(k) for k in range(20)], size=512, final_newline=False,
+             exact=True, workers=2)
+    # a CRLF line and a short row in later blocks
+    @example(body=[*map(writer_line, range(30)), writer_line(30).replace("\n", "\r\n"),
+                   *map(writer_line, range(31, 40))], size=300, final_newline=True,
+             exact=False, workers=2)
+    @example(body=[*map(writer_line, range(30)), SHORT_ROW, *map(writer_line, range(31, 40))],
+             size=300, final_newline=True, exact=False, workers=2)
+    def test_tiny_blocks_read_as_the_reference(self, body, size, final_newline, exact, workers):
+        """Blocks of 64 bytes to 4 KiB read as the per-line reference, and a
+        malformed line is named by its number, wherever blocks end.  With
+        exact, a last line's event text makes the body a whole number of
+        blocks."""
+        text = "".join(body)
+        if exact:
+            base = len(text) + len(writer_line(7)) - (not final_newline)
+            text += writer_line(7, "y" * (-base % size))
+        if not final_newline and text.endswith("\n"):
+            text = text[:-1]
+        assert not exact or len(text) % size == 0
+        bad = [no for no, line in enumerate(text.split("\n"), 2) if line == SHORT_ROW[:-1]]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w", newline="") as f:
+                f.write(TELEMETRY_HEADER + "\n" + text)
+            mp.setattr(telemetry, "_BATCH_BYTES", size)
+            mp.setattr(telemetry, "_WORKERS", workers)
+            if bad:
+                with pytest.raises(ValueError, match=f"^line {bad[0]}: expected 9 columns"):
+                    read_telemetry(path)
+            else:
+                log, rows = read_telemetry(path), read_rows(path)
+                assert_reads_as(log, rows)
+                assert log.codes("kind")[1].tolist() == first_appearances(rows)
+
+
+def first_appearances(rows) -> list:
+    """The distinct kind, valve and phase strings in the order that they
+    first appear, row by row."""
+    return list(dict.fromkeys(v for row in rows for v in (row.kind, row.valve, row.phase)))
+
+
 class TestReadMemory:
     def test_a_read_holds_a_bound_beyond_the_log(self, recording, small_blocks):
-        """Beyond the log, a read holds the blocks in flight and the workers'
-        temporaries: a bound set by the block size (64 KiB here, so that
-        it is small beside the log), not by the rows.  The recording and
-        one four times as long stay under the same bound."""
+        """Beyond the log, a read holds the decoded blocks in flight, each
+        worker's buffer and temporaries, the events it read and the spare
+        rows of its first guess at the row count: a bound set by the block
+        size (64 KiB here, so that it is small beside the log), not by the
+        rows.  The recording and one four times as long stay under the
+        same bound.  The spare rows are the one part that grows with the
+        rows, so they are bounded apart, and the rest under a tighter
+        bound."""
         head, body = recording.read_bytes().split(b"\n", 1)
         longer = recording.with_name("longer.csv")
         longer.write_bytes(head + b"\n" + body * 4)
         read_telemetry(recording)  # a first read imports the thread pool
-        extra = {}
+        extra, rest = {}, {}
         for path in (recording, longer):
             log, peak = traced_peak(read_telemetry, path)
             extra[path.name] = peak - log_nbytes(log)
+            spare = path.stat().st_size // telemetry._LINE_BYTES - len(log)
+            assert 0 <= spare <= len(log) // 4, (path.name, spare)
+            rest[path.name] = extra[path.name] - log_nbytes(log) * spare / len(log)
         assert len(log) == 4 * len(read_rows(recording)) > 100_000
         assert max(extra.values()) < 32 * telemetry._BATCH_BYTES, extra
+        assert max(rest.values()) < 16 * telemetry._BATCH_BYTES, rest
+        assert not isinstance(log._event, np.ndarray)  # built on its first read
 
 
 def insert_line(path, line, past: int = 3 << 19) -> int:
@@ -451,6 +552,7 @@ class TestWorkers:
         assert_reads_as(two, read_rows(path))
         codes, table = two.codes("phase")
         assert len(set(codes.tolist())) == 600
+        assert table.tolist() == first_appearances(read_rows(path))
 
     def test_more_workers_than_cores_switching_often(self, recording, small_blocks,
                                                      monkeypatch):
